@@ -9,7 +9,7 @@ time-Sobolev trajectory diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sciint

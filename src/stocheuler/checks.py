@@ -12,41 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import step_transformed, step_vorticity_2d
-from .noise import LINEAR_MULTIPLICATIVE, NoiseModel, apply_noise
-from .spectral import (Grid, NormRequest, ScalarField, SpectralField, curl,
-                       dealias, l2_norm, leray_project, lp_norm, mollify,
-                       nonlinear_term, random_divergence_free, sobolev_norm,
-                       taylor_green)
+from .dynamics import (SimState, step_em, step_rk4, step_transformed,
+                       step_vorticity_2d)
+from .noise import LINEAR_MULTIPLICATIVE, NoiseModel, zero_noise
+from .spectral import (Grid, NormRequest, SpectralField, curl, dealias,
+                       l2_norm, leray_project, lp_norm, mollify,
+                       random_divergence_free, sobolev_norm, taylor_green)
 
 
 # ---------------------------------------------------------------------------
 # Transform equivalence under refinement
 
 
-def _em_path(u0: SpectralField, dt: float, increments: np.ndarray,
-             alpha: float) -> SpectralField:
-    """Euler-Maruyama on du = -P(u.grad u) dt + alpha u dW."""
-    u = u0.copy()
-    g = u.grid
+def _path(step, u0: SpectralField, dt: float, increments: np.ndarray,
+          alpha: float) -> SimState:
+    """Run a stepper over the given scalar increments of the
+    linear-multiplicative noise alpha u dW."""
+    model = NoiseModel(LINEAR_MULTIPLICATIVE, alpha=alpha)
+    state = SimState(0.0, u0.copy())
     for dW in increments:
-        coeffs = (u.coeffs - dt * nonlinear_term(u).coeffs
-                  + alpha * dW * u.coeffs)
-        coeffs *= g.dealias_mask[None, ...]
-        u = leray_project(SpectralField(g, coeffs))
-    return u
-
-
-def _transformed_path(u0: SpectralField, dt: float, increments: np.ndarray,
-                      alpha: float) -> tuple[SpectralField, float]:
-    """Damped random PDE for v = gamma u on the same Brownian path."""
-    v = u0.copy()
-    W = 0.0
-    for dW in increments:
-        gamma = float(np.exp(-alpha * W))
-        v = step_transformed(v, dt, alpha, gamma)
-        W += float(dW)
-    return v, W
+        state = step(state, dt, model, np.array([dW]))
+    return state
 
 
 @dataclass
@@ -77,9 +63,9 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
     for dt in dts:
         ratio = int(round(dt / dt_fine))
         incr = fine.reshape(-1, ratio).sum(axis=1)
-        u_em = _em_path(u0, dt, incr, alpha)
-        v, W = _transformed_path(u0, dt, incr, alpha)
-        u_from_v = float(np.exp(alpha * W)) * v
+        u_em = _path(step_em, u0, dt, incr, alpha).u
+        tr = _path(step_transformed, u0, dt, incr, alpha)
+        u_from_v = float(np.exp(alpha * tr.W_accum)) * tr.u
         errors.append(l2_norm(u_em - u_from_v))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     return TransformCheckResult(list(dts), errors, ratios)
@@ -200,22 +186,18 @@ def conservation_check(n: int = 64, T: float = 1.0, dt: float = 5e-3,
                        seed: int = 7) -> ConservationResult:
     """Zero-noise RK4 run; measures relative drift of the conserved
     quantities ||u||_2^2 and the vorticity L^4 Casimir."""
-    from .dynamics import _rk4
-
     grid = Grid(2, n)
     rng = np.random.default_rng(seed)
     u = dealias(leray_project(
         taylor_green(grid)
         + perturbation * random_divergence_free(grid, rng)))
 
-    def rhs(_tau, v):
-        return -1.0 * nonlinear_term(v)
-
     e0 = l2_norm(u) ** 2
     w4_0 = lp_norm(curl(u), 4.0)
-    n_steps = int(round(T / dt))
-    for _ in range(n_steps):
-        u = leray_project(dealias(_rk4(u, dt, rhs)))
+    state, model = SimState(0.0, u), zero_noise()
+    for _ in range(int(round(T / dt))):
+        state = step_rk4(state, dt, model, np.zeros(0))
+    u = state.u
     e1 = l2_norm(u) ** 2
     w4_1 = lp_norm(curl(u), 4.0)
     return ConservationResult(abs(e1 - e0) / e0, abs(w4_1 - w4_0) / w4_0)

@@ -1,7 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation/usage error, 2 scientific failure (a
-checked inequality failed at the requested parameters).
+Exit codes: 0 success, 1 validation/usage error (including a time step over
+the CFL limit), 2 scientific failure (a checked inequality failed at the
+requested parameters, or a run outside the trajectory driver went
+non-finite).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .config import (apply_overrides, build_ensemble_config,
                      build_trajectory_config, load_config)
 from .dynamics import integrate_trajectory
 from .ensemble import persist_summary, run_ensemble, survival_vs_alpha_sweep
-from .errors import ConfigError, InvalidParams
+from .errors import CflViolation, ConfigError, InvalidParams, NonFinite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -280,6 +282,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParams as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CflViolation as exc:
+        print(f"cfl violation: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except NonFinite as exc:
+        print(f"non-finite result: {exc}", file=sys.stderr)
+        return EXIT_SCIENCE
 
 
 if __name__ == "__main__":

@@ -8,13 +8,12 @@ README for a commented example.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import yaml
 
 from .analysis import GBMParams
-from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, W1INF_THRESHOLD,
-                       StoppingRule, TrajectoryConfig)
+from .dynamics import (EM, SOBOLEV_THRESHOLD, StoppingRule,
+                       TrajectoryConfig)
 from .ensemble import EnsembleConfig, GBMSurrogateSpec
 from .errors import ConfigError
 from .noise import (ADDITIVE, FUNCTIONAL, LINEAR_MULTIPLICATIVE, NEMYTSKII,
@@ -113,13 +112,14 @@ def build_stopping(doc: dict) -> tuple[StoppingRule, ...]:
     out = []
     for i, spec in enumerate(rules):
         kind = spec.get("kind")
-        if kind not in (W1INF_THRESHOLD, SOBOLEV_THRESHOLD, GBM_LEVEL):
-            raise ConfigError(f"stopping[{i}].kind: unknown kind '{kind}'")
         norm_spec = None
         if kind == SOBOLEV_THRESHOLD:
             norm_spec = NormRequest(int(spec.get("m", 1)),
                                     float(spec.get("p", 2)))
-        out.append(StoppingRule(kind, float(spec["level"]), norm_spec))
+        try:
+            out.append(StoppingRule(kind, float(spec["level"]), norm_spec))
+        except ValueError as exc:
+            raise ConfigError(f"stopping[{i}]: {exc}") from exc
     return tuple(out)
 
 
@@ -133,10 +133,9 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
     intg = _section(doc, "integrator")
     norms = _section(doc, "norms", required=False)
     try:
-        return TrajectoryConfig(
-            grid=grid, u0=u0, model=model, driver=driver,
+        options = dict(
             T=float(intg["T"]), dt=float(intg["dt"]),
-            integrator=intg.get("kind", "em"),
+            integrator=intg.get("kind", EM),
             c_cfl=float(intg.get("cfl", 0.5)),
             stopping=build_stopping(doc),
             sample_every=int(intg.get("sample_every", 1)),
@@ -145,6 +144,11 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
             enforce_cfl=bool(intg.get("enforce_cfl", True)))
     except KeyError as exc:
         raise ConfigError(f"integrator: missing key {exc}") from exc
+    try:
+        return TrajectoryConfig(grid=grid, u0=u0, model=model, driver=driver,
+                                **options)
+    except ValueError as exc:
+        raise ConfigError(f"integrator.kind: {exc}") from exc
 
 
 def build_ensemble_config(doc: dict, output_dir: str | None = None

@@ -1,23 +1,31 @@
 """Time integration of the stochastic Euler system and its variants.
 
-Steppers (all return new states; nothing is mutated):
+Each integrator kind in INTEGRATORS has a stepper step_<kind> with one
+contract: step_<kind>(state, dt, model, dW, **options) -> SimState, where dW
+holds the step's Wiener increments (the trajectory driver samples them from
+its BrownianDriver; the checks pass their own).
 
 * step_em              Euler-Maruyama on the velocity form
 * step_rk4             RK4 drift with Euler-Maruyama noise coupling
 * step_transformed     damped random PDE for v = gamma * u (exact
                        integrating-factor damping + RK4 transport)
+
+Library steppers that the trajectory driver does not run:
+
+* step_cutoff_galerkin velocity form with the smooth cut-off on drift
+                       and noise (same contract, cut-off level R)
 * step_vorticity_2d    2D scalar vorticity transport (plain / damped /
                        additively forced)
 * step_vorticity_3d    3D vorticity with vortex stretching, damped
-* step_cutoff_galerkin velocity form with the smooth cut-off on drift
-                       and noise
+
+All steppers return new states; nothing is mutated.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,8 +33,20 @@ from .errors import CflViolation, NonFinite
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
 from .spectral import (Grid, NormRequest, ScalarField, SpectralField,
-                       biot_savart, curl, cutoff_theta, dealias, l2_norm,
-                       lp_norm, nonlinear_term, sobolev_norm, w1inf_norm)
+                       biot_savart, curl, cutoff_theta, dealias, gradient,
+                       l2_norm, leray_project, lp_norm, nonlinear_term,
+                       sobolev_norm, w1inf_norm)
+
+EM = "em"
+RK4 = "rk4"
+TRANSFORMED = "transformed"
+# integrator kind -> the TrajectoryConfig fields its stepper step_<kind>
+# takes as keyword options
+INTEGRATORS = {
+    EM: ("c_cfl", "enforce_cfl"),
+    RK4: ("c_cfl", "enforce_cfl"),
+    TRANSFORMED: ("alpha",),
+}
 
 W1INF_THRESHOLD = "w1inf_threshold"
 SOBOLEV_THRESHOLD = "sobolev_threshold"
@@ -110,7 +130,7 @@ class TrajectoryConfig:
     driver: BrownianDriver
     T: float
     dt: float
-    integrator: str = "em"  # em | rk4 | transformed | vorticity2d
+    integrator: str = EM  # a key of INTEGRATORS
     c_cfl: float = 0.5
     stopping: tuple[StoppingRule, ...] = ()
     sample_every: int = 1
@@ -119,6 +139,15 @@ class TrajectoryConfig:
     blowup_level: float = 1e6
     alpha: float = 0.0  # linear-multiplicative coefficient for transform runs
     enforce_cfl: bool = True
+
+    def __post_init__(self):
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"unknown integrator '{self.integrator}' "
+                             f"(accepted: {', '.join(INTEGRATORS)})")
+        if (self.integrator == TRANSFORMED
+                and self.model.kind != LINEAR_MULTIPLICATIVE):
+            raise ValueError(f"integrator '{TRANSFORMED}' needs "
+                             f"{LINEAR_MULTIPLICATIVE} noise")
 
 
 # ---------------------------------------------------------------------------
@@ -135,50 +164,54 @@ def cfl_limit(u: SpectralField, c_cfl: float = 0.5,
     return float(limit)
 
 
+def _lm_alpha(model: NoiseModel) -> float:
+    """The linear-multiplicative coefficient alpha; 0 for other noise kinds."""
+    return model.alpha if model.kind == LINEAR_MULTIPLICATIVE else 0.0
+
+
 def _check_finite(coeffs: np.ndarray) -> None:
     if not np.all(np.isfinite(coeffs.view(float))):
         raise NonFinite("non-finite Fourier coefficient")
 
 
-def _require_cfl(u: SpectralField, dt: float, c_cfl: float,
-                 alpha: float = 0.0) -> None:
-    lim = cfl_limit(u, c_cfl, alpha)
-    if dt > lim * (1.0 + 1e-12):
-        raise CflViolation(f"dt={dt} exceeds CFL limit {lim}")
+def _require_step(u: SpectralField, dt: float, model: NoiseModel,
+                  c_cfl: float = 0.5, enforce_cfl: bool = True) -> None:
+    """dt must be positive and, when enforced, within the CFL limit."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if enforce_cfl:
+        lim = cfl_limit(u, c_cfl, _lm_alpha(model))
+        if dt > lim * (1.0 + 1e-12):
+            raise CflViolation(f"dt={dt} exceeds CFL limit {lim}")
+
+
+def _project(coeffs: np.ndarray, grid: Grid) -> SpectralField:
+    """Dealias and Leray-project a step's new coefficients; fail on NaN/Inf."""
+    u_new = leray_project(SpectralField(grid,
+                                        coeffs * grid.dealias_mask[None, ...]))
+    _check_finite(u_new.coeffs)
+    return u_new
+
+
+def _advance(state: SimState, dt: float, u_new: SpectralField,
+             model: NoiseModel, dW: np.ndarray,
+             alpha: float = 0.0) -> SimState:
+    """The state after one step: t += dt, W += dW[0] under
+    linear-multiplicative noise, gamma = exp(-alpha W); alpha = 0 takes the
+    noise model's coefficient."""
+    alpha = alpha or _lm_alpha(model)
+    W_new = state.W_accum + (float(dW[0])
+                             if model.kind == LINEAR_MULTIPLICATIVE else 0.0)
+    return SimState(state.t + dt, u_new,
+                    gamma=float(np.exp(-alpha * W_new)) if alpha else 1.0,
+                    W_accum=W_new, step_index=state.step_index + 1)
 
 
 # ---------------------------------------------------------------------------
 # Steppers
 
 
-def step_em(state: SimState, dt: float, model: NoiseModel,
-            driver: BrownianDriver, trajectory_id: int,
-            c_cfl: float = 0.5, enforce_cfl: bool = True) -> SimState:
-    """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    u = state.u
-    alpha = model.alpha if model.kind == LINEAR_MULTIPLICATIVE else 0.0
-    if enforce_cfl:
-        _require_cfl(u, dt, c_cfl, alpha)
-    dW = driver.sample_increments(trajectory_id, state.step_index, dt)
-    drift = nonlinear_term(u)
-    incr = apply_noise(model, u, dW) if model.n_modes else None
-    new_coeffs = u.coeffs - dt * drift.coeffs
-    if incr is not None:
-        new_coeffs = new_coeffs + incr.coeffs
-    new_coeffs = new_coeffs * u.grid.dealias_mask[None, ...]
-    from .spectral import leray_project
-    u_new = leray_project(SpectralField(u.grid, new_coeffs))
-    _check_finite(u_new.coeffs)
-    dW_scalar = float(dW[0]) if model.kind == LINEAR_MULTIPLICATIVE else 0.0
-    W_new = state.W_accum + dW_scalar
-    return SimState(state.t + dt, u_new,
-                    gamma=float(np.exp(-alpha * W_new)) if alpha else 1.0,
-                    W_accum=W_new, step_index=state.step_index + 1)
-
-
-def _rk4(v: SpectralField, dt: float, rhs) -> SpectralField:
+def _rk4(v, dt: float, rhs):
     """Classic RK4 with a time-dependent rhs(tau, v) over tau in [0, dt]."""
     k1 = rhs(0.0, v)
     k2 = rhs(0.5 * dt, v + 0.5 * dt * k1)
@@ -187,65 +220,81 @@ def _rk4(v: SpectralField, dt: float, rhs) -> SpectralField:
     return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_rk4(state: SimState, dt: float, model: NoiseModel,
-             driver: BrownianDriver, trajectory_id: int,
+def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
+            c_cfl: float = 0.5, enforce_cfl: bool = True) -> SimState:
+    """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected."""
+    u = state.u
+    _require_step(u, dt, model, c_cfl, enforce_cfl)
+    coeffs = u.coeffs - dt * nonlinear_term(u).coeffs
+    if model.n_modes:
+        coeffs = coeffs + apply_noise(model, u, dW).coeffs
+    return _advance(state, dt, _project(coeffs, u.grid), model, dW)
+
+
+def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
              c_cfl: float = 0.5, enforce_cfl: bool = True) -> SimState:
     """RK4 on the conservative drift, Euler-Maruyama coupling for the noise."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     u = state.u
-    alpha = model.alpha if model.kind == LINEAR_MULTIPLICATIVE else 0.0
-    if enforce_cfl:
-        _require_cfl(u, dt, c_cfl, alpha)
+    _require_step(u, dt, model, c_cfl, enforce_cfl)
 
     def rhs(_tau, v):
         return -1.0 * nonlinear_term(v)
 
     u_new = _rk4(u, dt, rhs)
-    dW = driver.sample_increments(trajectory_id, state.step_index, dt)
     if model.n_modes:
         u_new = u_new + apply_noise(model, u, dW)
-    from .spectral import leray_project
-    u_new = leray_project(dealias(u_new))
-    _check_finite(u_new.coeffs)
-    dW_scalar = float(dW[0]) if model.kind == LINEAR_MULTIPLICATIVE else 0.0
-    W_new = state.W_accum + dW_scalar
-    return SimState(state.t + dt, u_new,
-                    gamma=float(np.exp(-alpha * W_new)) if alpha else 1.0,
-                    W_accum=W_new, step_index=state.step_index + 1)
+    return _advance(state, dt, _project(u_new.coeffs, u.grid), model, dW)
 
 
-def step_transformed(v: SpectralField, dt: float, alpha: float,
-                     gamma_at_step: float) -> SpectralField:
+def step_transformed(state: SimState, dt: float, model: NoiseModel,
+                     dW: np.ndarray, alpha: float = 0.0) -> SimState:
     """One step of  dv/dt + (alpha^2/2) v + gamma^{-1} P(v.grad v) = 0.
+
+    state.u holds v = gamma u with gamma = state.gamma = exp(-alpha W); dW
+    only advances W.  alpha = 0 takes the noise model's coefficient.
 
     The damping is integrated exactly via the substitution
     w(tau) = exp(alpha^2 tau / 2) v(tau), which (using homogeneity of the
     quadratic term) obeys  w' = -exp(-alpha^2 tau / 2) gamma^{-1} P(w.grad w);
     that system is advanced with RK4 and the factor undone at tau = dt.
     """
-    if gamma_at_step <= 0:
+    gamma = state.gamma
+    if gamma <= 0:
         raise ValueError("gamma must be positive")
+    alpha = alpha or _lm_alpha(model)
     half = 0.5 * alpha ** 2
 
     def rhs(tau, w):
-        return (-np.exp(-half * tau) / gamma_at_step) * nonlinear_term(w)
+        return (-np.exp(-half * tau) / gamma) * nonlinear_term(w)
 
-    w_end = _rk4(v, dt, rhs)
-    v_new = float(np.exp(-half * dt)) * w_end
+    v_new = float(np.exp(-half * dt)) * _rk4(state.u, dt, rhs)
     _check_finite(v_new.coeffs)
-    return SpectralField(v_new.grid, v_new.coeffs, divergence_free=True)
+    return _advance(state, dt,
+                    SpectralField(v_new.grid, v_new.coeffs,
+                                  divergence_free=True),
+                    model, dW, alpha)
+
+
+def step_cutoff_galerkin(state: SimState, dt: float, model: NoiseModel,
+                         dW: np.ndarray, R: float) -> SimState:
+    """Velocity step with theta_R(||u||_{W^{1,inf}}) on drift and noise."""
+    u = state.u
+    _require_step(u, dt, model, enforce_cfl=False)
+    theta = cutoff_theta(w1inf_norm(u), R)
+    coeffs = u.coeffs
+    if theta > 0.0:
+        coeffs = coeffs - (dt * theta) * nonlinear_term(u).coeffs
+        if model.n_modes:
+            coeffs = coeffs + theta * apply_noise(model, u, dW).coeffs
+    return _advance(state, dt, _project(coeffs, u.grid), model, dW)
 
 
 def _transport_rhs_2d(w: ScalarField) -> ScalarField:
     """-dealias(u . grad w) with u = Biot-Savart(w)."""
     g = w.grid
     u = biot_savart(ScalarField(g, w.coeffs * g.dealias_mask))
-    u_phys = u.to_physical()
-    wd = w.coeffs * g.dealias_mask
-    grad_w = np.stack([np.fft.ifftn(1j * g.k[j] * wd).real
-                       for j in range(g.dim)])
-    adv = np.sum(u_phys * grad_w, axis=0)
+    adv = np.sum(u.to_physical() * gradient(w.coeffs * g.dealias_mask, g),
+                 axis=0)
     return ScalarField(g, -np.fft.fftn(adv) * g.dealias_mask)
 
 
@@ -264,7 +313,7 @@ def step_vorticity_2d(w: ScalarField, dt: float, alpha: float = 0.0,
     def rhs(tau, z):
         return (np.exp(-half * tau) / gamma) * _transport_rhs_2d(z)
 
-    z_end = _rk4_scalar(w, dt, rhs)
+    z_end = _rk4(w, dt, rhs)
     w_new = ScalarField(w.grid, np.exp(-half * dt) * z_end.coeffs)
     if rho_fields:
         if dW is None or len(dW) != len(rho_fields):
@@ -275,14 +324,6 @@ def step_vorticity_2d(w: ScalarField, dt: float, alpha: float = 0.0,
     return w_new
 
 
-def _rk4_scalar(w: ScalarField, dt: float, rhs) -> ScalarField:
-    k1 = rhs(0.0, w)
-    k2 = rhs(0.5 * dt, w + 0.5 * dt * k1)
-    k3 = rhs(0.5 * dt, w + 0.5 * dt * k2)
-    k4 = rhs(dt, w + dt * k3)
-    return w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def step_vorticity_3d(w: SpectralField, dt: float, alpha: float = 0.0,
                       gamma: float = 1.0) -> SpectralField:
     """3D vorticity step with transport and vortex stretching, damped.
@@ -290,7 +331,6 @@ def step_vorticity_3d(w: SpectralField, dt: float, alpha: float = 0.0,
     dw/dt + (alpha^2/2) w + gamma^{-1}(v.grad w - w.grad v) = 0 with
     v = Biot-Savart(w); damping handled exactly as in the 2D case.
     """
-    from .spectral import leray_project
     half = 0.5 * alpha ** 2
     g = w.grid
 
@@ -301,12 +341,8 @@ def step_vorticity_3d(w: SpectralField, dt: float, alpha: float = 0.0,
         z_phys = zd.to_physical()
         out = np.empty_like(v_phys)
         for i in range(3):
-            grad_zi = np.stack([np.fft.ifftn(1j * g.k[j] * zd.coeffs[i]).real
-                                for j in range(3)])
-            grad_vi = np.stack([np.fft.ifftn(1j * g.k[j] * v.coeffs[i]).real
-                                for j in range(3)])
-            out[i] = -(np.sum(v_phys * grad_zi, axis=0)
-                       - np.sum(z_phys * grad_vi, axis=0))
+            out[i] = -(np.sum(v_phys * gradient(zd.coeffs[i], g), axis=0)
+                       - np.sum(z_phys * gradient(v.coeffs[i], g), axis=0))
         hat = np.stack([np.fft.fftn(out[i]) for i in range(3)])
         hat *= g.dealias_mask[None, ...]
         return leray_project(SpectralField(g, hat))
@@ -315,53 +351,24 @@ def step_vorticity_3d(w: SpectralField, dt: float, alpha: float = 0.0,
         return (np.exp(-half * tau) / gamma) * stretch_rhs(z)
 
     z_end = _rk4(w, dt, rhs)
-    w_new = np.exp(-half * dt) * z_end
-    w_new = leray_project(dealias(w_new))
-    _check_finite(w_new.coeffs)
-    return w_new
-
-
-def step_cutoff_galerkin(state: SimState, dt: float, R: float,
-                         model: NoiseModel, driver: BrownianDriver,
-                         trajectory_id: int) -> SimState:
-    """Velocity step with theta_R(||u||_{W^{1,inf}}) on drift and noise."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    u = state.u
-    theta = cutoff_theta(w1inf_norm(u), R)
-    dW = driver.sample_increments(trajectory_id, state.step_index, dt)
-    new_coeffs = u.coeffs.copy()
-    if theta > 0.0:
-        drift = nonlinear_term(u)
-        new_coeffs = new_coeffs - (dt * theta) * drift.coeffs
-        if model.n_modes:
-            incr = apply_noise(model, u, dW)
-            new_coeffs = new_coeffs + theta * incr.coeffs
-    new_coeffs = new_coeffs * u.grid.dealias_mask[None, ...]
-    from .spectral import leray_project
-    u_new = leray_project(SpectralField(u.grid, new_coeffs))
-    _check_finite(u_new.coeffs)
-    alpha = model.alpha if model.kind == LINEAR_MULTIPLICATIVE else 0.0
-    dW_scalar = float(dW[0]) if model.kind == LINEAR_MULTIPLICATIVE else 0.0
-    W_new = state.W_accum + dW_scalar
-    return SimState(state.t + dt, u_new,
-                    gamma=float(np.exp(-alpha * W_new)) if alpha else 1.0,
-                    W_accum=W_new, step_index=state.step_index + 1)
-
+    return _project((np.exp(-half * dt) * z_end).coeffs, g)
 
 # ---------------------------------------------------------------------------
 # Trajectory driver
 
 
-def _monitored_value(rule: StoppingRule, u: SpectralField, t: float,
-                     W_accum: float, alpha: float) -> float:
+def _monitored_value(rule: StoppingRule, u: SpectralField, state: SimState,
+                     alpha: float, diag: TrajectoryDiagnostics,
+                     req: NormRequest) -> float:
+    """The rule's scalar at the sample just recorded in diag, reusing its
+    W^{1,inf} and W^{m,p} values where the rule asks for those norms."""
     if rule.kind == W1INF_THRESHOLD:
-        return w1inf_norm(u)
+        return diag.w1inf[-1]
     if rule.kind == SOBOLEV_THRESHOLD:
         spec = rule.norm_spec or NormRequest(1, 2)
-        return sobolev_norm(u, spec)
+        return diag.wmp[-1] if spec == req else sobolev_norm(u, spec)
     # gbm_level monitors rho_alpha(t) = exp(alpha W_t - alpha^2 t / 8)
-    return float(np.exp(alpha * W_accum - alpha ** 2 * t / 8.0))
+    return float(np.exp(alpha * state.W_accum - alpha ** 2 * state.t / 8.0))
 
 
 def integrate_trajectory(cfg: TrajectoryConfig,
@@ -369,31 +376,23 @@ def integrate_trajectory(cfg: TrajectoryConfig,
     """Run one path to T, first stopping hit, or numerical blow-up."""
     diag = TrajectoryDiagnostics()
     req = NormRequest(cfg.m, cfg.p)
-    alpha = cfg.alpha or (cfg.model.alpha
-                          if cfg.model.kind == LINEAR_MULTIPLICATIVE else 0.0)
-    transformed = cfg.integrator == "transformed"
+    alpha = cfg.alpha or _lm_alpha(cfg.model)
+    transformed = cfg.integrator == TRANSFORMED  # state.u holds v = gamma u
     state = SimState(0.0, cfg.u0.copy())
-    v = cfg.u0.copy() if transformed else None
     fired: set[str] = set()
-
-    def physical_u() -> SpectralField:
-        if transformed:
-            return (1.0 / state.gamma) * v
-        return state.u
 
     def sample() -> bool:
         """Record diagnostics; returns True if a stopping rule fired."""
-        u = physical_u()
+        v = state.u
+        u = (1.0 / state.gamma) * v if transformed else v
         diag.times.append(state.t)
         diag.l2.append(l2_norm(u))
         diag.wmp.append(sobolev_norm(u, req))
         diag.w1inf.append(w1inf_norm(u))
         diag.curl_inf.append(lp_norm(curl(u), np.inf))
         diag.gamma.append(state.gamma)
-        if transformed:
-            diag.transform_residual.append(l2_norm(state.gamma * u - v))
-        else:
-            diag.transform_residual.append(0.0)
+        diag.transform_residual.append(
+            l2_norm(state.gamma * u - v) if transformed else 0.0)
         if diag.w1inf[-1] >= cfg.blowup_level:
             diag.blow_up_flag = True
             return True
@@ -401,8 +400,8 @@ def integrate_trajectory(cfg: TrajectoryConfig,
         for rule in cfg.stopping:
             if rule.kind in fired:
                 continue
-            val = _monitored_value(rule, u, state.t, state.W_accum, alpha)
-            if val >= rule.level:
+            if _monitored_value(rule, u, state, alpha, diag, req) \
+                    >= rule.level:
                 diag.hits.append((rule.kind, state.t))
                 fired.add(rule.kind)
                 hit = True
@@ -412,28 +411,17 @@ def integrate_trajectory(cfg: TrajectoryConfig,
         diag.final_time = 0.0
         return diag
 
+    # looked up on the module at call time, so a stepper replaced there (for
+    # instance by a tracer) is the one that runs
+    step = globals()[f"step_{cfg.integrator}"]
+    options = {key: getattr(cfg, key) for key in INTEGRATORS[cfg.integrator]}
     stop = sample()
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     while not stop and state.step_index < n_steps:
+        dW = cfg.driver.sample_increments(trajectory_id, state.step_index,
+                                          cfg.dt)
         try:
-            if transformed:
-                dW = cfg.driver.sample_increments(trajectory_id,
-                                                  state.step_index, cfg.dt)
-                gamma_here = state.gamma
-                v = step_transformed(v, cfg.dt, alpha, gamma_here)
-                W_new = state.W_accum + float(dW[0])
-                state = SimState(state.t + cfg.dt, v,
-                                 gamma=float(np.exp(-alpha * W_new)),
-                                 W_accum=W_new,
-                                 step_index=state.step_index + 1)
-            elif cfg.integrator == "rk4":
-                state = step_rk4(state, cfg.dt, cfg.model, cfg.driver,
-                                 trajectory_id, cfg.c_cfl, cfg.enforce_cfl)
-            elif cfg.integrator == "em":
-                state = step_em(state, cfg.dt, cfg.model, cfg.driver,
-                                trajectory_id, cfg.c_cfl, cfg.enforce_cfl)
-            else:
-                raise ValueError(f"unknown integrator '{cfg.integrator}'")
+            state = step(state, cfg.dt, cfg.model, dW, **options)
         except NonFinite:
             diag.blow_up_flag = True
             break

@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateInput, ShapeMismatch
-from .spectral import (Grid, NormRequest, SpectralField, dealias,
-                       leray_project, sobolev_norm)
+from .spectral import (Grid, NormRequest, SpectralField, dealias, l2_inner,
+                       leray_project, random_divergence_free, sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,6 @@ class BrownianDriver:
             return np.zeros(self.n_modes)
         gen = self._generator(trajectory_id, step)
         return np.sqrt(dt) * gen.standard_normal(self.n_modes)
-
-
-def sample_increments(driver: BrownianDriver, trajectory_id: int, step: int,
-                      dt: float) -> np.ndarray:
-    return driver.sample_increments(trajectory_id, step, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +122,6 @@ def apply_noise(model: NoiseModel, u: SpectralField,
         return leray_project(SpectralField(g, acc))
 
     # functional: sigma_k(u) = f_k(u) alpha_k with f_k an L^2 inner product
-    from .spectral import l2_inner
     acc = np.zeros_like(u.coeffs)
     for w, sig, prof in zip(dW, model.sigma_fields, model.profiles):
         acc += w * l2_inner(u, prof) * sig.coeffs
@@ -163,7 +157,6 @@ def lipschitz_probe(model: NoiseModel, u: SpectralField, v: SpectralField,
 def spectrum_sigma_fields(grid: Grid, n_modes: int, gamma: float,
                           seed: int) -> list[SpectralField]:
     """K random divergence-free fields with ||sigma_k|| ~ k^(-gamma)."""
-    from .spectral import random_divergence_free
     fields = []
     for k in range(n_modes):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateVorticity, ShapeMismatch, UnsupportedNorm
+from .errors import ShapeMismatch, UnsupportedNorm
 
 TWO_PI = 2.0 * np.pi
 

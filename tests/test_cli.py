@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from stocheuler import cli, config as cfgmod
-from stocheuler.errors import ConfigError
+from stocheuler.errors import ConfigError, NonFinite
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,59 @@ def test_ensemble_subcommand_persists_summary(tmp_path, capsys):
     assert payload["analytic_bound"] == pytest.approx(0.5)
 
 
+def test_run_rejects_unwired_integrator_kind(tmp_path, capsys):
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    code = cli.main(["run", "--config", cfg,
+                     "--set", "integrator.kind=vorticity2d"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: integrator.kind")
+    assert "em, rk4, transformed" in err
+
+
+def test_ensemble_rejects_unwired_integrator_before_any_path(tmp_path,
+                                                            capsys):
+    doc = dict(RUN_CONFIG, ensemble={"n_paths": 4, "master_seed": 1})
+    cfg = _write_yaml(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    code = cli.main(["ensemble", "--config", cfg, "--out", str(out_dir),
+                     "--set", "integrator.kind=vorticity2d"])
+    assert code == cli.EXIT_USAGE
+    assert "integrator.kind" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("noise_kind", ["none", "additive"])
+def test_transformed_needs_linear_multiplicative_noise(tmp_path, capsys,
+                                                       noise_kind):
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    code = cli.main(["run", "--config", cfg,
+                     "--set", "integrator.kind=transformed",
+                     "--set", f"noise.kind={noise_kind}"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: integrator.kind")
+    assert "linear_multiplicative" in err
+
+
+def test_run_over_cfl_limit_exits_usage(tmp_path, capsys):
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    code = cli.main(["run", "--config", cfg, "--set", "integrator.dt=1.0"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "dt=1.0" in err and "CFL limit" in err
+
+
+def test_non_finite_result_exits_science(monkeypatch, capsys):
+    def blow_up(**kwargs):
+        raise NonFinite("non-finite Fourier coefficient")
+
+    monkeypatch.setattr(cli.checks, "transform_equivalence_check", blow_up)
+    assert cli.main(["transform-check", "--quiet"]) == cli.EXIT_SCIENCE
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code = cli.main(["run", "--config", "/nonexistent.yaml"])
     assert code == cli.EXIT_USAGE
@@ -199,6 +252,12 @@ def test_build_noise_kinds():
 def test_build_stopping_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         cfgmod.build_stopping({"stopping": [{"kind": "bogus", "level": 1}]})
+
+
+def test_build_stopping_rejects_nonpositive_level():
+    with pytest.raises(ConfigError, match=r"stopping\[0\]"):
+        cfgmod.build_stopping(
+            {"stopping": [{"kind": "w1inf_threshold", "level": 0}]})
 
 
 def test_build_trajectory_requires_integrator_section():

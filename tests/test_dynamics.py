@@ -42,16 +42,14 @@ def test_step_em_raises_on_cfl_violation():
     g = _grid(32)
     u = sp.taylor_green(g)
     with pytest.raises(CflViolation):
-        dyn.step_em(_state(u), 10.0, noise.zero_noise(),
-                    noise.BrownianDriver(0, 0), 0)
+        dyn.step_em(_state(u), 10.0, noise.zero_noise(), np.zeros(0))
 
 
 def test_step_rejects_nonpositive_dt():
     g = _grid()
     u = sp.taylor_green(g)
     with pytest.raises(ValueError):
-        dyn.step_em(_state(u), 0.0, noise.zero_noise(),
-                    noise.BrownianDriver(0, 0), 0)
+        dyn.step_em(_state(u), 0.0, noise.zero_noise(), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +59,7 @@ def test_step_rejects_nonpositive_dt():
 def test_em_zero_field_stays_zero():
     g = _grid()
     state = _state(sp.SpectralField.zero(g))
-    out = dyn.step_em(state, 0.01, noise.zero_noise(),
-                      noise.BrownianDriver(0, 0), 0)
+    out = dyn.step_em(state, 0.01, noise.zero_noise(), np.zeros(0))
     assert sp.l2_norm(out.u) == 0.0
     assert out.t == pytest.approx(0.01)
     assert out.step_index == 1
@@ -73,8 +70,7 @@ def test_em_single_step_matches_drift_identity():
     g = _grid(32)
     u = sp.taylor_green(g)
     dt = 1e-3
-    out = dyn.step_em(_state(u), dt, noise.zero_noise(),
-                      noise.BrownianDriver(0, 0), 0)
+    out = dyn.step_em(_state(u), dt, noise.zero_noise(), np.zeros(0))
     manual = sp.leray_project(sp.SpectralField(
         g, (u.coeffs - dt * sp.nonlinear_term(u).coeffs)
         * g.dealias_mask[None, ...]))
@@ -87,9 +83,8 @@ def test_em_additive_noise_from_rest():
     sigmas = noise.spectrum_sigma_fields(g, 2, 2.0, seed=3)
     model = noise.NoiseModel(noise.ADDITIVE, sigma_fields=sigmas)
     driver = noise.BrownianDriver(5, 2)
-    out = dyn.step_em(_state(sp.SpectralField.zero(g)), 0.01, model,
-                      driver, 7)
     dW = driver.sample_increments(7, 0, 0.01)
+    out = dyn.step_em(_state(sp.SpectralField.zero(g)), 0.01, model, dW)
     want = noise.apply_noise(model, sp.SpectralField.zero(g), dW)
     assert np.max(np.abs(out.u.coeffs
                          - want.coeffs * g.dealias_mask[None, ...])) < 1e-14
@@ -101,8 +96,9 @@ def test_em_tracks_gamma_consistently():
     model = _lin_mult(alpha=1.0)
     driver = noise.BrownianDriver(3, 1)
     state = _state(u)
-    for _ in range(10):
-        state = dyn.step_em(state, 1e-3, model, driver, 0)
+    for step in range(10):
+        state = dyn.step_em(state, 1e-3, model,
+                            driver.sample_increments(0, step, 1e-3))
     assert state.gamma == pytest.approx(np.exp(-state.W_accum), rel=1e-12)
 
 
@@ -112,8 +108,9 @@ def test_em_preserves_divergence_free():
     model = _lin_mult(alpha=1.0)
     state = _state(u)
     driver = noise.BrownianDriver(1, 1)
-    for _ in range(5):
-        state = dyn.step_em(state, 1e-3, model, driver, 0)
+    for step in range(5):
+        state = dyn.step_em(state, 1e-3, model,
+                            driver.sample_increments(0, step, 1e-3))
         assert state.u.max_divergence() <= 1e-10 * sp.l2_norm(state.u)
 
 
@@ -127,8 +124,7 @@ def test_em_mean_mode_invariant():
     mean0 = shifted.coeffs[zero].copy()
     state = _state(shifted)
     for _ in range(5):
-        state = dyn.step_em(state, 1e-3, noise.zero_noise(),
-                            noise.BrownianDriver(0, 0), 0)
+        state = dyn.step_em(state, 1e-3, noise.zero_noise(), np.zeros(0))
     assert np.max(np.abs(state.u.coeffs[zero] - mean0)) < 1e-10
 
 
@@ -138,8 +134,7 @@ def test_rk4_with_zero_noise_conserves_energy_short_run():
     state = _state(u)
     e0 = sp.l2_norm(u) ** 2
     for _ in range(50):
-        state = dyn.step_rk4(state, 2e-3, noise.zero_noise(),
-                             noise.BrownianDriver(0, 0), 0)
+        state = dyn.step_rk4(state, 2e-3, noise.zero_noise(), np.zeros(0))
     assert abs(sp.l2_norm(state.u) ** 2 - e0) < 1e-10 * e0
 
 
@@ -152,18 +147,20 @@ def test_transformed_pure_damping_is_exact_on_shear():
     g = _grid(32)
     v = sp.shear_field(g)
     alpha, dt = 2.0, 1e-2
-    cur = v
+    # W held at -log(1.3)/alpha, so gamma = 1.3 at every step
+    cur = dyn.SimState(0.0, v, gamma=1.3, W_accum=-np.log(1.3) / alpha)
     for _ in range(50):
-        cur = dyn.step_transformed(cur, dt, alpha, gamma_at_step=1.3)
+        cur = dyn.step_transformed(cur, dt, _lin_mult(alpha), np.zeros(1))
     want = np.exp(-alpha ** 2 * 0.5 * 0.5) * v.coeffs  # t = 0.5
-    assert np.max(np.abs(cur.coeffs - want)) < 1e-10 * g.n ** 2
+    assert np.max(np.abs(cur.u.coeffs - want)) < 1e-10 * g.n ** 2
 
 
 def test_transformed_alpha_zero_reduces_to_deterministic():
     g = _grid(32)
     u = sp.dealias(sp.taylor_green(g))
     dt = 1e-3
-    a = dyn.step_transformed(u, dt, alpha=0.0, gamma_at_step=1.0)
+    a = dyn.step_transformed(_state(u), dt, noise.zero_noise(),
+                             np.zeros(0)).u
 
     def rhs(_tau, v):
         return -1.0 * sp.nonlinear_term(v)
@@ -175,7 +172,8 @@ def test_transformed_alpha_zero_reduces_to_deterministic():
 def test_transformed_rejects_bad_gamma():
     g = _grid()
     with pytest.raises(ValueError):
-        dyn.step_transformed(sp.shear_field(g), 1e-2, 1.0, gamma_at_step=0.0)
+        dyn.step_transformed(dyn.SimState(0.0, sp.shear_field(g), gamma=0.0),
+                             1e-2, _lin_mult(1.0), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ def test_vorticity_3d_matches_curl_of_velocity_step():
     errs = []
     for dt in (4e-3, 2e-3):
         w_v = sp.curl(dyn.step_em(_state(u), dt, noise.zero_noise(),
-                                  noise.BrownianDriver(0, 0), 0).u)
+                                  np.zeros(0)).u)
         w_w = dyn.step_vorticity_3d(sp.curl(u), dt)
         errs.append(sp.l2_norm(w_v - w_w))
     assert errs[0] > 0
@@ -263,8 +261,9 @@ def test_cutoff_step_matches_em_below_threshold():
     model = _lin_mult(alpha=0.5)
     driver = noise.BrownianDriver(9, 1)
     R = 10.0 * sp.w1inf_norm(u)
-    a = dyn.step_em(_state(u), 1e-3, model, driver, 0, enforce_cfl=False)
-    b = dyn.step_cutoff_galerkin(_state(u), 1e-3, R, model, driver, 0)
+    dW = driver.sample_increments(0, 0, 1e-3)
+    a = dyn.step_em(_state(u), 1e-3, model, dW, enforce_cfl=False)
+    b = dyn.step_cutoff_galerkin(_state(u), 1e-3, model, dW, R)
     assert np.array_equal(a.u.coeffs, b.u.coeffs)
     assert a.W_accum == b.W_accum
 
@@ -275,7 +274,8 @@ def test_cutoff_step_freezes_above_twice_threshold():
     model = _lin_mult(alpha=0.5)
     driver = noise.BrownianDriver(9, 1)
     R = sp.w1inf_norm(u) / 4.0  # so the norm sits above 2R
-    out = dyn.step_cutoff_galerkin(_state(u), 1e-3, R, model, driver, 0)
+    out = dyn.step_cutoff_galerkin(_state(u), 1e-3, model,
+                                   driver.sample_increments(0, 0, 1e-3), R)
     frozen = sp.leray_project(sp.SpectralField(
         g, u.coeffs * g.dealias_mask[None, ...]))
     assert np.array_equal(out.u.coeffs, frozen.coeffs)
@@ -288,10 +288,10 @@ def test_cutoff_step_transition_band_damps_drift():
     R = norm / 1.5  # norm = 1.5 R: inside the transition band
     theta = sp.cutoff_theta(norm, R)
     assert 0.0 < theta < 1.0
-    out = dyn.step_cutoff_galerkin(_state(u), 1e-3, R, noise.zero_noise(),
-                                   noise.BrownianDriver(0, 0), 0)
-    full = dyn.step_em(_state(u), 1e-3, noise.zero_noise(),
-                       noise.BrownianDriver(0, 0), 0, enforce_cfl=False)
+    out = dyn.step_cutoff_galerkin(_state(u), 1e-3, noise.zero_noise(),
+                                   np.zeros(0), R)
+    full = dyn.step_em(_state(u), 1e-3, noise.zero_noise(), np.zeros(0),
+                       enforce_cfl=False)
     drift_cut = sp.l2_norm(out.u - u)
     drift_full = sp.l2_norm(full.u - u)
     assert drift_cut <= theta * drift_full * (1.0 + 1e-10)
@@ -374,6 +374,31 @@ def test_transformed_trajectory_residual_is_zero_by_construction():
 def test_unknown_integrator_rejected():
     with pytest.raises(ValueError):
         dyn.integrate_trajectory(_tg_config(integrator="leapfrog"))
+    # checked when the config is built, before any step
+    with pytest.raises(ValueError, match="em, rk4, transformed"):
+        _tg_config(integrator="vorticity2d")
+    with pytest.raises(ValueError, match="linear_multiplicative"):
+        _tg_config(integrator="transformed")  # zero (additive) noise
+
+
+def test_stopping_rules_reuse_sampled_norms(monkeypatch):
+    # a W^{1,inf} rule and a Sobolev rule of the sampled (m, p) read the
+    # sample's values; only a Sobolev rule of another order recomputes
+    calls = []
+    real = dyn.sobolev_norm
+
+    def counting(f, req):
+        calls.append(req)
+        return real(f, req)
+
+    monkeypatch.setattr(dyn, "sobolev_norm", counting)
+    rules = tuple(dyn.StoppingRule(kind, 1e12, spec) for kind, spec in (
+        (dyn.W1INF_THRESHOLD, None),
+        (dyn.SOBOLEV_THRESHOLD, sp.NormRequest(3, 2)),
+        (dyn.SOBOLEV_THRESHOLD, sp.NormRequest(1, 2))))
+    diag = dyn.integrate_trajectory(_tg_config(T=0.02, stopping=rules))
+    assert calls == [sp.NormRequest(3, 2), sp.NormRequest(1, 2)] \
+        * len(diag.times)
 
 
 def test_blow_up_flag_on_threshold():

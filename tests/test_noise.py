@@ -74,12 +74,6 @@ def test_quadratic_variation_within_one_percent():
     assert abs(qv - T) <= 0.01 * T
 
 
-def test_free_function_wrapper_matches_method():
-    drv = noise.BrownianDriver(2, 2)
-    assert np.array_equal(noise.sample_increments(drv, 1, 1, 0.1),
-                          drv.sample_increments(1, 1, 0.1))
-
-
 # ---------------------------------------------------------------------------
 # NoiseModel construction
 
