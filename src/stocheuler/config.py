@@ -15,7 +15,7 @@ from .analysis import GBMParams
 from .dynamics import (EM, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig)
 from .ensemble import EnsembleConfig, GBMSurrogateSpec
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedNorm
 from .noise import (ADDITIVE, FUNCTIONAL, LINEAR_MULTIPLICATIVE, NEMYTSKII,
                     BrownianDriver, NoiseModel, spectrum_sigma_fields)
 from .spectral import Grid, NormRequest, make_initial_field
@@ -111,16 +111,35 @@ def build_stopping(doc: dict) -> tuple[StoppingRule, ...]:
         raise ConfigError("'stopping' must be a list")
     out = []
     for i, spec in enumerate(rules):
-        kind = spec.get("kind")
-        norm_spec = None
-        if kind == SOBOLEV_THRESHOLD:
-            norm_spec = NormRequest(int(spec.get("m", 1)),
-                                    float(spec.get("p", 2)))
+        where = f"stopping[{i}]"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where}: must be a mapping with 'kind' and "
+                              f"'level', got {spec!r}")
+        if "level" not in spec:
+            raise ConfigError(f"{where}: missing key 'level'")
         try:
-            out.append(StoppingRule(kind, float(spec["level"]), norm_spec))
-        except ValueError as exc:
-            raise ConfigError(f"stopping[{i}]: {exc}") from exc
+            level = float(spec["level"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: level must be a number, got "
+                              f"{spec['level']!r}") from exc
+        kind = spec.get("kind")
+        try:
+            norm_spec = (NormRequest(int(spec.get("m", 1)),
+                                     float(spec.get("p", 2)))
+                         if kind == SOBOLEV_THRESHOLD else None)
+            out.append(StoppingRule(kind, level, norm_spec))
+        except (TypeError, ValueError, UnsupportedNorm) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     return tuple(out)
+
+
+def build_norms(doc: dict) -> NormRequest:
+    """The (m, p) of the sampled W^{m,p} norm; W^{3,2} by default."""
+    norms = _section(doc, "norms", required=False)
+    try:
+        return NormRequest(int(norms.get("m", 3)), float(norms.get("p", 2)))
+    except (TypeError, ValueError, UnsupportedNorm) as exc:
+        raise ConfigError(f"norms: {exc}") from exc
 
 
 def build_trajectory_config(doc: dict) -> TrajectoryConfig:
@@ -131,21 +150,21 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
                             float(init.get("amplitude", 1.0)),
                             int(init.get("seed", 0)))
     intg = _section(doc, "integrator")
-    norms = _section(doc, "norms", required=False)
+    norms = build_norms(doc)
+    stopping = build_stopping(doc)
     try:
         options = dict(
             T=float(intg["T"]), dt=float(intg["dt"]),
             integrator=intg.get("kind", EM),
             c_cfl=float(intg.get("cfl", 0.5)),
-            stopping=build_stopping(doc),
             sample_every=int(intg.get("sample_every", 1)),
-            m=int(norms.get("m", 3)), p=float(norms.get("p", 2)),
             alpha=float(intg.get("alpha", 0.0)),
             enforce_cfl=bool(intg.get("enforce_cfl", True)))
     except KeyError as exc:
         raise ConfigError(f"integrator: missing key {exc}") from exc
     try:
         return TrajectoryConfig(grid=grid, u0=u0, model=model, driver=driver,
+                                stopping=stopping, m=norms.m, p=norms.p,
                                 **options)
     except ValueError as exc:
         raise ConfigError(f"integrator.kind: {exc}") from exc

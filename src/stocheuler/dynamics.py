@@ -33,9 +33,10 @@ from .errors import CflViolation, NonFinite
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
 from .spectral import (Grid, NormRequest, ScalarField, SpectralField,
-                       biot_savart, curl, cutoff_theta, dealias, gradient,
-                       l2_norm, leray_project, lp_norm, nonlinear_term,
-                       sobolev_norm, w1inf_norm)
+                       biot_savart, curl, cutoff_theta, dealias,
+                       dealias_scalar, flux_divergence, l2_norm,
+                       leray_project, lp_norm, nonlinear_term, sobolev_norm,
+                       w1inf_norm)
 
 EM = "em"
 RK4 = "rk4"
@@ -290,12 +291,13 @@ def step_cutoff_galerkin(state: SimState, dt: float, model: NoiseModel,
 
 
 def _transport_rhs_2d(w: ScalarField) -> ScalarField:
-    """-dealias(u . grad w) with u = Biot-Savart(w)."""
+    """-dealias(div(u w)) = -dealias(u . grad w) with u = Biot-Savart(w)."""
     g = w.grid
-    u = biot_savart(ScalarField(g, w.coeffs * g.dealias_mask))
-    adv = np.sum(u.to_physical() * gradient(w.coeffs * g.dealias_mask, g),
-                 axis=0)
-    return ScalarField(g, -np.fft.fftn(adv) * g.dealias_mask)
+    wd = dealias_scalar(w)
+    flux = SpectralField.from_physical(
+        g, biot_savart(wd).to_physical() * wd.to_physical())
+    return ScalarField(g, -np.sum(g.ik * flux.coeffs, axis=0)
+                       * g.dealias_mask)
 
 
 def step_vorticity_2d(w: ScalarField, dt: float, alpha: float = 0.0,
@@ -335,16 +337,11 @@ def step_vorticity_3d(w: SpectralField, dt: float, alpha: float = 0.0,
     g = w.grid
 
     def stretch_rhs(z: SpectralField) -> SpectralField:
+        # z.grad v - v.grad z = div(v (x) z - z (x) v): z and v are
+        # divergence-free
         zd = dealias(z)
         v = biot_savart(zd)
-        v_phys = v.to_physical()
-        z_phys = zd.to_physical()
-        out = np.empty_like(v_phys)
-        for i in range(3):
-            out[i] = -(np.sum(v_phys * gradient(zd.coeffs[i], g), axis=0)
-                       - np.sum(z_phys * gradient(v.coeffs[i], g), axis=0))
-        hat = np.stack([np.fft.fftn(out[i]) for i in range(3)])
-        hat *= g.dealias_mask[None, ...]
+        hat = flux_divergence(g, v.to_physical(), zd.to_physical())
         return leray_project(SpectralField(g, hat))
 
     def rhs(tau, z):

@@ -113,13 +113,11 @@ def apply_noise(model: NoiseModel, u: SpectralField,
         return leray_project(SpectralField(g, acc))
 
     if model.kind == NEMYTSKII:
+        # sum_k dW_k alpha_k(x) g(u(x)) is linear in alpha_k: one transform
         gu = G_REGISTRY[model.g_tag](dealias(u).to_physical())
-        acc = np.zeros_like(u.coeffs)
-        for w, sig in zip(dW, model.sigma_fields):
-            prod = dealias(sig).to_physical() * gu
-            acc += w * np.stack([np.fft.fftn(prod[i]) for i in range(g.dim)])
-        acc *= g.dealias_mask[None, ...]
-        return leray_project(SpectralField(g, acc))
+        amp = sum(w * dealias(sig).to_physical()
+                  for w, sig in zip(dW, model.sigma_fields))
+        return leray_project(dealias(SpectralField.from_physical(g, amp * gu)))
 
     # functional: sigma_k(u) = f_k(u) alpha_k with f_k an L^2 inner product
     acc = np.zeros_like(u.coeffs)

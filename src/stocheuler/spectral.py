@@ -1,9 +1,22 @@
 """Fourier-space fields on the periodic torus and the operators acting on them.
 
-Velocity fields are stored as full complex FFT spectra (numpy ``fftn``
-layout) with Hermitian symmetry, so physical-space values are real.  All
-differential operators are exact on retained modes; quadratic terms are
-dealiased with the sharp 2/3-rule mask.
+Fields are stored as real-FFT half spectra (``scipy.fft.rfftn`` layout): the
+last axis holds indices 0..n/2 only, and each stored mode k stands for
+itself and its conjugate partner -k, so physical-space values are real by
+construction.  Wavenumbers are numpy's ``fftfreq`` values of the stored
+indices on every axis.  Every transform goes
+through the private pair ``_forward``/``_inverse``, which act on the trailing
+``dim`` axes and so take a whole (components, n, ..., n) stack in one call.
+
+All differential operators are exact on retained modes; quadratic terms are
+dealiased with the sharp 2/3-rule mask.  The advection term is evaluated in
+divergence form, P div(u (x) u), from the dim (dim + 1) / 2 products u_i u_j.
+
+W^{m,2} norms (and L^2 norms and inner products) are Parseval sums over the
+half spectrum with a cached weight per (grid, m); they use no transform.
+Other (m, p) use collocation on the grid.  Both take a derivative of a mode
+as its grid values see it (``_derivative_symbol``), so they agree on every
+field, Nyquist modes included.
 """
 
 from __future__ import annotations
@@ -14,8 +27,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
-from .errors import ShapeMismatch, UnsupportedNorm
+from .errors import ShapeMismatch, UnsupportedNorm, VersionError
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,6 +40,7 @@ class Grid:
 
     n is the number of modes (and points) per axis; the dealias mask
     zeroes every mode with any |k_i| above dealias_fraction * n / 2.
+    Wavenumber arrays live on the half spectrum, shape spectral_shape.
     """
 
     dim: int
@@ -48,14 +63,20 @@ class Grid:
         return (self.n,) * self.dim
 
     @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
+
+    @property
     def dx(self) -> float:
         return self.length / self.n
 
     @cached_property
     def k_index(self) -> np.ndarray:
-        """Integer wavenumbers, shape (dim, n, ..., n)."""
-        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        axes = np.meshgrid(*([k1] * self.dim), indexing="ij")
+        """Integer wavenumbers, shape (dim,) + spectral_shape: the fftfreq
+        values of the stored indices, so the last axis ends at -n/2."""
+        full = np.fft.fftfreq(self.n, d=1.0 / self.n)
+        half = full[:self.n // 2 + 1]
+        axes = np.meshgrid(*([full] * (self.dim - 1) + [half]), indexing="ij")
         return np.array(axes)
 
     @cached_property
@@ -79,6 +100,35 @@ class Grid:
         return np.all(np.abs(self.k_index) <= cutoff + 1e-12, axis=0)
 
     @cached_property
+    def ik(self) -> np.ndarray:
+        """Fourier symbols i k_j of the first derivatives."""
+        return 1j * self.k
+
+    @cached_property
+    def nyquist(self) -> np.ndarray:
+        """Per axis j, True where |k_j| = n/2."""
+        return np.abs(self.k_index) == self.n // 2
+
+    @cached_property
+    def hermitian_weight(self) -> np.ndarray:
+        """How many full-spectrum modes each stored mode stands for: 1 on the
+        k_last = 0 and Nyquist planes, 2 elsewhere."""
+        w = np.full(self.n // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        return w
+
+    @cached_property
+    def grad_symbols(self) -> np.ndarray:
+        """Symbols of d_1, ..., d_dim as the grid values see them."""
+        return np.stack([_derivative_symbol(self, (j,))
+                         for j in range(self.dim)])
+
+    @cached_property
+    def _parseval_weights(self) -> dict[int, np.ndarray]:
+        """Parseval weight per derivative order m, filled on first use."""
+        return {}
+
+    @cached_property
     def coordinates(self) -> np.ndarray:
         """Physical coordinates, shape (dim, n, ..., n)."""
         x1 = np.arange(self.n) * self.dx
@@ -90,6 +140,17 @@ class Grid:
         return self.dx ** self.dim
 
 
+def _forward(values: np.ndarray, dim: int) -> np.ndarray:
+    """Half spectra of real values over their trailing dim axes."""
+    return scipy.fft.rfftn(values, axes=tuple(range(-dim, 0)))
+
+
+def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real physical values of half spectra over their trailing axes."""
+    return scipy.fft.irfftn(coeffs, s=grid.shape,
+                            axes=tuple(range(-grid.dim, 0)))
+
+
 @dataclass
 class ScalarField:
     """Scalar spectral field (e.g. 2D vorticity)."""
@@ -99,10 +160,10 @@ class ScalarField:
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
-        return cls(grid, np.fft.fftn(np.asarray(values, dtype=float)))
+        return cls(grid, _forward(np.asarray(values, dtype=float), grid.dim))
 
     def to_physical(self) -> np.ndarray:
-        return np.fft.ifftn(self.coeffs).real
+        return _inverse(self.coeffs, self.grid)
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.coeffs.copy())
@@ -121,7 +182,7 @@ class ScalarField:
 
 @dataclass
 class SpectralField:
-    """Vector spectral field; coeffs shape (dim, n, ..., n)."""
+    """Vector spectral field; coeffs shape (dim,) + grid.spectral_shape."""
 
     grid: Grid
     coeffs: np.ndarray
@@ -134,17 +195,15 @@ class SpectralField:
         if values.shape != (grid.dim,) + grid.shape:
             raise ShapeMismatch(
                 f"expected shape {(grid.dim,) + grid.shape}, got {values.shape}")
-        coeffs = np.stack([np.fft.fftn(values[i]) for i in range(grid.dim)])
-        return cls(grid, coeffs, divergence_free)
+        return cls(grid, _forward(values, grid.dim), divergence_free)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros((grid.dim,) + grid.shape, dtype=complex),
-                   divergence_free=True)
+        return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape,
+                                  dtype=complex), divergence_free=True)
 
     def to_physical(self) -> np.ndarray:
-        return np.stack([np.fft.ifftn(self.coeffs[i]).real
-                         for i in range(self.grid.dim)])
+        return _inverse(self.coeffs, self.grid)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), self.divergence_free)
@@ -214,24 +273,43 @@ def dealias_scalar(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
-def gradient(component: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral gradient of one component; returns (dim, ...) physical values."""
-    return np.stack([np.fft.ifftn(1j * grid.k[j] * component).real
-                     for j in range(grid.dim)])
+def flux_divergence(grid: Grid, a: np.ndarray,
+                    b: np.ndarray | None = None) -> np.ndarray:
+    """Dealiased half spectrum of (div T)_i = sum_j d_j T_ij.
+
+    a and b are physical vector fields, shape (dim,) + grid.shape.  With b
+    None, T = a (x) a is symmetric and only its dim (dim + 1) / 2 entries
+    i <= j are transformed; otherwise T = a (x) b - b (x) a is antisymmetric
+    and only its entries i < j are.  For divergence-free a and b,
+    div(a (x) a) = a.grad a and div(a (x) b - b (x) a) = b.grad a - a.grad b.
+    """
+    dim = grid.dim
+    sign = 1.0 if b is None else -1.0
+    pairs = [(i, j) for i in range(dim)
+             for j in range(i + (b is not None), dim)]
+    products = np.empty((len(pairs),) + grid.shape)
+    for out, (i, j) in zip(products, pairs):
+        if b is None:
+            np.multiply(a[i], a[j], out=out)
+        else:
+            np.subtract(a[i] * b[j], b[i] * a[j], out=out)
+    t_hat = _forward(products, dim)
+    ik = grid.ik
+    div = np.zeros((dim,) + grid.spectral_shape, dtype=complex)
+    for t, (i, j) in zip(t_hat, pairs):
+        div[i] += ik[j] * t
+        if i != j:
+            div[j] += sign * ik[i] * t
+    div *= grid.dealias_mask
+    return div
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
-    """P(u . grad u), pseudo-spectral with 2/3-rule dealiasing."""
+    """P(u . grad u) = P div(u (x) u), pseudo-spectral with 2/3-rule
+    dealiasing; u must be divergence-free."""
     g = u.grid
-    ud = u.coeffs * g.dealias_mask[None, ...]
-    u_phys = np.stack([np.fft.ifftn(ud[i]).real for i in range(g.dim)])
-    adv = np.empty_like(u_phys)
-    for i in range(g.dim):
-        grad_i = gradient(ud[i], g)
-        adv[i] = np.sum(u_phys * grad_i, axis=0)
-    adv_hat = np.stack([np.fft.fftn(adv[i]) for i in range(g.dim)])
-    adv_hat *= g.dealias_mask[None, ...]
-    return leray_project(SpectralField(g, adv_hat))
+    u_phys = _inverse(u.coeffs * g.dealias_mask, g)
+    return leray_project(SpectralField(g, flux_divergence(g, u_phys)))
 
 
 def curl(u: SpectralField) -> ScalarField | SpectralField:
@@ -275,10 +353,9 @@ def biot_savart(w: ScalarField | SpectralField) -> SpectralField:
 # Norms
 
 
-def _component_list(f: ScalarField | SpectralField) -> list[np.ndarray]:
-    if isinstance(f, ScalarField):
-        return [f.coeffs]
-    return [f.coeffs[i] for i in range(f.grid.dim)]
+def _components(f: ScalarField | SpectralField) -> np.ndarray:
+    """The coefficients with a leading component axis."""
+    return f.coeffs[None] if isinstance(f, ScalarField) else f.coeffs
 
 
 def _lp_of_magnitude(mag: np.ndarray, p: float, grid: Grid) -> float:
@@ -292,68 +369,91 @@ def _derivative_multiindices(dim: int, order: int):
     return itertools.combinations_with_replacement(range(dim), order)
 
 
-def _alpha_magnitude(comps: list[np.ndarray], axes: tuple[int, ...],
-                     grid: Grid) -> np.ndarray:
-    """Pointwise Euclidean magnitude of d^alpha applied to every component."""
-    factor = np.ones(grid.shape, dtype=complex)
-    for ax in axes:
-        factor = factor * (1j * grid.k[ax])
-    sq = np.zeros(grid.shape)
-    for c in comps:
-        sq += np.abs(np.fft.ifftn(factor * c).real) ** 2
-    return np.sqrt(sq)
+def _derivative_symbol(grid: Grid, axes: tuple[int, ...]) -> np.ndarray:
+    """Fourier symbol of d^alpha, alpha listed as axes, as the grid sees it.
+
+    A mode's grid values are the real part of its exponential, so d^alpha
+    vanishes there when the orders along the mode's Nyquist axes
+    (|k_j| = n/2) add up to an odd number.
+    """
+    order = np.bincount(axes, minlength=grid.dim)
+    symbol = np.ones(grid.spectral_shape, dtype=complex)
+    for j in np.flatnonzero(order):
+        symbol = symbol * grid.ik[j] ** order[j]
+    symbol[np.tensordot(order, grid.nyquist, axes=1) % 2 == 1] = 0.0
+    return symbol
+
+
+def _parseval_weight(grid: Grid, m: int) -> np.ndarray:
+    """Per stored mode: sum over |alpha| <= m of |symbol of d^alpha|^2,
+    times the mode's Hermitian multiplicity and the Parseval factor
+    length^d / n^(2d), so that ||f||_{W^{m,2}}^2 = sum weight |f_hat|^2."""
+    cache = grid._parseval_weights
+    if m not in cache:
+        total = np.zeros(grid.spectral_shape)
+        for order in range(m + 1):
+            for axes in _derivative_multiindices(grid.dim, order):
+                total += np.abs(_derivative_symbol(grid, axes)) ** 2
+        scale = grid.length ** grid.dim / grid.n ** (2 * grid.dim)
+        cache[m] = total * grid.hermitian_weight * scale
+    return cache[m]
+
+
+def _magnitude(values: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean magnitude over the leading component axis."""
+    return np.sqrt(np.sum(values ** 2, axis=0))
 
 
 def lp_norm(f: ScalarField | SpectralField, p: float) -> float:
     """L^p norm of the pointwise magnitude, by collocation quadrature."""
-    comps = _component_list(f)
-    mag = _alpha_magnitude(comps, (), f.grid)
+    mag = _magnitude(_inverse(_components(f), f.grid))
     return _lp_of_magnitude(mag, p, f.grid)
+
+
+def _parseval_sum(f: ScalarField | SpectralField, m: int) -> float:
+    """||f||_{W^{m,2}}^2 from the stored coefficients."""
+    sq = f.coeffs.real ** 2 + f.coeffs.imag ** 2
+    return float(np.sum(sq * _parseval_weight(f.grid, m)))
 
 
 def l2_norm(f: ScalarField | SpectralField) -> float:
     """Spectral (Parseval) L^2 norm."""
-    g = f.grid
-    comps = _component_list(f)
-    total = sum(float(np.sum(np.abs(c) ** 2)) for c in comps)
-    return float(np.sqrt(total * g.length ** g.dim / g.n ** (2 * g.dim)))
+    return float(np.sqrt(_parseval_sum(f, 0)))
 
 
 def l2_inner(u: SpectralField, v: SpectralField) -> float:
-    g = u.grid
-    s = float(np.sum(np.conj(u.coeffs) * v.coeffs).real)
-    return s * g.length ** g.dim / g.n ** (2 * g.dim)
+    prod = (np.conj(u.coeffs) * v.coeffs).real
+    return float(np.sum(prod * _parseval_weight(u.grid, 0)))
 
 
 def grad_sup_norm(f: ScalarField | SpectralField) -> float:
     """max over the grid of the Frobenius magnitude of the gradient."""
     g = f.grid
-    comps = _component_list(f)
-    sq = np.zeros(g.shape)
-    for c in comps:
-        for j in range(g.dim):
-            sq += np.fft.ifftn(1j * g.k[j] * c).real ** 2
-    return float(np.max(np.sqrt(sq)))
+    grads = _inverse(g.grad_symbols[:, None] * _components(f)[None], g)
+    return float(np.sqrt(np.max(np.sum(grads ** 2, axis=(0, 1)))))
 
 
 def sobolev_norm(f: ScalarField | SpectralField, req: NormRequest) -> float:
     """W^{m,p} norm: (sum_{|alpha|<=m} ||d^alpha f||_p^p)^{1/p}.
 
-    For p = inf the W^{1,inf} norm is max|f| + max|grad f| on the
-    collocation grid (m = 0 drops the gradient term).
+    p = 2 is a Parseval sum.  For p = inf the W^{1,inf} norm is
+    max|f| + max|grad f| on the collocation grid (m = 0 drops the gradient
+    term).
     """
     g = f.grid
-    comps = _component_list(f)
     if np.isinf(req.p):
-        val = _lp_of_magnitude(_alpha_magnitude(comps, (), g), np.inf, g)
+        val = lp_norm(f, np.inf)
         if req.m >= 1:
             val += grad_sup_norm(f)
         return val
+    if req.p == 2:
+        return float(np.sqrt(_parseval_sum(f, req.m)))
+    comps = _components(f)
     total = 0.0
     for order in range(req.m + 1):
         for axes in _derivative_multiindices(g.dim, order):
-            mag = _alpha_magnitude(comps, axes, g)
-            total += np.sum(mag ** req.p) * g.cell_volume
+            values = _inverse(_derivative_symbol(g, axes) * comps, g)
+            total += np.sum(_magnitude(values) ** req.p) * g.cell_volume
     return float(total ** (1.0 / req.p))
 
 
@@ -450,16 +550,10 @@ def random_divergence_free(grid: Grid, rng: np.random.Generator,
     """Random smooth divergence-free field with |u_hat(k)| ~ |k|^(-decay)."""
     if kmax is None:
         kmax = max(2, int(grid.dealias_fraction * grid.n / 2) - 1)
-    shape = (grid.dim,) + grid.shape
-    noise = rng.standard_normal(shape)
-    coeffs = np.stack([np.fft.fftn(noise[i]) for i in range(grid.dim)])
-    kmag = np.sqrt(np.sum(grid.k_index.astype(float) ** 2, axis=0))
+    noise = rng.standard_normal((grid.dim,) + grid.shape)
+    kmag = np.sqrt(np.sum(grid.k_index ** 2, axis=0))
     envelope = np.where((kmag > 0) & (kmag <= kmax), 1.0 / (1.0 + kmag) ** decay, 0.0)
-    coeffs *= envelope[None, ...]
-    f = leray_project(SpectralField(grid, coeffs))
-    # re-symmetrize through physical space so the field is exactly real
-    f = SpectralField.from_physical(grid, f.to_physical(), divergence_free=True)
-    f = leray_project(f)
+    f = leray_project(SpectralField(grid, _forward(noise, grid.dim) * envelope))
     nrm = l2_norm(f)
     if nrm > 0:
         f = f * (amplitude / nrm)
@@ -488,7 +582,13 @@ def make_initial_field(grid: Grid, name: str, amplitude: float = 1.0,
 # Snapshot persistence
 
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2  # 1: full fftn spectra, 2: rfftn half spectra
+
+
+def _check_snapshot_version(version: int) -> None:
+    if version not in (1, SNAPSHOT_VERSION):
+        raise VersionError(f"field snapshot version {version} is not 1 or "
+                           f"{SNAPSHOT_VERSION}")
 
 
 def save_field(f: SpectralField, path: str) -> None:
@@ -499,18 +599,22 @@ def save_field(f: SpectralField, path: str) -> None:
 
 
 def load_field(path: str) -> SpectralField:
+    """Read a save_field snapshot; a version-1 full spectrum is cut to its
+    half spectrum, which holds every mode of a real field."""
     data = np.load(path)
+    _check_snapshot_version(int(data["version"]))
     grid = Grid(int(data["dim"]), int(data["n"]), float(data["length"]),
                 float(data["dealias_fraction"]))
-    return SpectralField(grid, data["coeffs"], bool(data["divergence_free"]))
+    coeffs = data["coeffs"][..., :grid.n // 2 + 1]
+    return SpectralField(grid, coeffs, bool(data["divergence_free"]))
 
 
 def field_to_json(f: SpectralField) -> str:
-    """JSON snapshot: one (k-vector, complex d-vector) record per mode."""
+    """JSON snapshot: one (k-vector, complex d-vector) record per stored
+    mode; k_last >= 0, the conjugate partners are implied."""
     g = f.grid
     modes = []
-    it = np.ndindex(*g.shape)
-    for idx in it:
+    for idx in np.ndindex(*g.spectral_shape):
         vec = f.coeffs[(slice(None),) + idx]
         if np.all(vec == 0):
             continue
@@ -524,12 +628,19 @@ def field_to_json(f: SpectralField) -> str:
 
 
 def field_from_json(text: str) -> SpectralField:
+    """Read a field_to_json snapshot; a version-1 record with k_last < 0
+    is the conjugate partner of a stored mode and is skipped, except
+    k_last = -n/2, the Nyquist plane."""
     rec = json.loads(text)
+    _check_snapshot_version(rec["version"])
     grid = Grid(rec["dim"], rec["n"], rec["length"], rec["dealias_fraction"])
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+    half = grid.n // 2
+    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
     index_of = {int(v): i for i, v in enumerate(
         np.fft.fftfreq(grid.n, d=1.0 / grid.n))}
     for kvec, comps in rec["modes"]:
+        if -half < kvec[-1] < 0:
+            continue
         idx = tuple(index_of[k] for k in kvec)
         for d in range(grid.dim):
             coeffs[(d,) + idx] = complex(comps[d][0], comps[d][1])

@@ -264,3 +264,32 @@ def test_build_trajectory_requires_integrator_section():
     doc = {"grid": {"dim": 2, "n": 16}}
     with pytest.raises(ConfigError):
         cfgmod.build_trajectory_config(doc)
+
+
+@pytest.mark.parametrize("stopping, message", [
+    ("[w1inf_threshold]", "must be a mapping"),
+    ("[{kind: w1inf_threshold}]", "missing key 'level'"),
+    ("[{kind: w1inf_threshold, level: abc}]", "level must be a number"),
+])
+def test_run_rejects_bad_stopping_entry(tmp_path, capsys, stopping, message):
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    code = cli.main(["run", "--config", cfg, "--set", f"stopping={stopping}"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stopping[0]: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("override, prefix", [
+    ("norms.p=1", "norms: "),
+    ("norms.m=-1", "norms: "),
+    ("stopping=[{kind: sobolev_threshold, level: 1.0, m: 1, p: 1.5}]",
+     "stopping[0]: "),
+])
+def test_run_rejects_unsupported_norm(tmp_path, capsys, override, prefix):
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    code = cli.main(["run", "--config", cfg, "--set", override])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + prefix)
+    assert len(err.splitlines()) == 1

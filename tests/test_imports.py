@@ -1,6 +1,8 @@
-"""Every name a package module imports is used by that module."""
+"""Every name a package module imports is used by that module, and every
+name the benchmark tracer wraps exists."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -33,3 +35,16 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_module_has_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/run.py --trace 1 patches these names; a refactor that drops
+    # one would break tracing without failing any other test
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in tracing.patch_targets()
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []

@@ -1,10 +1,13 @@
 """Field operations: projection, nonlinear term, norms, mollifier, cut-off."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 from stocheuler import spectral as sp
-from stocheuler.errors import ShapeMismatch, UnsupportedNorm
+from stocheuler.errors import ShapeMismatch, UnsupportedNorm, VersionError
 
 
 def _random_field(grid, seed=0, amplitude=1.0):
@@ -87,6 +90,18 @@ def test_projection_idempotent_and_orthogonal():
 # Nonlinear term
 
 
+def _full_spectrum(half, n):
+    """The full fftn-layout spectrum of stored half spectra (last axis
+    n//2 + 1 long), rebuilt by c(-k) = conj c(k) index arithmetic."""
+    full = np.zeros(half.shape[:-1] + (n,), dtype=complex)
+    full[..., :n // 2 + 1] = half
+    for idx in np.ndindex(*full.shape[1:]):
+        if idx[-1] > n // 2:
+            partner = tuple((-i) % n for i in idx)
+            full[(slice(None),) + idx] = np.conj(half[(slice(None),) + partner])
+    return full
+
+
 def _convolution_oracle(u):
     """Dense Fourier convolution of P(u . grad u) on a small grid.
 
@@ -98,7 +113,7 @@ def _convolution_oracle(u):
     freqs = np.fft.fftfreq(n, 1.0 / n).astype(int)
     index_of = {int(f): i for i, f in enumerate(freqs)}
     cutoff = g.dealias_fraction * n / 2.0
-    ud = u.coeffs * g.dealias_mask[None, ...]
+    ud = _full_spectrum(u.coeffs * g.dealias_mask[None, ...], n)
     out = np.zeros_like(ud)
     nz = [idx for idx in np.ndindex(*g.shape)
           if np.any(ud[(slice(None),) + idx])]
@@ -115,7 +130,7 @@ def _convolution_oracle(u):
             factor = np.sum(um * 1j * kq) / n ** dim
             for i in range(dim):
                 out[(i,) + k_out] += factor * uq[i]
-    return sp.leray_project(sp.SpectralField(g, out))
+    return sp.leray_project(sp.SpectralField(g, out[..., :n // 2 + 1]))
 
 
 @pytest.mark.parametrize("make", [
@@ -215,6 +230,63 @@ def test_parseval():
         spec_norm = sp.l2_norm(u)
         quad_norm = sp.lp_norm(u, 2.0)
         assert abs(spec_norm - quad_norm) <= 1e-12 * spec_norm
+
+
+@pytest.mark.parametrize("dim, n, a", [
+    (2, 16, (3, -5)),   # negative last-axis wavenumber
+    (2, 16, (2, 7)),    # last axis at n/2 - 1, next to the Nyquist plane
+    (2, 16, (-4, 0)),   # on the k_last = 0 plane
+    (3, 8, (1, 2, -3)),
+    (3, 8, (-2, 1, 3)),
+])
+def test_sobolev_w_m2_single_mode_closed_form(dim, n, a):
+    # ||sin(a.x)||_{W^{m,2}}^2 = sum_{|alpha|<=m} prod a_i^(2 alpha_i) |T^d|/2
+    g = sp.Grid(dim, n)
+    phase = np.tensordot(np.array(a, dtype=float), g.coordinates, axes=1)
+    vals = np.zeros((dim,) + g.shape)
+    vals[-1] = np.sin(phase)
+    u = sp.SpectralField.from_physical(g, vals)
+    for m in range(4):
+        weight = sum(np.prod([a[i] ** 2 for i in axes])
+                     for order in range(m + 1)
+                     for axes in itertools.combinations_with_replacement(
+                         range(dim), order))
+        want = np.sqrt(weight * g.length ** dim / 2.0)
+        got = sp.sobolev_norm(u, sp.NormRequest(m, 2))
+        assert abs(got - want) <= 1e-12 * want
+
+
+def _full_spectrum_w_mp(values, grid, m, p):
+    """W^{m,p} norm of physical values by full-spectrum numpy derivatives."""
+    axes = tuple(range(1, grid.dim + 1))
+    freqs = np.fft.fftfreq(grid.n, 1.0 / grid.n) * 2.0 * np.pi / grid.length
+    k = np.array(np.meshgrid(*[freqs] * grid.dim, indexing="ij"))
+    hat = np.fft.fftn(values, axes=axes)
+    total = 0.0
+    for order in range(m + 1):
+        for alpha in itertools.combinations_with_replacement(
+                range(grid.dim), order):
+            symbol = np.prod([1j * k[i] for i in alpha], axis=0)
+            d = np.fft.ifftn(symbol * hat, axes=axes).real
+            total += np.sum(np.sqrt(np.sum(d ** 2, axis=0)) ** p) \
+                * grid.cell_volume
+    return total ** (1.0 / p)
+
+
+def test_sobolev_norms_match_full_spectrum_collocation():
+    # white noise fills every mode, Nyquist planes included: Parseval
+    # (p = 2) and collocation (p = 4) see the same derivatives as the
+    # full-spectrum grid values
+    for dim, n in ((2, 16), (3, 8)):
+        g = sp.Grid(dim, n)
+        vals = np.random.default_rng(40 + dim).standard_normal(
+            (dim,) + g.shape)
+        u = sp.SpectralField.from_physical(g, vals)
+        for m in range(4):
+            for p in (2.0, 4.0):
+                want = _full_spectrum_w_mp(vals, g, m, p)
+                got = sp.sobolev_norm(u, sp.NormRequest(m, p))
+                assert abs(got - want) <= 1e-12 * want
 
 
 def test_sobolev_monotone_in_order():
@@ -416,3 +488,52 @@ def test_json_snapshot_roundtrip():
     v = sp.field_from_json(sp.field_to_json(u))
     assert v.grid == u.grid
     assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-14
+
+
+def _version1_snapshot(g, vals):
+    """A field's version-1 snapshot contents: its full fftn spectrum."""
+    return np.stack([np.fft.fftn(v) for v in vals])
+
+
+def test_version1_binary_snapshot_loads_half_spectrum(tmp_path):
+    g = sp.Grid(2, 16)
+    u = _random_field(g, seed=32)
+    path = str(tmp_path / "v1.npz")
+    np.savez(path, version=1, dim=g.dim, n=g.n, length=g.length,
+             dealias_fraction=g.dealias_fraction, divergence_free=True,
+             coeffs=_version1_snapshot(g, u.to_physical()))
+    v = sp.load_field(path)
+    assert v.grid == g and v.divergence_free
+    assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-12 * g.n ** 2
+
+
+def test_version1_json_snapshot_loads_half_spectrum():
+    g = sp.Grid(2, 8)
+    vals = np.random.default_rng(33).standard_normal((2,) + g.shape)
+    u = sp.SpectralField.from_physical(g, vals)
+    full = _version1_snapshot(g, vals)
+    freqs = np.fft.fftfreq(g.n, 1.0 / g.n).astype(int)
+    modes = [[[int(freqs[i]) for i in idx],
+              [[c.real, c.imag] for c in full[(slice(None),) + idx]]]
+             for idx in np.ndindex(*g.shape)]
+    text = json.dumps({"version": 1, "dim": 2, "n": g.n, "length": g.length,
+                       "dealias_fraction": g.dealias_fraction,
+                       "divergence_free": False, "modes": modes})
+    v = sp.field_from_json(text)
+    assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-12 * g.n ** 2
+
+
+def test_unknown_snapshot_version_rejected(tmp_path):
+    g = sp.Grid(2, 8)
+    u = sp.dealias(sp.taylor_green(g))
+    rec = json.loads(sp.field_to_json(u))
+    assert rec["version"] == sp.SNAPSHOT_VERSION == 2
+    rec["version"] = 3
+    with pytest.raises(VersionError):
+        sp.field_from_json(json.dumps(rec))
+    path = str(tmp_path / "v3.npz")
+    np.savez(path, version=3, dim=g.dim, n=g.n, length=g.length,
+             dealias_fraction=g.dealias_fraction, divergence_free=True,
+             coeffs=u.coeffs)
+    with pytest.raises(VersionError):
+        sp.load_field(path)
