@@ -9,7 +9,7 @@ time-Sobolev trajectory diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -79,11 +79,18 @@ class GBMExitEstimate:
     wilson_99: tuple[float, float]
     T: float
     dt: float
+    # per path, the first grid time k dt (k >= 1) with x >= R; inf if none
+    hit_times: np.ndarray = field(repr=False)
+
+
+# gbm_exit_mc draws block (seed, chunk start, block start) of PATH_CHUNK
+# paths by TIME_BLOCK steps from its own stream: these fix a seed's draws
+PATH_CHUNK = 20000
+TIME_BLOCK = 1024
 
 
 def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
-                seed: int = 0, path_chunk: int = 20000,
-                time_block: int = 1024) -> GBMExitEstimate:
+                seed: int = 0) -> GBMExitEstimate:
     """Exact-in-law simulation of the GBM hit fraction before T.
 
     x(t) = x0 exp((mu - alpha^2/2) t + alpha W_t) is evaluated on the dt
@@ -94,32 +101,35 @@ def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
         raise InvalidParams("T, dt, n_paths must be positive")
     if p.R <= p.x0:
         return GBMExitEstimate(n_paths, n_paths, 1.0,
-                               wilson_interval(n_paths, n_paths), T, dt)
+                               wilson_interval(n_paths, n_paths), T, dt,
+                               np.zeros(n_paths))
     n_steps = int(round(T / dt))
     log_barrier = np.log(p.R / p.x0)
     drift = (p.mu - p.alpha ** 2 / 2.0) * dt
     vol = p.alpha * np.sqrt(dt)
-    n_hit = 0
-    for chunk in range(0, n_paths, path_chunk):
-        size = min(path_chunk, n_paths - chunk)
+    hit_times = np.full(n_paths, np.inf)
+    for chunk in range(0, n_paths, PATH_CHUNK):
+        size = min(PATH_CHUNK, n_paths - chunk)
         cur = np.zeros(size)
         alive = np.ones(size, dtype=bool)
         done = 0
         while done < n_steps and alive.any():
-            block = min(time_block, n_steps - done)
+            block = min(TIME_BLOCK, n_steps - done)
             gen = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence([seed, chunk, done])))
             na = int(alive.sum())
             incr = drift + vol * gen.standard_normal((na, block))
             paths = cur[alive, None] + np.cumsum(incr, axis=1)
             hit = paths.max(axis=1) >= log_barrier
-            n_hit += int(hit.sum())
             idx = np.flatnonzero(alive)
+            first = np.argmax(paths[hit] >= log_barrier, axis=1)
+            hit_times[chunk + idx[hit]] = (done + 1 + first) * dt
             cur[idx] = paths[:, -1]
             alive[idx[hit]] = False
             done += block
+    n_hit = int(np.isfinite(hit_times).sum())
     return GBMExitEstimate(n_paths, n_hit, n_hit / n_paths,
-                           wilson_interval(n_hit, n_paths), T, dt)
+                           wilson_interval(n_hit, n_paths), T, dt, hit_times)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, checks
-from .config import (apply_overrides, build_ensemble_config,
+from .config import (apply_overrides, build_ensemble_config, build_sweep,
                      build_trajectory_config, load_config)
 from .dynamics import integrate_trajectory
 from .ensemble import persist_summary, run_ensemble, survival_vs_alpha_sweep
@@ -61,17 +61,15 @@ def cmd_ensemble(args) -> int:
     doc = _load_doc(args)
     out_dir = args.out or doc.get("output", {}).get("dir")
     cfg = build_ensemble_config(doc, output_dir=out_dir)
+    sweep = build_sweep(doc)
     if args.seed is not None:
         cfg.master_seed = args.seed
     summary = run_ensemble(cfg)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         persist_summary(summary, os.path.join(out_dir, "summary.json"))
-    if "sweep" in doc:
-        sw = doc["sweep"]
-        rows = survival_vs_alpha_sweep(
-            cfg, [float(a) for a in sw["alpha_list"]], float(sw["R"]),
-            sw.get("scaling", "fixed"), float(sw.get("Cbar", 1.0)))
+    if sweep is not None:
+        rows = survival_vs_alpha_sweep(cfg, **sweep)
         if out_dir:
             with open(os.path.join(out_dir, "sweep.csv"), "w",
                       newline="") as fh:

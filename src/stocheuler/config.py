@@ -8,14 +8,15 @@ README for a commented example.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import yaml
 
 from .analysis import GBMParams
 from .dynamics import (EM, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig)
-from .ensemble import EnsembleConfig, GBMSurrogateSpec
-from .errors import ConfigError, UnsupportedNorm
+from .ensemble import EnsembleConfig, GBMSurrogateSpec, check_sweep_args
+from .errors import ConfigError, InvalidParams, UnsupportedNorm
 from .noise import (ADDITIVE, FUNCTIONAL, LINEAR_MULTIPLICATIVE, NEMYTSKII,
                     BrownianDriver, NoiseModel, spectrum_sigma_fields)
 from .spectral import Grid, NormRequest, make_initial_field
@@ -56,6 +57,18 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return doc
 
 
+@contextmanager
+def _checked(where: str):
+    """Report a missing key or a rejected value under `where` as a
+    ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError, InvalidParams, UnsupportedNorm) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _section(doc: dict, name: str, required: bool = True) -> dict:
     sec = doc.get(name)
     if sec is None:
@@ -69,13 +82,11 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
 
 def build_grid(doc: dict) -> Grid:
     sec = _section(doc, "grid")
-    try:
+    with _checked("grid"):
         return Grid(dim=int(sec.get("dim", 2)), n=int(sec.get("n", 32)),
                     length=float(sec.get("length", 2 * math.pi)),
                     dealias_fraction=float(sec.get("dealias_fraction",
                                                    2.0 / 3.0)))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
 
 
 def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, BrownianDriver]:
@@ -94,8 +105,9 @@ def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, BrownianDriver]:
     if kind == ADDITIVE:
         model = NoiseModel(ADDITIVE, sigma_fields=fields)
     elif kind == NEMYTSKII:
-        model = NoiseModel(NEMYTSKII, sigma_fields=fields,
-                           g_tag=sec.get("g", "identity"))
+        with _checked("noise.g"):
+            model = NoiseModel(NEMYTSKII, sigma_fields=fields,
+                               g_tag=sec.get("g", "identity"))
     elif kind == FUNCTIONAL:
         profiles = spectrum_sigma_fields(grid, k_modes, decay, seed + 1)
         model = NoiseModel(FUNCTIONAL, sigma_fields=fields,
@@ -123,36 +135,35 @@ def build_stopping(doc: dict) -> tuple[StoppingRule, ...]:
             raise ConfigError(f"{where}: level must be a number, got "
                               f"{spec['level']!r}") from exc
         kind = spec.get("kind")
-        try:
+        with _checked(where):
             norm_spec = (NormRequest(int(spec.get("m", 1)),
                                      float(spec.get("p", 2)))
                          if kind == SOBOLEV_THRESHOLD else None)
             out.append(StoppingRule(kind, level, norm_spec))
-        except (TypeError, ValueError, UnsupportedNorm) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
     return tuple(out)
 
 
 def build_norms(doc: dict) -> NormRequest:
     """The (m, p) of the sampled W^{m,p} norm; W^{3,2} by default."""
     norms = _section(doc, "norms", required=False)
-    try:
+    with _checked("norms"):
         return NormRequest(int(norms.get("m", 3)), float(norms.get("p", 2)))
-    except (TypeError, ValueError, UnsupportedNorm) as exc:
-        raise ConfigError(f"norms: {exc}") from exc
 
 
 def build_trajectory_config(doc: dict) -> TrajectoryConfig:
     grid = build_grid(doc)
     model, driver = build_noise(doc, grid)
     init = _section(doc, "initial", required=False)
-    u0 = make_initial_field(grid, init.get("name", "taylor_green"),
-                            float(init.get("amplitude", 1.0)),
-                            int(init.get("seed", 0)))
+    try:
+        u0 = make_initial_field(grid, init.get("name", "taylor_green"),
+                                float(init.get("amplitude", 1.0)),
+                                int(init.get("seed", 0)))
+    except KeyError as exc:  # the message names the unknown field
+        raise ConfigError(f"initial: {exc.args[0]}") from exc
     intg = _section(doc, "integrator")
     norms = build_norms(doc)
     stopping = build_stopping(doc)
-    try:
+    with _checked("integrator"):
         options = dict(
             T=float(intg["T"]), dt=float(intg["dt"]),
             integrator=intg.get("kind", EM),
@@ -160,12 +171,12 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
             sample_every=int(intg.get("sample_every", 1)),
             alpha=float(intg.get("alpha", 0.0)),
             enforce_cfl=bool(intg.get("enforce_cfl", True)))
-    except KeyError as exc:
-        raise ConfigError(f"integrator: missing key {exc}") from exc
     try:
         return TrajectoryConfig(grid=grid, u0=u0, model=model, driver=driver,
                                 stopping=stopping, m=norms.m, p=norms.p,
                                 **options)
+    except InvalidParams as exc:
+        raise ConfigError(f"integrator: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"integrator.kind: {exc}") from exc
 
@@ -177,17 +188,19 @@ def build_ensemble_config(doc: dict, output_dir: str | None = None
     trajectory = None
     if "surrogate" in doc:
         s = _section(doc, "surrogate")
-        surrogate = GBMSurrogateSpec(alpha=float(s["alpha"]),
-                                     R=float(s["R"]), T=float(s["T"]),
-                                     dt=float(s["dt"]))
+        with _checked("surrogate"):
+            surrogate = GBMSurrogateSpec(alpha=float(s["alpha"]),
+                                         R=float(s["R"]), T=float(s["T"]),
+                                         dt=float(s["dt"]))
     else:
         trajectory = build_trajectory_config(doc)
     bound = None
     if "bound_comparison" in doc:
         b = _section(doc, "bound_comparison")
-        bound = GBMParams(mu=float(b["mu"]), alpha=float(b["alpha"]),
-                          x0=float(b.get("x0", 1.0)), R=float(b["R"]))
-    try:
+        with _checked("bound_comparison"):
+            bound = GBMParams(mu=float(b["mu"]), alpha=float(b["alpha"]),
+                              x0=float(b.get("x0", 1.0)), R=float(b["R"]))
+    with _checked("ensemble"):
         return EnsembleConfig(
             trajectory=trajectory,
             n_paths=int(ens["n_paths"]),
@@ -195,5 +208,20 @@ def build_ensemble_config(doc: dict, output_dir: str | None = None
             parallel_width=int(ens.get("parallel_width", 1)),
             output_dir=output_dir, bound_comparison=bound,
             surrogate=surrogate)
-    except KeyError as exc:
-        raise ConfigError(f"ensemble: missing key {exc}") from exc
+
+
+def build_sweep(doc: dict) -> dict | None:
+    """The keyword arguments of survival_vs_alpha_sweep from the 'sweep'
+    section, checked before any path runs; None without that section."""
+    if "sweep" not in doc:
+        return None
+    sw = _section(doc, "sweep")
+    if "surrogate" in doc:
+        raise ConfigError("sweep: needs a trajectory config, not a surrogate")
+    with _checked("sweep"):
+        args = dict(alpha_list=[float(a) for a in sw["alpha_list"]],
+                    R=float(sw["R"]),
+                    data_scaling=sw.get("scaling", "fixed"),
+                    Cbar=float(sw.get("Cbar", 1.0)))
+        check_sweep_args(args["alpha_list"], args["data_scaling"])
+    return args

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CflViolation, NonFinite
+from .errors import CflViolation, InvalidParams, NonFinite
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
 from .spectral import (Grid, NormRequest, ScalarField, SpectralField,
@@ -90,13 +90,11 @@ class TrajectoryDiagnostics:
     w1inf: list[float] = field(default_factory=list)
     curl_inf: list[float] = field(default_factory=list)
     gamma: list[float] = field(default_factory=list)
-    transform_residual: list[float] = field(default_factory=list)
     hits: list[tuple[str, float]] = field(default_factory=list)
     blow_up_flag: bool = False
     final_time: float = 0.0
 
-    COLUMNS = ("t", "l2", "wmp", "w1inf", "curl_inf", "gamma",
-               "transform_residual")
+    COLUMNS = ("t", "l2", "wmp", "w1inf", "curl_inf", "gamma")
 
     def first_hit(self, kind: str) -> float | None:
         for k, t in self.hits:
@@ -112,7 +110,7 @@ class TrajectoryDiagnostics:
         writer = csv.writer(fh)
         writer.writerow(self.COLUMNS)
         for row in zip(self.times, self.l2, self.wmp, self.w1inf,
-                       self.curl_inf, self.gamma, self.transform_residual):
+                       self.curl_inf, self.gamma):
             writer.writerow([repr(v) for v in row])
 
     def to_csv_text(self) -> str:
@@ -142,6 +140,11 @@ class TrajectoryConfig:
     enforce_cfl: bool = True
 
     def __post_init__(self):
+        if self.dt <= 0:
+            raise InvalidParams(f"dt must be positive, got {self.dt}")
+        if self.sample_every < 1:
+            raise InvalidParams(f"sample_every must be >= 1, got "
+                                f"{self.sample_every}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator '{self.integrator}' "
                              f"(accepted: {', '.join(INTEGRATORS)})")
@@ -221,6 +224,19 @@ def _rk4(v, dt: float, rhs):
     return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _damped_rk4(v, dt: float, alpha: float, gamma: float, F):
+    """Advance dv/dt + (alpha^2/2) v = gamma^{-1} F(v) over dt, F quadratic:
+    w = exp(alpha^2 tau / 2) v obeys w' = exp(-alpha^2 tau / 2) gamma^{-1} F(w)
+    (F is homogeneous of degree 2), which RK4 advances; the exact damping
+    factor is undone at tau = dt."""
+    half = 0.5 * alpha ** 2
+
+    def rhs(tau, w):
+        return (np.exp(-half * tau) / gamma) * F(w)
+
+    return float(np.exp(-half * dt)) * _rk4(v, dt, rhs)
+
+
 def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
             c_cfl: float = 0.5, enforce_cfl: bool = True) -> SimState:
     """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected."""
@@ -252,23 +268,15 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
     """One step of  dv/dt + (alpha^2/2) v + gamma^{-1} P(v.grad v) = 0.
 
     state.u holds v = gamma u with gamma = state.gamma = exp(-alpha W); dW
-    only advances W.  alpha = 0 takes the noise model's coefficient.
-
-    The damping is integrated exactly via the substitution
-    w(tau) = exp(alpha^2 tau / 2) v(tau), which (using homogeneity of the
-    quadratic term) obeys  w' = -exp(-alpha^2 tau / 2) gamma^{-1} P(w.grad w);
-    that system is advanced with RK4 and the factor undone at tau = dt.
+    only advances W.  alpha = 0 takes the noise model's coefficient.  The
+    damping is exact (_damped_rk4).
     """
     gamma = state.gamma
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     alpha = alpha or _lm_alpha(model)
-    half = 0.5 * alpha ** 2
-
-    def rhs(tau, w):
-        return (-np.exp(-half * tau) / gamma) * nonlinear_term(w)
-
-    v_new = float(np.exp(-half * dt)) * _rk4(state.u, dt, rhs)
+    # the transport term is P(v.grad v) / (-gamma)
+    v_new = _damped_rk4(state.u, dt, alpha, -gamma, nonlinear_term)
     _check_finite(v_new.coeffs)
     return _advance(state, dt,
                     SpectralField(v_new.grid, v_new.coeffs,
@@ -310,13 +318,7 @@ def step_vorticity_2d(w: ScalarField, dt: float, alpha: float = 0.0,
     system (transport scaled by gamma^{-1}); rho_fields/dW add the additive
     forcing sum_k rho_k dW_k after the deterministic substep.
     """
-    half = 0.5 * alpha ** 2
-
-    def rhs(tau, z):
-        return (np.exp(-half * tau) / gamma) * _transport_rhs_2d(z)
-
-    z_end = _rk4(w, dt, rhs)
-    w_new = ScalarField(w.grid, np.exp(-half * dt) * z_end.coeffs)
+    w_new = _damped_rk4(w, dt, alpha, gamma, _transport_rhs_2d)
     if rho_fields:
         if dW is None or len(dW) != len(rho_fields):
             raise ValueError("dW must match rho_fields")
@@ -333,7 +335,6 @@ def step_vorticity_3d(w: SpectralField, dt: float, alpha: float = 0.0,
     dw/dt + (alpha^2/2) w + gamma^{-1}(v.grad w - w.grad v) = 0 with
     v = Biot-Savart(w); damping handled exactly as in the 2D case.
     """
-    half = 0.5 * alpha ** 2
     g = w.grid
 
     def stretch_rhs(z: SpectralField) -> SpectralField:
@@ -344,11 +345,7 @@ def step_vorticity_3d(w: SpectralField, dt: float, alpha: float = 0.0,
         hat = flux_divergence(g, v.to_physical(), zd.to_physical())
         return leray_project(SpectralField(g, hat))
 
-    def rhs(tau, z):
-        return (np.exp(-half * tau) / gamma) * stretch_rhs(z)
-
-    z_end = _rk4(w, dt, rhs)
-    return _project((np.exp(-half * dt) * z_end).coeffs, g)
+    return _project(_damped_rk4(w, dt, alpha, gamma, stretch_rhs).coeffs, g)
 
 # ---------------------------------------------------------------------------
 # Trajectory driver
@@ -380,16 +377,13 @@ def integrate_trajectory(cfg: TrajectoryConfig,
 
     def sample() -> bool:
         """Record diagnostics; returns True if a stopping rule fired."""
-        v = state.u
-        u = (1.0 / state.gamma) * v if transformed else v
+        u = (1.0 / state.gamma) * state.u if transformed else state.u
         diag.times.append(state.t)
         diag.l2.append(l2_norm(u))
         diag.wmp.append(sobolev_norm(u, req))
         diag.w1inf.append(w1inf_norm(u))
         diag.curl_inf.append(lp_norm(curl(u), np.inf))
         diag.gamma.append(state.gamma)
-        diag.transform_residual.append(
-            l2_norm(state.gamma * u - v) if transformed else 0.0)
         if diag.w1inf[-1] >= cfg.blowup_level:
             diag.blow_up_flag = True
             return True

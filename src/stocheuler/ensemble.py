@@ -1,8 +1,9 @@
 """Monte Carlo orchestration of trajectory batches and survival statistics.
 
-Every path is keyed by (master_seed, trajectory_id) alone, so the summary is
-a deterministic fold over sorted trajectory ids and is byte-identical no
-matter how the work was scheduled across workers.
+A PDE path is keyed by (master_seed, trajectory_id) alone, so the summary
+is a deterministic fold over trajectory ids, byte-identical for any
+parallel_width.  A surrogate ensemble is one analysis.gbm_exit_mc batch in
+this process, its draws keyed by (master_seed, path chunk, time block).
 """
 
 from __future__ import annotations
@@ -10,14 +11,15 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import analysis
 from .analysis import GBMParams, gbm_survival_bound, kappa_K, wilson_interval
-from .dynamics import (SOBOLEV_THRESHOLD, StoppingRule, TrajectoryConfig,
-                       integrate_trajectory)
-from .errors import VersionError
+from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
+                       TrajectoryConfig, integrate_trajectory)
+from .errors import InvalidParams, VersionError
 from .noise import BrownianDriver
 from .spectral import NormRequest, sobolev_norm
 
@@ -27,12 +29,21 @@ HIT_HISTOGRAM_BINS = 20
 
 @dataclass(frozen=True)
 class GBMSurrogateSpec:
-    """Bypass the PDE: monitor rho_alpha(t) = exp(alpha W_t - alpha^2 t/8)."""
+    """Bypass the PDE: monitor rho_alpha(t) = exp(alpha W_t - alpha^2 t/8),
+    the geometric Brownian motion with mu = 3 alpha^2 / 8 started at 1."""
 
     alpha: float
     R: float
     T: float
     dt: float
+    gbm: GBMParams = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.T <= 0 or self.dt <= 0:
+            raise InvalidParams("T and dt must be positive")
+        object.__setattr__(self, "gbm", GBMParams(
+            mu=3.0 * self.alpha ** 2 / 8.0, alpha=self.alpha, x0=1.0,
+            R=self.R))
 
 
 @dataclass
@@ -125,39 +136,21 @@ class EnsembleSummary:
 
 
 # ---------------------------------------------------------------------------
-# Per-path workers (top level so they pickle for the process pool)
+# Per-path worker (top level so it pickles for the process pool)
 
 
-def _run_surrogate_path(spec: GBMSurrogateSpec, master_seed: int,
-                        tid: int) -> PathRecord:
-    n_steps = int(round(spec.T / spec.dt))
-    gen = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([master_seed, tid])))
-    dW = np.sqrt(spec.dt) * gen.standard_normal(n_steps)
-    # log rho_alpha on the grid: alpha W_t - alpha^2 t / 8
-    t = np.arange(1, n_steps + 1) * spec.dt
-    log_rho = spec.alpha * np.cumsum(dW) - spec.alpha ** 2 * t / 8.0
-    barrier = np.log(spec.R)
-    hit_idx = np.flatnonzero(log_rho >= barrier)
-    hits = {}
-    survived = True
-    if hit_idx.size:
-        hits["gbm_level"] = float(t[hit_idx[0]])
-        survived = False
-    return PathRecord(tid, survived, False, hits, spec.T, 0.0, 0.0)
-
-
-def _run_trajectory_path(cfg: TrajectoryConfig, master_seed: int,
-                         tid: int, output_dir: str | None) -> PathRecord:
-    cfg = replace(cfg, driver=BrownianDriver(master_seed,
-                                             cfg.driver.n_modes))
+def _run_one(args) -> PathRecord:
+    """One PDE path, its noise keyed by (master_seed, trajectory id)."""
+    cfg, tid = args
+    traj = replace(cfg.trajectory, driver=BrownianDriver(
+        cfg.master_seed, cfg.trajectory.driver.n_modes))
     try:
-        diag = integrate_trajectory(cfg, trajectory_id=tid)
+        diag = integrate_trajectory(traj, trajectory_id=tid)
     except Exception:
         return PathRecord(tid, False, False, {}, 0.0, np.nan, np.nan,
                           engineering_failure=True)
-    if output_dir is not None:
-        paths_dir = os.path.join(output_dir, "paths")
+    if cfg.output_dir is not None:
+        paths_dir = os.path.join(cfg.output_dir, "paths")
         os.makedirs(paths_dir, exist_ok=True)
         diag.to_csv(os.path.join(paths_dir, f"{tid}.csv"))
     hits = {kind: t for kind, t in diag.hits}
@@ -166,14 +159,6 @@ def _run_trajectory_path(cfg: TrajectoryConfig, master_seed: int,
                       diag.final_time,
                       diag.l2[-1] if diag.l2 else 0.0,
                       diag.wmp[-1] if diag.wmp else 0.0)
-
-
-def _run_one(args) -> PathRecord:
-    cfg, tid = args
-    if cfg.surrogate is not None:
-        return _run_surrogate_path(cfg.surrogate, cfg.master_seed, tid)
-    return _run_trajectory_path(cfg.trajectory, cfg.master_seed, tid,
-                                cfg.output_dir)
 
 
 def _worker_pool_width(cfg: EnsembleConfig) -> int:
@@ -187,10 +172,19 @@ def _worker_pool_width(cfg: EnsembleConfig) -> int:
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     """Run n_paths independent trajectories and fold the statistics.
 
-    Per-path failures are recorded, never abort the batch; the summary is
-    flagged partial when more than 1% of paths failed for non-scientific
-    reasons.
+    A surrogate ensemble is one gbm_exit_mc batch.  Per-path failures are
+    recorded, never abort the batch; the summary is flagged partial when
+    more than 1% of paths failed for non-scientific reasons.
     """
+    spec = cfg.surrogate
+    if spec is not None:
+        est = analysis.gbm_exit_mc(spec.gbm, spec.T, spec.dt, cfg.n_paths,
+                                   seed=cfg.master_seed)
+        return _fold(cfg, [
+            PathRecord(tid, t_hit == np.inf, False,
+                       {} if t_hit == np.inf else {GBM_LEVEL: t_hit},
+                       spec.T, 0.0, 0.0)
+            for tid, t_hit in enumerate(est.hit_times.tolist())])
     jobs = [(cfg, tid) for tid in range(cfg.n_paths)]
     width = _worker_pool_width(cfg)
     if width == 1:
@@ -198,7 +192,6 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
             records = list(pool.map(_run_one, jobs, chunksize=4))
-    records.sort(key=lambda r: r.trajectory_id)
     return _fold(cfg, records)
 
 
@@ -243,6 +236,17 @@ def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
 # Alpha sweep against the kappa(R, alpha) threshold
 
 
+SWEEP_SCALINGS = ("fixed", "kappa-scaled")
+
+
+def check_sweep_args(alpha_list: list[float], data_scaling: str) -> None:
+    if not alpha_list:
+        raise ValueError("alpha_list must be nonempty")
+    if data_scaling not in SWEEP_SCALINGS:
+        raise ValueError(f"unknown data_scaling '{data_scaling}' "
+                         f"(accepted: {', '.join(SWEEP_SCALINGS)})")
+
+
 def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
                             R: float, data_scaling: str = "fixed",
                             Cbar: float = 1.0) -> list[dict]:
@@ -253,10 +257,7 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
     norm is min(current norm, kappa(R, alpha)); alphas whose kappa
     underflows are emitted as flagged rows without running.
     """
-    if not alpha_list:
-        raise ValueError("alpha_list must be nonempty")
-    if data_scaling not in ("fixed", "kappa-scaled"):
-        raise ValueError(f"unknown data_scaling '{data_scaling}'")
+    check_sweep_args(alpha_list, data_scaling)
     traj = base.trajectory
     if traj is None:
         raise ValueError("alpha sweep needs a trajectory config")

@@ -97,6 +97,7 @@ def test_gbm_mc_hits_everything_when_started_at_level():
     p = an.GBMParams(mu=0.0, alpha=1.0, x0=4.0, R=2.0)
     est = an.gbm_exit_mc(p, T=1.0, dt=0.1, n_paths=50)
     assert est.p_hit == 1.0
+    assert np.array_equal(est.hit_times, np.zeros(50))
 
 
 def test_gbm_mc_validates_inputs():
@@ -123,16 +124,52 @@ def test_gbm_mc_consistent_with_analytic_bound():
     assert est.wilson_99[0] <= est.p_hit <= est.wilson_99[1]
 
 
-def test_gbm_mc_chunking_agrees_statistically():
+def test_gbm_mc_chunking_agrees_statistically(monkeypatch):
     # different chunk layouts consume different draws but simulate the same
     # law; the two estimates must fall inside each other's 99% intervals
     p = an.GBMParams(mu=0.0, alpha=1.0, R=2.0)
-    a = an.gbm_exit_mc(p, T=1.0, dt=0.01, n_paths=4000, seed=9,
-                       path_chunk=4000)
-    b = an.gbm_exit_mc(p, T=1.0, dt=0.01, n_paths=4000, seed=9,
-                       path_chunk=512, time_block=7)
+    monkeypatch.setattr(an, "PATH_CHUNK", 4000)
+    a = an.gbm_exit_mc(p, T=1.0, dt=0.01, n_paths=4000, seed=9)
+    monkeypatch.setattr(an, "PATH_CHUNK", 512)
+    monkeypatch.setattr(an, "TIME_BLOCK", 7)
+    b = an.gbm_exit_mc(p, T=1.0, dt=0.01, n_paths=4000, seed=9)
     assert a.wilson_99[0] <= b.p_hit <= a.wilson_99[1]
     assert b.wilson_99[0] <= a.p_hit <= b.wilson_99[1]
+
+
+@pytest.mark.parametrize("layout, n_hit", [(None, 1025), ((512, 7), 1005)])
+def test_gbm_mc_golden_hit_count_and_grid_hit_times(monkeypatch, layout,
+                                                    n_hit):
+    # n_hit was recorded before hit times were added: the draws of a seed,
+    # and so its n_hit, must not change
+    if layout:
+        monkeypatch.setattr(an, "PATH_CHUNK", layout[0])
+        monkeypatch.setattr(an, "TIME_BLOCK", layout[1])
+    p = an.GBMParams(mu=0.375, alpha=1.0, R=4.0)
+    T, dt = 3.0, 0.01
+    est = an.gbm_exit_mc(p, T=T, dt=dt, n_paths=3000, seed=8)
+    assert est.n_hit == n_hit
+    assert est.hit_times.shape == (3000,)
+    finite = np.isfinite(est.hit_times)
+    assert np.all(est.hit_times[~finite] == np.inf)
+    hit = est.hit_times[finite]
+    assert hit.size == n_hit
+    assert np.all((hit > 0.0) & (hit <= T + 1e-12))
+    k = hit / dt
+    assert np.max(np.abs(k - np.round(k))) < 1e-9
+
+
+@pytest.mark.parametrize("layout", [None, (512, 7)])
+def test_gbm_mc_hit_time_is_the_first_grid_crossing(monkeypatch, layout):
+    # alpha ~ 0 leaves log x = t on the grid, which first reaches log 2 at
+    # k dt = 0.70 (0.69 < log 2 = 0.6931...)
+    if layout:
+        monkeypatch.setattr(an, "PATH_CHUNK", layout[0])
+        monkeypatch.setattr(an, "TIME_BLOCK", layout[1])
+    p = an.GBMParams(mu=1.0, alpha=1e-9, R=2.0)
+    est = an.gbm_exit_mc(p, T=1.0, dt=0.01, n_paths=600, seed=4)
+    assert est.n_hit == 600
+    assert np.allclose(est.hit_times, 0.70, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -293,3 +293,44 @@ def test_run_rejects_unsupported_norm(tmp_path, capsys, override, prefix):
     err = capsys.readouterr().err
     assert err.startswith("config error: " + prefix)
     assert len(err.splitlines()) == 1
+
+
+SWEEP = "{alpha_list: [1.0], R: 1.0, scaling: bogus}"
+
+
+@pytest.mark.parametrize("base, overrides, prefix", [
+    pytest.param(ENSEMBLE_CONFIG, ["surrogate={alpha: 1.0, R: 16.0, T: 10.0}"],
+                 "surrogate: missing key 'dt'", id="surrogate-no-dt"),
+    pytest.param(ENSEMBLE_CONFIG, ["surrogate.dt=0"],
+                 "surrogate: T and dt must be", id="surrogate-dt-0"),
+    pytest.param(ENSEMBLE_CONFIG, ["bound_comparison={alpha: 1.0, R: 16.0}"],
+                 "bound_comparison: missing key 'mu'", id="bound-no-mu"),
+    pytest.param(RUN_CONFIG, ["integrator.dt=0"],
+                 "integrator: dt must be positive", id="integrator-dt-0"),
+    pytest.param(RUN_CONFIG, ["integrator.sample_every=0"],
+                 "integrator: sample_every must be >= 1",
+                 id="integrator-sample-every-0"),
+    pytest.param(RUN_CONFIG, ["ensemble.parallel_width=0"], "ensemble: ",
+                 id="parallel-width-0"),
+    pytest.param(RUN_CONFIG, ["initial.name=bogus"],
+                 "initial: unknown initial field", id="initial-name"),
+    pytest.param(RUN_CONFIG, ["noise.kind=nemytskii", "noise.g=bogus"],
+                 "noise.g: unknown g tag", id="noise-g"),
+    pytest.param(RUN_CONFIG, [f"sweep={SWEEP}"],
+                 "sweep: unknown data_scaling 'bogus'", id="sweep-scaling"),
+    pytest.param(ENSEMBLE_CONFIG, ["sweep={alpha_list: [1.0], R: 1.0}"],
+                 "sweep: needs a trajectory config", id="sweep-surrogate"),
+])
+def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
+                                                    overrides, prefix):
+    doc = dict(base, ensemble={"n_paths": 2, "master_seed": 1})
+    cfg = _write_yaml(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    sets = [a for item in overrides for a in ("--set", item)]
+    code = cli.main(["ensemble", "--config", cfg, "--out", str(out_dir),
+                     *sets])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + prefix)
+    assert len(err.splitlines()) == 1
+    assert not out_dir.exists()

@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from stocheuler import dynamics as dyn, ensemble as ens, noise, spectral as sp
+from stocheuler import analysis, dynamics as dyn, ensemble as ens, noise
+from stocheuler import spectral as sp
 from stocheuler.analysis import GBMParams, gbm_survival_bound
-from stocheuler.errors import VersionError
+from stocheuler.errors import InvalidParams, VersionError
 
 
 def _surrogate_cfg(n_paths=200, master_seed=0, width=1, alpha=1.0, R=16.0,
@@ -50,6 +51,35 @@ def test_surrogate_survival_matches_exit_law():
     assert summary.hit_counts["gbm_level"] == 2000 - summary.n_survived
     assert sum(summary.hit_histograms["gbm_level"]) \
         == summary.hit_counts["gbm_level"]
+
+
+def test_surrogate_spec_checks_its_law_when_built():
+    spec = ens.GBMSurrogateSpec(alpha=2.0, R=16.0, T=1.0, dt=0.1)
+    assert spec.gbm == GBMParams(mu=1.5, alpha=2.0, x0=1.0, R=16.0)
+    for bad in ({"T": 0.0}, {"dt": 0.0}, {"dt": -0.1}, {"alpha": 0.0},
+                {"R": 1.0}):
+        args = {"alpha": 1.0, "R": 16.0, "T": 1.0, "dt": 0.1, **bad}
+        with pytest.raises(InvalidParams):
+            ens.GBMSurrogateSpec(**args)
+
+
+def test_surrogate_is_one_gbm_exit_mc_batch(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = analysis.gbm_exit_mc
+    monkeypatch.setattr(analysis, "gbm_exit_mc", counted)
+    cfg = _surrogate_cfg(n_paths=300, master_seed=5, T=20.0, alpha=0.9)
+    summary = ens.run_ensemble(cfg)
+    assert len(calls) == 1
+    est = real(GBMParams(mu=3 * 0.9 ** 2 / 8, alpha=0.9, x0=1.0, R=16.0),
+               20.0, 0.01, 300, seed=5)
+    assert est.n_hit > 0
+    assert summary.hit_counts["gbm_level"] == est.n_hit
+    assert summary.n_survived == 300 - est.n_hit
 
 
 def test_surrogate_deterministic_across_widths(tmp_path):
