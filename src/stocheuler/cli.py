@@ -59,11 +59,11 @@ def cmd_run(args) -> int:
 
 def cmd_ensemble(args) -> int:
     doc = _load_doc(args)
+    if args.seed is not None:
+        apply_overrides(doc, [f"ensemble.master_seed={args.seed}"])
     out_dir = args.out or doc.get("output", {}).get("dir")
     cfg = build_ensemble_config(doc, output_dir=out_dir)
     sweep = build_sweep(doc)
-    if args.seed is not None:
-        cfg.master_seed = args.seed
     summary = run_ensemble(cfg)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -184,6 +184,13 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got '{text}'")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit 1, not 2 (2 is reserved
     for scientific failures)."""
@@ -204,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--seed", type=int, help="seed override")
+        p.add_argument("--seed", type=_seed,
+                       help="non-negative seed override (under 'run', the "
+                            "trajectory id)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="config override (dotted keys)")
         p.add_argument("--quiet", action="store_true")

@@ -18,7 +18,7 @@ from .dynamics import (EM, SOBOLEV_THRESHOLD, StoppingRule,
 from .ensemble import EnsembleConfig, GBMSurrogateSpec, check_sweep_args
 from .errors import ConfigError, InvalidParams, UnsupportedNorm
 from .noise import (ADDITIVE, FUNCTIONAL, LINEAR_MULTIPLICATIVE, NEMYTSKII,
-                    BrownianDriver, NoiseModel, spectrum_sigma_fields)
+                    NoiseModel, spectrum_sigma_fields)
 from .spectral import Grid, NormRequest, make_initial_field
 
 
@@ -89,17 +89,21 @@ def build_grid(doc: dict) -> Grid:
                                                    2.0 / 3.0)))
 
 
-def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, BrownianDriver]:
+def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, int]:
+    """The noise model and the master seed of its Brownian driver."""
     sec = _section(doc, "noise", required=False)
     kind = sec.get("kind", "none")
     seed = int(sec.get("seed", 0))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if kind in ("none", None):
-        return NoiseModel(ADDITIVE, sigma_fields=()), BrownianDriver(seed, 0)
+        return NoiseModel(ADDITIVE, sigma_fields=()), seed
     if kind == LINEAR_MULTIPLICATIVE:
         alpha = float(sec.get("alpha", 1.0))
-        return (NoiseModel(LINEAR_MULTIPLICATIVE, alpha=alpha),
-                BrownianDriver(seed, 1))
+        return NoiseModel(LINEAR_MULTIPLICATIVE, alpha=alpha), seed
     k_modes = int(sec.get("k_modes", 1))
+    if k_modes < 0:
+        raise ValueError(f"k_modes must be >= 0, got {k_modes}")
     decay = float(sec.get("mode_decay", 2.0))
     fields = spectrum_sigma_fields(grid, k_modes, decay, seed)
     if kind == ADDITIVE:
@@ -114,7 +118,7 @@ def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, BrownianDriver]:
                            profiles=profiles)
     else:
         raise ConfigError(f"noise.kind: unknown kind '{kind}'")
-    return model, BrownianDriver(seed, k_modes)
+    return model, seed
 
 
 def build_stopping(doc: dict) -> tuple[StoppingRule, ...]:
@@ -152,14 +156,16 @@ def build_norms(doc: dict) -> NormRequest:
 
 def build_trajectory_config(doc: dict) -> TrajectoryConfig:
     grid = build_grid(doc)
-    model, driver = build_noise(doc, grid)
+    with _checked("noise"):
+        model, noise_seed = build_noise(doc, grid)
     init = _section(doc, "initial", required=False)
-    try:
-        u0 = make_initial_field(grid, init.get("name", "taylor_green"),
-                                float(init.get("amplitude", 1.0)),
-                                int(init.get("seed", 0)))
-    except KeyError as exc:  # the message names the unknown field
-        raise ConfigError(f"initial: {exc.args[0]}") from exc
+    with _checked("initial"):
+        try:
+            u0 = make_initial_field(grid, init.get("name", "taylor_green"),
+                                    float(init.get("amplitude", 1.0)),
+                                    int(init.get("seed", 0)))
+        except KeyError as exc:  # the message names the unknown field
+            raise ValueError(exc.args[0]) from exc
     intg = _section(doc, "integrator")
     norms = build_norms(doc)
     stopping = build_stopping(doc)
@@ -169,16 +175,23 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
             integrator=intg.get("kind", EM),
             c_cfl=float(intg.get("cfl", 0.5)),
             sample_every=int(intg.get("sample_every", 1)),
-            alpha=float(intg.get("alpha", 0.0)),
             enforce_cfl=bool(intg.get("enforce_cfl", True)))
     try:
-        return TrajectoryConfig(grid=grid, u0=u0, model=model, driver=driver,
-                                stopping=stopping, m=norms.m, p=norms.p,
-                                **options)
+        cfg = TrajectoryConfig(u0=u0, model=model, noise_seed=noise_seed,
+                               stopping=stopping, norms=norms, **options)
     except InvalidParams as exc:
         raise ConfigError(f"integrator: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"integrator.kind: {exc}") from exc
+    if "alpha" in intg:
+        # the noise coefficient is the run's only alpha; an older config
+        # may repeat it here
+        with _checked("integrator.alpha"):
+            if float(intg["alpha"]) != model.alpha:
+                raise ValueError(f"{intg['alpha']} differs from noise.alpha "
+                                 f"{model.alpha}; a transformed run damps "
+                                 f"at noise.alpha")
+    return cfg
 
 
 def build_ensemble_config(doc: dict, output_dir: str | None = None

@@ -3,7 +3,14 @@
 Each integrator kind in INTEGRATORS has a stepper step_<kind> with one
 contract: step_<kind>(state, dt, model, dW, **options) -> SimState, where dW
 holds the step's Wiener increments (the trajectory driver samples them from
-its BrownianDriver; the checks pass their own).
+BrownianDriver(cfg.noise_seed, cfg.model.n_modes); the checks pass their
+own).
+
+A TrajectoryConfig states each run parameter once: the linear-multiplicative
+coefficient alpha (noise, gamma = exp(-alpha W), the damping alpha^2/2 and the
+gbm_level monitor) is model.alpha, the grid is u0.grid, and the sampled
+W^{m,p} order is norms.  A sample whose W^{1,inf} norm reaches BLOWUP_LEVEL
+ends the path as a blow-up.
 
 * step_em              Euler-Maruyama on the velocity form
 * step_rk4             RK4 drift with Euler-Maruyama noise coupling
@@ -46,12 +53,14 @@ TRANSFORMED = "transformed"
 INTEGRATORS = {
     EM: ("c_cfl", "enforce_cfl"),
     RK4: ("c_cfl", "enforce_cfl"),
-    TRANSFORMED: ("alpha",),
+    TRANSFORMED: (),
 }
 
 W1INF_THRESHOLD = "w1inf_threshold"
 SOBOLEV_THRESHOLD = "sobolev_threshold"
 GBM_LEVEL = "gbm_level"
+
+BLOWUP_LEVEL = 1e6
 
 
 @dataclass(frozen=True)
@@ -123,20 +132,16 @@ class TrajectoryDiagnostics:
 class TrajectoryConfig:
     """Everything needed to run one path (immutable per ensemble)."""
 
-    grid: Grid
     u0: SpectralField
     model: NoiseModel
-    driver: BrownianDriver
     T: float
     dt: float
+    noise_seed: int = 0  # master seed of the path's BrownianDriver
     integrator: str = EM  # a key of INTEGRATORS
     c_cfl: float = 0.5
     stopping: tuple[StoppingRule, ...] = ()
     sample_every: int = 1
-    m: int = 3
-    p: float = 2.0
-    blowup_level: float = 1e6
-    alpha: float = 0.0  # linear-multiplicative coefficient for transform runs
+    norms: NormRequest = NormRequest(3, 2)
     enforce_cfl: bool = True
 
     def __post_init__(self):
@@ -198,12 +203,10 @@ def _project(coeffs: np.ndarray, grid: Grid) -> SpectralField:
 
 
 def _advance(state: SimState, dt: float, u_new: SpectralField,
-             model: NoiseModel, dW: np.ndarray,
-             alpha: float = 0.0) -> SimState:
+             model: NoiseModel, dW: np.ndarray) -> SimState:
     """The state after one step: t += dt, W += dW[0] under
-    linear-multiplicative noise, gamma = exp(-alpha W); alpha = 0 takes the
-    noise model's coefficient."""
-    alpha = alpha or _lm_alpha(model)
+    linear-multiplicative noise, gamma = exp(-alpha W)."""
+    alpha = _lm_alpha(model)
     W_new = state.W_accum + (float(dW[0])
                              if model.kind == LINEAR_MULTIPLICATIVE else 0.0)
     return SimState(state.t + dt, u_new,
@@ -264,24 +267,23 @@ def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
 
 
 def step_transformed(state: SimState, dt: float, model: NoiseModel,
-                     dW: np.ndarray, alpha: float = 0.0) -> SimState:
+                     dW: np.ndarray) -> SimState:
     """One step of  dv/dt + (alpha^2/2) v + gamma^{-1} P(v.grad v) = 0.
 
-    state.u holds v = gamma u with gamma = state.gamma = exp(-alpha W); dW
-    only advances W.  alpha = 0 takes the noise model's coefficient.  The
-    damping is exact (_damped_rk4).
+    state.u holds v = gamma u with gamma = state.gamma = exp(-alpha W) and
+    alpha the noise model's coefficient; dW only advances W.  The damping is
+    exact (_damped_rk4).
     """
     gamma = state.gamma
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    alpha = alpha or _lm_alpha(model)
     # the transport term is P(v.grad v) / (-gamma)
-    v_new = _damped_rk4(state.u, dt, alpha, -gamma, nonlinear_term)
+    v_new = _damped_rk4(state.u, dt, _lm_alpha(model), -gamma, nonlinear_term)
     _check_finite(v_new.coeffs)
     return _advance(state, dt,
                     SpectralField(v_new.grid, v_new.coeffs,
                                   divergence_free=True),
-                    model, dW, alpha)
+                    model, dW)
 
 
 def step_cutoff_galerkin(state: SimState, dt: float, model: NoiseModel,
@@ -369,8 +371,7 @@ def integrate_trajectory(cfg: TrajectoryConfig,
                          trajectory_id: int = 0) -> TrajectoryDiagnostics:
     """Run one path to T, first stopping hit, or numerical blow-up."""
     diag = TrajectoryDiagnostics()
-    req = NormRequest(cfg.m, cfg.p)
-    alpha = cfg.alpha or _lm_alpha(cfg.model)
+    alpha = _lm_alpha(cfg.model)
     transformed = cfg.integrator == TRANSFORMED  # state.u holds v = gamma u
     state = SimState(0.0, cfg.u0.copy())
     fired: set[str] = set()
@@ -380,18 +381,18 @@ def integrate_trajectory(cfg: TrajectoryConfig,
         u = (1.0 / state.gamma) * state.u if transformed else state.u
         diag.times.append(state.t)
         diag.l2.append(l2_norm(u))
-        diag.wmp.append(sobolev_norm(u, req))
+        diag.wmp.append(sobolev_norm(u, cfg.norms))
         diag.w1inf.append(w1inf_norm(u))
         diag.curl_inf.append(lp_norm(curl(u), np.inf))
         diag.gamma.append(state.gamma)
-        if diag.w1inf[-1] >= cfg.blowup_level:
+        if diag.w1inf[-1] >= BLOWUP_LEVEL:
             diag.blow_up_flag = True
             return True
         hit = False
         for rule in cfg.stopping:
             if rule.kind in fired:
                 continue
-            if _monitored_value(rule, u, state, alpha, diag, req) \
+            if _monitored_value(rule, u, state, alpha, diag, cfg.norms) \
                     >= rule.level:
                 diag.hits.append((rule.kind, state.t))
                 fired.add(rule.kind)
@@ -406,11 +407,11 @@ def integrate_trajectory(cfg: TrajectoryConfig,
     # instance by a tracer) is the one that runs
     step = globals()[f"step_{cfg.integrator}"]
     options = {key: getattr(cfg, key) for key in INTEGRATORS[cfg.integrator]}
+    driver = BrownianDriver(cfg.noise_seed, cfg.model.n_modes)
     stop = sample()
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     while not stop and state.step_index < n_steps:
-        dW = cfg.driver.sample_increments(trajectory_id, state.step_index,
-                                          cfg.dt)
+        dW = driver.sample_increments(trajectory_id, state.step_index, cfg.dt)
         try:
             state = step(state, cfg.dt, cfg.model, dW, **options)
         except NonFinite:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .analysis import GBMParams, gbm_survival_bound, kappa_K, wilson_interval
 from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
 from .errors import InvalidParams, VersionError
-from .noise import BrownianDriver
-from .spectral import NormRequest, sobolev_norm
+from .spectral import sobolev_norm
 
 SUMMARY_SCHEMA_VERSION = 1
 HIT_HISTOGRAM_BINS = 20
@@ -59,6 +58,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.parallel_width < 1:
             raise ValueError("n_paths and parallel_width must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got "
+                             f"{self.master_seed}")
         if self.trajectory is None and self.surrogate is None:
             raise ValueError("need a trajectory config or a surrogate spec")
 
@@ -95,25 +97,7 @@ class EnsembleSummary:
     master_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SUMMARY_SCHEMA_VERSION,
-            "n_paths": self.n_paths,
-            "n_survived": self.n_survived,
-            "survival_fraction": self.survival_fraction,
-            "wilson_99": list(self.wilson_99),
-            "hit_histograms": self.hit_histograms,
-            "hit_counts": self.hit_counts,
-            "horizon": self.horizon,
-            "analytic_bound": self.analytic_bound,
-            "mean_final_l2": self.mean_final_l2,
-            "max_final_l2": self.max_final_l2,
-            "mean_final_wmp": self.mean_final_wmp,
-            "max_final_wmp": self.max_final_wmp,
-            "n_blow_up": self.n_blow_up,
-            "n_engineering_failures": self.n_engineering_failures,
-            "partial": self.partial,
-            "master_seed": self.master_seed,
-        }
+        return {"schema_version": SUMMARY_SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleSummary":
@@ -122,17 +106,9 @@ class EnsembleSummary:
             raise VersionError(
                 f"summary schema version {version}, expected "
                 f"{SUMMARY_SCHEMA_VERSION}")
-        return cls(
-            n_paths=d["n_paths"], n_survived=d["n_survived"],
-            survival_fraction=d["survival_fraction"],
-            wilson_99=tuple(d["wilson_99"]),
-            hit_histograms=d["hit_histograms"], hit_counts=d["hit_counts"],
-            horizon=d["horizon"], analytic_bound=d["analytic_bound"],
-            mean_final_l2=d["mean_final_l2"], max_final_l2=d["max_final_l2"],
-            mean_final_wmp=d["mean_final_wmp"],
-            max_final_wmp=d["max_final_wmp"], n_blow_up=d["n_blow_up"],
-            n_engineering_failures=d["n_engineering_failures"],
-            partial=d["partial"], master_seed=d["master_seed"])
+        values = {f.name: d[f.name] for f in fields(cls)}
+        values["wilson_99"] = tuple(values["wilson_99"])
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +118,7 @@ class EnsembleSummary:
 def _run_one(args) -> PathRecord:
     """One PDE path, its noise keyed by (master_seed, trajectory id)."""
     cfg, tid = args
-    traj = replace(cfg.trajectory, driver=BrownianDriver(
-        cfg.master_seed, cfg.trajectory.driver.n_modes))
+    traj = replace(cfg.trajectory, noise_seed=cfg.master_seed)
     try:
         diag = integrate_trajectory(traj, trajectory_id=tid)
     except Exception:
@@ -261,7 +236,7 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
     traj = base.trajectory
     if traj is None:
         raise ValueError("alpha sweep needs a trajectory config")
-    req = NormRequest(traj.m, traj.p)
+    req = traj.norms
     rows = []
     for alpha in alpha_list:
         threshold = alpha ** 2 / (4.0 * Cbar)
@@ -286,8 +261,7 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
                 u0 = (target / norm0) * u0
         model = replace(traj.model, alpha=alpha)
         rule = StoppingRule(SOBOLEV_THRESHOLD, threshold, req)
-        t2 = replace(traj, u0=u0, model=model, alpha=alpha,
-                     stopping=(rule,))
+        t2 = replace(traj, u0=u0, model=model, stopping=(rule,))
         cfg = replace(base, trajectory=t2)
         summary = run_ensemble(cfg)
         n_exceed = summary.hit_counts.get(SOBOLEV_THRESHOLD, 0)

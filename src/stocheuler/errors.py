@@ -9,10 +9,6 @@ class UnsupportedNorm(StochEulerError):
     """Requested (m, p) combination is outside the supported range."""
 
 
-class DegenerateVorticity(StochEulerError):
-    """Vorticity sup-norm too small for the logarithmic bound."""
-
-
 class ShapeMismatch(StochEulerError):
     """Array/mode-count mismatch between inputs."""
 

@@ -337,14 +337,8 @@ def biot_savart(w: ScalarField | SpectralField) -> SpectralField:
         u = np.stack([1j * g.k[1] * psi, -1j * g.k[0] * psi])
         u[:, 0, 0] = 0.0
         return SpectralField(g, u, divergence_free=True)
-    # 3D: u_hat = i k x w_hat / |k|^2
-    k = g.k
-    c = w.coeffs
-    u = np.stack([
-        1j * (k[1] * c[2] - k[2] * c[1]),
-        1j * (k[2] * c[0] - k[0] * c[2]),
-        1j * (k[0] * c[1] - k[1] * c[0]),
-    ]) / g.k_sq_safe
+    # 3D: u_hat = i k x w_hat / |k|^2 = curl(w)_hat / |k|^2
+    u = curl(w).coeffs / g.k_sq_safe
     u[(slice(None),) + (0,) * g.dim] = 0.0
     return SpectralField(g, u, divergence_free=True)
 

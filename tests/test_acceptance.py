@@ -174,10 +174,9 @@ def test_08_log_gronwall_identities():
 def test_09_ensemble_reproducibility(tmp_path):
     g = sp.Grid(2, 32)
     traj = dyn.TrajectoryConfig(
-        grid=g, u0=0.5 * sp.taylor_green(g),
+        u0=0.5 * sp.taylor_green(g),
         model=noise.NoiseModel(noise.LINEAR_MULTIPLICATIVE, alpha=1.0),
-        driver=noise.BrownianDriver(0, 1), T=0.1, dt=5e-3,
-        integrator="em", alpha=1.0)
+        noise_seed=0, T=0.1, dt=5e-3, integrator="em")
     blobs = {}
     t0 = time.perf_counter()
     for width in (1, 8):

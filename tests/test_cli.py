@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import pathlib
+import re
 
 import pytest
 import yaml
@@ -242,9 +244,9 @@ def test_build_noise_kinds():
     grid = cfgmod.build_grid(doc)
     for kind in ("none", "additive", "nemytskii", "functional",
                  "linear_multiplicative"):
-        model, driver = cfgmod.build_noise(
+        model, noise_seed = cfgmod.build_noise(
             {"noise": {"kind": kind, "k_modes": 2}}, grid)
-        assert driver.master_seed == 0
+        assert noise_seed == 0
     with pytest.raises(ConfigError):
         cfgmod.build_noise({"noise": {"kind": "bogus"}}, grid)
 
@@ -334,3 +336,107 @@ def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
     assert err.startswith("config error: " + prefix)
     assert len(err.splitlines()) == 1
     assert not out_dir.exists()
+
+
+def _exit_code(argv: list[str]) -> int:
+    """main's return code, or the code of argparse's SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
+
+
+@pytest.mark.parametrize("command, base, args, message", [
+    pytest.param("ensemble", PDE_ENSEMBLE, ["--seed", "-1"],
+                 "argument --seed: expected a non-negative integer",
+                 id="ensemble-seed-flag"),
+    pytest.param("ensemble", PDE_ENSEMBLE,
+                 ["--set", "ensemble.master_seed=-1"],
+                 "config error: ensemble: master_seed must be non-negative",
+                 id="ensemble-master-seed"),
+    pytest.param("ensemble", ENSEMBLE_CONFIG, ["--seed", "-1"],
+                 "argument --seed: expected a non-negative integer",
+                 id="surrogate-seed-flag"),
+    pytest.param("ensemble", ENSEMBLE_CONFIG,
+                 ["--set", "ensemble.master_seed=-1"],
+                 "config error: ensemble: master_seed must be non-negative",
+                 id="surrogate-master-seed"),
+    pytest.param("run", RUN_CONFIG, ["--seed", "-1"],
+                 "argument --seed: expected a non-negative integer",
+                 id="run-seed-flag"),
+    pytest.param("run", RUN_CONFIG, ["--set", "noise.seed=-1"],
+                 "config error: noise: seed must be non-negative",
+                 id="noise-seed"),
+    pytest.param("run", RUN_CONFIG,
+                 ["--set", "initial.name=random", "--set", "initial.seed=-1"],
+                 "config error: initial: ", id="initial-seed"),
+    pytest.param("gbm-exit", None, ["--seed", "-1", "--n-paths", "10"],
+                 "argument --seed: expected a non-negative integer",
+                 id="gbm-exit-seed-flag"),
+    pytest.param("transform-check", None, ["--seed", "-1", "--n", "16"],
+                 "argument --seed: expected a non-negative integer",
+                 id="transform-check-seed-flag"),
+    pytest.param("run", RUN_CONFIG, ["--set", "initial.amplitude=abc"],
+                 "config error: initial: ", id="initial-amplitude"),
+    pytest.param("run", RUN_CONFIG, ["--set", "noise.alpha=abc"],
+                 "config error: noise: ", id="noise-alpha"),
+    pytest.param("run", RUN_CONFIG,
+                 ["--set", "noise.kind=additive", "--set", "noise.k_modes=-1"],
+                 "config error: noise: k_modes must be >= 0",
+                 id="noise-k-modes"),
+])
+def test_bad_seed_or_number_exits_usage(tmp_path, capsys, command, base,
+                                        args, message):
+    config = [] if base is None else ["--config", _write_yaml(tmp_path,
+                                                              base)]
+    out = tmp_path / "out"
+    code = _exit_code([command, *config, "--out", str(out / "result"),
+                       "--quiet", *args])
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base", [
+    ("run", RUN_CONFIG), ("ensemble", PDE_ENSEMBLE)])
+def test_integrator_alpha_must_equal_noise_alpha(tmp_path, capsys, command,
+                                                 base):
+    cfg = _write_yaml(tmp_path, base)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", cfg, "--out", str(out / "result"),
+                     "--set", "integrator.alpha=2.0"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: integrator.alpha: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_equal_integrator_alpha_is_accepted(tmp_path, capsys):
+    # the form of the benchmark's ensemble workload: noise.alpha repeated
+    # as integrator.alpha, the master seed from --seed
+    cfg = _write_yaml(tmp_path, PDE_ENSEMBLE)
+    out = tmp_path / "out"
+    code = cli.main(["ensemble", "--config", cfg, "--out", str(out),
+                     "--seed", "7", "--set", "integrator.alpha=1.0",
+                     "--quiet"])
+    assert code == cli.EXIT_OK
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["master_seed"] == 7
+    assert payload["n_engineering_failures"] == 0
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_block_builds():
+    # a key the README documents but the config layer rejects fails here
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    doc = yaml.safe_load(blocks[0])
+    assert cfgmod.build_trajectory_config(doc).T == doc["integrator"]["T"]
+    ensemble = cfgmod.build_ensemble_config(doc)
+    assert ensemble.n_paths == doc["ensemble"]["n_paths"]

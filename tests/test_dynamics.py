@@ -310,9 +310,8 @@ def test_stopping_rule_validation():
 
 def _tg_config(**kw):
     g = _grid(32)
-    defaults = dict(grid=g, u0=sp.taylor_green(g), model=noise.zero_noise(),
-                    driver=noise.BrownianDriver(0, 0), T=0.2, dt=5e-3,
-                    integrator="rk4")
+    defaults = dict(u0=sp.taylor_green(g), model=noise.zero_noise(),
+                    noise_seed=0, T=0.2, dt=5e-3, integrator="rk4")
     defaults.update(kw)
     return dyn.TrajectoryConfig(**defaults)
 
@@ -351,10 +350,8 @@ def test_stopping_is_first_hit_and_monotone_in_level():
 def test_gbm_level_rule_monitors_martingale():
     rule = dyn.StoppingRule(dyn.GBM_LEVEL, 1.0 + 1e-12)
     cfg = _tg_config(u0=0.05 * sp.taylor_green(_grid(32)),
-                     model=_lin_mult(alpha=1.0),
-                     driver=noise.BrownianDriver(17, 1),
-                     integrator="em", alpha=1.0, stopping=(rule,), T=0.1,
-                     dt=1e-3)
+                     model=_lin_mult(alpha=1.0), noise_seed=17,
+                     integrator="em", stopping=(rule,), T=0.1, dt=1e-3)
     diag = dyn.integrate_trajectory(cfg, trajectory_id=1)
     hit = diag.first_hit(dyn.GBM_LEVEL)
     # either it fired at a sampled time or rho_alpha stayed below the level
@@ -363,9 +360,8 @@ def test_gbm_level_rule_monitors_martingale():
 
 
 def test_transformed_trajectory_gamma_is_positive():
-    cfg = _tg_config(integrator="transformed", alpha=1.0,
-                     model=_lin_mult(alpha=1.0),
-                     driver=noise.BrownianDriver(2, 1), T=0.1, dt=2e-3)
+    cfg = _tg_config(integrator="transformed", model=_lin_mult(alpha=1.0),
+                     noise_seed=2, T=0.1, dt=2e-3)
     diag = dyn.integrate_trajectory(cfg)
     assert all(gamma > 0 for gamma in diag.gamma)
 
@@ -400,9 +396,9 @@ def test_stopping_rules_reuse_sampled_norms(monkeypatch):
         * len(diag.times)
 
 
-def test_blow_up_flag_on_threshold():
-    cfg = _tg_config(blowup_level=0.5)  # below the initial norm
-    diag = dyn.integrate_trajectory(cfg)
+def test_blow_up_flag_on_threshold(monkeypatch):
+    monkeypatch.setattr(dyn, "BLOWUP_LEVEL", 0.5)  # below the initial norm
+    diag = dyn.integrate_trajectory(_tg_config())
     assert diag.blow_up_flag
     assert len(diag.times) == 1  # stopped at the first sample
 

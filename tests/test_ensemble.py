@@ -23,10 +23,9 @@ def _surrogate_cfg(n_paths=200, master_seed=0, width=1, alpha=1.0, R=16.0,
 def _trajectory_cfg(n=16, T=0.05, dt=5e-3, alpha=1.0, enforce_cfl=True):
     g = sp.Grid(2, n)
     return dyn.TrajectoryConfig(
-        grid=g, u0=0.5 * sp.taylor_green(g),
+        u0=0.5 * sp.taylor_green(g),
         model=noise.NoiseModel(noise.LINEAR_MULTIPLICATIVE, alpha=alpha),
-        driver=noise.BrownianDriver(0, 1), T=T, dt=dt, integrator="em",
-        alpha=alpha, enforce_cfl=enforce_cfl)
+        noise_seed=0, T=T, dt=dt, integrator="em", enforce_cfl=enforce_cfl)
 
 
 def test_config_validation():
@@ -111,6 +110,21 @@ def test_trajectory_paths_differ_across_ids():
     records = [ens._run_one((cfg, tid)) for tid in range(3)]
     finals = {r.final_l2 for r in records}
     assert len(finals) == 3  # independent Brownian streams
+
+
+def test_additive_ensemble_runs_on_a_driver_of_the_model():
+    # three sigma fields: each step's driver draws model.n_modes = 3
+    # increments
+    g = sp.Grid(2, 16)
+    model = noise.NoiseModel(
+        noise.ADDITIVE, sigma_fields=noise.spectrum_sigma_fields(g, 3, 2.0, 1))
+    traj = dyn.TrajectoryConfig(u0=0.5 * sp.taylor_green(g), model=model,
+                                T=0.02, dt=5e-3)
+    cfg = ens.EnsembleConfig(trajectory=traj, n_paths=3, master_seed=2)
+    summary = ens.run_ensemble(cfg)
+    assert summary.n_engineering_failures == 0
+    assert summary.n_survived == 3
+    assert summary.max_final_l2 > summary.mean_final_l2  # paths differ
 
 
 def test_engineering_failures_flag_partial():

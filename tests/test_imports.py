@@ -48,3 +48,29 @@ def test_benchmark_tracer_targets_resolve():
                for owner, attr, _, _ in tracing.patch_targets()
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def _handled_names(tree: ast.Module) -> set[str]:
+    """Names that appear in a raise statement or an except clause."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names |= {n.id for n in ast.walk(node.exc)
+                      if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names |= {n.id for n in ast.walk(node.type)
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_error_class_is_raised_or_caught():
+    # an exception type nothing raises or catches documents a failure mode
+    # the package does not have
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)} - {"StochEulerError"}
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            used |= _handled_names(ast.parse(path.read_text()))
+    assert sorted(classes - used) == []
