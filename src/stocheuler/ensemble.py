@@ -19,7 +19,7 @@ from . import analysis
 from .analysis import GBMParams, gbm_survival_bound, kappa_K, wilson_interval
 from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
-from .errors import InvalidParams, VersionError
+from .errors import ConfigError, InvalidParams, VersionError
 from .spectral import sobolev_norm
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -137,10 +137,14 @@ def _run_one(args) -> PathRecord:
 
 
 def _worker_pool_width(cfg: EnsembleConfig) -> int:
+    """parallel_width, capped by a positive integer STOCHEULER_THREADS."""
     width = cfg.parallel_width
     cap = os.environ.get("STOCHEULER_THREADS")
     if cap:
-        width = min(width, max(1, int(cap)))
+        if not (cap.isdecimal() and int(cap) > 0):
+            raise ConfigError(f"STOCHEULER_THREADS must be a positive "
+                              f"integer, got '{cap}'")
+        width = min(width, int(cap))
     return width
 
 

@@ -17,6 +17,12 @@ half spectrum with a cached weight per (grid, m); they use no transform.
 Other (m, p) use collocation on the grid.  Both take a derivative of a mode
 as its grid values see it (``_derivative_symbol``), so they agree on every
 field, Nyquist modes included.
+
+Sup norms reduce through one kernel, ``_sup_magnitude``: squares accumulate
+in place and the sqrt is taken once, after the max.  A sampled state's
+max|u|, max|grad u| and max|curl u| come from ``_sup_view``, which makes two
+inverses (u and its gradient stack) and reads the curl as the antisymmetric
+part of the grid gradient.
 """
 
 from __future__ import annotations
@@ -304,11 +310,14 @@ def flux_divergence(grid: Grid, a: np.ndarray,
     return div
 
 
-def nonlinear_term(u: SpectralField) -> SpectralField:
+def nonlinear_term(u: SpectralField,
+                   u_phys: np.ndarray | None = None) -> SpectralField:
     """P(u . grad u) = P div(u (x) u), pseudo-spectral with 2/3-rule
-    dealiasing; u must be divergence-free."""
+    dealiasing; u must be divergence-free.  u_phys, when given, is
+    dealias(u).to_physical(), which the term would otherwise compute."""
     g = u.grid
-    u_phys = _inverse(u.coeffs * g.dealias_mask, g)
+    if u_phys is None:
+        u_phys = dealias(u).to_physical()
     return leray_project(SpectralField(g, flux_divergence(g, u_phys)))
 
 
@@ -352,12 +361,6 @@ def _components(f: ScalarField | SpectralField) -> np.ndarray:
     return f.coeffs[None] if isinstance(f, ScalarField) else f.coeffs
 
 
-def _lp_of_magnitude(mag: np.ndarray, p: float, grid: Grid) -> float:
-    if np.isinf(p):
-        return float(np.max(mag))
-    return float((np.sum(mag ** p) * grid.cell_volume) ** (1.0 / p))
-
-
 def _derivative_multiindices(dim: int, order: int):
     """All multi-indices of exactly the given total order, as axis tuples."""
     return itertools.combinations_with_replacement(range(dim), order)
@@ -398,10 +401,32 @@ def _magnitude(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(values ** 2, axis=0))
 
 
+def _sup_magnitude(components) -> float:
+    """max over the grid of the Euclidean magnitude of the component arrays.
+
+    The squares accumulate in place in the given order, which is the order
+    in which np.sum adds a leading axis, and the one sqrt comes after the
+    max.  sqrt is monotone and correctly rounded, so this is bit for bit
+    the max of the pointwise magnitudes.
+    """
+    components = iter(components)
+    first = next(components)
+    acc = first * first
+    sq = None
+    for c in components:
+        sq = np.multiply(c, c, out=sq)
+        acc += sq
+    return float(np.sqrt(np.max(acc)))
+
+
 def lp_norm(f: ScalarField | SpectralField, p: float) -> float:
     """L^p norm of the pointwise magnitude, by collocation quadrature."""
-    mag = _magnitude(_inverse(_components(f), f.grid))
-    return _lp_of_magnitude(mag, p, f.grid)
+    g = f.grid
+    values = _inverse(_components(f), g)
+    if np.isinf(p):
+        return _sup_magnitude(values)
+    return float((np.sum(_magnitude(values) ** p) * g.cell_volume)
+                 ** (1.0 / p))
 
 
 def _parseval_sum(f: ScalarField | SpectralField, m: int) -> float:
@@ -420,11 +445,36 @@ def l2_inner(u: SpectralField, v: SpectralField) -> float:
     return float(np.sum(prod * _parseval_weight(u.grid, 0)))
 
 
+def _gradient_values(f: ScalarField | SpectralField) -> np.ndarray:
+    """Grid values of d_j f_c at [j, c], from one inverse of the
+    grad_symbols stack."""
+    g = f.grid
+    return _inverse(g.grad_symbols[:, None] * _components(f)[None], g)
+
+
 def grad_sup_norm(f: ScalarField | SpectralField) -> float:
     """max over the grid of the Frobenius magnitude of the gradient."""
-    g = f.grid
-    grads = _inverse(g.grad_symbols[:, None] * _components(f)[None], g)
-    return float(np.sqrt(np.max(np.sum(grads ** 2, axis=(0, 1)))))
+    grads = _gradient_values(f)
+    return _sup_magnitude(grads.reshape((-1,) + f.grid.shape))
+
+
+def _sup_view(u: SpectralField) -> tuple[float, float, float]:
+    """max|u|, max|grad u| (Frobenius) and max|curl u| over the grid, from
+    one inverse of u and one of its gradient stack.
+
+    max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl is the
+    antisymmetric part of the grid gradient, so it costs no transform; it
+    equals the grid values of curl(u) up to rounding unless u carries
+    Nyquist modes, where curl's i k symbol and the grid derivative differ.
+    """
+    g = u.grid
+    grads = _gradient_values(u)
+    # curl components d_j u_c - d_c u_j: 2D (0, 1); 3D (1, 2), (2, 0), (0, 1)
+    pairs = ((0, 1),) if g.dim == 2 else ((1, 2), (2, 0), (0, 1))
+    vorticity = (grads[j, c] - grads[c, j] for j, c in pairs)
+    return (_sup_magnitude(_inverse(u.coeffs, g)),
+            _sup_magnitude(grads.reshape((-1,) + g.shape)),
+            _sup_magnitude(vorticity))
 
 
 def sobolev_norm(f: ScalarField | SpectralField, req: NormRequest) -> float:

@@ -440,3 +440,35 @@ def test_readme_config_block_builds():
     assert cfgmod.build_trajectory_config(doc).T == doc["integrator"]["T"]
     ensemble = cfgmod.build_ensemble_config(doc)
     assert ensemble.n_paths == doc["ensemble"]["n_paths"]
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_cap_exits_usage(tmp_path, capsys, monkeypatch, cap):
+    doc = dict(PDE_ENSEMBLE, ensemble={"n_paths": 2, "master_seed": 1,
+                                       "parallel_width": 2})
+    cfg = _write_yaml(tmp_path, doc)
+    out = tmp_path / "out"
+    monkeypatch.setenv("STOCHEULER_THREADS", cap)
+    code = cli.main(["ensemble", "--config", cfg, "--out", str(out),
+                     "--quiet"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: STOCHEULER_THREADS ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, default", [
+    ("transform-check",
+     ["--n", "16", "--T", "0.05", "--dt-list", "0.01,0.005"], "67"),
+    ("mollifier-check", [], "5"),
+])
+def test_seed_zero_is_not_the_default_seed(tmp_path, capsys, command, args,
+                                           default):
+    texts = {}
+    for seed in ("0", default):
+        out = tmp_path / f"seed{seed}.json"
+        assert cli.main([command, *args, "--seed", seed, "--out", str(out),
+                         "--quiet"]) in (cli.EXIT_OK, cli.EXIT_SCIENCE)
+        texts[seed] = out.read_text()
+    assert texts["0"] != texts[default]

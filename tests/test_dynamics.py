@@ -45,6 +45,34 @@ def test_step_em_raises_on_cfl_violation():
         dyn.step_em(_state(u), 10.0, noise.zero_noise(), np.zeros(0))
 
 
+@pytest.mark.parametrize("step", [dyn.step_em, dyn.step_rk4])
+def test_cfl_reads_max_u_of_the_undealiased_state(step):
+    # u carries modes outside the dealias mask, so max|u| > max|P_N u|; a dt
+    # between the two limits must fail on u itself, not on the dealiased u
+    # that the flux advects
+    g = _grid(16)
+    rng = np.random.default_rng(4)
+    u = sp.leray_project(sp.SpectralField.from_physical(
+        g, rng.standard_normal((2,) + g.shape)))
+    assert not np.array_equal(sp.dealias(u).coeffs, u.coeffs)
+    lim_u = dyn.cfl_limit(u, c_cfl=0.5)
+    lim_dealiased = dyn.cfl_limit(sp.dealias(u), c_cfl=0.5)
+    assert lim_u < 0.9 * lim_dealiased
+    dt = 0.5 * (lim_u + lim_dealiased)
+    with pytest.raises(CflViolation):
+        step(_state(u), dt, noise.zero_noise(), np.zeros(0), c_cfl=0.5)
+    step(_state(u), 0.99 * lim_u, noise.zero_noise(), np.zeros(0),
+         c_cfl=0.5)
+    # a stepped state is dealiased, and its bound is still u's own
+    v = step(_state(sp.dealias(u)), 0.5 * lim_u, noise.zero_noise(),
+             np.zeros(0), c_cfl=0.5).u
+    lim_v = dyn.cfl_limit(v, c_cfl=0.5)
+    with pytest.raises(CflViolation):
+        step(_state(v), lim_v * (1.0 + 1e-9), noise.zero_noise(),
+             np.zeros(0), c_cfl=0.5)
+    step(_state(v), lim_v, noise.zero_noise(), np.zeros(0), c_cfl=0.5)
+
+
 def test_step_rejects_nonpositive_dt():
     g = _grid()
     u = sp.taylor_green(g)

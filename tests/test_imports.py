@@ -1,5 +1,5 @@
 """Every name a package module imports is used by that module, and every
-name the benchmark tracer wraps exists."""
+name the benchmark tracer wraps exists and is called through by a run."""
 
 import ast
 import importlib.util
@@ -37,17 +37,52 @@ def test_module_has_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
-def test_benchmark_tracer_targets_resolve():
-    # perfbench/run.py --trace 1 patches these names; a refactor that drops
-    # one would break tracing without failing any other test
+def _benchmark_tracing():
+    """perfbench/tracing.py, loaded read-only as a module of its own."""
     path = SRC.parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/run.py --trace 1 patches these names; a refactor that drops
+    # one would break tracing without failing any other test
+    tracing = _benchmark_tracing()
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in tracing.patch_targets()
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("kind", ["em", "rk4"])
+def test_benchmark_tracer_sees_each_layer_of_a_run(tmp_path, kind):
+    # the patched names must still be the ones a run calls through, and the
+    # tracer must put every original back
+    from stocheuler import cli
+
+    tracing = _benchmark_tracing()
+    originals = [(owner, attr, getattr(owner, attr))
+                 for owner, attr, _, _ in tracing.patch_targets()]
+    argv = ["run", "--quiet", "--out", str(tmp_path / "run.csv"),
+            "--set", "grid={dim: 2, n: 16}",
+            "--set", "initial={name: taylor_green, amplitude: 0.5}",
+            "--set", "noise={kind: linear_multiplicative, alpha: 1.0}",
+            "--set", f"integrator={{kind: {kind}, T: 0.02, dt: 0.005}}"]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(argv) == cli.EXIT_OK
+    calls = {name: int(t["calls"])
+             for name, t in tracing.layer_totals(tracer.spans).items()}
+    for layer in ("dynamics.integrate_trajectory", "dynamics.step",
+                  "dynamics.cfl_limit", "spectral.nonlinear_term",
+                  "spectral.leray_project", "spectral.norms",
+                  "noise.apply_noise", "noise.sample_increments"):
+        assert calls.get(layer, 0) > 0, layer
+    assert calls["dynamics.step"] == 4
+    assert all(getattr(owner, attr) is orig
+               for owner, attr, orig in originals)
 
 
 def _handled_names(tree: ast.Module) -> set[str]:

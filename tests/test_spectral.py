@@ -319,6 +319,59 @@ def test_w1inf_shear():
     assert abs(sp.w1inf_norm(u) - 2.0) < 1e-10
 
 
+def _differentiation_matrix(n):
+    """Dense even-n Fourier differentiation matrix on [0, 2 pi):
+    D_jl = (-1)^(j-l) cot((j-l) h / 2) / 2, zero diagonal (Trefethen,
+    Spectral Methods in MATLAB, ch. 3)."""
+    h = 2.0 * np.pi / n
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    off = d != 0
+    D = np.zeros((n, n))
+    D[off] = 0.5 * (-1.0) ** d[off] / np.tan(d[off] * h / 2.0)
+    return D
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sup_view_matches_dense_differentiation_matrix(dim):
+    # white noise keeps its Nyquist modes; no rfft on the oracle side
+    n = 16
+    g = sp.Grid(dim, n)
+    values = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
+    u = sp.SpectralField.from_physical(g, values)
+    D = _differentiation_matrix(n)
+    grads = np.stack([np.moveaxis(np.tensordot(D, values, axes=(1, j + 1)),
+                                  0, j + 1) for j in range(dim)])
+    pairs = [(0, 1)] if dim == 2 else [(1, 2), (2, 0), (0, 1)]
+    vort = np.stack([grads[j, c] - grads[c, j] for j, c in pairs])
+    want = (np.max(np.sqrt(np.sum(values ** 2, axis=0))),
+            np.max(np.sqrt(np.sum(grads ** 2, axis=(0, 1)))),
+            np.max(np.sqrt(np.sum(vort ** 2, axis=0))))
+    got = sp._sup_view(u)
+    for name, a, b in zip(("u", "grad u", "curl u"), got, want):
+        assert abs(a - b) <= 1e-12 * b, name
+    assert sp.lp_norm(u, np.inf) == got[0]
+    assert sp.grad_sup_norm(u) == got[1]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_sup_view_on_dealiased_fields(dim, n):
+    # the pointwise magnitudes summed and rooted before the max, as np.sum
+    # adds them: the in-place kernel must give the same bits
+    g = sp.Grid(dim, n)
+    for seed in range(3):
+        u = sp.dealias(sp.leray_project(sp.SpectralField.from_physical(
+            g, np.random.default_rng(seed).standard_normal(
+                (dim,) + g.shape))))
+        u_max, grad_max, curl_max = sp._sup_view(u)
+        grads = sp._inverse(g.grad_symbols[:, None] * u.coeffs[None], g)
+        ref_u = np.max(np.sqrt(np.sum(u.to_physical() ** 2, axis=0)))
+        ref_grad = np.sqrt(np.max(np.sum(grads ** 2, axis=(0, 1))))
+        assert u_max + grad_max == ref_u + ref_grad
+        assert u_max + grad_max == sp.w1inf_norm(u)
+        curl_inf = sp.lp_norm(sp.curl(u), np.inf)
+        assert abs(curl_max - curl_inf) <= 1e-14 * curl_inf
+
+
 # ---------------------------------------------------------------------------
 # Mollifier
 
