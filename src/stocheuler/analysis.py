@@ -3,8 +3,7 @@
 Covers: geometric-Brownian-motion exit probabilities (analytic bound and an
 exact-simulation Monte Carlo cross-check), the logarithmic Gronwall change
 of variables, the explicit small-data thresholds kappa(R, alpha) and
-K(R, alpha), the worst-case ODE sweep behind them, and a fractional
-time-Sobolev trajectory diagnostic.
+K(R, alpha), and the worst-case ODE sweep behind them.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import numpy as np
 from scipy import integrate as _sciint
 from scipy import stats as _scistats
 
-from .errors import (DegenerateSeries, DomainError, InvalidParams,
-                     StiffnessFailure)
+from .errors import DomainError, InvalidParams, StiffnessFailure
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +179,7 @@ class KappaK:
     K_overflow: bool
 
 
-def kappa_K(R: float, alpha: float, Cbar: float = 1.0,
-            dr_exponent_factor: float = 4.0) -> KappaK:
+def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
     """Threshold pair:
 
     K = 2R (1 + (alpha^2/(8 Cbar))^(1 - 1/(8 (D_R - 1))))
@@ -191,7 +188,6 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0,
 
     Everything is accumulated in log space; kappa routinely underflows the
     double range and is then reported as 0 with the underflow flag set.
-    dr_exponent_factor overrides the 4 in D_R's exponent (diagnostic knob).
     """
     if R < 1:
         raise InvalidParams(f"R must be >= 1, got {R}")
@@ -200,7 +196,7 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0,
     if Cbar < 1:
         raise InvalidParams(f"Cbar must be >= 1, got {Cbar}")
     a2 = alpha ** 2
-    log_DR = dr_exponent_factor * Cbar * R
+    log_DR = 4.0 * Cbar * R
     DR = float(np.exp(min(log_DR, 700.0))) if log_DR <= 700.0 else np.inf
     power = 1.0 if not np.isfinite(DR) else 1.0 - 1.0 / (8.0 * (DR - 1.0))
     log_base = np.log(a2 / (8.0 * Cbar))
@@ -339,39 +335,3 @@ def ode_bound_check(p: OdeLemmaParams, dt: float = 1e-2,
                           bound_satisfied=bool(margin >= 0.0),
                           margin=float(margin), log_bound=log_bound,
                           tail_increment=float(tail_increment))
-
-
-# ---------------------------------------------------------------------------
-# Fractional time-Sobolev trajectory diagnostic
-
-
-def frac_time_sobolev_norm(series: np.ndarray, alpha_frac: float, q: float,
-                           dt: float | None = None) -> float:
-    """Riemann approximation of the W^{alpha,q}([0,T]; R^d) trajectory norm:
-
-    ||v||^q = int ||v||^q dt' + int int ||v(t')-v(t'')||^q / |t'-t''|^{1+aq}.
-
-    The series is assumed uniformly sampled; dt defaults to spanning [0,1].
-    Diagonal terms are excluded from the double sum.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim == 1:
-        series = series[:, None]
-    n = series.shape[0]
-    if n < 4:
-        raise DegenerateSeries(f"need at least 4 samples, got {n}")
-    if not (0.0 < alpha_frac < 1.0):
-        raise InvalidParams("alpha_frac must lie in (0, 1)")
-    if q <= 1:
-        raise InvalidParams("q must exceed 1")
-    if dt is None:
-        dt = 1.0 / (n - 1)
-    t = np.arange(n) * dt
-    mags = np.linalg.norm(series, axis=1)
-    lq_part = float(np.sum(mags ** q) * dt)
-    dv = np.linalg.norm(series[:, None, :] - series[None, :, :], axis=2)
-    dtmat = np.abs(t[:, None] - t[None, :])
-    mask = ~np.eye(n, dtype=bool)
-    semi = float(np.sum(dv[mask] ** q / dtmat[mask] ** (1.0 + alpha_frac * q))
-                 * dt * dt)
-    return float((lq_part + semi) ** (1.0 / q))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dynamics import (SimState, step_em, step_rk4, step_transformed,
                        step_vorticity_2d)
+from .errors import InvalidParams
 from .noise import LINEAR_MULTIPLICATIVE, NoiseModel, zero_noise
 from .spectral import (Grid, NormRequest, SpectralField, curl, dealias,
                        l2_norm, leray_project, lp_norm, mollify,
@@ -51,17 +52,30 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
     path, across a dt refinement ladder.
 
     The finest-level increments are generated once and aggregated for the
-    coarser levels, so every level sees the same Brownian path.
+    coarser levels, so every level sees the same Brownian path.  That needs
+    every dt to be a whole multiple of the finest and to divide T, and a
+    ratio needs two dts; any other ladder, or an n that Grid rejects, is
+    InvalidParams.
     """
-    grid = Grid(2, n)
-    u0 = taylor_green(grid)
+    try:
+        grid = Grid(2, n)
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from None
+    if len(dts) < 2 or min(dts) <= 0 or T <= 0:
+        raise InvalidParams("need T > 0 and at least two dts, all positive")
     dt_fine = min(dts)
     n_fine = int(round(T / dt_fine))
+    steps = [int(round(dt / dt_fine)) for dt in dts]
+    if not (np.isclose(n_fine * dt_fine, T, rtol=1e-9, atol=0.0)
+            and all(np.isclose(k * dt_fine, dt, rtol=1e-9, atol=0.0)
+                    and n_fine % k == 0 for k, dt in zip(steps, dts))):
+        raise InvalidParams(f"every dt in {list(dts)} must be a whole "
+                            f"multiple of the finest dt and divide T={T}")
+    u0 = taylor_green(grid)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     fine = np.sqrt(dt_fine) * gen.standard_normal(n_fine)
     errors = []
-    for dt in dts:
-        ratio = int(round(dt / dt_fine))
+    for dt, ratio in zip(dts, steps):
         incr = fine.reshape(-1, ratio).sum(axis=1)
         u_em = _path(step_em, u0, dt, incr, alpha).u
         tr = _path(step_transformed, u0, dt, incr, alpha)

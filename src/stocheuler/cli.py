@@ -181,7 +181,11 @@ def cmd_mollifier_check(args) -> int:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+    values = [float(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got '{text}'")
+    return values
 
 
 def _seed(text: str) -> int:

@@ -23,13 +23,8 @@ anyway, so they transform u once.
 * step_transformed     damped random PDE for v = gamma * u (exact
                        integrating-factor damping + RK4 transport)
 
-Library steppers that the trajectory driver does not run:
-
-* step_cutoff_galerkin velocity form with the smooth cut-off on drift
-                       and noise (same contract, cut-off level R)
-* step_vorticity_2d    2D scalar vorticity transport (plain / damped /
-                       additively forced)
-* step_vorticity_3d    3D vorticity with vortex stretching, damped
+step_vorticity_2d, the transformed 2D scalar vorticity transport, is run by
+checks.vorticity_decay_check, not by the trajectory driver.
 
 All steppers return new states; nothing is mutated.
 """
@@ -46,20 +41,19 @@ from .errors import CflViolation, InvalidParams, NonFinite
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
 from .spectral import (Grid, NormRequest, ScalarField, SpectralField,
-                       _sup_magnitude, _sup_view, biot_savart, curl,
-                       cutoff_theta, dealias, dealias_scalar,
-                       flux_divergence, l2_norm, leray_project, lp_norm,
+                       _sup_magnitude, _sup_view, biot_savart, curl, dealias,
+                       dealias_scalar, l2_norm, leray_project, lp_norm,
                        nonlinear_term, sobolev_norm, w1inf_norm)
 
-# curl is no longer called here, but the benchmark tracer
-# (perfbench/tracing.py) patches it on this module by name, so it stays a
-# public re-export
+# curl and w1inf_norm are not called here, but the benchmark tracer
+# (perfbench/tracing.py) patches them on this module by name, so they stay
+# public re-exports
 __all__ = [
     "EM", "RK4", "TRANSFORMED", "INTEGRATORS", "W1INF_THRESHOLD",
     "SOBOLEV_THRESHOLD", "GBM_LEVEL", "BLOWUP_LEVEL", "StoppingRule",
     "SimState", "TrajectoryDiagnostics", "TrajectoryConfig", "cfl_limit",
-    "step_em", "step_rk4", "step_transformed", "step_cutoff_galerkin",
-    "step_vorticity_2d", "step_vorticity_3d", "integrate_trajectory", "curl",
+    "step_em", "step_rk4", "step_transformed", "step_vorticity_2d",
+    "integrate_trajectory", "curl", "w1inf_norm",
 ]
 
 EM = "em"
@@ -203,7 +197,7 @@ def _check_finite(coeffs: np.ndarray) -> None:
 
 
 def _flux_values(u: SpectralField, dt: float, model: NoiseModel,
-                 c_cfl: float = 0.5, enforce_cfl: bool = True) -> np.ndarray:
+                 c_cfl: float, enforce_cfl: bool) -> np.ndarray:
     """Check that dt is positive and, when enforced, within the CFL limit;
     return the grid values of the dealiased u, which nonlinear_term takes.
 
@@ -317,20 +311,6 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
                     model, dW)
 
 
-def step_cutoff_galerkin(state: SimState, dt: float, model: NoiseModel,
-                         dW: np.ndarray, R: float) -> SimState:
-    """Velocity step with theta_R(||u||_{W^{1,inf}}) on drift and noise."""
-    u = state.u
-    u_phys = _flux_values(u, dt, model, enforce_cfl=False)
-    theta = cutoff_theta(w1inf_norm(u), R)
-    coeffs = u.coeffs
-    if theta > 0.0:
-        coeffs = coeffs - (dt * theta) * nonlinear_term(u, u_phys).coeffs
-        if model.n_modes:
-            coeffs = coeffs + theta * apply_noise(model, u, dW).coeffs
-    return _advance(state, dt, _project(coeffs, u.grid), model, dW)
-
-
 def _transport_rhs_2d(w: ScalarField) -> ScalarField:
     """-dealias(div(u w)) = -dealias(u . grad w) with u = Biot-Savart(w)."""
     g = w.grid
@@ -342,43 +322,16 @@ def _transport_rhs_2d(w: ScalarField) -> ScalarField:
 
 
 def step_vorticity_2d(w: ScalarField, dt: float, alpha: float = 0.0,
-                      gamma: float = 1.0,
-                      rho_fields: list[ScalarField] | None = None,
-                      dW: np.ndarray | None = None) -> ScalarField:
+                      gamma: float = 1.0) -> ScalarField:
     """Advance the 2D scalar vorticity by transport.
 
     alpha != 0 adds the exact exp(-alpha^2 dt/2) damping of the transformed
-    system (transport scaled by gamma^{-1}); rho_fields/dW add the additive
-    forcing sum_k rho_k dW_k after the deterministic substep.
+    system (transport scaled by gamma^{-1}).
     """
     w_new = _damped_rk4(w, dt, alpha, gamma, _transport_rhs_2d)
-    if rho_fields:
-        if dW is None or len(dW) != len(rho_fields):
-            raise ValueError("dW must match rho_fields")
-        for inc, rho in zip(dW, rho_fields):
-            w_new = ScalarField(w.grid, w_new.coeffs + inc * rho.coeffs)
     _check_finite(w_new.coeffs)
     return w_new
 
-
-def step_vorticity_3d(w: SpectralField, dt: float, alpha: float = 0.0,
-                      gamma: float = 1.0) -> SpectralField:
-    """3D vorticity step with transport and vortex stretching, damped.
-
-    dw/dt + (alpha^2/2) w + gamma^{-1}(v.grad w - w.grad v) = 0 with
-    v = Biot-Savart(w); damping handled exactly as in the 2D case.
-    """
-    g = w.grid
-
-    def stretch_rhs(z: SpectralField) -> SpectralField:
-        # z.grad v - v.grad z = div(v (x) z - z (x) v): z and v are
-        # divergence-free
-        zd = dealias(z)
-        v = biot_savart(zd)
-        hat = flux_divergence(g, v.to_physical(), zd.to_physical())
-        return leray_project(SpectralField(g, hat))
-
-    return _project(_damped_rk4(w, dt, alpha, gamma, stretch_rhs).coeffs, g)
 
 # ---------------------------------------------------------------------------
 # Trajectory driver

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import analysis
 from .analysis import GBMParams, gbm_survival_bound, kappa_K, wilson_interval
 from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
-from .errors import ConfigError, InvalidParams, VersionError
+from .errors import ConfigError, InvalidParams
 from .spectral import sobolev_norm
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -98,17 +98,6 @@ class EnsembleSummary:
 
     def to_dict(self) -> dict:
         return {"schema_version": SUMMARY_SCHEMA_VERSION, **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleSummary":
-        version = d.get("schema_version")
-        if version != SUMMARY_SCHEMA_VERSION:
-            raise VersionError(
-                f"summary schema version {version}, expected "
-                f"{SUMMARY_SCHEMA_VERSION}")
-        values = {f.name: d[f.name] for f in fields(cls)}
-        values["wilson_99"] = tuple(values["wilson_99"])
-        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +275,3 @@ def persist_summary(summary: EnsembleSummary, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(summary.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def load_summary(path: str) -> EnsembleSummary:
-    try:
-        with open(path) as fh:
-            return EnsembleSummary.from_dict(json.load(fh))
-    except OSError as exc:
-        raise OSError(f"cannot read summary at {path}: {exc}") from exc

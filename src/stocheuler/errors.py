@@ -37,13 +37,5 @@ class StiffnessFailure(StochEulerError):
     """Fixed-step integration could not meet the requested tolerance."""
 
 
-class DegenerateSeries(StochEulerError):
-    """Time series too short or malformed for the requested diagnostic."""
-
-
-class VersionError(StochEulerError):
-    """Persisted artifact carries an unsupported schema version."""
-
-
 class ConfigError(StochEulerError):
     """Run configuration failed validation; message names the key at fault."""

@@ -11,6 +11,8 @@ through the private pair ``_forward``/``_inverse``, which act on the trailing
 All differential operators are exact on retained modes; quadratic terms are
 dealiased with the sharp 2/3-rule mask.  The advection term is evaluated in
 divergence form, P div(u (x) u), from the dim (dim + 1) / 2 products u_i u_j.
+Besides it the module holds the Leray projection, curl, the 2D Biot-Savart
+law, the heat-kernel mollifier and the named initial fields.
 
 W^{m,2} norms (and L^2 norms and inner products) are Parseval sums over the
 half spectrum with a cached weight per (grid, m); they use no transform.
@@ -28,14 +30,13 @@ part of the grid gradient.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.fft
 
-from .errors import ShapeMismatch, UnsupportedNorm, VersionError
+from .errors import ShapeMismatch, UnsupportedNorm
 
 TWO_PI = 2.0 * np.pi
 
@@ -250,14 +251,6 @@ class NormRequest:
             raise UnsupportedNorm(f"p must be >= 2 or inf, got {self.p}")
 
 
-@dataclass(frozen=True)
-class BkmBound:
-    """Result of the logarithmic velocity-gradient bound."""
-
-    value: float
-    degenerate_vorticity: bool = False
-
-
 # ---------------------------------------------------------------------------
 # Core operators
 
@@ -279,33 +272,25 @@ def dealias_scalar(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
-def flux_divergence(grid: Grid, a: np.ndarray,
-                    b: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased half spectrum of (div T)_i = sum_j d_j T_ij.
+def flux_divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Dealiased half spectrum of (div T)_i = sum_j d_j T_ij, T = a (x) a.
 
-    a and b are physical vector fields, shape (dim,) + grid.shape.  With b
-    None, T = a (x) a is symmetric and only its dim (dim + 1) / 2 entries
-    i <= j are transformed; otherwise T = a (x) b - b (x) a is antisymmetric
-    and only its entries i < j are.  For divergence-free a and b,
-    div(a (x) a) = a.grad a and div(a (x) b - b (x) a) = b.grad a - a.grad b.
+    a is a physical vector field, shape (dim,) + grid.shape.  T is
+    symmetric, so only its dim (dim + 1) / 2 entries i <= j are
+    transformed.  For divergence-free a, div(a (x) a) = a.grad a.
     """
     dim = grid.dim
-    sign = 1.0 if b is None else -1.0
-    pairs = [(i, j) for i in range(dim)
-             for j in range(i + (b is not None), dim)]
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     products = np.empty((len(pairs),) + grid.shape)
     for out, (i, j) in zip(products, pairs):
-        if b is None:
-            np.multiply(a[i], a[j], out=out)
-        else:
-            np.subtract(a[i] * b[j], b[i] * a[j], out=out)
+        np.multiply(a[i], a[j], out=out)
     t_hat = _forward(products, dim)
     ik = grid.ik
     div = np.zeros((dim,) + grid.spectral_shape, dtype=complex)
     for t, (i, j) in zip(t_hat, pairs):
         div[i] += ik[j] * t
         if i != j:
-            div[j] += sign * ik[i] * t
+            div[j] += ik[i] * t
     div *= grid.dealias_mask
     return div
 
@@ -336,19 +321,15 @@ def curl(u: SpectralField) -> ScalarField | SpectralField:
     return SpectralField(g, w, divergence_free=True)
 
 
-def biot_savart(w: ScalarField | SpectralField) -> SpectralField:
-    """Recover divergence-free velocity from vorticity (zero-mean w)."""
+def biot_savart(w: ScalarField) -> SpectralField:
+    """Recover the 2D divergence-free velocity from a zero-mean scalar
+    vorticity."""
     g = w.grid
-    if isinstance(w, ScalarField):
-        if g.dim != 2:
-            raise ShapeMismatch("scalar vorticity is 2D only")
-        psi = w.coeffs / g.k_sq_safe
-        u = np.stack([1j * g.k[1] * psi, -1j * g.k[0] * psi])
-        u[:, 0, 0] = 0.0
-        return SpectralField(g, u, divergence_free=True)
-    # 3D: u_hat = i k x w_hat / |k|^2 = curl(w)_hat / |k|^2
-    u = curl(w).coeffs / g.k_sq_safe
-    u[(slice(None),) + (0,) * g.dim] = 0.0
+    if g.dim != 2:
+        raise ShapeMismatch("scalar vorticity is 2D only")
+    psi = w.coeffs / g.k_sq_safe
+    u = np.stack([1j * g.k[1] * psi, -1j * g.k[0] * psi])
+    u[:, 0, 0] = 0.0
     return SpectralField(g, u, divergence_free=True)
 
 
@@ -506,45 +487,15 @@ def w1inf_norm(f: ScalarField | SpectralField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Mollifier, cut-off, BKM monitor
+# Mollifier
 
 
-def mollify(u: SpectralField | ScalarField, eps: float):
+def mollify(u: SpectralField, eps: float) -> SpectralField:
     """Heat-kernel smoothing exp(-eps |k|^2), then Leray projection."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = u.grid
-    mult = np.exp(-eps * g.k_sq)
-    if isinstance(u, ScalarField):
-        return ScalarField(g, u.coeffs * mult)
-    return leray_project(SpectralField(g, u.coeffs * mult[None, ...]))
-
-
-def cutoff_theta(x: float, R: float) -> float:
-    """Smooth non-increasing cut-off: 1 on (-inf, R], 0 on [2R, inf)."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-
-    def q(t: float) -> float:
-        return float(np.exp(-1.0 / t)) if t > 0 else 0.0
-
-    a = q((2.0 * R - x) / R)
-    b = q((x - R) / R)
-    if a == 0.0:
-        return 0.0
-    return a / (a + b)
-
-
-def bkm_upper_bound(u: SpectralField, m: int, p: float, C2: float) -> BkmBound:
-    """Logarithmic bound C2 ||u||_2 + C2 ||w||_inf (1 + log+ of the norm ratio)."""
-    w = curl(u)
-    w_inf = lp_norm(w, np.inf)
-    u_l2 = l2_norm(u)
-    if w_inf < 1e-14:
-        return BkmBound(C2 * u_l2, degenerate_vorticity=True)
-    u_mp = sobolev_norm(u, NormRequest(m, p))
-    log_plus = max(0.0, np.log(u_mp / w_inf))
-    return BkmBound(C2 * u_l2 + C2 * w_inf * (1.0 + log_plus))
+    return leray_project(SpectralField(g, u.coeffs * np.exp(-eps * g.k_sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -620,72 +571,3 @@ def make_initial_field(grid: Grid, name: str, amplitude: float = 1.0,
     if name not in FIELD_REGISTRY:
         raise KeyError(f"unknown initial field '{name}'")
     return FIELD_REGISTRY[name](grid, amplitude)
-
-
-# ---------------------------------------------------------------------------
-# Snapshot persistence
-
-
-SNAPSHOT_VERSION = 2  # 1: full fftn spectra, 2: rfftn half spectra
-
-
-def _check_snapshot_version(version: int) -> None:
-    if version not in (1, SNAPSHOT_VERSION):
-        raise VersionError(f"field snapshot version {version} is not 1 or "
-                           f"{SNAPSHOT_VERSION}")
-
-
-def save_field(f: SpectralField, path: str) -> None:
-    """Binary snapshot (npz); round-trips bit-exactly."""
-    np.savez(path, version=SNAPSHOT_VERSION, dim=f.grid.dim, n=f.grid.n,
-             length=f.grid.length, dealias_fraction=f.grid.dealias_fraction,
-             coeffs=f.coeffs, divergence_free=f.divergence_free)
-
-
-def load_field(path: str) -> SpectralField:
-    """Read a save_field snapshot; a version-1 full spectrum is cut to its
-    half spectrum, which holds every mode of a real field."""
-    data = np.load(path)
-    _check_snapshot_version(int(data["version"]))
-    grid = Grid(int(data["dim"]), int(data["n"]), float(data["length"]),
-                float(data["dealias_fraction"]))
-    coeffs = data["coeffs"][..., :grid.n // 2 + 1]
-    return SpectralField(grid, coeffs, bool(data["divergence_free"]))
-
-
-def field_to_json(f: SpectralField) -> str:
-    """JSON snapshot: one (k-vector, complex d-vector) record per stored
-    mode; k_last >= 0, the conjugate partners are implied."""
-    g = f.grid
-    modes = []
-    for idx in np.ndindex(*g.spectral_shape):
-        vec = f.coeffs[(slice(None),) + idx]
-        if np.all(vec == 0):
-            continue
-        kvec = [int(g.k_index[(d,) + idx]) for d in range(g.dim)]
-        modes.append([kvec, [[c.real, c.imag] for c in vec]])
-    return json.dumps({
-        "version": SNAPSHOT_VERSION, "dim": g.dim, "n": g.n,
-        "length": g.length, "dealias_fraction": g.dealias_fraction,
-        "divergence_free": f.divergence_free, "modes": modes,
-    })
-
-
-def field_from_json(text: str) -> SpectralField:
-    """Read a field_to_json snapshot; a version-1 record with k_last < 0
-    is the conjugate partner of a stored mode and is skipped, except
-    k_last = -n/2, the Nyquist plane."""
-    rec = json.loads(text)
-    _check_snapshot_version(rec["version"])
-    grid = Grid(rec["dim"], rec["n"], rec["length"], rec["dealias_fraction"])
-    half = grid.n // 2
-    coeffs = np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex)
-    index_of = {int(v): i for i, v in enumerate(
-        np.fft.fftfreq(grid.n, d=1.0 / grid.n))}
-    for kvec, comps in rec["modes"]:
-        if -half < kvec[-1] < 0:
-            continue
-        idx = tuple(index_of[k] for k in kvec)
-        for d in range(grid.dim):
-            coeffs[(d,) + idx] = complex(comps[d][0], comps[d][1])
-    return SpectralField(grid, coeffs, rec["divergence_free"])

@@ -192,3 +192,26 @@ def test_09_ensemble_reproducibility(tmp_path):
              f"({elapsed:.1f}s)" if ok else "summaries differ")
     assert ok
     assert elapsed < 60.0
+
+
+def test_10_noise_lipschitz_hypotheses():
+    # the global results need sigma globally Lipschitz in the run norm
+    # W^{3,2}: alpha u has constant |alpha|, additive noise constant 0
+    g = sp.Grid(2, 16)
+    rng = np.random.default_rng(0)
+    alpha = 1.5
+    linear = noise.NoiseModel(noise.LINEAR_MULTIPLICATIVE, alpha=alpha)
+    additive = noise.NoiseModel(
+        noise.ADDITIVE, sigma_fields=noise.spectrum_sigma_fields(g, 2, 2.0,
+                                                                 seed=1))
+    gaps = []
+    for _ in range(3):
+        u = sp.random_divergence_free(g, rng)
+        v = sp.random_divergence_free(g, rng)
+        gaps.append(abs(noise.lipschitz_probe(linear, u, v, 3, 2.0) - alpha))
+        gaps.append(noise.lipschitz_probe(additive, u, v, 3, 2.0))
+    ok = max(gaps) < 1e-10
+    _verdict("noise lipschitz hypotheses", ok,
+             f"max gap to |alpha| (linear) and 0 (additive) {max(gaps):.1e} "
+             f"target < 1e-10")
+    assert ok, gaps

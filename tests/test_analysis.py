@@ -1,12 +1,11 @@
-"""Exit probabilities, threshold formulas, the worst-case ODE, diagnostics."""
+"""Exit probabilities, threshold formulas, the worst-case ODE."""
 
 import mpmath
 import numpy as np
 import pytest
 
 from stocheuler import analysis as an
-from stocheuler.errors import (DegenerateSeries, DomainError, InvalidParams,
-                               StiffnessFailure)
+from stocheuler.errors import DomainError, InvalidParams, StiffnessFailure
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +269,6 @@ def test_kappa_small_alpha_limit_and_underflow_flag():
     assert np.isfinite(kk.log_kappa)
 
 
-def test_kappa_exponent_factor_override():
-    default = an.kappa_K(1.0, 1.0)
-    smaller = an.kappa_K(1.0, 1.0, dr_exponent_factor=2.0)
-    assert smaller.log_K < default.log_K
-
-
 # ---------------------------------------------------------------------------
 # Worst-case ODE
 
@@ -337,61 +330,3 @@ def test_ode_underflowed_y_reported_as_zero_without_warnings():
     res = an.ode_bound_check(p)
     assert np.all(res.y == 0.0)  # exp of log values near -3000
     assert np.all(np.isfinite(res.log_y))
-
-
-# ---------------------------------------------------------------------------
-# Fractional time-Sobolev diagnostic
-
-
-def test_frac_sobolev_constant_series():
-    n = 64
-    series = np.full(n, 2.0)
-    val = an.frac_time_sobolev_norm(series, 0.25, 2.0)
-    # seminorm vanishes; the L^q Riemann sum carries an n/(n-1) endpoint
-    # factor from the uniform dt = 1/(n-1)
-    assert val == pytest.approx(2.0 * np.sqrt(n / (n - 1.0)), rel=1e-12)
-
-
-def test_frac_sobolev_validation():
-    with pytest.raises(DegenerateSeries):
-        an.frac_time_sobolev_norm(np.ones(3), 0.25, 2.0)
-    with pytest.raises(InvalidParams):
-        an.frac_time_sobolev_norm(np.ones(8), 1.5, 2.0)
-    with pytest.raises(InvalidParams):
-        an.frac_time_sobolev_norm(np.ones(8), 0.25, 1.0)
-
-
-def test_frac_sobolev_linear_ramp_closed_form():
-    # v(t) = t on [0,1], q = 2, order 0.25:
-    # seminorm^2 = 2 * int_0^1 int_0^t (t-s)^{1/2} ds dt = 8/15,
-    # L^2 part = 1/3; the Riemann sum converges to sqrt(13/15)
-    want = np.sqrt(1.0 / 3.0 + 8.0 / 15.0)
-    errs = []
-    for n in (100, 200, 400):
-        series = np.linspace(0.0, 1.0, n)
-        errs.append(abs(an.frac_time_sobolev_norm(series, 0.25, 2.0) - want))
-    assert errs[-1] < errs[0]
-    assert errs[-1] < 5e-3
-
-
-def test_frac_sobolev_brownian_refinement_trend():
-    # below order 1/2 the norm stabilizes under refinement; above it grows
-    rng = np.random.default_rng(8)
-    n_fine = 1024
-    dW = rng.standard_normal(n_fine) / np.sqrt(n_fine)
-    W = np.concatenate([[0.0], np.cumsum(dW)])
-    coarse = W[::8]
-
-    def ratio(alpha_frac):
-        return (an.frac_time_sobolev_norm(W, alpha_frac, 2.0)
-                / an.frac_time_sobolev_norm(coarse, alpha_frac, 2.0))
-
-    assert ratio(0.75) > 1.5
-    assert ratio(0.25) < 1.25
-
-
-def test_frac_sobolev_accepts_vector_series():
-    rng = np.random.default_rng(3)
-    series = rng.standard_normal((32, 3))
-    val = an.frac_time_sobolev_norm(series, 0.3, 2.0, dt=0.01)
-    assert np.isfinite(val) and val > 0.0

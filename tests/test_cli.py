@@ -387,6 +387,29 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
                  ["--set", "noise.kind=additive", "--set", "noise.k_modes=-1"],
                  "config error: noise: k_modes must be >= 0",
                  id="noise-k-modes"),
+    pytest.param("kappa-table", None, ["--R-list", ","],
+                 "argument --R-list: expected a comma-separated list",
+                 id="kappa-table-empty-R-list"),
+    pytest.param("ode-bound", None, ["--R-list", ","],
+                 "argument --R-list: expected a comma-separated list",
+                 id="ode-bound-empty-R-list"),
+    pytest.param("transform-check", None, ["--dt-list", ","],
+                 "argument --dt-list: expected a comma-separated list",
+                 id="transform-check-empty-dt-list"),
+    pytest.param("transform-check", None, ["--n", "7"],
+                 "invalid parameters: n must be even and >= 8",
+                 id="transform-check-odd-n"),
+    pytest.param("transform-check", None,
+                 ["--n", "16", "--T", "0.05", "--dt-list", "0.01,0.003"],
+                 "invalid parameters: every dt in [0.01, 0.003] must be",
+                 id="transform-check-dt-not-a-multiple"),
+    pytest.param("transform-check", None,
+                 ["--n", "16", "--T", "0.05", "--dt-list", "0.01,0.02"],
+                 "invalid parameters: every dt in [0.01, 0.02] must be",
+                 id="transform-check-dt-not-dividing-T"),
+    pytest.param("transform-check", None, ["--n", "16", "--dt-list", "0.01"],
+                 "invalid parameters: need T > 0 and at least two dts",
+                 id="transform-check-one-dt"),
 ])
 def test_bad_seed_or_number_exits_usage(tmp_path, capsys, command, base,
                                         args, message):

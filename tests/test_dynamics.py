@@ -228,103 +228,6 @@ def test_vorticity_2d_conserves_mean_and_casimir():
     assert abs(sp.lp_norm(w, 4.0) - l4_0) < 1e-3 * l4_0
 
 
-def test_vorticity_2d_additive_forcing_shape_check():
-    g = _grid(16)
-    w = sp.curl(sp.taylor_green(g))
-    rho = [sp.ScalarField.from_physical(g, np.sin(g.coordinates[0]))]
-    with pytest.raises(ValueError):
-        dyn.step_vorticity_2d(w, 1e-2, rho_fields=rho, dW=None)
-    out = dyn.step_vorticity_2d(w, 1e-2, rho_fields=rho,
-                                dW=np.array([0.1]))
-    assert np.all(np.isfinite(out.coeffs.view(float)))
-
-
-def test_vorticity_3d_zero_stays_zero():
-    g = sp.Grid(3, 8)
-    w = sp.SpectralField.zero(g)
-    out = dyn.step_vorticity_3d(w, 1e-2, alpha=1.0)
-    assert sp.l2_norm(out) == 0.0
-
-
-def test_vorticity_3d_strong_damping_regime():
-    # small data, large alpha: e^{alpha^2 t/4} ||w||_inf non-increasing
-    # within a 2% budget
-    g = sp.Grid(3, 16)
-    rng = np.random.default_rng(4)
-    u = sp.random_divergence_free(g, rng, amplitude=0.05)
-    w = sp.curl(u)
-    alpha, dt = 4.0, 2e-3
-    vals = [sp.lp_norm(w, np.inf)]
-    for i in range(50):
-        w = dyn.step_vorticity_3d(w, dt, alpha=alpha, gamma=1.0)
-        vals.append(np.exp(alpha ** 2 * (i + 1) * dt / 4.0)
-                    * sp.lp_norm(w, np.inf))
-    for i in range(len(vals) - 1):
-        assert vals[i + 1] <= vals[i] * 1.02
-
-
-def test_vorticity_3d_matches_curl_of_velocity_step():
-    # curl(step_em(u)) and vorticity-form step agree to O(dt^2) per step
-    g = sp.Grid(3, 16)
-    rng = np.random.default_rng(5)
-    u = sp.random_divergence_free(g, rng, amplitude=0.5)
-    errs = []
-    for dt in (4e-3, 2e-3):
-        w_v = sp.curl(dyn.step_em(_state(u), dt, noise.zero_noise(),
-                                  np.zeros(0)).u)
-        w_w = dyn.step_vorticity_3d(sp.curl(u), dt)
-        errs.append(sp.l2_norm(w_v - w_w))
-    assert errs[0] > 0
-    # halving dt shrinks the gap by ~4 (both sides consistent to O(dt^2))
-    assert 2.5 <= errs[0] / errs[1] <= 6.0
-
-
-# ---------------------------------------------------------------------------
-# Cut-off step
-
-
-def test_cutoff_step_matches_em_below_threshold():
-    g = _grid(32)
-    u = sp.taylor_green(g)  # W^{1,inf} norm about 2
-    model = _lin_mult(alpha=0.5)
-    driver = noise.BrownianDriver(9, 1)
-    R = 10.0 * sp.w1inf_norm(u)
-    dW = driver.sample_increments(0, 0, 1e-3)
-    a = dyn.step_em(_state(u), 1e-3, model, dW, enforce_cfl=False)
-    b = dyn.step_cutoff_galerkin(_state(u), 1e-3, model, dW, R)
-    assert np.array_equal(a.u.coeffs, b.u.coeffs)
-    assert a.W_accum == b.W_accum
-
-
-def test_cutoff_step_freezes_above_twice_threshold():
-    g = _grid(32)
-    u = sp.taylor_green(g)
-    model = _lin_mult(alpha=0.5)
-    driver = noise.BrownianDriver(9, 1)
-    R = sp.w1inf_norm(u) / 4.0  # so the norm sits above 2R
-    out = dyn.step_cutoff_galerkin(_state(u), 1e-3, model,
-                                   driver.sample_increments(0, 0, 1e-3), R)
-    frozen = sp.leray_project(sp.SpectralField(
-        g, u.coeffs * g.dealias_mask[None, ...]))
-    assert np.array_equal(out.u.coeffs, frozen.coeffs)
-
-
-def test_cutoff_step_transition_band_damps_drift():
-    g = _grid(32)
-    u = sp.dealias(sp.random_divergence_free(g, np.random.default_rng(6)))
-    norm = sp.w1inf_norm(u)
-    R = norm / 1.5  # norm = 1.5 R: inside the transition band
-    theta = sp.cutoff_theta(norm, R)
-    assert 0.0 < theta < 1.0
-    out = dyn.step_cutoff_galerkin(_state(u), 1e-3, noise.zero_noise(),
-                                   np.zeros(0), R)
-    full = dyn.step_em(_state(u), 1e-3, noise.zero_noise(), np.zeros(0),
-                       enforce_cfl=False)
-    drift_cut = sp.l2_norm(out.u - u)
-    drift_full = sp.l2_norm(full.u - u)
-    assert drift_cut <= theta * drift_full * (1.0 + 1e-10)
-
-
 # ---------------------------------------------------------------------------
 # Stopping rules
 

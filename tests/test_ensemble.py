@@ -9,7 +9,7 @@ import pytest
 from stocheuler import analysis, dynamics as dyn, ensemble as ens, noise
 from stocheuler import spectral as sp
 from stocheuler.analysis import GBMParams, gbm_survival_bound
-from stocheuler.errors import InvalidParams, VersionError
+from stocheuler.errors import InvalidParams
 
 
 def _surrogate_cfg(n_paths=200, master_seed=0, width=1, alpha=1.0, R=16.0,
@@ -154,23 +154,11 @@ def test_summary_roundtrip(tmp_path):
     summary = ens.run_ensemble(_surrogate_cfg(n_paths=50, T=10.0))
     path = tmp_path / "summary.json"
     ens.persist_summary(summary, str(path))
-    loaded = ens.load_summary(str(path))
-    assert loaded == summary
-
-
-def test_summary_version_mismatch(tmp_path):
-    summary = ens.run_ensemble(_surrogate_cfg(n_paths=10, T=5.0))
-    d = summary.to_dict()
-    d["schema_version"] = 99
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(d))
-    with pytest.raises(VersionError):
-        ens.load_summary(str(path))
-
-
-def test_load_summary_missing_file():
-    with pytest.raises(OSError):
-        ens.load_summary("/nonexistent/summary.json")
+    with open(path) as fh:
+        loaded = json.load(fh)
+    # JSON has no tuples: the Wilson interval reads back as a list
+    assert loaded == {**summary.to_dict(),
+                      "wilson_99": list(summary.wilson_99)}
 
 
 # ---------------------------------------------------------------------------

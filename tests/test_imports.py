@@ -1,5 +1,7 @@
-"""Every name a package module imports is used by that module, and every
-name the benchmark tracer wraps exists and is called through by a run."""
+"""Every name a package module imports is used by that module, every public
+name it defines has a consumer, every error class is raised or caught, and
+every name the benchmark tracer wraps exists and is called through by a
+run."""
 
 import ast
 import importlib.util
@@ -109,3 +111,38 @@ def test_every_error_class_is_raised_or_caught():
         if path.name != "errors.py":
             used |= _handled_names(ast.parse(path.read_text()))
     assert sorted(classes - used) == []
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and assignments not starting with _."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not n.startswith("_")]
+
+
+def _referenced_names(path: pathlib.Path) -> set[str]:
+    """Identifiers read as a name or an attribute; strings do not count."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_every_public_name_has_a_consumer():
+    # a public function no module, benchmark workload or acceptance test
+    # reaches is surface nothing runs
+    root = SRC.parents[1]
+    consumers = [*SRC.glob("*.py"), *(root / "perfbench").glob("*.py"),
+                 root / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_referenced_names, consumers))
+    used |= {attr for _, attr, _, _ in _benchmark_tracing().patch_targets()}
+    unused = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in _public_names(ast.parse(path.read_text()))
+              if name not in used]
+    assert unused == []
