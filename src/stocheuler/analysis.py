@@ -81,6 +81,18 @@ class GBMExitEstimate:
     hit_times: np.ndarray = field(repr=False)
 
 
+def n_time_steps(T: float, dt: float) -> int:
+    """round(T / dt), the number of dt steps to T.  InvalidParams unless T
+    and dt are positive and that number is at least 1, so that no run
+    reports on zero steps."""
+    if T <= 0 or dt <= 0:
+        raise InvalidParams("T and dt must be positive")
+    n_steps = int(round(T / dt))
+    if n_steps < 1:
+        raise InvalidParams(f"T={T} rounds to zero steps of dt={dt}")
+    return n_steps
+
+
 # gbm_exit_mc draws block (seed, chunk start, block start) of PATH_CHUNK
 # paths by TIME_BLOCK steps from its own stream: these fix a seed's draws
 PATH_CHUNK = 20000
@@ -95,13 +107,13 @@ def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
     grid; a path counts as hit when max over samples >= R.  Paths that hit
     stop being simulated (exact pruning; never biases the estimate).
     """
-    if T <= 0 or dt <= 0 or n_paths <= 0:
-        raise InvalidParams("T, dt, n_paths must be positive")
+    n_steps = n_time_steps(T, dt)
+    if n_paths <= 0:
+        raise InvalidParams("n_paths must be positive")
     if p.R <= p.x0:
         return GBMExitEstimate(n_paths, n_paths, 1.0,
                                wilson_interval(n_paths, n_paths), T, dt,
                                np.zeros(n_paths))
-    n_steps = int(round(T / dt))
     log_barrier = np.log(p.R / p.x0)
     drift = (p.mu - p.alpha ** 2 / 2.0) * dt
     vol = p.alpha * np.sqrt(dt)

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation/usage error (including a time step over
 the CFL limit), 2 scientific failure (a checked inequality failed at the
 requested parameters, or a run outside the trajectory driver went
-non-finite).
+non-finite).  A PDE ensemble in which every path failed exits as its most
+common failure would: 1 for a CFL violation, else 2.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ def _load_doc(args) -> dict:
 def cmd_run(args) -> int:
     doc = _load_doc(args)
     cfg = build_trajectory_config(doc)
-    diag = integrate_trajectory(cfg, trajectory_id=args.seed or 0)
+    diag, = integrate_trajectory(cfg, [args.seed or 0])
+    if diag.failure is not None:
+        raise diag.failure
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         diag.to_csv(args.out)
@@ -68,6 +71,12 @@ def cmd_ensemble(args) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         persist_summary(summary, os.path.join(out_dir, "summary.json"))
+    if summary.n_engineering_failures == summary.n_paths:
+        reason, count = next(iter(summary.failure_reasons.items()))
+        print(f"ensemble: all {summary.n_paths} paths failed; most common "
+              f"reason ({count} paths): {reason}", file=sys.stderr)
+        return (EXIT_USAGE if reason.startswith(f"{CflViolation.__name__}:")
+                else EXIT_SCIENCE)
     if sweep is not None:
         rows = survival_vs_alpha_sweep(cfg, **sweep)
         if out_dir:

@@ -6,6 +6,17 @@ holds the step's Wiener increments (the trajectory driver samples them from
 BrownianDriver(cfg.noise_seed, cfg.model.n_modes); the checks pass their
 own).
 
+Batch axis: a SimState may hold a batch of paths, u of shape
+(B, dim) + spectral_shape with dW of shape (B, K), one gamma and W_accum per
+path, and t and step_index shared.  Every stepper acts on each path alone
+(see spectral), so a path's numbers do not depend on the batch it runs in.
+A CflViolation or NonFinite raised on a batch names its rows (exc.rows).
+The checks step one unbatched path, u of shape (dim,) + spectral_shape.
+
+integrate_trajectory(cfg, trajectory_ids) is the one trajectory driver: it
+steps all the ids as one batch and drops a path from it when the path hits
+a stopping rule, blows up or fails, as gbm_exit_mc drops paths that hit.
+
 A TrajectoryConfig states each run parameter once: the linear-multiplicative
 coefficient alpha (noise, gamma = exp(-alpha W), the damping alpha^2/2 and the
 gbm_level monitor) is model.alpha, the grid is u0.grid, and the sampled
@@ -14,9 +25,10 @@ ends the path as a blow-up.
 
 A sample's W^{1,inf} and sup|curl u| come from one physical-space view of
 the state (spectral._sup_view): two inverse transforms, u and its gradient
-stack, and one sqrt after each max.  step_em and the first RK4 stage read
-max|u| for the CFL check from the grid values of u that their flux inverts
-anyway, so they transform u once.
+stack, and one sqrt after each max.  The driver keeps a sampled state's
+grid values and max|u| (state.values, state.u_max); step_em and the first
+RK4 stage take their flux and CFL bound from them, so a velocity state is
+transformed to the grid once per step.
 
 * step_em              Euler-Maruyama on the velocity form
 * step_rk4             RK4 drift with Euler-Maruyama noise coupling
@@ -26,7 +38,7 @@ anyway, so they transform u once.
 step_vorticity_2d, the transformed 2D scalar vorticity transport, is run by
 checks.vorticity_decay_check, not by the trajectory driver.
 
-All steppers return new states; nothing is mutated.
+All steppers return new states and mutate nothing.
 """
 
 from __future__ import annotations
@@ -37,13 +49,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CflViolation, InvalidParams, NonFinite
+from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
 from .spectral import (Grid, NormRequest, ScalarField, SpectralField,
-                       _sup_magnitude, _sup_view, biot_savart, curl, dealias,
-                       dealias_scalar, l2_norm, leray_project, lp_norm,
-                       nonlinear_term, sobolev_norm, w1inf_norm)
+                       _per_path, _sup_magnitude, _sup_view, _trailing,
+                       biot_savart, curl, dealias, dealias_scalar, l2_norm,
+                       leray_project, lp_norm, nonlinear_term, sobolev_norm,
+                       w1inf_norm)
 
 # curl and w1inf_norm are not called here, but the benchmark tracer
 # (perfbench/tracing.py) patches them on this module by name, so they stay
@@ -91,13 +104,19 @@ class StoppingRule:
 
 @dataclass
 class SimState:
-    """One trajectory's integration state."""
+    """Integration state of one path, or of a batch of paths: then u has a
+    leading batch axis and gamma and W_accum hold one value per path."""
 
     t: float
     u: SpectralField
-    gamma: float = 1.0
-    W_accum: float = 0.0
+    gamma: float | np.ndarray = 1.0
+    W_accum: float | np.ndarray = 0.0
     step_index: int = 0
+    # u's grid values and max|u|, when a sample of this stepped (so
+    # dealiased) state made them; the next step's flux and CFL check reuse
+    # them
+    values: np.ndarray | None = None
+    u_max: np.ndarray | None = None
 
 
 @dataclass
@@ -113,6 +132,7 @@ class TrajectoryDiagnostics:
     hits: list[tuple[str, float]] = field(default_factory=list)
     blow_up_flag: bool = False
     final_time: float = 0.0
+    failure: Exception | None = None  # what ended a failed path; not in CSV
 
     COLUMNS = ("t", "l2", "wmp", "w1inf", "curl_inf", "gamma")
 
@@ -175,15 +195,16 @@ class TrajectoryConfig:
 
 
 def cfl_limit(u: SpectralField, c_cfl: float = 0.5, alpha: float = 0.0,
-              values: np.ndarray | None = None) -> float:
-    """Advective CFL bound c_cfl dx / max|u|; linear-multiplicative runs get
-    the (0.1/alpha)^2 cap.  values, when given, are u's own grid values, so
-    max|u| needs no transform."""
-    umax = lp_norm(u, np.inf) if values is None else _sup_magnitude(values)
-    limit = np.inf if umax == 0 else c_cfl * u.grid.dx / umax
+              umax: np.ndarray | None = None):
+    """Advective CFL bound c_cfl dx / max|u| per path; linear-multiplicative
+    runs get the (0.1/alpha)^2 cap.  umax, when given, is max|u| over the
+    grid, so it needs no transform."""
+    umax = np.asarray(lp_norm(u, np.inf) if umax is None else umax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        limit = np.where(umax == 0, np.inf, c_cfl * u.grid.dx / umax)
     if alpha != 0.0:
-        limit = min(limit, (0.1 / abs(alpha)) ** 2)
-    return float(limit)
+        limit = np.minimum(limit, (0.1 / abs(alpha)) ** 2)
+    return _per_path(limit)
 
 
 def _lm_alpha(model: NoiseModel) -> float:
@@ -191,49 +212,60 @@ def _lm_alpha(model: NoiseModel) -> float:
     return model.alpha if model.kind == LINEAR_MULTIPLICATIVE else 0.0
 
 
-def _check_finite(coeffs: np.ndarray) -> None:
-    if not np.all(np.isfinite(coeffs.view(float))):
-        raise NonFinite("non-finite Fourier coefficient")
+def _check_finite(coeffs: np.ndarray, ndim: int) -> None:
+    """Raise NonFinite naming the paths whose trailing ndim axes hold a NaN
+    or Inf."""
+    finite = np.isfinite(coeffs.view(float))
+    if not finite.all():
+        bad = np.flatnonzero(~finite.all(axis=_trailing(ndim)))
+        raise NonFinite("non-finite Fourier coefficient", rows=bad)
 
 
-def _flux_values(u: SpectralField, dt: float, model: NoiseModel,
+def _flux_values(state: SimState, dt: float, model: NoiseModel,
                  c_cfl: float, enforce_cfl: bool) -> np.ndarray:
     """Check that dt is positive and, when enforced, within the CFL limit;
     return the grid values of the dealiased u, which nonlinear_term takes.
 
     Every state a step returns is already dealiased, so there these are u's
-    own values and the CFL bound reads max|u| from them.  A u with content
-    outside the dealias mask is checked on its own inverse.
+    own values (state.values and state.u_max, if a sample made them) and
+    the CFL bound reads max|u| from them.  A u with content outside the
+    dealias mask is checked on its own inverse.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ud = dealias(u)
-    values = ud.to_physical()
+    u = state.u
+    values, umax = state.values, state.u_max
+    if values is None:
+        ud = dealias(u)
+        values = ud.to_physical()
+        if enforce_cfl and np.array_equal(ud.coeffs, u.coeffs):
+            umax = _sup_magnitude(values, u.grid.dim)
     if enforce_cfl:
-        own = np.array_equal(ud.coeffs, u.coeffs)
-        lim = cfl_limit(u, c_cfl, _lm_alpha(model), values if own else None)
-        if dt > lim * (1.0 + 1e-12):
-            raise CflViolation(f"dt={dt} exceeds CFL limit {lim}")
+        lim = np.atleast_1d(cfl_limit(u, c_cfl, _lm_alpha(model), umax))
+        over = np.flatnonzero(dt > lim * (1.0 + 1e-12))
+        if over.size:
+            raise CflViolation(f"dt={dt} exceeds CFL limit "
+                               f"{float(lim[over].min())}", rows=over)
     return values
 
 
 def _project(coeffs: np.ndarray, grid: Grid) -> SpectralField:
-    """Dealias and Leray-project a step's new coefficients; fail on NaN/Inf."""
-    u_new = leray_project(SpectralField(grid,
-                                        coeffs * grid.dealias_mask[None, ...]))
-    _check_finite(u_new.coeffs)
+    """Dealias (in place: the step owns coeffs) and Leray-project a step's
+    new coefficients; fail on NaN/Inf."""
+    coeffs *= grid.dealias_mask
+    u_new = leray_project(SpectralField(grid, coeffs))
+    _check_finite(u_new.coeffs, grid.dim + 1)
     return u_new
 
 
 def _advance(state: SimState, dt: float, u_new: SpectralField,
              model: NoiseModel, dW: np.ndarray) -> SimState:
-    """The state after one step: t += dt, W += dW[0] under
-    linear-multiplicative noise, gamma = exp(-alpha W)."""
-    alpha = _lm_alpha(model)
-    W_new = state.W_accum + (float(dW[0])
+    """The state after one step: t += dt, W += dW[..., 0] under
+    linear-multiplicative noise, gamma = exp(-alpha W) (1 for alpha = 0)."""
+    W_new = state.W_accum + (np.asarray(dW)[..., 0]
                              if model.kind == LINEAR_MULTIPLICATIVE else 0.0)
     return SimState(state.t + dt, u_new,
-                    gamma=float(np.exp(-alpha * W_new)) if alpha else 1.0,
+                    gamma=np.exp(-_lm_alpha(model) * W_new),
                     W_accum=W_new, step_index=state.step_index + 1)
 
 
@@ -269,10 +301,13 @@ def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
             c_cfl: float = 0.5, enforce_cfl: bool = True) -> SimState:
     """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected."""
     u = state.u
-    u_phys = _flux_values(u, dt, model, c_cfl, enforce_cfl)
-    coeffs = u.coeffs - dt * nonlinear_term(u, u_phys).coeffs
+    u_phys = _flux_values(state, dt, model, c_cfl, enforce_cfl)
+    drift = nonlinear_term(u, u_phys).coeffs
+    drift *= dt
+    # in place, so a batch holds one array of its size here, not three
+    coeffs = np.subtract(u.coeffs, drift, out=drift)
     if model.n_modes:
-        coeffs = coeffs + apply_noise(model, u, dW).coeffs
+        coeffs += apply_noise(model, u, dW).coeffs
     return _advance(state, dt, _project(coeffs, u.grid), model, dW)
 
 
@@ -280,7 +315,7 @@ def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
              c_cfl: float = 0.5, enforce_cfl: bool = True) -> SimState:
     """RK4 on the conservative drift, Euler-Maruyama coupling for the noise."""
     u = state.u
-    u_phys = _flux_values(u, dt, model, c_cfl, enforce_cfl)
+    u_phys = _flux_values(state, dt, model, c_cfl, enforce_cfl)
 
     def rhs(_tau, v):
         return -1.0 * nonlinear_term(v)
@@ -300,11 +335,11 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
     exact (_damped_rk4).
     """
     gamma = state.gamma
-    if gamma <= 0:
+    if np.any(np.less_equal(gamma, 0)):
         raise ValueError("gamma must be positive")
     # the transport term is P(v.grad v) / (-gamma)
     v_new = _damped_rk4(state.u, dt, _lm_alpha(model), -gamma, nonlinear_term)
-    _check_finite(v_new.coeffs)
+    _check_finite(v_new.coeffs, v_new.grid.dim + 1)
     return _advance(state, dt,
                     SpectralField(v_new.grid, v_new.coeffs,
                                   divergence_free=True),
@@ -329,7 +364,7 @@ def step_vorticity_2d(w: ScalarField, dt: float, alpha: float = 0.0,
     system (transport scaled by gamma^{-1}).
     """
     w_new = _damped_rk4(w, dt, alpha, gamma, _transport_rhs_2d)
-    _check_finite(w_new.coeffs)
+    _check_finite(w_new.coeffs, w.grid.dim)
     return w_new
 
 
@@ -338,72 +373,130 @@ def step_vorticity_2d(w: ScalarField, dt: float, alpha: float = 0.0,
 
 
 def _monitored_value(rule: StoppingRule, u: SpectralField, state: SimState,
-                     alpha: float, diag: TrajectoryDiagnostics,
-                     req: NormRequest) -> float:
-    """The rule's scalar at the sample just recorded in diag, reusing its
+                     alpha: float, w1inf: np.ndarray, wmp: np.ndarray,
+                     req: NormRequest) -> np.ndarray:
+    """The rule's scalar per path at the sample just taken, reusing its
     W^{1,inf} and W^{m,p} values where the rule asks for those norms."""
     if rule.kind == W1INF_THRESHOLD:
-        return diag.w1inf[-1]
+        return w1inf
     if rule.kind == SOBOLEV_THRESHOLD:
         spec = rule.norm_spec or NormRequest(1, 2)
-        return diag.wmp[-1] if spec == req else sobolev_norm(u, spec)
+        return wmp if spec == req else sobolev_norm(u, spec)
     # gbm_level monitors rho_alpha(t) = exp(alpha W_t - alpha^2 t / 8)
-    return float(np.exp(alpha * state.W_accum - alpha ** 2 * state.t / 8.0))
+    return np.exp(alpha * state.W_accum - alpha ** 2 * state.t / 8.0)
 
 
-def integrate_trajectory(cfg: TrajectoryConfig,
-                         trajectory_id: int = 0) -> TrajectoryDiagnostics:
-    """Run one path to T, first stopping hit, or numerical blow-up."""
-    diag = TrajectoryDiagnostics()
+def _keep(state: SimState, keep: np.ndarray) -> SimState:
+    """The state of the batch rows where keep is True."""
+    u = state.u
+    return SimState(state.t, SpectralField(u.grid, u.coeffs[keep],
+                                           u.divergence_free),
+                    state.gamma[keep], state.W_accum[keep], state.step_index,
+                    *(None if a is None else a[keep]
+                      for a in (state.values, state.u_max)))
+
+
+def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
+                         ) -> list[TrajectoryDiagnostics]:
+    """Run the paths trajectory_ids as one batch, each to T, its first
+    stopping hit, numerical blow-up or failure; one diagnostics per id.
+
+    A path's noise is keyed by (cfg.noise_seed, its id) alone, and every
+    operator acts on each path alone, so its diagnostics are bit for bit
+    those of a batch of one.  A path leaves the batch when it stops.  A
+    step that raises a CflViolation or NonFinite naming rows is run again
+    without them; a NonFinite path is a blow-up, any other error ends the
+    paths it names (all, if it names none) with diag.failure set.
+    """
+    ids = list(trajectory_ids)
+    diags = [TrajectoryDiagnostics() for _ in ids]
+    if cfg.T <= 0:
+        return diags
     alpha = _lm_alpha(cfg.model)
     transformed = cfg.integrator == TRANSFORMED  # state.u holds v = gamma u
-    state = SimState(0.0, cfg.u0.copy())
-    fired: set[str] = set()
+    u0 = cfg.u0
+    state = SimState(0.0, SpectralField(
+        u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0),
+        u0.divergence_free), np.ones(len(ids)), np.zeros(len(ids)))
+    rows = np.arange(len(ids))  # the diags index of each batch row
 
-    def sample() -> bool:
-        """Record diagnostics; returns True if a stopping rule fired."""
+    def sample() -> np.ndarray:
+        """Record the batch's diagnostics; True where a path stops."""
         u = (1.0 / state.gamma) * state.u if transformed else state.u
-        diag.times.append(state.t)
-        diag.l2.append(l2_norm(u))
-        diag.wmp.append(sobolev_norm(u, cfg.norms))
-        u_max, grad_max, curl_max = _sup_view(u)
-        diag.w1inf.append(u_max + grad_max)
-        diag.curl_inf.append(curl_max)
-        diag.gamma.append(state.gamma)
-        if diag.w1inf[-1] >= BLOWUP_LEVEL:
-            diag.blow_up_flag = True
-            return True
-        hit = False
+        l2 = l2_norm(u)
+        wmp = sobolev_norm(u, cfg.norms)
+        values, u_max, grad_max, curl_max = _sup_view(u)
+        if state.step_index and not transformed:
+            # a stepped state is dealiased, so these are its flux values
+            # (a transformed run samples u = v / gamma, not its state v)
+            state.values, state.u_max = values, u_max
+        w1inf = u_max + grad_max
+        columns = zip(l2.tolist(), wmp.tolist(), w1inf.tolist(),
+                      curl_max.tolist(), state.gamma.tolist())
+        for i, row in zip(rows, columns):
+            d = diags[i]
+            d.times.append(state.t)
+            for series, v in zip((d.l2, d.wmp, d.w1inf, d.curl_inf,
+                                  d.gamma), row):
+                series.append(v)
+        stop = w1inf >= BLOWUP_LEVEL
+        for i in rows[stop]:
+            diags[i].blow_up_flag = True
+        # a rule kind fires once per path; blown-up paths check no rule
+        fired: dict[str, np.ndarray] = {}
         for rule in cfg.stopping:
-            if rule.kind in fired:
+            done = fired.setdefault(rule.kind, stop.copy())
+            if done.all():
                 continue
-            if _monitored_value(rule, u, state, alpha, diag, cfg.norms) \
-                    >= rule.level:
-                diag.hits.append((rule.kind, state.t))
-                fired.add(rule.kind)
-                hit = True
-        return hit
+            hit = ~done & (_monitored_value(rule, u, state, alpha, w1inf,
+                                            wmp, cfg.norms) >= rule.level)
+            for i in rows[hit]:
+                diags[i].hits.append((rule.kind, state.t))
+            done |= hit
+        for done in fired.values():
+            stop = stop | done
+        return stop
 
-    if cfg.T <= 0:
-        diag.final_time = 0.0
-        return diag
+    def retire(out: np.ndarray) -> None:
+        """Drop the rows where out is True from the batch."""
+        nonlocal state, rows
+        if not out.any():
+            return
+        for i in rows[out]:
+            diags[i].final_time = state.t
+        state, rows = _keep(state, ~out), rows[~out]
 
     # looked up on the module at call time, so a stepper replaced there (for
     # instance by a tracer) is the one that runs
     step = globals()[f"step_{cfg.integrator}"]
     options = {key: getattr(cfg, key) for key in INTEGRATORS[cfg.integrator]}
     driver = BrownianDriver(cfg.noise_seed, cfg.model.n_modes)
-    stop = sample()
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
-    while not stop and state.step_index < n_steps:
-        dW = driver.sample_increments(trajectory_id, state.step_index, cfg.dt)
-        try:
-            state = step(state, cfg.dt, cfg.model, dW, **options)
-        except NonFinite:
-            diag.blow_up_flag = True
-            break
-        if state.step_index % cfg.sample_every == 0 \
-                or state.step_index == n_steps:
-            stop = sample()
-    diag.final_time = state.t
-    return diag
+    try:
+        retire(sample())
+        while rows.size and state.step_index < n_steps:
+            dW = np.array([driver.sample_increments(ids[i], state.step_index,
+                                                    cfg.dt) for i in rows])
+            try:
+                state = step(state, cfg.dt, cfg.model, dW, **options)
+            except StochEulerError as exc:
+                if exc.rows is None:
+                    raise
+                out = np.zeros(rows.size, dtype=bool)
+                out[exc.rows] = True
+                for i in rows[out]:
+                    if isinstance(exc, NonFinite):
+                        diags[i].blow_up_flag = True
+                    else:
+                        diags[i].failure = exc
+                retire(out)
+                continue  # the same step again, on the other paths
+            if state.step_index % cfg.sample_every == 0 \
+                    or state.step_index == n_steps:
+                retire(sample())
+    except Exception as exc:
+        for i in rows:
+            diags[i].failure = exc
+    for i in rows:
+        diags[i].final_time = state.t
+    return diags

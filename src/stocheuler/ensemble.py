@@ -1,29 +1,39 @@
 """Monte Carlo orchestration of trajectory batches and survival statistics.
 
-A PDE path is keyed by (master_seed, trajectory_id) alone, so the summary
-is a deterministic fold over trajectory ids, byte-identical for any
-parallel_width.  A surrogate ensemble is one analysis.gbm_exit_mc batch in
-this process, its draws keyed by (master_seed, path chunk, time block).
+A PDE path is keyed by (master_seed, trajectory_id) alone, and the
+trajectory driver steps it bit for bit as it would alone, so the summary is
+a deterministic fold over trajectory ids, byte-identical for any
+parallel_width and chunk size.  The ids are split into consecutive chunks
+of at most CHUNK_BYTES of half-spectrum coefficients (at least one path),
+and each chunk is one batch of integrate_trajectory; a process pool maps
+chunks to workers.  A surrogate ensemble is one analysis.gbm_exit_mc batch
+in this process, its draws keyed by (master_seed, path chunk, time block).
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import analysis
-from .analysis import GBMParams, gbm_survival_bound, kappa_K, wilson_interval
+from .analysis import (GBMParams, gbm_survival_bound, kappa_K, n_time_steps,
+                       wilson_interval)
 from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
-from .errors import ConfigError, InvalidParams
+from .errors import ConfigError
 from .spectral import sobolev_norm
 
 SUMMARY_SCHEMA_VERSION = 1
 HIT_HISTOGRAM_BINS = 20
+# half-spectrum bytes of one chunk of paths: 30 paths at 2D n=32, one at
+# 3D n=32.  A batch's peak memory is about five times its coefficients; a
+# 2D n=32 path runs about as fast in a batch of 10 as in one of 60
+CHUNK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -38,8 +48,7 @@ class GBMSurrogateSpec:
     gbm: GBMParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T <= 0 or self.dt <= 0:
-            raise InvalidParams("T and dt must be positive")
+        n_time_steps(self.T, self.dt)
         object.__setattr__(self, "gbm", GBMParams(
             mu=3.0 * self.alpha ** 2 / 8.0, alpha=self.alpha, x0=1.0,
             R=self.R))
@@ -75,6 +84,7 @@ class PathRecord:
     final_l2: float
     final_wmp: float
     engineering_failure: bool = False
+    failure: str = ""  # "ExceptionClass: message" of an engineering failure
 
 
 @dataclass
@@ -95,34 +105,58 @@ class EnsembleSummary:
     n_engineering_failures: int
     partial: bool
     master_seed: int
+    # engineering failures per reason, most common first; telemetry, so it
+    # stays out of summary.json
+    failure_reasons: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"schema_version": SUMMARY_SCHEMA_VERSION, **asdict(self)}
+        fields = asdict(self)
+        del fields["failure_reasons"]
+        return {"schema_version": SUMMARY_SCHEMA_VERSION, **fields}
 
 
 # ---------------------------------------------------------------------------
-# Per-path worker (top level so it pickles for the process pool)
+# Chunk worker (top level so it pickles for the process pool)
 
 
-def _run_one(args) -> PathRecord:
-    """One PDE path, its noise keyed by (master_seed, trajectory id)."""
-    cfg, tid = args
+def _failed(tid: int, exc: Exception) -> PathRecord:
+    return PathRecord(tid, False, False, {}, 0.0, np.nan, np.nan,
+                      engineering_failure=True,
+                      failure=f"{type(exc).__name__}: {exc}")
+
+
+def _run_chunk(args) -> list[PathRecord]:
+    """One batch of PDE paths, each path's noise keyed by (master_seed,
+    trajectory id); one record per id, in the order given."""
+    cfg, tids = args
     traj = replace(cfg.trajectory, noise_seed=cfg.master_seed)
     try:
-        diag = integrate_trajectory(traj, trajectory_id=tid)
-    except Exception:
-        return PathRecord(tid, False, False, {}, 0.0, np.nan, np.nan,
-                          engineering_failure=True)
-    if cfg.output_dir is not None:
-        paths_dir = os.path.join(cfg.output_dir, "paths")
-        os.makedirs(paths_dir, exist_ok=True)
-        diag.to_csv(os.path.join(paths_dir, f"{tid}.csv"))
-    hits = {kind: t for kind, t in diag.hits}
-    survived = not diag.blow_up_flag and not hits
-    return PathRecord(tid, survived, diag.blow_up_flag, hits,
-                      diag.final_time,
-                      diag.l2[-1] if diag.l2 else 0.0,
-                      diag.wmp[-1] if diag.wmp else 0.0)
+        diags = integrate_trajectory(traj, tids)
+    except Exception as exc:
+        return [_failed(tid, exc) for tid in tids]
+    records = []
+    for tid, diag in zip(tids, diags):
+        if diag.failure is not None:
+            records.append(_failed(tid, diag.failure))
+            continue
+        if cfg.output_dir is not None:
+            paths_dir = os.path.join(cfg.output_dir, "paths")
+            os.makedirs(paths_dir, exist_ok=True)
+            diag.to_csv(os.path.join(paths_dir, f"{tid}.csv"))
+        hits = {kind: t for kind, t in diag.hits}
+        survived = not diag.blow_up_flag and not hits
+        records.append(PathRecord(tid, survived, diag.blow_up_flag, hits,
+                                  diag.final_time,
+                                  diag.l2[-1] if diag.l2 else 0.0,
+                                  diag.wmp[-1] if diag.wmp else 0.0))
+    return records
+
+
+def _chunks(cfg: EnsembleConfig) -> list[range]:
+    """Consecutive trajectory ids, CHUNK_BYTES of coefficients per chunk."""
+    size = max(1, CHUNK_BYTES // cfg.trajectory.u0.coeffs.nbytes)
+    return [range(start, min(start + size, cfg.n_paths))
+            for start in range(0, cfg.n_paths, size)]
 
 
 def _worker_pool_width(cfg: EnsembleConfig) -> int:
@@ -140,9 +174,11 @@ def _worker_pool_width(cfg: EnsembleConfig) -> int:
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     """Run n_paths independent trajectories and fold the statistics.
 
-    A surrogate ensemble is one gbm_exit_mc batch.  Per-path failures are
-    recorded, never abort the batch; the summary is flagged partial when
-    more than 1% of paths failed for non-scientific reasons.
+    A surrogate ensemble is one gbm_exit_mc batch; a PDE ensemble runs its
+    chunks (_chunks) and folds their records in trajectory-id order.
+    Per-path failures are recorded, never abort the batch; the summary is
+    flagged partial when more than 1% of paths failed for non-scientific
+    reasons.
     """
     spec = cfg.surrogate
     if spec is not None:
@@ -153,14 +189,14 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
                        {} if t_hit == np.inf else {GBM_LEVEL: t_hit},
                        spec.T, 0.0, 0.0)
             for tid, t_hit in enumerate(est.hit_times.tolist())])
-    jobs = [(cfg, tid) for tid in range(cfg.n_paths)]
+    jobs = [(cfg, tids) for tids in _chunks(cfg)]
     width = _worker_pool_width(cfg)
     if width == 1:
-        records = [_run_one(job) for job in jobs]
+        chunks = [_run_chunk(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
-            records = list(pool.map(_run_one, jobs, chunksize=4))
-    return _fold(cfg, records)
+            chunks = list(pool.map(_run_chunk, jobs))
+    return _fold(cfg, [record for chunk in chunks for record in chunk])
 
 
 def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
@@ -168,6 +204,7 @@ def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
                else cfg.trajectory.T)
     ok = [r for r in records if not r.engineering_failure]
     n_eng = len(records) - len(ok)
+    reasons = Counter(r.failure for r in records if r.engineering_failure)
     n_survived = sum(r.survived for r in ok)
     n_blow = sum(r.blow_up for r in ok)
     histograms: dict[str, list[int]] = {}
@@ -197,7 +234,8 @@ def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
         mean_final_wmp=float(np.mean(wmps)),
         max_final_wmp=float(np.max(wmps)), n_blow_up=n_blow,
         n_engineering_failures=n_eng,
-        partial=n_eng > 0.01 * len(records), master_seed=cfg.master_seed)
+        partial=n_eng > 0.01 * len(records), master_seed=cfg.master_seed,
+        failure_reasons=dict(reasons.most_common()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,15 @@
 
 
 class StochEulerError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    rows, when given, are the batch rows (paths) at fault: an error raised
+    on a batch of paths names them, so the others can go on without them.
+    """
+
+    def __init__(self, *args, rows=None):
+        super().__init__(*args)
+        self.rows = rows
 
 
 class UnsupportedNorm(StochEulerError):

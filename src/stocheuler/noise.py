@@ -13,8 +13,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateInput, ShapeMismatch
-from .spectral import (Grid, NormRequest, SpectralField, dealias, l2_inner,
-                       leray_project, random_divergence_free, sobolev_norm)
+from .spectral import (Grid, NormRequest, SpectralField, _rows, dealias,
+                       l2_inner, leray_project, random_divergence_free,
+                       sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,13 @@ class BrownianDriver:
     n_modes: int = 1
 
     def _generator(self, trajectory_id: int, step: int) -> np.random.Generator:
-        ss = np.random.SeedSequence([self.master_seed, trajectory_id, step])
+        ids = [self.master_seed, trajectory_id, step]
+        if all(0 <= i < 2 ** 32 for i in ids):
+            # SeedSequence turns an int below 2^32 into one uint32 word;
+            # handing it the words skips its slow per-int conversion and
+            # gives the same stream
+            ids = np.array(ids, dtype=np.uint32)
+        ss = np.random.SeedSequence(ids)
         return np.random.Generator(np.random.Philox(ss))
 
     def sample_increments(self, trajectory_id: int, step: int,
@@ -92,37 +99,44 @@ def zero_noise() -> NoiseModel:
 
 def apply_noise(model: NoiseModel, u: SpectralField,
                 dW: np.ndarray) -> SpectralField:
-    """P(sum_k sigma_k(u) dW_k) for one step's increments."""
+    """P(sum_k sigma_k(u) dW_k) for one step's increments.
+
+    dW has shape (..., K): a batch of fields u (see spectral) takes one row
+    of K increments per path.
+    """
     dW = np.atleast_1d(np.asarray(dW, dtype=float))
-    if dW.size != model.n_modes:
+    if dW.shape[-1] != model.n_modes:
         raise ShapeMismatch(
-            f"got {dW.size} increments for {model.n_modes} noise modes")
+            f"got {dW.shape[-1]} increments for {model.n_modes} noise modes")
     g = u.grid
+    ndim = g.dim + 1
+    per_mode = np.moveaxis(dW, -1, 0)  # the K per-path increment arrays
 
     if model.kind == LINEAR_MULTIPLICATIVE:
-        return SpectralField(g, model.alpha * dW[0] * u.coeffs,
-                             u.divergence_free)
+        return SpectralField(g, _rows(model.alpha * per_mode[0], ndim)
+                             * u.coeffs, u.divergence_free)
 
     if model.n_modes == 0:
-        return SpectralField.zero(g)
+        return SpectralField(g, np.zeros_like(u.coeffs),
+                             divergence_free=True)
 
     if model.kind == ADDITIVE:
         acc = np.zeros_like(u.coeffs)
-        for w, sig in zip(dW, model.sigma_fields):
-            acc += w * sig.coeffs
+        for w, sig in zip(per_mode, model.sigma_fields):
+            acc += _rows(w, ndim) * sig.coeffs
         return leray_project(SpectralField(g, acc))
 
     if model.kind == NEMYTSKII:
         # sum_k dW_k alpha_k(x) g(u(x)) is linear in alpha_k: one transform
         gu = G_REGISTRY[model.g_tag](dealias(u).to_physical())
-        amp = sum(w * dealias(sig).to_physical()
-                  for w, sig in zip(dW, model.sigma_fields))
+        amp = sum(_rows(w, ndim) * dealias(sig).to_physical()
+                  for w, sig in zip(per_mode, model.sigma_fields))
         return leray_project(dealias(SpectralField.from_physical(g, amp * gu)))
 
     # functional: sigma_k(u) = f_k(u) alpha_k with f_k an L^2 inner product
     acc = np.zeros_like(u.coeffs)
-    for w, sig, prof in zip(dW, model.sigma_fields, model.profiles):
-        acc += w * l2_inner(u, prof) * sig.coeffs
+    for w, sig, prof in zip(per_mode, model.sigma_fields, model.profiles):
+        acc += _rows(w * l2_inner(u, prof), ndim) * sig.coeffs
     return leray_project(SpectralField(g, acc))
 
 

@@ -8,6 +8,18 @@ indices on every axis.  Every transform goes
 through the private pair ``_forward``/``_inverse``, which act on the trailing
 ``dim`` axes and so take a whole (components, n, ..., n) stack in one call.
 
+Batch axes: a field's coefficients may carry any leading axes in front of
+(dim,) + spectral_shape, one entry per path, and every operator the
+trajectory driver runs (dealias, leray_project, flux_divergence,
+nonlinear_term, the sup norms, the Parseval sums, l2_norm and sobolev_norm
+for p = 2 and p = inf) acts on each path alone.  The component axis is
+-(dim + 1).  A reduction runs over the trailing axes and returns one value
+per path: a float for an unbatched field, else an array of the batch
+shape.  A path's values in a batch are bit for bit its values alone: the
+transforms give each row the same result batched or not
+(tests/test_spectral.py guards this), and every reduction sums one path's
+contiguous block.
+
 All differential operators are exact on retained modes; quadratic terms are
 dealiased with the sharp 2/3-rule mask.  The advection term is evaluated in
 divergence form, P div(u (x) u), from the dim (dim + 1) / 2 products u_i u_j.
@@ -147,6 +159,22 @@ class Grid:
         return self.dx ** self.dim
 
 
+def _trailing(ndim: int) -> tuple[int, ...]:
+    return tuple(range(-ndim, 0))
+
+
+def _per_path(x):
+    """A reduction's result: a float for an unbatched field, else one value
+    per path."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _rows(c, ndim: int):
+    """c, one scalar per path, shaped to scale the trailing ndim axes of
+    each path's array; a plain scalar is returned as it is."""
+    return c if np.ndim(c) == 0 else np.reshape(c, np.shape(c) + (1,) * ndim)
+
+
 def _forward(values: np.ndarray, dim: int) -> np.ndarray:
     """Half spectra of real values over their trailing dim axes."""
     return scipy.fft.rfftn(values, axes=tuple(range(-dim, 0)))
@@ -194,14 +222,18 @@ class SpectralField:
     grid: Grid
     coeffs: np.ndarray
     divergence_free: bool = False
+    # an array of per-path scalars times a field is the field's __rmul__
+    __array_ufunc__ = None
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray,
                       divergence_free: bool = False) -> "SpectralField":
         values = np.asarray(values, dtype=float)
-        if values.shape != (grid.dim,) + grid.shape:
+        want = (grid.dim,) + grid.shape
+        if values.shape[-len(want):] != want:
             raise ShapeMismatch(
-                f"expected shape {(grid.dim,) + grid.shape}, got {values.shape}")
+                f"expected shape (..., {', '.join(map(str, want))}), got "
+                f"{values.shape}")
         return cls(grid, _forward(values, grid.dim), divergence_free)
 
     @classmethod
@@ -217,7 +249,7 @@ class SpectralField:
 
     def max_divergence(self) -> float:
         """max_k |k . u_hat(k)|, the divergence-free defect in Fourier space."""
-        div = np.sum(self.grid.k * self.coeffs, axis=0)
+        div = np.sum(self.grid.k * self.coeffs, axis=-(self.grid.dim + 1))
         return float(np.max(np.abs(div)))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -228,8 +260,11 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs - other.coeffs,
                              self.divergence_free and other.divergence_free)
 
-    def __mul__(self, c: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * c, self.divergence_free)
+    def __mul__(self, c) -> "SpectralField":
+        """Scale by a scalar, or each path by its own entry of c."""
+        scale = _rows(c, self.grid.dim + 1)
+        return SpectralField(self.grid, self.coeffs * scale,
+                             self.divergence_free)
 
     __rmul__ = __mul__
 
@@ -258,13 +293,16 @@ class NormRequest:
 def leray_project(f: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: u_hat -= k (k.u_hat)/|k|^2."""
     g = f.grid
-    kdotu = np.sum(g.k * f.coeffs, axis=0)
-    proj = f.coeffs - g.k * (kdotu / g.k_sq_safe)[None, ...]
-    return SpectralField(g, proj, divergence_free=True)
+    kdotu = np.sum(g.k * f.coeffs, axis=-(g.dim + 1))
+    kdotu /= g.k_sq_safe
+    # in place, so a batch holds one temporary of its size, not two
+    proj = g.k * np.expand_dims(kdotu, -(g.dim + 1))
+    return SpectralField(g, np.subtract(f.coeffs, proj, out=proj),
+                         divergence_free=True)
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask[None, ...],
+    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask,
                          f.divergence_free)
 
 
@@ -272,25 +310,36 @@ def dealias_scalar(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
+def _pair_products(a: np.ndarray, pairs, dim: int) -> np.ndarray:
+    """a_i a_j for each (i, j) in pairs, stacked on the component axis."""
+    axis = -(dim + 1)
+    products = np.empty(a.shape[:axis] + (len(pairs),) + a.shape[axis + 1:])
+    comps = np.moveaxis(a, axis, 0)
+    for out, (i, j) in zip(np.moveaxis(products, axis, 0), pairs):
+        np.multiply(comps[i], comps[j], out=out)
+    return products
+
+
 def flux_divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
     """Dealiased half spectrum of (div T)_i = sum_j d_j T_ij, T = a (x) a.
 
-    a is a physical vector field, shape (dim,) + grid.shape.  T is
+    a is a physical vector field, shape (..., dim) + grid.shape.  T is
     symmetric, so only its dim (dim + 1) / 2 entries i <= j are
     transformed.  For divergence-free a, div(a (x) a) = a.grad a.
     """
     dim = grid.dim
+    axis = -(dim + 1)
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    products = np.empty((len(pairs),) + grid.shape)
-    for out, (i, j) in zip(products, pairs):
-        np.multiply(a[i], a[j], out=out)
-    t_hat = _forward(products, dim)
+    # the products are freed once transformed, before div is made
+    t_hat = _forward(_pair_products(a, pairs, dim), dim)
     ik = grid.ik
-    div = np.zeros((dim,) + grid.spectral_shape, dtype=complex)
-    for t, (i, j) in zip(t_hat, pairs):
-        div[i] += ik[j] * t
+    div = np.zeros(a.shape[:axis] + (dim,) + grid.spectral_shape,
+                   dtype=complex)
+    div_comps = np.moveaxis(div, axis, 0)
+    for t, (i, j) in zip(np.moveaxis(t_hat, axis, 0), pairs):
+        div_comps[i] += ik[j] * t
         if i != j:
-            div[j] += ik[i] * t
+            div_comps[j] += ik[i] * t
     div *= grid.dealias_mask
     return div
 
@@ -338,8 +387,10 @@ def biot_savart(w: ScalarField) -> SpectralField:
 
 
 def _components(f: ScalarField | SpectralField) -> np.ndarray:
-    """The coefficients with a leading component axis."""
-    return f.coeffs[None] if isinstance(f, ScalarField) else f.coeffs
+    """The coefficients with a component axis at -(dim + 1)."""
+    if isinstance(f, ScalarField):
+        return np.expand_dims(f.coeffs, -(f.grid.dim + 1))
+    return f.coeffs
 
 
 def _derivative_multiindices(dim: int, order: int):
@@ -377,19 +428,23 @@ def _parseval_weight(grid: Grid, m: int) -> np.ndarray:
     return cache[m]
 
 
-def _magnitude(values: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean magnitude over the leading component axis."""
-    return np.sqrt(np.sum(values ** 2, axis=0))
+def _magnitude(values: np.ndarray, dim: int) -> np.ndarray:
+    """Pointwise Euclidean magnitude over the component axis -(dim + 1)."""
+    return np.sqrt(np.sum(values ** 2, axis=-(dim + 1)))
 
 
-def _sup_magnitude(components) -> float:
-    """max over the grid of the Euclidean magnitude of the component arrays.
+def _sup_magnitude(components, dim: int):
+    """Per path, max over the grid of the Euclidean magnitude of the
+    components: an iterable of arrays, or one array with its component axis
+    at -(dim + 1).
 
     The squares accumulate in place in the given order, which is the order
-    in which np.sum adds a leading axis, and the one sqrt comes after the
+    in which np.sum adds a component axis, and the one sqrt comes after the
     max.  sqrt is monotone and correctly rounded, so this is bit for bit
     the max of the pointwise magnitudes.
     """
+    if isinstance(components, np.ndarray):
+        components = np.moveaxis(components, -(dim + 1), 0)
     components = iter(components)
     first = next(components)
     acc = first * first
@@ -397,68 +452,90 @@ def _sup_magnitude(components) -> float:
     for c in components:
         sq = np.multiply(c, c, out=sq)
         acc += sq
-    return float(np.sqrt(np.max(acc)))
+    return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
 
 
-def lp_norm(f: ScalarField | SpectralField, p: float) -> float:
+def lp_norm(f: ScalarField | SpectralField, p: float):
     """L^p norm of the pointwise magnitude, by collocation quadrature."""
     g = f.grid
     values = _inverse(_components(f), g)
     if np.isinf(p):
-        return _sup_magnitude(values)
-    return float((np.sum(_magnitude(values) ** p) * g.cell_volume)
-                 ** (1.0 / p))
+        return _sup_magnitude(values, g.dim)
+    total = np.sum(_magnitude(values, g.dim) ** p, axis=_trailing(g.dim))
+    return _per_path((total * g.cell_volume) ** (1.0 / p))
 
 
-def _parseval_sum(f: ScalarField | SpectralField, m: int) -> float:
-    """||f||_{W^{m,2}}^2 from the stored coefficients."""
-    sq = f.coeffs.real ** 2 + f.coeffs.imag ** 2
-    return float(np.sum(sq * _parseval_weight(f.grid, m)))
+def _parseval_sum(f: ScalarField | SpectralField, m: int):
+    """||f||_{W^{m,2}}^2 from the stored coefficients, per path."""
+    comps = _components(f)
+    sq = comps.real ** 2 + comps.imag ** 2
+    return np.sum(sq * _parseval_weight(f.grid, m),
+                  axis=_trailing(f.grid.dim + 1))
 
 
-def l2_norm(f: ScalarField | SpectralField) -> float:
+def l2_norm(f: ScalarField | SpectralField):
     """Spectral (Parseval) L^2 norm."""
-    return float(np.sqrt(_parseval_sum(f, 0)))
+    return _per_path(np.sqrt(_parseval_sum(f, 0)))
 
 
-def l2_inner(u: SpectralField, v: SpectralField) -> float:
+def l2_inner(u: SpectralField, v: SpectralField):
+    """<u, v>_{L^2} per path of u; v is one field."""
     prod = (np.conj(u.coeffs) * v.coeffs).real
-    return float(np.sum(prod * _parseval_weight(u.grid, 0)))
+    return _per_path(np.sum(prod * _parseval_weight(u.grid, 0),
+                            axis=_trailing(u.grid.dim + 1)))
 
 
-def _gradient_values(f: ScalarField | SpectralField) -> np.ndarray:
-    """Grid values of d_j f_c at [j, c], from one inverse of the
-    grad_symbols stack."""
-    g = f.grid
-    return _inverse(g.grad_symbols[:, None] * _components(f)[None], g)
+def _gradient_values(f: ScalarField | SpectralField) -> list[np.ndarray]:
+    """Grid values of d_j f_c as jc[j][c], one inverse per j of the
+    grad_symbols stack.
 
-
-def grad_sup_norm(f: ScalarField | SpectralField) -> float:
-    """max over the grid of the Frobenius magnitude of the gradient."""
-    grads = _gradient_values(f)
-    return _sup_magnitude(grads.reshape((-1,) + f.grid.shape))
-
-
-def _sup_view(u: SpectralField) -> tuple[float, float, float]:
-    """max|u|, max|grad u| (Frobenius) and max|curl u| over the grid, from
-    one inverse of u and one of its gradient stack.
-
-    max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl is the
-    antisymmetric part of the grid gradient, so it costs no transform; it
-    equals the grid values of curl(u) up to rounding unless u carries
-    Nyquist modes, where curl's i k symbol and the grid derivative differ.
+    Inverting per j holds one output beside the stack, not all of them,
+    which cuts a batch's peak memory.  The stack itself is made whole: it
+    is the largest array of a 3D run, and glibc raises its mmap and trim
+    thresholds to the largest block freed, so a smaller one here doubled
+    the page faults of every 3D step.
     """
+    g = f.grid
+    stack = g.grad_symbols[:, None] * np.expand_dims(_components(f),
+                                                     -(g.dim + 2))
+    return [np.moveaxis(_inverse(d_j, g), -(g.dim + 1), 0)
+            for d_j in np.moveaxis(stack, -(g.dim + 2), 0)]
+
+
+def grad_sup_norm(f: ScalarField | SpectralField):
+    """max over the grid of the Frobenius magnitude of the gradient."""
+    return _sup_magnitude((c for d_j in _gradient_values(f) for c in d_j),
+                          f.grid.dim)
+
+
+def _gradient_sups(u: SpectralField):
+    """max|grad u| (Frobenius) and max|curl u| from the gradient; the curl
+    is its antisymmetric part."""
     g = u.grid
-    grads = _gradient_values(u)
+    jc = _gradient_values(u)
     # curl components d_j u_c - d_c u_j: 2D (0, 1); 3D (1, 2), (2, 0), (0, 1)
     pairs = ((0, 1),) if g.dim == 2 else ((1, 2), (2, 0), (0, 1))
-    vorticity = (grads[j, c] - grads[c, j] for j, c in pairs)
-    return (_sup_magnitude(_inverse(u.coeffs, g)),
-            _sup_magnitude(grads.reshape((-1,) + g.shape)),
-            _sup_magnitude(vorticity))
+    return (_sup_magnitude((c for d_j in jc for c in d_j), g.dim),
+            _sup_magnitude((jc[j][c] - jc[c][j] for j, c in pairs), g.dim))
 
 
-def sobolev_norm(f: ScalarField | SpectralField, req: NormRequest) -> float:
+def _sup_view(u: SpectralField):
+    """u's grid values, and max|u|, max|grad u| (Frobenius) and max|curl u|
+    over the grid, from one inverse of u and one of each d_j u.
+
+    max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl costs no
+    transform; it equals the grid values of curl(u) up to rounding unless u
+    carries Nyquist modes, where curl's i k symbol and the grid derivative
+    differ.  The values are made after the gradient is freed, because the
+    trajectory driver keeps them for its next step: made before, they
+    pinned the heap and cost page faults on every step.
+    """
+    grad_max, curl_max = _gradient_sups(u)
+    values = _inverse(u.coeffs, u.grid)
+    return values, _sup_magnitude(values, u.grid.dim), grad_max, curl_max
+
+
+def sobolev_norm(f: ScalarField | SpectralField, req: NormRequest):
     """W^{m,p} norm: (sum_{|alpha|<=m} ||d^alpha f||_p^p)^{1/p}.
 
     p = 2 is a Parseval sum.  For p = inf the W^{1,inf} norm is
@@ -472,17 +549,18 @@ def sobolev_norm(f: ScalarField | SpectralField, req: NormRequest) -> float:
             val += grad_sup_norm(f)
         return val
     if req.p == 2:
-        return float(np.sqrt(_parseval_sum(f, req.m)))
+        return _per_path(np.sqrt(_parseval_sum(f, req.m)))
     comps = _components(f)
     total = 0.0
     for order in range(req.m + 1):
         for axes in _derivative_multiindices(g.dim, order):
             values = _inverse(_derivative_symbol(g, axes) * comps, g)
-            total += np.sum(_magnitude(values) ** req.p) * g.cell_volume
-    return float(total ** (1.0 / req.p))
+            total += np.sum(_magnitude(values, g.dim) ** req.p,
+                            axis=_trailing(g.dim)) * g.cell_volume
+    return _per_path(total ** (1.0 / req.p))
 
 
-def w1inf_norm(f: ScalarField | SpectralField) -> float:
+def w1inf_norm(f: ScalarField | SpectralField):
     return sobolev_norm(f, NormRequest(1, np.inf))
 
 

@@ -9,7 +9,7 @@ import re
 import pytest
 import yaml
 
-from stocheuler import cli, config as cfgmod
+from stocheuler import cli, config as cfgmod, dynamics
 from stocheuler.errors import ConfigError, NonFinite
 
 
@@ -206,6 +206,32 @@ def test_run_over_cfl_limit_exits_usage(tmp_path, capsys):
     assert "dt=1.0" in err and "CFL limit" in err
 
 
+@pytest.mark.parametrize("dt, stepper_raises, code, reason", [
+    ("0.5", False, cli.EXIT_USAGE, "CflViolation: dt=0.5 exceeds CFL limit"),
+    ("0.005", True, cli.EXIT_SCIENCE, "ValueError: broken stepper"),
+])
+def test_all_failed_ensemble_exits_with_its_reason(tmp_path, capsys,
+                                                   monkeypatch, dt,
+                                                   stepper_raises, code,
+                                                   reason):
+    def broken(*args, **kwargs):
+        raise ValueError("broken stepper")
+
+    if stepper_raises:
+        monkeypatch.setattr(dynamics, "step_em", broken)
+    doc = dict(RUN_CONFIG, ensemble={"n_paths": 3, "master_seed": 1})
+    cfg = _write_yaml(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["ensemble", "--config", cfg, "--out", str(out),
+                     "--set", f"integrator.dt={dt}", "--quiet"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "all 3 paths failed" in err[0] and "(3 paths)" in err[0]
+    assert f"): {reason}" in err[0]
+    assert json.loads((out / "summary.json").read_text())[
+        "n_engineering_failures"] == 3
+
+
 def test_non_finite_result_exits_science(monkeypatch, capsys):
     def blow_up(**kwargs):
         raise NonFinite("non-finite Fourier coefficient")
@@ -305,6 +331,9 @@ SWEEP = "{alpha_list: [1.0], R: 1.0, scaling: bogus}"
                  "surrogate: missing key 'dt'", id="surrogate-no-dt"),
     pytest.param(ENSEMBLE_CONFIG, ["surrogate.dt=0"],
                  "surrogate: T and dt must be", id="surrogate-dt-0"),
+    pytest.param(ENSEMBLE_CONFIG, ["surrogate.dt=25"],
+                 "surrogate: T=10.0 rounds to zero steps of dt=25.0",
+                 id="surrogate-zero-steps"),
     pytest.param(ENSEMBLE_CONFIG, ["bound_comparison={alpha: 1.0, R: 16.0}"],
                  "bound_comparison: missing key 'mu'", id="bound-no-mu"),
     pytest.param(RUN_CONFIG, ["integrator.dt=0"],
@@ -376,6 +405,10 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("gbm-exit", None, ["--seed", "-1", "--n-paths", "10"],
                  "argument --seed: expected a non-negative integer",
                  id="gbm-exit-seed-flag"),
+    pytest.param("gbm-exit", None,
+                 ["--n-paths", "10", "--T", "1", "--dt", "2"],
+                 "invalid parameters: T=1.0 rounds to zero steps of dt=2.0",
+                 id="gbm-exit-zero-steps"),
     pytest.param("transform-check", None, ["--seed", "-1", "--n", "16"],
                  "argument --seed: expected a non-negative integer",
                  id="transform-check-seed-flag"),

@@ -248,14 +248,14 @@ def _tg_config(**kw):
 
 
 def test_integrate_trajectory_T_zero_is_empty():
-    diag = dyn.integrate_trajectory(_tg_config(T=0.0))
+    diag, = dyn.integrate_trajectory(_tg_config(T=0.0))
     assert diag.times == []
     assert diag.final_time == 0.0
     assert not diag.hits
 
 
 def test_integrate_trajectory_records_all_columns():
-    diag = dyn.integrate_trajectory(_tg_config(sample_every=4))
+    diag, = dyn.integrate_trajectory(_tg_config(sample_every=4))
     n = len(diag.times)
     assert n > 1
     for series in (diag.l2, diag.wmp, diag.w1inf, diag.curl_inf,
@@ -268,8 +268,8 @@ def test_integrate_trajectory_records_all_columns():
 def test_stopping_is_first_hit_and_monotone_in_level():
     low = dyn.StoppingRule(dyn.W1INF_THRESHOLD, 0.5)
     high = dyn.StoppingRule(dyn.W1INF_THRESHOLD, 1.0)
-    d_low = dyn.integrate_trajectory(_tg_config(stopping=(low,)))
-    d_high = dyn.integrate_trajectory(_tg_config(stopping=(high,)))
+    d_low, = dyn.integrate_trajectory(_tg_config(stopping=(low,)))
+    d_high, = dyn.integrate_trajectory(_tg_config(stopping=(high,)))
     t_low = d_low.first_hit(dyn.W1INF_THRESHOLD)
     t_high = d_high.first_hit(dyn.W1INF_THRESHOLD)
     assert t_low is not None and t_high is not None
@@ -283,7 +283,7 @@ def test_gbm_level_rule_monitors_martingale():
     cfg = _tg_config(u0=0.05 * sp.taylor_green(_grid(32)),
                      model=_lin_mult(alpha=1.0), noise_seed=17,
                      integrator="em", stopping=(rule,), T=0.1, dt=1e-3)
-    diag = dyn.integrate_trajectory(cfg, trajectory_id=1)
+    diag, = dyn.integrate_trajectory(cfg, [1])
     hit = diag.first_hit(dyn.GBM_LEVEL)
     # either it fired at a sampled time or rho_alpha stayed below the level
     if hit is not None:
@@ -293,7 +293,7 @@ def test_gbm_level_rule_monitors_martingale():
 def test_transformed_trajectory_gamma_is_positive():
     cfg = _tg_config(integrator="transformed", model=_lin_mult(alpha=1.0),
                      noise_seed=2, T=0.1, dt=2e-3)
-    diag = dyn.integrate_trajectory(cfg)
+    diag, = dyn.integrate_trajectory(cfg)
     assert all(gamma > 0 for gamma in diag.gamma)
 
 
@@ -322,14 +322,14 @@ def test_stopping_rules_reuse_sampled_norms(monkeypatch):
         (dyn.W1INF_THRESHOLD, None),
         (dyn.SOBOLEV_THRESHOLD, sp.NormRequest(3, 2)),
         (dyn.SOBOLEV_THRESHOLD, sp.NormRequest(1, 2))))
-    diag = dyn.integrate_trajectory(_tg_config(T=0.02, stopping=rules))
+    diag, = dyn.integrate_trajectory(_tg_config(T=0.02, stopping=rules))
     assert calls == [sp.NormRequest(3, 2), sp.NormRequest(1, 2)] \
         * len(diag.times)
 
 
 def test_blow_up_flag_on_threshold(monkeypatch):
     monkeypatch.setattr(dyn, "BLOWUP_LEVEL", 0.5)  # below the initial norm
-    diag = dyn.integrate_trajectory(_tg_config())
+    diag, = dyn.integrate_trajectory(_tg_config())
     assert diag.blow_up_flag
     assert len(diag.times) == 1  # stopped at the first sample
 
@@ -339,7 +339,7 @@ def test_blow_up_flag_on_threshold(monkeypatch):
 
 
 def test_diagnostics_csv_roundtrip(tmp_path):
-    diag = dyn.integrate_trajectory(_tg_config(sample_every=2))
+    diag, = dyn.integrate_trajectory(_tg_config(sample_every=2))
     text = diag.to_csv_text()
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == list(dyn.TrajectoryDiagnostics.COLUMNS)
@@ -349,3 +349,86 @@ def test_diagnostics_csv_roundtrip(tmp_path):
     path = tmp_path / "diag.csv"
     diag.to_csv(str(path))
     assert path.read_bytes().decode() == text
+
+
+# ---------------------------------------------------------------------------
+# Batches: a path's numbers do not depend on the batch it runs in
+
+
+def _batch_config(kind, dim, noise_kind):
+    g = sp.Grid(dim, 16)
+    u0 = sp.make_initial_field(g, "random", 0.5, seed=3)
+    if noise_kind == noise.LINEAR_MULTIPLICATIVE:
+        model = _lin_mult(alpha=1.0)
+    else:
+        fields = noise.spectrum_sigma_fields(g, 2, 2.0, seed=1)
+        model = noise.NoiseModel(
+            noise_kind, sigma_fields=fields, g_tag="square",
+            profiles=noise.spectrum_sigma_fields(g, 2, 2.0, seed=2))
+    return dyn.TrajectoryConfig(u0=u0, model=model, noise_seed=9, T=0.03,
+                                dt=5e-3, integrator=kind, sample_every=2)
+
+
+@pytest.mark.parametrize("kind, dim, noise_kind", [
+    ("em", 2, noise.LINEAR_MULTIPLICATIVE),
+    ("rk4", 2, noise.LINEAR_MULTIPLICATIVE),
+    ("transformed", 2, noise.LINEAR_MULTIPLICATIVE),
+    ("transformed", 3, noise.LINEAR_MULTIPLICATIVE),
+    ("em", 3, noise.LINEAR_MULTIPLICATIVE),
+    ("em", 2, noise.ADDITIVE),
+    ("em", 2, noise.NEMYTSKII),
+    ("rk4", 2, noise.FUNCTIONAL),
+])
+def test_batch_csv_equals_solo_runs(kind, dim, noise_kind):
+    cfg = _batch_config(kind, dim, noise_kind)
+    ids = [0, 3, 7]
+    batch = dyn.integrate_trajectory(cfg, ids)
+    assert len({d.l2[-1] for d in batch}) == len(ids)  # the paths differ
+    for tid, diag in zip(ids, batch):
+        solo, = dyn.integrate_trajectory(cfg, [tid])
+        assert diag.to_csv_text() == solo.to_csv_text()
+        assert diag.final_time == solo.final_time == pytest.approx(0.03)
+
+
+def _outcome(diag):
+    if diag.failure is not None:
+        return type(diag.failure).__name__
+    return "blow-up" if diag.blow_up_flag else "hit" if diag.hits else "ran"
+
+
+def test_mixed_batch_survivors_equal_their_solo_runs(monkeypatch):
+    # paths leave the batch as they blow up, hit the gbm_level rule or break
+    # the CFL limit between samples; what every path recorded until then,
+    # and how it ended, is what its solo run gives
+    g = _grid(16)
+    u0 = sp.make_initial_field(g, "random", 0.5, seed=3)
+    dt = 0.01
+    monkeypatch.setattr(dyn, "BLOWUP_LEVEL", 1.5 * sp.w1inf_norm(u0))
+    cfg = dyn.TrajectoryConfig(
+        u0=u0, model=_lin_mult(alpha=1.0), noise_seed=7, T=1.0, dt=dt,
+        c_cfl=1.7 * dt * sp.lp_norm(u0, np.inf) / g.dx, sample_every=10,
+        stopping=(dyn.StoppingRule(dyn.GBM_LEVEL, 1.6),))
+    ids = range(4, 10)
+    batch = dyn.integrate_trajectory(cfg, ids)
+    outcomes = [_outcome(d) for d in batch]
+    assert sorted(set(outcomes)) == ["CflViolation", "blow-up", "hit", "ran"]
+    for tid, diag in zip(ids, batch):
+        solo, = dyn.integrate_trajectory(cfg, [tid])
+        assert _outcome(diag) == _outcome(solo)
+        assert diag.to_csv_text() == solo.to_csv_text()
+        assert (diag.hits, diag.final_time) == (solo.hits, solo.final_time)
+        if _outcome(diag) == "CflViolation":
+            assert diag.failure.rows is not None and len(diag.times) > 1
+
+
+def test_batch_state_drops_rows_that_break_the_cfl_limit():
+    # a CflViolation on a batch names the rows over the limit, not the batch
+    g = _grid(16)
+    u = sp.taylor_green(g)
+    batch = sp.SpectralField(g, np.stack([0.01 * u.coeffs, u.coeffs,
+                                          0.02 * u.coeffs]))
+    state = dyn.SimState(0.0, batch, np.ones(3), np.zeros(3))
+    dt = 0.5 * dyn.cfl_limit(0.02 * u)
+    with pytest.raises(CflViolation) as info:
+        dyn.step_em(state, dt, noise.zero_noise(), np.zeros((3, 0)))
+    assert list(info.value.rows) == [1]

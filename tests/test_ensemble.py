@@ -107,7 +107,7 @@ def test_trajectory_ensemble_runs_and_writes_paths(tmp_path):
 def test_trajectory_paths_differ_across_ids():
     cfg = ens.EnsembleConfig(trajectory=_trajectory_cfg(), n_paths=3,
                              master_seed=3)
-    records = [ens._run_one((cfg, tid)) for tid in range(3)]
+    records = ens._run_chunk((cfg, range(3)))
     finals = {r.final_l2 for r in records}
     assert len(finals) == 3  # independent Brownian streams
 
@@ -136,6 +136,46 @@ def test_engineering_failures_flag_partial():
     assert summary.n_engineering_failures == 5
     assert summary.partial
     assert summary.n_survived == 0
+
+
+def test_failure_reasons_stay_out_of_the_summary_file(tmp_path):
+    # the same run as above: each record names its reason, the summary
+    # counts them, and summary.json keeps only the failure count
+    cfg = ens.EnsembleConfig(
+        trajectory=_trajectory_cfg(T=1.0, dt=1.0, enforce_cfl=True),
+        n_paths=5, master_seed=0, output_dir=str(tmp_path))
+    records = ens._run_chunk((cfg, range(5)))
+    reason = records[0].failure
+    assert reason.startswith("CflViolation: dt=1.0 exceeds CFL limit")
+    assert all(r.engineering_failure and r.failure == reason
+               for r in records)
+    summary = ens.run_ensemble(cfg)
+    assert summary.failure_reasons == {reason: 5}
+    ens.persist_summary(summary, str(tmp_path / "summary.json"))
+    assert "failure_reasons" not in json.loads(
+        (tmp_path / "summary.json").read_text())
+    assert not (tmp_path / "paths").exists()  # no CSV for a failed path
+
+
+def test_summary_identical_across_widths_and_chunk_sizes(tmp_path,
+                                                         monkeypatch):
+    traj = _trajectory_cfg()
+    outputs = {}
+    for width, chunk in ((1, None), (1, 3), (3, 3)):
+        if chunk is not None:
+            monkeypatch.setattr(ens, "CHUNK_BYTES",
+                                chunk * traj.u0.coeffs.nbytes)
+        out = tmp_path / f"w{width}-c{chunk}"
+        cfg = ens.EnsembleConfig(trajectory=traj, n_paths=8, master_seed=4,
+                                 parallel_width=width, output_dir=str(out))
+        assert len(ens._chunks(cfg)) == (1 if chunk is None else 3)
+        ens.persist_summary(ens.run_ensemble(cfg), str(out / "summary.json"))
+        outputs[width, chunk] = {path.relative_to(out): path.read_bytes()
+                                 for path in out.rglob("*")
+                                 if path.is_file()}
+    first, *rest = outputs.values()
+    assert len(first) == 9
+    assert all(other == first for other in rest)
 
 
 def test_thread_cap_env_var(monkeypatch):

@@ -33,6 +33,19 @@ def test_increments_reject_negative_dt():
         drv.sample_increments(0, 0, -1.0)
 
 
+@pytest.mark.parametrize("seed, tid, step", [
+    (0, 0, 0), (7, 3, 5), (2 ** 32 - 1, 12, 2 ** 31), (2 ** 32, 1, 1),
+    (10 ** 15, 2 ** 40, 3)])
+def test_increments_are_the_seed_sequence_stream(seed, tid, step):
+    # the draws are those of SeedSequence([seed, tid, step]) keying Philox,
+    # whichever form the driver hands the ids to SeedSequence in
+    ss = np.random.SeedSequence([seed, tid, step])
+    want = np.sqrt(0.01) * np.random.Generator(
+        np.random.Philox(ss)).standard_normal(3)
+    got = noise.BrownianDriver(seed, 3).sample_increments(tid, step, 0.01)
+    assert np.array_equal(got, want)
+
+
 def test_increment_replay_is_bit_identical():
     a = noise.BrownianDriver(7, 4)
     b = noise.BrownianDriver(7, 4)

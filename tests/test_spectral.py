@@ -344,11 +344,48 @@ def test_sup_view_matches_dense_differentiation_matrix(dim):
     want = (np.max(np.sqrt(np.sum(values ** 2, axis=0))),
             np.max(np.sqrt(np.sum(grads ** 2, axis=(0, 1)))),
             np.max(np.sqrt(np.sum(vort ** 2, axis=0))))
-    got = sp._sup_view(u)
+    got = sp._sup_view(u)[1:]
     for name, a, b in zip(("u", "grad u", "curl u"), got, want):
         assert abs(a - b) <= 1e-12 * b, name
     assert sp.lp_norm(u, np.inf) == got[0]
     assert sp.grad_sup_norm(u) == got[1]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_batched_transforms_equal_unbatched_rows(dim, n):
+    # the batched trajectory driver is byte-identical to solo runs only
+    # because the FFT gives each row of a batch the bits it gives that row
+    # alone; a scipy whose transforms break this must fail here
+    g = sp.Grid(dim, n)
+    values = np.random.default_rng(n).standard_normal((5, dim) + g.shape)
+    coeffs = sp._forward(values, dim)
+    back = sp._inverse(coeffs, g)
+    for row in range(len(values)):
+        alone = sp._forward(values[row], dim)
+        assert np.array_equal(coeffs[row], alone)
+        assert np.array_equal(back[row], sp._inverse(alone, g))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_batched_operators_equal_their_rows(dim, n):
+    # every operator the trajectory driver runs gives each path of a batch
+    # the bits that path gets alone
+    g = sp.Grid(dim, n)
+    paths = [sp.dealias(_random_field(g, seed)) for seed in range(4)]
+    batch = sp.SpectralField(g, np.stack([u.coeffs for u in paths]))
+    per_path = {
+        "l2": sp.l2_norm,
+        "W32": lambda u: sp.sobolev_norm(u, sp.NormRequest(3, 2)),
+        "W1inf": sp.w1inf_norm,
+        "L4": lambda u: sp.lp_norm(u, 4.0),
+        "sup view": lambda u: np.array(sp._sup_view(u)[1:]).T,
+        "nonlinear": lambda u: sp.nonlinear_term(u).coeffs,
+        "leray": lambda u: sp.leray_project(u).coeffs,
+    }
+    for name, op in per_path.items():
+        got = op(batch)
+        for row, u in enumerate(paths):
+            assert np.array_equal(got[row], op(u)), name
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
@@ -360,7 +397,8 @@ def test_sup_view_on_dealiased_fields(dim, n):
         u = sp.dealias(sp.leray_project(sp.SpectralField.from_physical(
             g, np.random.default_rng(seed).standard_normal(
                 (dim,) + g.shape))))
-        u_max, grad_max, curl_max = sp._sup_view(u)
+        values, u_max, grad_max, curl_max = sp._sup_view(u)
+        assert np.array_equal(values, u.to_physical())
         grads = sp._inverse(g.grad_symbols[:, None] * u.coeffs[None], g)
         ref_u = np.max(np.sqrt(np.sum(u.to_physical() ** 2, axis=0)))
         ref_grad = np.sqrt(np.max(np.sum(grads ** 2, axis=(0, 1))))
