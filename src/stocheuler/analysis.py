@@ -82,14 +82,16 @@ class GBMExitEstimate:
 
 
 def n_time_steps(T: float, dt: float) -> int:
-    """round(T / dt), the number of dt steps to T.  InvalidParams unless T
-    and dt are positive and that number is at least 1, so that no run
-    reports on zero steps."""
+    """T / dt, the number of dt steps to T.  InvalidParams unless T and dt
+    are positive and T / dt is a whole number (to 1e-9 relative) of at least
+    1, so that no run reports on zero steps or ends short of or past T."""
     if T <= 0 or dt <= 0:
         raise InvalidParams("T and dt must be positive")
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise InvalidParams(f"T={T} rounds to zero steps of dt={dt}")
+    if abs(T / dt - n_steps) > 1e-9 * n_steps:
+        raise InvalidParams(f"T={T} is not a whole multiple of dt={dt}")
     return n_steps
 
 

@@ -167,6 +167,10 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
         except KeyError as exc:  # the message names the unknown field
             raise ValueError(exc.args[0]) from exc
     intg = _section(doc, "integrator")
+    unknown = set(intg) - {"kind", "T", "dt", "alpha", "cfl", "sample_every"}
+    if unknown:
+        raise ConfigError(f"integrator: unknown key(s) "
+                          f"{', '.join(sorted(map(str, unknown)))}")
     norms = build_norms(doc)
     stopping = build_stopping(doc)
     with _checked("integrator"):
@@ -174,8 +178,7 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
             T=float(intg["T"]), dt=float(intg["dt"]),
             integrator=intg.get("kind", EM),
             c_cfl=float(intg.get("cfl", 0.5)),
-            sample_every=int(intg.get("sample_every", 1)),
-            enforce_cfl=bool(intg.get("enforce_cfl", True)))
+            sample_every=int(intg.get("sample_every", 1)))
     try:
         cfg = TrajectoryConfig(u0=u0, model=model, noise_seed=noise_seed,
                                stopping=stopping, norms=norms, **options)

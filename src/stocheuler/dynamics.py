@@ -33,10 +33,8 @@ transformed to the grid once per step.
 * step_em              Euler-Maruyama on the velocity form
 * step_rk4             RK4 drift with Euler-Maruyama noise coupling
 * step_transformed     damped random PDE for v = gamma * u (exact
-                       integrating-factor damping + RK4 transport)
-
-step_vorticity_2d, the transformed 2D scalar vorticity transport, is run by
-checks.vorticity_decay_check, not by the trajectory driver.
+                       integrating-factor damping + RK4 transport); the
+                       2D vorticity-decay check reads its curl v
 
 All steppers return new states and mutate nothing.
 """
@@ -45,18 +43,18 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .analysis import n_time_steps
 from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
-from .spectral import (Grid, NormRequest, ScalarField, SpectralField,
-                       _per_path, _sup_magnitude, _sup_view, _trailing,
-                       biot_savart, curl, dealias, dealias_scalar, l2_norm,
-                       leray_project, lp_norm, nonlinear_term, sobolev_norm,
-                       w1inf_norm)
+from .spectral import (Grid, NormRequest, SpectralField, _per_path,
+                       _sup_magnitude, _sup_view, _trailing, curl, dealias,
+                       l2_norm, leray_project, lp_norm, nonlinear_term,
+                       sobolev_norm, w1inf_norm)
 
 # curl and w1inf_norm are not called here, but the benchmark tracer
 # (perfbench/tracing.py) patches them on this module by name, so they stay
@@ -65,8 +63,8 @@ __all__ = [
     "EM", "RK4", "TRANSFORMED", "INTEGRATORS", "W1INF_THRESHOLD",
     "SOBOLEV_THRESHOLD", "GBM_LEVEL", "BLOWUP_LEVEL", "StoppingRule",
     "SimState", "TrajectoryDiagnostics", "TrajectoryConfig", "cfl_limit",
-    "step_em", "step_rk4", "step_transformed", "step_vorticity_2d",
-    "integrate_trajectory", "curl", "w1inf_norm",
+    "step_em", "step_rk4", "step_transformed", "integrate_trajectory",
+    "curl", "w1inf_norm",
 ]
 
 EM = "em"
@@ -75,8 +73,8 @@ TRANSFORMED = "transformed"
 # integrator kind -> the TrajectoryConfig fields its stepper step_<kind>
 # takes as keyword options
 INTEGRATORS = {
-    EM: ("c_cfl", "enforce_cfl"),
-    RK4: ("c_cfl", "enforce_cfl"),
+    EM: ("c_cfl",),
+    RK4: ("c_cfl",),
     TRANSFORMED: (),
 }
 
@@ -173,11 +171,12 @@ class TrajectoryConfig:
     stopping: tuple[StoppingRule, ...] = ()
     sample_every: int = 1
     norms: NormRequest = NormRequest(3, 2)
-    enforce_cfl: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
             raise InvalidParams(f"dt must be positive, got {self.dt}")
+        if self.T > 0:  # T <= 0 is an empty run
+            n_time_steps(self.T, self.dt)
         if self.sample_every < 1:
             raise InvalidParams(f"sample_every must be >= 1, got "
                                 f"{self.sample_every}")
@@ -212,19 +211,19 @@ def _lm_alpha(model: NoiseModel) -> float:
     return model.alpha if model.kind == LINEAR_MULTIPLICATIVE else 0.0
 
 
-def _check_finite(coeffs: np.ndarray, ndim: int) -> None:
-    """Raise NonFinite naming the paths whose trailing ndim axes hold a NaN
-    or Inf."""
-    finite = np.isfinite(coeffs.view(float))
+def _check_finite(u: SpectralField) -> None:
+    """Raise NonFinite naming the paths whose coefficients hold a NaN or
+    Inf."""
+    finite = np.isfinite(u.coeffs.view(float))
     if not finite.all():
-        bad = np.flatnonzero(~finite.all(axis=_trailing(ndim)))
+        bad = np.flatnonzero(~finite.all(axis=_trailing(u.grid.dim + 1)))
         raise NonFinite("non-finite Fourier coefficient", rows=bad)
 
 
 def _flux_values(state: SimState, dt: float, model: NoiseModel,
-                 c_cfl: float, enforce_cfl: bool) -> np.ndarray:
-    """Check that dt is positive and, when enforced, within the CFL limit;
-    return the grid values of the dealiased u, which nonlinear_term takes.
+                 c_cfl: float) -> np.ndarray:
+    """Check that dt is positive and within the CFL limit; return the grid
+    values of the dealiased u, which nonlinear_term takes.
 
     Every state a step returns is already dealiased, so there these are u's
     own values (state.values and state.u_max, if a sample made them) and
@@ -238,14 +237,13 @@ def _flux_values(state: SimState, dt: float, model: NoiseModel,
     if values is None:
         ud = dealias(u)
         values = ud.to_physical()
-        if enforce_cfl and np.array_equal(ud.coeffs, u.coeffs):
+        if np.array_equal(ud.coeffs, u.coeffs):
             umax = _sup_magnitude(values, u.grid.dim)
-    if enforce_cfl:
-        lim = np.atleast_1d(cfl_limit(u, c_cfl, _lm_alpha(model), umax))
-        over = np.flatnonzero(dt > lim * (1.0 + 1e-12))
-        if over.size:
-            raise CflViolation(f"dt={dt} exceeds CFL limit "
-                               f"{float(lim[over].min())}", rows=over)
+    lim = np.atleast_1d(cfl_limit(u, c_cfl, _lm_alpha(model), umax))
+    over = np.flatnonzero(dt > lim * (1.0 + 1e-12))
+    if over.size:
+        raise CflViolation(f"dt={dt} exceeds CFL limit "
+                           f"{float(lim[over].min())}", rows=over)
     return values
 
 
@@ -254,7 +252,7 @@ def _project(coeffs: np.ndarray, grid: Grid) -> SpectralField:
     new coefficients; fail on NaN/Inf."""
     coeffs *= grid.dealias_mask
     u_new = leray_project(SpectralField(grid, coeffs))
-    _check_finite(u_new.coeffs, grid.dim + 1)
+    _check_finite(u_new)
     return u_new
 
 
@@ -284,24 +282,11 @@ def _rk4(v, dt: float, rhs, k1=None):
     return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _damped_rk4(v, dt: float, alpha: float, gamma: float, F):
-    """Advance dv/dt + (alpha^2/2) v = gamma^{-1} F(v) over dt, F quadratic:
-    w = exp(alpha^2 tau / 2) v obeys w' = exp(-alpha^2 tau / 2) gamma^{-1} F(w)
-    (F is homogeneous of degree 2), which RK4 advances; the exact damping
-    factor is undone at tau = dt."""
-    half = 0.5 * alpha ** 2
-
-    def rhs(tau, w):
-        return (np.exp(-half * tau) / gamma) * F(w)
-
-    return float(np.exp(-half * dt)) * _rk4(v, dt, rhs)
-
-
 def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
-            c_cfl: float = 0.5, enforce_cfl: bool = True) -> SimState:
+            c_cfl: float = 0.5) -> SimState:
     """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected."""
     u = state.u
-    u_phys = _flux_values(state, dt, model, c_cfl, enforce_cfl)
+    u_phys = _flux_values(state, dt, model, c_cfl)
     drift = nonlinear_term(u, u_phys).coeffs
     drift *= dt
     # in place, so a batch holds one array of its size here, not three
@@ -312,10 +297,10 @@ def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
 
 
 def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
-             c_cfl: float = 0.5, enforce_cfl: bool = True) -> SimState:
+             c_cfl: float = 0.5) -> SimState:
     """RK4 on the conservative drift, Euler-Maruyama coupling for the noise."""
     u = state.u
-    u_phys = _flux_values(state, dt, model, c_cfl, enforce_cfl)
+    u_phys = _flux_values(state, dt, model, c_cfl)
 
     def rhs(_tau, v):
         return -1.0 * nonlinear_term(v)
@@ -332,40 +317,21 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
 
     state.u holds v = gamma u with gamma = state.gamma = exp(-alpha W) and
     alpha the noise model's coefficient; dW only advances W.  The damping is
-    exact (_damped_rk4).
+    exact: P(v.grad v) is quadratic, so w = exp(alpha^2 tau / 2) v obeys
+    w' = -exp(-alpha^2 tau / 2) P(w.grad w) / gamma, which RK4 advances; the
+    factor is undone at tau = dt.
     """
     gamma = state.gamma
     if np.any(np.less_equal(gamma, 0)):
         raise ValueError("gamma must be positive")
-    # the transport term is P(v.grad v) / (-gamma)
-    v_new = _damped_rk4(state.u, dt, _lm_alpha(model), -gamma, nonlinear_term)
-    _check_finite(v_new.coeffs, v_new.grid.dim + 1)
-    return _advance(state, dt,
-                    SpectralField(v_new.grid, v_new.coeffs,
-                                  divergence_free=True),
-                    model, dW)
+    half = 0.5 * _lm_alpha(model) ** 2
 
+    def rhs(tau, w):
+        return (np.exp(-half * tau) / -gamma) * nonlinear_term(w)
 
-def _transport_rhs_2d(w: ScalarField) -> ScalarField:
-    """-dealias(div(u w)) = -dealias(u . grad w) with u = Biot-Savart(w)."""
-    g = w.grid
-    wd = dealias_scalar(w)
-    flux = SpectralField.from_physical(
-        g, biot_savart(wd).to_physical() * wd.to_physical())
-    return ScalarField(g, -np.sum(g.ik * flux.coeffs, axis=0)
-                       * g.dealias_mask)
-
-
-def step_vorticity_2d(w: ScalarField, dt: float, alpha: float = 0.0,
-                      gamma: float = 1.0) -> ScalarField:
-    """Advance the 2D scalar vorticity by transport.
-
-    alpha != 0 adds the exact exp(-alpha^2 dt/2) damping of the transformed
-    system (transport scaled by gamma^{-1}).
-    """
-    w_new = _damped_rk4(w, dt, alpha, gamma, _transport_rhs_2d)
-    _check_finite(w_new.coeffs, w.grid.dim)
-    return w_new
+    v_new = float(np.exp(-half * dt)) * _rk4(state.u, dt, rhs)
+    _check_finite(v_new)
+    return _advance(state, dt, replace(v_new, divergence_free=True), model, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +437,7 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
     step = globals()[f"step_{cfg.integrator}"]
     options = {key: getattr(cfg, key) for key in INTEGRATORS[cfg.integrator]}
     driver = BrownianDriver(cfg.noise_seed, cfg.model.n_modes)
-    n_steps = max(1, int(round(cfg.T / cfg.dt)))
+    n_steps = n_time_steps(cfg.T, cfg.dt)
     try:
         retire(sample())
         while rows.size and state.step_index < n_steps:

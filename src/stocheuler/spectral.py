@@ -22,9 +22,9 @@ contiguous block.
 
 All differential operators are exact on retained modes; quadratic terms are
 dealiased with the sharp 2/3-rule mask.  The advection term is evaluated in
-divergence form, P div(u (x) u), from the dim (dim + 1) / 2 products u_i u_j.
-Besides it the module holds the Leray projection, curl, the 2D Biot-Savart
-law, the heat-kernel mollifier and the named initial fields.
+divergence form, P div(u (x) u), from the dim (dim + 1) / 2 products u_i u_j:
+the package's one advection kernel.  Besides it the module holds the Leray
+projection, curl (a ScalarField in 2D), the mollifier and initial fields.
 
 W^{m,2} norms (and L^2 norms and inner products) are Parseval sums over the
 half spectrum with a cached weight per (grid, m); they use no transform.
@@ -42,7 +42,7 @@ part of the grid gradient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -200,20 +200,6 @@ class ScalarField:
     def to_physical(self) -> np.ndarray:
         return _inverse(self.coeffs, self.grid)
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return ScalarField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, self.coeffs * c)
-
-    __rmul__ = __mul__
-
 
 @dataclass
 class SpectralField:
@@ -301,13 +287,9 @@ def leray_project(f: SpectralField) -> SpectralField:
                          divergence_free=True)
 
 
-def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask,
-                         f.divergence_free)
-
-
-def dealias_scalar(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.coeffs * f.grid.dealias_mask)
+def dealias(f: ScalarField | SpectralField) -> ScalarField | SpectralField:
+    """f with every mode outside the 2/3-rule mask zeroed."""
+    return replace(f, coeffs=f.coeffs * f.grid.dealias_mask)
 
 
 def _pair_products(a: np.ndarray, pairs, dim: int) -> np.ndarray:
@@ -368,18 +350,6 @@ def curl(u: SpectralField) -> ScalarField | SpectralField:
         1j * (k[0] * u.coeffs[1] - k[1] * u.coeffs[0]),
     ])
     return SpectralField(g, w, divergence_free=True)
-
-
-def biot_savart(w: ScalarField) -> SpectralField:
-    """Recover the 2D divergence-free velocity from a zero-mean scalar
-    vorticity."""
-    g = w.grid
-    if g.dim != 2:
-        raise ShapeMismatch("scalar vorticity is 2D only")
-    psi = w.coeffs / g.k_sq_safe
-    u = np.stack([1j * g.k[1] * psi, -1j * g.k[0] * psi])
-    u[:, 0, 0] = 0.0
-    return SpectralField(g, u, divergence_free=True)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,8 @@ def test_transformed_needs_linear_multiplicative_noise(tmp_path, capsys,
 
 def test_run_over_cfl_limit_exits_usage(tmp_path, capsys):
     cfg = _write_yaml(tmp_path, RUN_CONFIG)
-    code = cli.main(["run", "--config", cfg, "--set", "integrator.dt=1.0"])
+    code = cli.main(["run", "--config", cfg, "--set", "integrator.dt=1.0",
+                     "--set", "integrator.T=1.0"])
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -223,7 +224,8 @@ def test_all_failed_ensemble_exits_with_its_reason(tmp_path, capsys,
     cfg = _write_yaml(tmp_path, doc)
     out = tmp_path / "out"
     assert cli.main(["ensemble", "--config", cfg, "--out", str(out),
-                     "--set", f"integrator.dt={dt}", "--quiet"]) == code
+                     "--set", f"integrator.dt={dt}",
+                     "--set", f"integrator.T={dt}", "--quiet"]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "all 3 paths failed" in err[0] and "(3 paths)" in err[0]
@@ -341,6 +343,9 @@ SWEEP = "{alpha_list: [1.0], R: 1.0, scaling: bogus}"
     pytest.param(RUN_CONFIG, ["integrator.sample_every=0"],
                  "integrator: sample_every must be >= 1",
                  id="integrator-sample-every-0"),
+    pytest.param(RUN_CONFIG, ["integrator.enforce_cfl=false"],
+                 "integrator: unknown key(s) enforce_cfl",
+                 id="integrator-enforce-cfl"),
     pytest.param(RUN_CONFIG, ["ensemble.parallel_width=0"], "ensemble: ",
                  id="parallel-width-0"),
     pytest.param(RUN_CONFIG, ["initial.name=bogus"],
@@ -409,6 +414,15 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
                  ["--n-paths", "10", "--T", "1", "--dt", "2"],
                  "invalid parameters: T=1.0 rounds to zero steps of dt=2.0",
                  id="gbm-exit-zero-steps"),
+    pytest.param("gbm-exit", None,
+                 ["--n-paths", "10", "--T", "1", "--dt", "0.3"],
+                 "invalid parameters: T=1.0 is not a whole multiple of "
+                 "dt=0.3", id="gbm-exit-T-not-a-multiple-of-dt"),
+    pytest.param("run", RUN_CONFIG,
+                 ["--set", "integrator.T=0.012",
+                  "--set", "integrator.dt=0.005"],
+                 "config error: integrator: T=0.012 is not a whole multiple "
+                 "of dt=0.005", id="run-T-not-a-multiple-of-dt"),
     pytest.param("transform-check", None, ["--seed", "-1", "--n", "16"],
                  "argument --seed: expected a non-negative integer",
                  id="transform-check-seed-flag"),
@@ -452,7 +466,10 @@ def test_bad_seed_or_number_exits_usage(tmp_path, capsys, command, base,
     code = _exit_code([command, *config, "--out", str(out / "result"),
                        "--quiet", *args])
     assert code == cli.EXIT_USAGE
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if not message.startswith("argument "):  # argparse adds a usage line
+        assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -205,30 +205,6 @@ def test_transformed_rejects_bad_gamma():
 
 
 # ---------------------------------------------------------------------------
-# Vorticity steps
-
-
-def test_vorticity_2d_constant_unchanged_by_transport():
-    g = _grid(16)
-    w = sp.ScalarField.from_physical(g, np.full(g.shape, 2.5))
-    out = dyn.step_vorticity_2d(w, 1e-2)
-    assert np.max(np.abs(out.to_physical() - 2.5)) < 1e-12
-
-
-def test_vorticity_2d_conserves_mean_and_casimir():
-    g = sp.Grid(2, 64)
-    rng = np.random.default_rng(12)
-    u = sp.random_divergence_free(g, rng)
-    w = sp.curl(u)
-    mean0 = w.coeffs[0, 0]
-    l4_0 = sp.lp_norm(w, 4.0)
-    for _ in range(100):
-        w = dyn.step_vorticity_2d(w, 5e-3)
-    assert abs(w.coeffs[0, 0] - mean0) < 1e-10
-    assert abs(sp.lp_norm(w, 4.0) - l4_0) < 1e-3 * l4_0
-
-
-# ---------------------------------------------------------------------------
 # Stopping rules
 
 

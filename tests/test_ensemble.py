@@ -20,12 +20,12 @@ def _surrogate_cfg(n_paths=200, master_seed=0, width=1, alpha=1.0, R=16.0,
         surrogate=ens.GBMSurrogateSpec(alpha=alpha, R=R, T=T, dt=dt))
 
 
-def _trajectory_cfg(n=16, T=0.05, dt=5e-3, alpha=1.0, enforce_cfl=True):
+def _trajectory_cfg(n=16, T=0.05, dt=5e-3, alpha=1.0):
     g = sp.Grid(2, n)
     return dyn.TrajectoryConfig(
         u0=0.5 * sp.taylor_green(g),
         model=noise.NoiseModel(noise.LINEAR_MULTIPLICATIVE, alpha=alpha),
-        noise_seed=0, T=T, dt=dt, integrator="em", enforce_cfl=enforce_cfl)
+        noise_seed=0, T=T, dt=dt, integrator="em")
 
 
 def test_config_validation():
@@ -130,7 +130,7 @@ def test_additive_ensemble_runs_on_a_driver_of_the_model():
 def test_engineering_failures_flag_partial():
     # dt far above the CFL limit: every path raises before stepping
     cfg = ens.EnsembleConfig(
-        trajectory=_trajectory_cfg(T=1.0, dt=1.0, enforce_cfl=True),
+        trajectory=_trajectory_cfg(T=1.0, dt=1.0),
         n_paths=5, master_seed=0)
     summary = ens.run_ensemble(cfg)
     assert summary.n_engineering_failures == 5
@@ -142,7 +142,7 @@ def test_failure_reasons_stay_out_of_the_summary_file(tmp_path):
     # the same run as above: each record names its reason, the summary
     # counts them, and summary.json keeps only the failure count
     cfg = ens.EnsembleConfig(
-        trajectory=_trajectory_cfg(T=1.0, dt=1.0, enforce_cfl=True),
+        trajectory=_trajectory_cfg(T=1.0, dt=1.0),
         n_paths=5, master_seed=0, output_dir=str(tmp_path))
     records = ens._run_chunk((cfg, range(5)))
     reason = records[0].failure

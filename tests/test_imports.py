@@ -1,7 +1,7 @@
-"""Every name a package module imports is used by that module, every public
-name it defines has a consumer, every error class is raised or caught, and
-every name the benchmark tracer wraps exists and is called through by a
-run."""
+"""Every name a package module imports is used by that module, every name
+in its __all__ is defined, every public name it defines has a consumer,
+every error class is raised or caught, and every name the benchmark tracer
+wraps exists and is called through by a run."""
 
 import ast
 import importlib.util
@@ -46,6 +46,19 @@ def _benchmark_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def test_every_all_entry_is_defined():
+    # a stale __all__ entry breaks `from module import *`
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "stocheuler" if path.stem == "__init__"
+            else f"stocheuler.{path.stem}")
+        missing += [f"{module.__name__}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_benchmark_tracer_targets_resolve():
