@@ -233,6 +233,18 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
 # Worst-case ODE integration behind the kappa/K lemma
 
 
+def _rk4(v, dt: float, rhs, k1=None):
+    """Classic RK4 with a time-dependent rhs(tau, v) over tau in [0, dt];
+    k1, when given, is rhs(0, v).  v is a float (the ODE sweep below) or a
+    SpectralField (the dynamics steppers)."""
+    if k1 is None:
+        k1 = rhs(0.0, v)
+    k2 = rhs(0.5 * dt, v + 0.5 * dt * k1)
+    k3 = rhs(0.5 * dt, v + 0.5 * dt * k2)
+    k4 = rhs(dt, v + dt * k3)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 Z_PROFILE_TAGS = ("extremal", "half", "zero", "decaying")
 
 
@@ -301,11 +313,7 @@ def _integrate_logY(p: OdeLemmaParams, dt: float, T_end: float) -> np.ndarray:
     out[0] = Y
     t = 0.0
     for i in range(n):
-        k1 = f(t, Y)
-        k2 = f(t + dt / 2, Y + dt / 2 * k1)
-        k3 = f(t + dt / 2, Y + dt / 2 * k2)
-        k4 = f(t + dt, Y + dt * k3)
-        Y = Y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        Y = _rk4(Y, dt, lambda tau, y: f(t + tau, y))
         t += dt
         out[i + 1] = Y
     return out
@@ -319,8 +327,12 @@ def ode_bound_check(p: OdeLemmaParams, dt: float = 1e-2,
     Integration is performed on Y = log y, so initial data far below the
     double underflow threshold are handled exactly.  T_end is chosen so the
     drift envelope exp(-alpha^2 t/8) has decayed below 1e-8; the remaining
-    analytic tail increment is added to the reported margin.
+    analytic tail increment is added to the reported margin.  dt must be
+    positive and finite (InvalidParams otherwise, NaN included): an
+    infinite dt would pass on zero steps.
     """
+    if not 0 < dt < np.inf:
+        raise InvalidParams(f"dt must be positive and finite, got {dt}")
     a2 = p.alpha ** 2
     T_end = 8.0 * np.log(1e8) / a2
     logY = _integrate_logY(p, dt, T_end)

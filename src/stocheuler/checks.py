@@ -30,7 +30,7 @@ def _path(step, u0: SpectralField, dt: float, increments: np.ndarray,
     """Run a stepper over the given scalar increments of the
     linear-multiplicative noise alpha u dW."""
     model = NoiseModel(LINEAR_MULTIPLICATIVE, alpha=alpha)
-    state = SimState(0.0, u0.copy())
+    state = SimState(0.0, u0)
     for dW in increments:
         state = step(state, dt, model, np.array([dW]))
     return state

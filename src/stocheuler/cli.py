@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 validation/usage error (including a time step over
 the CFL limit), 2 scientific failure (a checked inequality failed at the
-requested parameters, or a run outside the trajectory driver went
-non-finite).  A PDE ensemble in which every path failed exits as its most
-common failure would: 1 for a CFL violation, else 2.
+requested parameters, a run outside the trajectory driver went non-finite,
+or the ode-bound integration could not meet its step-doubling tolerance).
+A raised error (config, parameters, CFL, non-finite, stiffness) is one
+stderr line and writes no --out file.  A PDE ensemble in which every path
+failed exits as its most common failure would: 1 for a CFL violation, else
+2.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .config import (apply_overrides, build_ensemble_config, build_sweep,
                      build_trajectory_config, load_config)
 from .dynamics import integrate_trajectory
 from .ensemble import persist_summary, run_ensemble, survival_vs_alpha_sweep
-from .errors import CflViolation, ConfigError, InvalidParams, NonFinite
+from .errors import (CflViolation, ConfigError, InvalidParams, NonFinite,
+                     StiffnessFailure)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,13 +97,9 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_gbm_exit(args) -> int:
-    try:
-        params = analysis.GBMParams(mu=args.mu, alpha=args.alpha,
-                                    x0=args.x0, R=args.R)
-        bound = analysis.gbm_survival_bound(params)
-    except InvalidParams as exc:
-        print(f"gbm-exit: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = analysis.GBMParams(mu=args.mu, alpha=args.alpha, x0=args.x0,
+                                R=args.R)
+    bound = analysis.gbm_survival_bound(params)
     est = analysis.gbm_exit_mc(params, args.T, args.dt, args.n_paths,
                                seed=args.seed or 0)
     survival_mc = 1.0 - est.p_hit
@@ -307,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except NonFinite as exc:
         print(f"non-finite result: {exc}", file=sys.stderr)
+        return EXIT_SCIENCE
+    except StiffnessFailure as exc:
+        print(f"stiffness failure: {exc}", file=sys.stderr)
         return EXIT_SCIENCE
 
 

@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import n_time_steps
+from .analysis import _rk4, n_time_steps
 from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
@@ -271,17 +271,6 @@ def _advance(state: SimState, dt: float, u_new: SpectralField,
 # Steppers
 
 
-def _rk4(v, dt: float, rhs, k1=None):
-    """Classic RK4 with a time-dependent rhs(tau, v) over tau in [0, dt];
-    k1, when given, is rhs(0, v)."""
-    if k1 is None:
-        k1 = rhs(0.0, v)
-    k2 = rhs(0.5 * dt, v + 0.5 * dt * k1)
-    k3 = rhs(0.5 * dt, v + 0.5 * dt * k2)
-    k4 = rhs(dt, v + dt * k3)
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
             c_cfl: float = 0.5) -> SimState:
     """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected."""
@@ -331,7 +320,7 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
 
     v_new = float(np.exp(-half * dt)) * _rk4(state.u, dt, rhs)
     _check_finite(v_new)
-    return _advance(state, dt, replace(v_new, divergence_free=True), model, dW)
+    return _advance(state, dt, v_new, model, dW)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +344,7 @@ def _monitored_value(rule: StoppingRule, u: SpectralField, state: SimState,
 def _keep(state: SimState, keep: np.ndarray) -> SimState:
     """The state of the batch rows where keep is True."""
     u = state.u
-    return SimState(state.t, SpectralField(u.grid, u.coeffs[keep],
-                                           u.divergence_free),
+    return SimState(state.t, SpectralField(u.grid, u.coeffs[keep]),
                     state.gamma[keep], state.W_accum[keep], state.step_index,
                     *(None if a is None else a[keep]
                       for a in (state.values, state.u_max)))
@@ -382,8 +370,8 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
     transformed = cfg.integrator == TRANSFORMED  # state.u holds v = gamma u
     u0 = cfg.u0
     state = SimState(0.0, SpectralField(
-        u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0),
-        u0.divergence_free), np.ones(len(ids)), np.zeros(len(ids)))
+        u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0)),
+        np.ones(len(ids)), np.zeros(len(ids)))
     rows = np.arange(len(ids))  # the diags index of each batch row
 
     def sample() -> np.ndarray:

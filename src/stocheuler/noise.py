@@ -114,11 +114,10 @@ def apply_noise(model: NoiseModel, u: SpectralField,
 
     if model.kind == LINEAR_MULTIPLICATIVE:
         return SpectralField(g, _rows(model.alpha * per_mode[0], ndim)
-                             * u.coeffs, u.divergence_free)
+                             * u.coeffs)
 
     if model.n_modes == 0:
-        return SpectralField(g, np.zeros_like(u.coeffs),
-                             divergence_free=True)
+        return SpectralField(g, np.zeros_like(u.coeffs))
 
     if model.kind == ADDITIVE:
         acc = np.zeros_like(u.coeffs)

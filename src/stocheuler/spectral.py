@@ -24,7 +24,7 @@ All differential operators are exact on retained modes; quadratic terms are
 dealiased with the sharp 2/3-rule mask.  The advection term is evaluated in
 divergence form, P div(u (x) u), from the dim (dim + 1) / 2 products u_i u_j:
 the package's one advection kernel.  Besides it the module holds the Leray
-projection, curl (a ScalarField in 2D), the mollifier and initial fields.
+projection, curl (one component in 2D), the mollifier and initial fields.
 
 W^{m,2} norms (and L^2 norms and inner products) are Parseval sums over the
 half spectrum with a cached weight per (grid, m); they use no transform.
@@ -42,7 +42,7 @@ part of the grid gradient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -187,51 +187,34 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 @dataclass
-class ScalarField:
-    """Scalar spectral field (e.g. 2D vorticity)."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
-        return cls(grid, _forward(np.asarray(values, dtype=float), grid.dim))
-
-    def to_physical(self) -> np.ndarray:
-        return _inverse(self.coeffs, self.grid)
-
-
-@dataclass
 class SpectralField:
-    """Vector spectral field; coeffs shape (dim,) + grid.spectral_shape."""
+    """A field on the grid: its half-spectrum coefficients, shape
+    (..., c) + grid.spectral_shape, with the component axis c at -(dim + 1):
+    c = dim for a velocity, 1 for a scalar such as the 2D curl."""
 
     grid: Grid
     coeffs: np.ndarray
-    divergence_free: bool = False
     # an array of per-path scalars times a field is the field's __rmul__
     __array_ufunc__ = None
 
     @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray,
-                      divergence_free: bool = False) -> "SpectralField":
+    def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
+        """The field of grid values with dim or 1 components."""
         values = np.asarray(values, dtype=float)
-        want = (grid.dim,) + grid.shape
-        if values.shape[-len(want):] != want:
+        if (values.ndim <= grid.dim or values.shape[-grid.dim:] != grid.shape
+                or values.shape[-(grid.dim + 1)] not in (1, grid.dim)):
             raise ShapeMismatch(
-                f"expected shape (..., {', '.join(map(str, want))}), got "
-                f"{values.shape}")
-        return cls(grid, _forward(values, grid.dim), divergence_free)
+                f"expected shape (..., {grid.dim} or 1, "
+                f"{', '.join(map(str, grid.shape))}), got {values.shape}")
+        return cls(grid, _forward(values, grid.dim))
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
         return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape,
-                                  dtype=complex), divergence_free=True)
+                                  dtype=complex))
 
     def to_physical(self) -> np.ndarray:
         return _inverse(self.coeffs, self.grid)
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), self.divergence_free)
 
     def max_divergence(self) -> float:
         """max_k |k . u_hat(k)|, the divergence-free defect in Fourier space."""
@@ -239,18 +222,15 @@ class SpectralField:
         return float(np.max(np.abs(div)))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             self.divergence_free and other.divergence_free)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
-                             self.divergence_free and other.divergence_free)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, c) -> "SpectralField":
         """Scale by a scalar, or each path by its own entry of c."""
         scale = _rows(c, self.grid.dim + 1)
-        return SpectralField(self.grid, self.coeffs * scale,
-                             self.divergence_free)
+        return SpectralField(self.grid, self.coeffs * scale)
 
     __rmul__ = __mul__
 
@@ -283,13 +263,12 @@ def leray_project(f: SpectralField) -> SpectralField:
     kdotu /= g.k_sq_safe
     # in place, so a batch holds one temporary of its size, not two
     proj = g.k * np.expand_dims(kdotu, -(g.dim + 1))
-    return SpectralField(g, np.subtract(f.coeffs, proj, out=proj),
-                         divergence_free=True)
+    return SpectralField(g, np.subtract(f.coeffs, proj, out=proj))
 
 
-def dealias(f: ScalarField | SpectralField) -> ScalarField | SpectralField:
+def dealias(f: SpectralField) -> SpectralField:
     """f with every mode outside the 2/3-rule mask zeroed."""
-    return replace(f, coeffs=f.coeffs * f.grid.dealias_mask)
+    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 def _pair_products(a: np.ndarray, pairs, dim: int) -> np.ndarray:
@@ -337,30 +316,23 @@ def nonlinear_term(u: SpectralField,
     return leray_project(SpectralField(g, flux_divergence(g, u_phys)))
 
 
-def curl(u: SpectralField) -> ScalarField | SpectralField:
-    """2D: scalar d1 u2 - d2 u1.  3D: vector curl, divergence-free."""
+# the (a, b) of each curl component d_a u_b - d_b u_a
+_CURL_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
+
+
+def curl(u: SpectralField) -> SpectralField:
+    """The vorticity: one component d1 u2 - d2 u1 in 2D, the vector curl in
+    3D."""
     g = u.grid
-    k = g.k
-    if g.dim == 2:
-        w = 1j * k[0] * u.coeffs[1] - 1j * k[1] * u.coeffs[0]
-        return ScalarField(g, w)
-    w = np.stack([
-        1j * (k[1] * u.coeffs[2] - k[2] * u.coeffs[1]),
-        1j * (k[2] * u.coeffs[0] - k[0] * u.coeffs[2]),
-        1j * (k[0] * u.coeffs[1] - k[1] * u.coeffs[0]),
-    ])
-    return SpectralField(g, w, divergence_free=True)
+    axis = -(g.dim + 1)
+    comps = np.moveaxis(u.coeffs, axis, 0)
+    return SpectralField(g, np.stack(
+        [g.ik[a] * comps[b] - g.ik[b] * comps[a]
+         for a, b in _CURL_PAIRS[g.dim]], axis=axis))
 
 
 # ---------------------------------------------------------------------------
 # Norms
-
-
-def _components(f: ScalarField | SpectralField) -> np.ndarray:
-    """The coefficients with a component axis at -(dim + 1)."""
-    if isinstance(f, ScalarField):
-        return np.expand_dims(f.coeffs, -(f.grid.dim + 1))
-    return f.coeffs
 
 
 def _derivative_multiindices(dim: int, order: int):
@@ -425,25 +397,24 @@ def _sup_magnitude(components, dim: int):
     return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
 
 
-def lp_norm(f: ScalarField | SpectralField, p: float):
+def lp_norm(f: SpectralField, p: float):
     """L^p norm of the pointwise magnitude, by collocation quadrature."""
     g = f.grid
-    values = _inverse(_components(f), g)
+    values = _inverse(f.coeffs, g)
     if np.isinf(p):
         return _sup_magnitude(values, g.dim)
     total = np.sum(_magnitude(values, g.dim) ** p, axis=_trailing(g.dim))
     return _per_path((total * g.cell_volume) ** (1.0 / p))
 
 
-def _parseval_sum(f: ScalarField | SpectralField, m: int):
+def _parseval_sum(f: SpectralField, m: int):
     """||f||_{W^{m,2}}^2 from the stored coefficients, per path."""
-    comps = _components(f)
-    sq = comps.real ** 2 + comps.imag ** 2
+    sq = f.coeffs.real ** 2 + f.coeffs.imag ** 2
     return np.sum(sq * _parseval_weight(f.grid, m),
                   axis=_trailing(f.grid.dim + 1))
 
 
-def l2_norm(f: ScalarField | SpectralField):
+def l2_norm(f: SpectralField):
     """Spectral (Parseval) L^2 norm."""
     return _per_path(np.sqrt(_parseval_sum(f, 0)))
 
@@ -455,7 +426,7 @@ def l2_inner(u: SpectralField, v: SpectralField):
                             axis=_trailing(u.grid.dim + 1)))
 
 
-def _gradient_values(f: ScalarField | SpectralField) -> list[np.ndarray]:
+def _gradient_values(f: SpectralField) -> list[np.ndarray]:
     """Grid values of d_j f_c as jc[j][c], one inverse per j of the
     grad_symbols stack.
 
@@ -466,13 +437,12 @@ def _gradient_values(f: ScalarField | SpectralField) -> list[np.ndarray]:
     the page faults of every 3D step.
     """
     g = f.grid
-    stack = g.grad_symbols[:, None] * np.expand_dims(_components(f),
-                                                     -(g.dim + 2))
+    stack = g.grad_symbols[:, None] * np.expand_dims(f.coeffs, -(g.dim + 2))
     return [np.moveaxis(_inverse(d_j, g), -(g.dim + 1), 0)
             for d_j in np.moveaxis(stack, -(g.dim + 2), 0)]
 
 
-def grad_sup_norm(f: ScalarField | SpectralField):
+def grad_sup_norm(f: SpectralField):
     """max over the grid of the Frobenius magnitude of the gradient."""
     return _sup_magnitude((c for d_j in _gradient_values(f) for c in d_j),
                           f.grid.dim)
@@ -483,10 +453,9 @@ def _gradient_sups(u: SpectralField):
     is its antisymmetric part."""
     g = u.grid
     jc = _gradient_values(u)
-    # curl components d_j u_c - d_c u_j: 2D (0, 1); 3D (1, 2), (2, 0), (0, 1)
-    pairs = ((0, 1),) if g.dim == 2 else ((1, 2), (2, 0), (0, 1))
     return (_sup_magnitude((c for d_j in jc for c in d_j), g.dim),
-            _sup_magnitude((jc[j][c] - jc[c][j] for j, c in pairs), g.dim))
+            _sup_magnitude((jc[a][b] - jc[b][a]
+                            for a, b in _CURL_PAIRS[g.dim]), g.dim))
 
 
 def _sup_view(u: SpectralField):
@@ -505,7 +474,7 @@ def _sup_view(u: SpectralField):
     return values, _sup_magnitude(values, u.grid.dim), grad_max, curl_max
 
 
-def sobolev_norm(f: ScalarField | SpectralField, req: NormRequest):
+def sobolev_norm(f: SpectralField, req: NormRequest):
     """W^{m,p} norm: (sum_{|alpha|<=m} ||d^alpha f||_p^p)^{1/p}.
 
     p = 2 is a Parseval sum.  For p = inf the W^{1,inf} norm is
@@ -520,17 +489,16 @@ def sobolev_norm(f: ScalarField | SpectralField, req: NormRequest):
         return val
     if req.p == 2:
         return _per_path(np.sqrt(_parseval_sum(f, req.m)))
-    comps = _components(f)
     total = 0.0
     for order in range(req.m + 1):
         for axes in _derivative_multiindices(g.dim, order):
-            values = _inverse(_derivative_symbol(g, axes) * comps, g)
+            values = _inverse(_derivative_symbol(g, axes) * f.coeffs, g)
             total += np.sum(_magnitude(values, g.dim) ** req.p,
                             axis=_trailing(g.dim)) * g.cell_volume
     return _per_path(total ** (1.0 / req.p))
 
 
-def w1inf_norm(f: ScalarField | SpectralField):
+def w1inf_norm(f: SpectralField):
     return sobolev_norm(f, NormRequest(1, np.inf))
 
 
@@ -562,7 +530,7 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
             -np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2]),
             np.zeros(grid.shape),
         ]) * amplitude
-    return SpectralField.from_physical(grid, vals, divergence_free=True)
+    return SpectralField.from_physical(grid, vals)
 
 
 def shear_field(grid: Grid, amplitude: float = 1.0) -> SpectralField:
@@ -570,7 +538,7 @@ def shear_field(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     x = grid.coordinates
     vals = np.zeros((grid.dim,) + grid.shape)
     vals[0] = amplitude * np.sin(x[1])
-    return SpectralField.from_physical(grid, vals, divergence_free=True)
+    return SpectralField.from_physical(grid, vals)
 
 
 def abc_field(grid: Grid, a: float = 1.0, b: float = 1.0,
@@ -584,7 +552,7 @@ def abc_field(grid: Grid, a: float = 1.0, b: float = 1.0,
         b * np.sin(x[0]) + a * np.cos(x[2]),
         c * np.sin(x[1]) + b * np.cos(x[0]),
     ])
-    return SpectralField.from_physical(grid, vals, divergence_free=True)
+    return SpectralField.from_physical(grid, vals)
 
 
 def random_divergence_free(grid: Grid, rng: np.random.Generator,

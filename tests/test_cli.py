@@ -243,6 +243,19 @@ def test_non_finite_result_exits_science(monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_ode_bound_stiffness_failure_exits_science(tmp_path, capsys):
+    # at alpha^2 = 100 step doubling from dt = 1 still misses the 1e-8
+    # tolerance after eight halvings
+    out = tmp_path / "ode.json"
+    code = cli.main(["ode-bound", "--R-list", "4", "--alpha2-list", "100",
+                     "--dt", "1", "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_SCIENCE
+    err = capsys.readouterr().err
+    assert err.startswith("stiffness failure: step-doubling residual ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code = cli.main(["run", "--config", "/nonexistent.yaml"])
     assert code == cli.EXIT_USAGE
@@ -418,6 +431,22 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
                  ["--n-paths", "10", "--T", "1", "--dt", "0.3"],
                  "invalid parameters: T=1.0 is not a whole multiple of "
                  "dt=0.3", id="gbm-exit-T-not-a-multiple-of-dt"),
+    pytest.param("gbm-exit", None, ["--n-paths", "10", "--R", "1"],
+                 "invalid parameters: R must exceed 1",
+                 id="gbm-exit-R-not-above-1"),
+    pytest.param("ode-bound", None, ["--dt", "0"],
+                 "invalid parameters: dt must be positive and finite, got 0.0",
+                 id="ode-bound-dt-zero"),
+    pytest.param("ode-bound", None, ["--dt", "-1"],
+                 "invalid parameters: dt must be positive and finite, "
+                 "got -1.0",
+                 id="ode-bound-dt-negative"),
+    pytest.param("ode-bound", None, ["--dt", "nan"],
+                 "invalid parameters: dt must be positive and finite, got nan",
+                 id="ode-bound-dt-nan"),
+    pytest.param("ode-bound", None, ["--dt", "inf"],
+                 "invalid parameters: dt must be positive and finite, got inf",
+                 id="ode-bound-dt-inf"),
     pytest.param("run", RUN_CONFIG,
                  ["--set", "integrator.T=0.012",
                   "--set", "integrator.dt=0.005"],

@@ -146,8 +146,7 @@ def test_em_mean_mode_invariant():
     g = _grid(32)
     u = sp.taylor_green(g)
     # add a constant background drift
-    shifted = sp.SpectralField.from_physical(
-        g, u.to_physical() + 0.25, divergence_free=True)
+    shifted = sp.SpectralField.from_physical(g, u.to_physical() + 0.25)
     zero = (slice(None),) + (0,) * g.dim
     mean0 = shifted.coeffs[zero].copy()
     state = _state(shifted)
@@ -195,6 +194,34 @@ def test_transformed_alpha_zero_reduces_to_deterministic():
 
     b = dyn._rk4(u, dt, rhs)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("step, kind", [
+    (dyn.step_em, noise.LINEAR_MULTIPLICATIVE),
+    (dyn.step_em, noise.ADDITIVE),
+    (dyn.step_em, noise.NEMYTSKII),
+    (dyn.step_rk4, noise.LINEAR_MULTIPLICATIVE),
+    (dyn.step_rk4, noise.ADDITIVE),
+    (dyn.step_rk4, noise.NEMYTSKII),
+    (dyn.step_transformed, noise.LINEAR_MULTIPLICATIVE)])
+def test_steppers_leave_their_input_state_unchanged(dim, n, step, kind):
+    # callers pass states and initial fields without copying them; u
+    # carries modes outside the dealias mask, so an in-place dealias shows
+    g = _grid(n, dim)
+    rng = np.random.default_rng(8)
+    u = sp.leray_project(sp.SpectralField.from_physical(
+        g, rng.standard_normal((dim,) + g.shape)))
+    if kind == noise.LINEAR_MULTIPLICATIVE:
+        model = _lin_mult(alpha=1.0)
+    else:
+        model = noise.NoiseModel(
+            kind, alpha=1.0, g_tag="square",
+            sigma_fields=noise.spectrum_sigma_fields(g, 2, 2.0, seed=6))
+    before = u.coeffs.copy()
+    dW = noise.BrownianDriver(2, model.n_modes).sample_increments(0, 0, 1e-4)
+    step(_state(u), 1e-4, model, dW)
+    assert np.array_equal(u.coeffs, before)
 
 
 def test_transformed_rejects_bad_gamma():

@@ -374,6 +374,7 @@ def test_batched_operators_equal_their_rows(dim, n):
         "sup view": lambda u: np.array(sp._sup_view(u)[1:]).T,
         "nonlinear": lambda u: sp.nonlinear_term(u).coeffs,
         "leray": lambda u: sp.leray_project(u).coeffs,
+        "curl": lambda u: sp.curl(u).coeffs,
     }
     for name, op in per_path.items():
         got = op(batch)
@@ -454,11 +455,11 @@ def test_product_norm_bounded_by_moser_combination():
     rng = np.random.default_rng(9)
     req = sp.NormRequest(2, 2)
     for _ in range(10):
-        a = sp.dealias(sp.ScalarField.from_physical(
-            g, sp.random_divergence_free(g, rng).to_physical()[0]))
-        b = sp.dealias(sp.ScalarField.from_physical(
-            g, sp.random_divergence_free(g, rng).to_physical()[1]))
-        prod = sp.ScalarField.from_physical(
+        a = sp.dealias(sp.SpectralField.from_physical(
+            g, sp.random_divergence_free(g, rng).to_physical()[:1]))
+        b = sp.dealias(sp.SpectralField.from_physical(
+            g, sp.random_divergence_free(g, rng).to_physical()[1:]))
+        prod = sp.SpectralField.from_physical(
             g, a.to_physical() * b.to_physical())
         lhs = sp.sobolev_norm(prod, req)
         rhs = (sp.lp_norm(a, np.inf) * sp.sobolev_norm(b, req)
