@@ -233,16 +233,32 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
 # Worst-case ODE integration behind the kappa/K lemma
 
 
-def _rk4(v, dt: float, rhs, k1=None):
+def _rk4(v, dt: float, rhs, k1=None, stage=None):
     """Classic RK4 with a time-dependent rhs(tau, v) over tau in [0, dt];
     k1, when given, is rhs(0, v).  v is a float (the ODE sweep below) or a
-    SpectralField (the dynamics steppers)."""
+    SpectralField (the dynamics steppers).
+
+    stage(c, k), when given, returns the stage input v + c k; the steppers
+    pass one that forms it in a work buffer.  The sum k1 + 2 k2 + 2 k3 + k4
+    forms in k1 by augmented assignments, which rebind a float and update a
+    field in place, so every k must be a new field; the result is k1.
+    """
+    if stage is None:
+        def stage(c, k):
+            return v + c * k
     if k1 is None:
         k1 = rhs(0.0, v)
-    k2 = rhs(0.5 * dt, v + 0.5 * dt * k1)
-    k3 = rhs(0.5 * dt, v + 0.5 * dt * k2)
-    k4 = rhs(dt, v + dt * k3)
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k = rhs(0.5 * dt, stage(0.5 * dt, k1))
+    for tau in (0.5 * dt, dt):  # k3 and k4
+        w = stage(tau, k)
+        k *= 2.0
+        k1 += k
+        del k  # freed before the next k is made
+        k = rhs(tau, w)
+    k1 += k
+    k1 *= dt / 6.0
+    k1 += v
+    return k1
 
 
 Z_PROFILE_TAGS = ("extremal", "half", "zero", "decaying")

@@ -24,8 +24,8 @@ W^{m,p} order is norms.  A sample whose W^{1,inf} norm reaches BLOWUP_LEVEL
 ends the path as a blow-up.
 
 A sample's W^{1,inf} and sup|curl u| come from one physical-space view of
-the state (spectral._sup_view): two inverse transforms, u and its gradient
-stack, and one sqrt after each max.  The driver keeps a sampled state's
+the state (spectral._sup_view): an inverse transform of each d_j u and one
+of u, and one sqrt after each max.  The driver keeps a sampled state's
 grid values and max|u| (state.values, state.u_max); step_em and the first
 RK4 stage take their flux and CFL bound from them, so a velocity state is
 transformed to the grid once per step.
@@ -36,13 +36,14 @@ transformed to the grid once per step.
                        integrating-factor damping + RK4 transport); the
                        2D vorticity-decay check reads its curl v
 
-All steppers return new states and mutate nothing.
+All steppers return new states and mutate nothing.  The RK4 steppers form
+their stage inputs in the grid workspace's stage buffer
+(spectral._rk4_stage) and their k1 + 2 k2 + 2 k3 + k4 sum in place in k1.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,9 @@ from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
 from .spectral import (Grid, NormRequest, SpectralField, _per_path,
-                       _sup_magnitude, _sup_view, _trailing, curl, dealias,
-                       l2_norm, leray_project, lp_norm, nonlinear_term,
-                       sobolev_norm, w1inf_norm)
+                       _rk4_stage, _sup_magnitude, _sup_view, _trailing,
+                       curl, dealias, l2_norm, leray_project, lp_norm,
+                       nonlinear_term, sobolev_norm, w1inf_norm)
 
 # curl and w1inf_norm are not called here, but the benchmark tracer
 # (perfbench/tracing.py) patches them on this module by name, so they stay
@@ -134,12 +135,6 @@ class TrajectoryDiagnostics:
 
     COLUMNS = ("t", "l2", "wmp", "w1inf", "curl_inf", "gamma")
 
-    def first_hit(self, kind: str) -> float | None:
-        for k, t in self.hits:
-            if k == kind:
-                return t
-        return None
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             self.write_csv(fh)
@@ -150,11 +145,6 @@ class TrajectoryDiagnostics:
         for row in zip(self.times, self.l2, self.wmp, self.w1inf,
                        self.curl_inf, self.gamma):
             writer.writerow([repr(v) for v in row])
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 @dataclass
@@ -291,12 +281,14 @@ def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
     u = state.u
     u_phys = _flux_values(state, dt, model, c_cfl)
 
-    def rhs(_tau, v):
-        return -1.0 * nonlinear_term(v)
+    def rhs(_tau, v, v_phys=None):
+        k = nonlinear_term(v, v_phys)
+        k *= -1.0
+        return k
 
-    u_new = _rk4(u, dt, rhs, k1=-1.0 * nonlinear_term(u, u_phys))
+    u_new = _rk4(u, dt, rhs, k1=rhs(0.0, u, u_phys), stage=_rk4_stage(u))
     if model.n_modes:
-        u_new = u_new + apply_noise(model, u, dW)
+        u_new += apply_noise(model, u, dW)
     return _advance(state, dt, _project(u_new.coeffs, u.grid), model, dW)
 
 
@@ -316,9 +308,12 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
     half = 0.5 * _lm_alpha(model) ** 2
 
     def rhs(tau, w):
-        return (np.exp(-half * tau) / -gamma) * nonlinear_term(w)
+        k = nonlinear_term(w)
+        k *= np.exp(-half * tau) / -gamma
+        return k
 
-    v_new = float(np.exp(-half * dt)) * _rk4(state.u, dt, rhs)
+    v_new = _rk4(state.u, dt, rhs, stage=_rk4_stage(state.u))
+    v_new *= float(np.exp(-half * dt))
     _check_finite(v_new)
     return _advance(state, dt, v_new, model, dW)
 

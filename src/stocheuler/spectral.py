@@ -4,27 +4,47 @@ Fields are stored as real-FFT half spectra (``scipy.fft.rfftn`` layout): the
 last axis holds indices 0..n/2 only, and each stored mode k stands for
 itself and its conjugate partner -k, so physical-space values are real by
 construction.  Wavenumbers are numpy's ``fftfreq`` values of the stored
-indices on every axis.  Every transform goes
-through the private pair ``_forward``/``_inverse``, which act on the trailing
-``dim`` axes and so take a whole (components, n, ..., n) stack in one call.
+indices on every axis.  Fields are made and read through the private pair
+``_forward``/``_inverse`` (scipy's rfftn and irfftn), which act on the
+trailing ``dim`` axes and so take a whole (components, n, ..., n) stack in
+one call.
 
 Batch axes: a field's coefficients may carry any leading axes in front of
 (dim,) + spectral_shape, one entry per path, and every operator the
-trajectory driver runs (dealias, leray_project, flux_divergence,
-nonlinear_term, the sup norms, the Parseval sums, l2_norm and sobolev_norm
-for p = 2 and p = inf) acts on each path alone.  The component axis is
--(dim + 1).  A reduction runs over the trailing axes and returns one value
-per path: a float for an unbatched field, else an array of the batch
-shape.  A path's values in a batch are bit for bit its values alone: the
-transforms give each row the same result batched or not
-(tests/test_spectral.py guards this), and every reduction sums one path's
-contiguous block.
+trajectory driver runs (dealias, leray_project, nonlinear_term, the sup
+norms, the Parseval sums, l2_norm and sobolev_norm for p = 2 and p = inf)
+acts on each path alone.  The component axis is -(dim + 1).  A reduction
+runs over the trailing axes and returns one value per path: a float for an
+unbatched field, else an array of the batch shape.  A path's values in a
+batch are bit for bit its values alone: the transforms give each row the
+same result batched or not (tests/test_spectral.py guards this), and every
+reduction sums one path's contiguous block.
 
 All differential operators are exact on retained modes; quadratic terms are
 dealiased with the sharp 2/3-rule mask.  The advection term is evaluated in
 divergence form, P div(u (x) u), from the dim (dim + 1) / 2 products u_i u_j:
 the package's one advection kernel.  Besides it the module holds the Leray
 projection, curl (one component in 2D), the mollifier and initial fields.
+
+The workspace.  Each grid owns one ``_Workspace`` (``Grid._workspace``),
+which holds every large array of the advection kernel, of the sampled view
+and of the RK4 stage inputs, sized to the largest batch seen so far; a
+smaller batch uses the start of it.  The kernel and the view never run at
+the same time, so they share one pool of real and one of complex arrays.
+What an operator returns is never a work array.  The workspace's
+transforms run the 1-D passes that scipy's rfftn and irfftn run, in their
+order (forward: the last axis, then -dim .. -2; inverse: -dim .. -2, then
+the last axis): numpy's rfft/irfft with ``out=`` on the last axis,
+scipy.fft's fft/ifft in place on the others, and irfftn's 1/n^dim after
+the last pass, as pocketfft applies it.  They skip lines that the 2/3 rule
+makes zero: the inverse of a dealiased field skips the lines that hold
+only masked zeros, and the forward transform of the flux products skips
+the lines whose outputs the mask discards (at n = 32, 21 of 32 indices are
+kept on a full axis and 11 of 17 on the half axis).  Every line that runs
+is the transform scipy runs on the same input; a skipped inverse line
+holds zeros, which its transform keeps, and a skipped forward line feeds
+only modes the mask zeroes.  So the grid values are scipy's bit for bit,
+and so are the modes inside the mask (tests/test_spectral.py guards both).
 
 W^{m,2} norms (and L^2 norms and inner products) are Parseval sums over the
 half spectrum with a cached weight per (grid, m); they use no transform.
@@ -34,14 +54,15 @@ field, Nyquist modes included.
 
 Sup norms reduce through one kernel, ``_sup_magnitude``: squares accumulate
 in place and the sqrt is taken once, after the max.  A sampled state's
-max|u|, max|grad u| and max|curl u| come from ``_sup_view``, which makes two
-inverses (u and its gradient stack) and reads the curl as the antisymmetric
-part of the grid gradient.
+max|u|, max|grad u| and max|curl u| come from ``_sup_view``, which makes
+one inverse of each d_j u and one of u, and reads the curl as the
+antisymmetric part of the grid gradient.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,6 +169,17 @@ class Grid:
         return {}
 
     @cached_property
+    def _workspace(self) -> "_Workspace":
+        return _Workspace(self)
+
+    def __getstate__(self):
+        # work arrays are not state: a pickled grid (an ensemble's worker
+        # gets one per chunk) makes its own workspace
+        state = self.__dict__.copy()
+        state.pop("_workspace", None)
+        return state
+
+    @cached_property
     def coordinates(self) -> np.ndarray:
         """Physical coordinates, shape (dim, n, ..., n)."""
         x1 = np.arange(self.n) * self.dx
@@ -175,6 +207,13 @@ def _rows(c, ndim: int):
     return c if np.ndim(c) == 0 else np.reshape(c, np.shape(c) + (1,) * ndim)
 
 
+def _components(a: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Views of the components of a, whose component axis is -(dim + 1)
+    (np.moveaxis to the front, without its per-call cost)."""
+    tail = (slice(None),) * dim
+    return [a[(Ellipsis, c) + tail] for c in range(a.shape[-(dim + 1)])]
+
+
 def _forward(values: np.ndarray, dim: int) -> np.ndarray:
     """Half spectra of real values over their trailing dim axes."""
     return scipy.fft.rfftn(values, axes=tuple(range(-dim, 0)))
@@ -184,6 +223,120 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Real physical values of half spectra over their trailing axes."""
     return scipy.fft.irfftn(coeffs, s=grid.shape,
                             axes=tuple(range(-grid.dim, 0)))
+
+
+# the (i, j), i <= j, of the flux entries u_i u_j, and the (a, b) of each
+# curl component d_a u_b - d_b u_a
+_FLUX_PAIRS = {dim: tuple((i, j) for i in range(dim) for j in range(i, dim))
+               for dim in (2, 3)}
+_CURL_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
+
+
+def _runs(keep: np.ndarray) -> list[slice]:
+    """The runs of True in a 1-D boolean array, as slices."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], keep, [0]))))
+    return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
+
+
+def _c2c(spectra: np.ndarray, axis: int, index: tuple,
+         forward: bool) -> None:
+    """One unscaled complex pass of scipy.fft along axis over the lines
+    spectra[index], in place."""
+    lines = spectra[index]
+    fft = scipy.fft.fft if forward else scipy.fft.ifft
+    done = fft(lines, axis=axis, norm="backward" if forward else "forward",
+               overwrite_x=True)
+    # overwrite_x allows, but does not promise, an in-place transform
+    if not np.may_share_memory(done, lines):
+        lines[...] = done
+
+
+class _Workspace:
+    """The work arrays of one grid: those of the advection kernel, of the
+    sampled view and of the RK4 stage inputs, and the grid's pruned
+    transforms.
+
+    Three flat pools hold the arrays: grid values ("real"), half spectra
+    ("complex") and the stage inputs ("stage", half spectra as well, since
+    the kernel runs on them).  The kernel and the view never run at the
+    same time, so they share the first two.  A pool is sized to the largest
+    batch seen so far, and each call to arrays() carves its arrays from the
+    start of the pools, so a batch whose paths retired touches less of
+    them.  An array carved from a pool is valid until the next call.
+    """
+
+    def __init__(self, grid: Grid):
+        dim, n = grid.dim, grid.n
+        self.n = n
+        self.scale = 1.0 / n ** dim  # irfftn's, applied after its last pass
+        pairs, curls = len(_FLUX_PAIRS[dim]), len(_CURL_PAIRS[dim])
+        # per path: (dtype, grid shape, components), the components being
+        # the most that the kernel (u, the flux products and their spectra)
+        # or the view (the gradient row, the curl and the square sum) takes
+        self._layout = {
+            "real": (float, grid.shape, max(dim + pairs, dim + curls + 1)),
+            "complex": (complex, grid.spectral_shape, dim + pairs),
+            "stage": (complex, grid.spectral_shape, dim),
+        }
+        self._pools = {name: np.empty(0, dtype)
+                       for name, (dtype, _, _) in self._layout.items()}
+        # the lines each c2c pass runs: pass a (axes -dim .. -2, in
+        # scipy's order) needs, on every other full axis j that is still
+        # spectral (j > a inverse, j < a forward), only the dealias runs,
+        # and on the half axis only the kept modes
+        mask = grid.dealias_mask
+        full = _runs(mask[(slice(None),) + (0,) * (dim - 1)])
+        half = _runs(mask[(0,) * (dim - 1)])
+        full_axes = range(-dim, -1)
+
+        def lines(forward: bool) -> list[tuple[int, list[tuple]]]:
+            return [(a, [(Ellipsis,) + idx for idx in itertools.product(
+                *[full if j != a and (j > a) != forward else [slice(None)]
+                  for j in full_axes], half)]) for a in full_axes]
+
+        self._lines = {"forward": lines(True), "inverse": lines(False),
+                       "inverse all": [(a, [(Ellipsis,)]) for a in full_axes]}
+
+    def arrays(self, lead: tuple[int, ...], *specs) -> list[np.ndarray]:
+        """One work array per (pool, components) in specs, of shape
+        lead + (components,) + the pool's grid shape, carved in order."""
+        batch = math.prod(lead)
+        start = dict.fromkeys(self._pools, 0)
+        out = []
+        for name, comps in specs:
+            dtype, shape, per_path = self._layout[name]
+            need = batch * per_path * math.prod(shape)
+            if self._pools[name].size < need:
+                self._pools[name] = np.empty(need, dtype)
+            shape = lead + (comps,) + shape
+            end = start[name] + math.prod(shape)
+            out.append(self._pools[name][start[name]:end].reshape(shape))
+            start[name] = end
+        return out
+
+    def inverse(self, spectra: np.ndarray, values: np.ndarray,
+                pruned: bool) -> None:
+        """Write the grid values of the half spectra into values, by the
+        1-D passes of scipy.fft.irfftn in its order; spectra is overwritten.
+
+        pruned says that spectra vanish outside the dealias mask: a pass
+        then skips the lines that hold only those zeros.
+        """
+        passes = self._lines["inverse" if pruned else "inverse all"]
+        for axis, indices in passes:
+            for index in indices:
+                _c2c(spectra, axis, index, forward=False)
+        np.fft.irfft(spectra, n=self.n, axis=-1, norm="forward", out=values)
+        values *= self.scale
+
+    def forward(self, values: np.ndarray, spectra: np.ndarray) -> None:
+        """Write the half spectra of the real values into spectra, by the
+        1-D passes of scipy.fft.rfftn in its order.  Only the modes inside
+        the dealias mask are transformed: the others hold partial sums."""
+        np.fft.rfft(values, axis=-1, out=spectra)
+        for axis, indices in self._lines["forward"]:
+            for index in indices:
+                _c2c(spectra, axis, index, forward=True)
 
 
 @dataclass
@@ -208,18 +361,8 @@ class SpectralField:
                 f"{', '.join(map(str, grid.shape))}), got {values.shape}")
         return cls(grid, _forward(values, grid.dim))
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape,
-                                  dtype=complex))
-
     def to_physical(self) -> np.ndarray:
         return _inverse(self.coeffs, self.grid)
-
-    def max_divergence(self) -> float:
-        """max_k |k . u_hat(k)|, the divergence-free defect in Fourier space."""
-        div = np.sum(self.grid.k * self.coeffs, axis=-(self.grid.dim + 1))
-        return float(np.max(np.abs(div)))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return SpectralField(self.grid, self.coeffs + other.coeffs)
@@ -233,6 +376,15 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * scale)
 
     __rmul__ = __mul__
+
+    def __iadd__(self, other: "SpectralField") -> "SpectralField":
+        self.coeffs += other.coeffs
+        return self
+
+    def __imul__(self, c) -> "SpectralField":
+        """Scale in place, as __mul__ scales."""
+        self.coeffs *= _rows(c, self.grid.dim + 1)
+        return self
 
 
 @dataclass(frozen=True)
@@ -271,53 +423,45 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
-def _pair_products(a: np.ndarray, pairs, dim: int) -> np.ndarray:
-    """a_i a_j for each (i, j) in pairs, stacked on the component axis."""
-    axis = -(dim + 1)
-    products = np.empty(a.shape[:axis] + (len(pairs),) + a.shape[axis + 1:])
-    comps = np.moveaxis(a, axis, 0)
-    for out, (i, j) in zip(np.moveaxis(products, axis, 0), pairs):
-        np.multiply(comps[i], comps[j], out=out)
-    return products
-
-
-def flux_divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Dealiased half spectrum of (div T)_i = sum_j d_j T_ij, T = a (x) a.
-
-    a is a physical vector field, shape (..., dim) + grid.shape.  T is
-    symmetric, so only its dim (dim + 1) / 2 entries i <= j are
-    transformed.  For divergence-free a, div(a (x) a) = a.grad a.
-    """
-    dim = grid.dim
-    axis = -(dim + 1)
-    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    # the products are freed once transformed, before div is made
-    t_hat = _forward(_pair_products(a, pairs, dim), dim)
-    ik = grid.ik
-    div = np.zeros(a.shape[:axis] + (dim,) + grid.spectral_shape,
-                   dtype=complex)
-    div_comps = np.moveaxis(div, axis, 0)
-    for t, (i, j) in zip(np.moveaxis(t_hat, axis, 0), pairs):
-        div_comps[i] += ik[j] * t
-        if i != j:
-            div_comps[j] += ik[i] * t
-    div *= grid.dealias_mask
-    return div
-
-
 def nonlinear_term(u: SpectralField,
                    u_phys: np.ndarray | None = None) -> SpectralField:
     """P(u . grad u) = P div(u (x) u), pseudo-spectral with 2/3-rule
     dealiasing; u must be divergence-free.  u_phys, when given, is
-    dealias(u).to_physical(), which the term would otherwise compute."""
+    dealias(u).to_physical(), which the term would otherwise compute.
+
+    The flux T = u (x) u is symmetric, so only its dim (dim + 1) / 2
+    entries i <= j are transformed, and (div T)_i = sum_j i k_j T_ij; for
+    divergence-free u, div(u (x) u) = u.grad u.  Every array but the
+    projected result is a work array of the grid's workspace.
+    """
     g = u.grid
+    axis = -(g.dim + 1)
+    pairs = _FLUX_PAIRS[g.dim]
+    ws = g._workspace
+    # the products come first, so a term given u_phys touches no more of
+    # the real pool than the view does
+    div, t_hat, products, values = ws.arrays(
+        u.coeffs.shape[:axis], ("complex", g.dim), ("complex", len(pairs)),
+        ("real", len(pairs)), ("real", g.dim))
     if u_phys is None:
-        u_phys = dealias(u).to_physical()
-    return leray_project(SpectralField(g, flux_divergence(g, u_phys)))
-
-
-# the (a, b) of each curl component d_a u_b - d_b u_a
-_CURL_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
+        np.multiply(u.coeffs, g.dealias_mask, out=div)  # dealias(u)
+        ws.inverse(div, values, pruned=True)
+        u_phys = values
+    comps = _components(u_phys, g.dim)
+    for out, (i, j) in zip(_components(products, g.dim), pairs):
+        np.multiply(comps[i], comps[j], out=out)
+    ws.forward(products, t_hat)
+    div[...] = 0.0
+    div_comps = _components(div, g.dim)
+    # each i k_j T_ij is formed in T_ij's own slot; pair (0, 0) comes first,
+    # so its slot is free to hold the first of an off-diagonal pair's two
+    t_comps = _components(t_hat, g.dim)
+    for t, (i, j) in zip(t_comps, pairs):
+        if i != j:
+            div_comps[i] += np.multiply(g.ik[j], t, out=t_comps[0])
+        div_comps[j] += np.multiply(g.ik[i], t, out=t)
+    div *= g.dealias_mask
+    return leray_project(SpectralField(g, div))
 
 
 def curl(u: SpectralField) -> SpectralField:
@@ -329,6 +473,22 @@ def curl(u: SpectralField) -> SpectralField:
     return SpectralField(g, np.stack(
         [g.ik[a] * comps[b] - g.ik[b] * comps[a]
          for a, b in _CURL_PAIRS[g.dim]], axis=axis))
+
+
+def _rk4_stage(v: SpectralField):
+    """stage(c, k) for analysis._rk4: the stage input v + c k, formed in
+    place in the grid workspace's stage buffer."""
+    g = v.grid
+    buf, = g._workspace.arrays(v.coeffs.shape[:-(g.dim + 1)],
+                               ("stage", v.coeffs.shape[-(g.dim + 1)]))
+    field = SpectralField(g, buf)
+
+    def stage(c, k: SpectralField) -> SpectralField:
+        np.multiply(k.coeffs, c, out=buf)
+        np.add(buf, v.coeffs, out=buf)
+        return field
+
+    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +546,7 @@ def _sup_magnitude(components, dim: int):
     the max of the pointwise magnitudes.
     """
     if isinstance(components, np.ndarray):
-        components = np.moveaxis(components, -(dim + 1), 0)
+        components = _components(components, dim)
     components = iter(components)
     first = next(components)
     acc = first * first
@@ -426,36 +586,57 @@ def l2_inner(u: SpectralField, v: SpectralField):
                             axis=_trailing(u.grid.dim + 1)))
 
 
-def _gradient_values(f: SpectralField) -> list[np.ndarray]:
-    """Grid values of d_j f_c as jc[j][c], one inverse per j of the
-    grad_symbols stack.
+def _sup_of_squares(comps: np.ndarray, dim: int):
+    """_sup_magnitude of the components of a work array, squaring them in
+    place: the same squares, added in the same order."""
+    acc = np.multiply(comps[0], comps[0], out=comps[0])
+    for c in comps[1:]:
+        acc += np.multiply(c, c, out=c)
+    return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
 
-    Inverting per j holds one output beside the stack, not all of them,
-    which cuts a batch's peak memory.  The stack itself is made whole: it
-    is the largest array of a 3D run, and glibc raises its mmap and trim
-    thresholds to the largest block freed, so a smaller one here doubled
-    the page faults of every 3D step.
+
+def _gradient_sups(f: SpectralField, with_curl: bool = True):
+    """max|grad f| (Frobenius) and, with_curl, max|curl f| (else None) over
+    the grid.
+
+    One inverse per j makes the grid values of d_j f_c for every c in one
+    work array.  The squares d_j f_c^2 accumulate in (j, c) order, which is
+    the order np.sum adds the whole (j, c) stack in.  The curl is the
+    antisymmetric part of the grid gradient: a component d_a u_b - d_b u_a
+    takes its first term at j = min(a, b) and is completed at j = max(a, b)
+    by the same subtraction, so its bits do not depend on the streaming.
     """
     g = f.grid
-    stack = g.grad_symbols[:, None] * np.expand_dims(f.coeffs, -(g.dim + 2))
-    return [np.moveaxis(_inverse(d_j, g), -(g.dim + 1), 0)
-            for d_j in np.moveaxis(stack, -(g.dim + 2), 0)]
+    axis = -(g.dim + 1)
+    pairs = _CURL_PAIRS[g.dim] if with_curl else ()
+    ws = g._workspace
+    spectra, d_j, rot, acc = ws.arrays(
+        f.coeffs.shape[:axis], ("complex", f.coeffs.shape[axis]),
+        ("real", f.coeffs.shape[axis]), ("real", len(pairs)), ("real", 1))
+    acc, = _components(acc, g.dim)
+    rows, rots = _components(d_j, g.dim), _components(rot, g.dim)
+    for j in range(g.dim):
+        np.multiply(g.grad_symbols[j], f.coeffs, out=spectra)
+        ws.inverse(spectra, d_j, pruned=False)
+        for r, (a, b) in zip(rots, pairs):
+            if j == min(a, b):
+                r[...] = rows[b if j == a else a]
+            elif j == b:
+                np.subtract(r, rows[a], out=r)
+            elif j == a:
+                np.subtract(rows[b], r, out=r)
+        for c, row in enumerate(rows):
+            if j == c == 0:
+                np.multiply(row, row, out=acc)
+            else:
+                acc += np.multiply(row, row, out=row)
+    grad_max = _per_path(np.sqrt(np.max(acc, axis=_trailing(g.dim))))
+    return grad_max, _sup_of_squares(rots, g.dim) if pairs else None
 
 
 def grad_sup_norm(f: SpectralField):
     """max over the grid of the Frobenius magnitude of the gradient."""
-    return _sup_magnitude((c for d_j in _gradient_values(f) for c in d_j),
-                          f.grid.dim)
-
-
-def _gradient_sups(u: SpectralField):
-    """max|grad u| (Frobenius) and max|curl u| from the gradient; the curl
-    is its antisymmetric part."""
-    g = u.grid
-    jc = _gradient_values(u)
-    return (_sup_magnitude((c for d_j in jc for c in d_j), g.dim),
-            _sup_magnitude((jc[a][b] - jc[b][a]
-                            for a, b in _CURL_PAIRS[g.dim]), g.dim))
+    return _gradient_sups(f, with_curl=False)[0]
 
 
 def _sup_view(u: SpectralField):
@@ -465,13 +646,17 @@ def _sup_view(u: SpectralField):
     max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl costs no
     transform; it equals the grid values of curl(u) up to rounding unless u
     carries Nyquist modes, where curl's i k symbol and the grid derivative
-    differ.  The values are made after the gradient is freed, because the
-    trajectory driver keeps them for its next step: made before, they
-    pinned the heap and cost page faults on every step.
+    differ.  The values are a new array, because the trajectory driver
+    keeps them for its next step; the rest are work arrays.
     """
+    g = u.grid
     grad_max, curl_max = _gradient_sups(u)
-    values = _inverse(u.coeffs, u.grid)
-    return values, _sup_magnitude(values, u.grid.dim), grad_max, curl_max
+    spectra, = g._workspace.arrays(u.coeffs.shape[:-(g.dim + 1)],
+                                   ("complex", u.coeffs.shape[-(g.dim + 1)]))
+    np.copyto(spectra, u.coeffs)
+    values = np.empty(u.coeffs.shape[:-g.dim] + g.shape)
+    g._workspace.inverse(spectra, values, pruned=False)
+    return values, _sup_magnitude(values, g.dim), grad_max, curl_max
 
 
 def sobolev_norm(f: SpectralField, req: NormRequest):

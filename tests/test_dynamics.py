@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,30 @@ def _state(u):
     return dyn.SimState(0.0, u)
 
 
+def _zero(grid):
+    """The zero velocity field on grid."""
+    return sp.SpectralField(
+        grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex))
+
+
+def _max_divergence(f):
+    """max_k |k . f_hat(k)|, the divergence-free defect in Fourier space."""
+    div = np.sum(f.grid.k * f.coeffs, axis=-(f.grid.dim + 1))
+    return float(np.max(np.abs(div)))
+
+
+def _first_hit(diag, kind):
+    """The time of the first hit of a rule kind, or None."""
+    return next((t for k, t in diag.hits if k == kind), None)
+
+
+def _csv_text(diag):
+    """The diagnostics' CSV file as text."""
+    buf = io.StringIO()
+    diag.write_csv(buf)
+    return buf.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # CFL
 
@@ -34,8 +59,7 @@ def test_cfl_limit_advective_and_noise_cap():
     assert abs(lim - 0.5 * g.dx / umax) < 1e-12
     # linear-multiplicative cap (0.1/alpha)^2
     assert dyn.cfl_limit(u, c_cfl=0.5, alpha=10.0) == pytest.approx(1e-4)
-    assert dyn.cfl_limit(sp.SpectralField.zero(g), alpha=2.0) \
-        == pytest.approx(0.0025)
+    assert dyn.cfl_limit(_zero(g), alpha=2.0) == pytest.approx(0.0025)
 
 
 def test_step_em_raises_on_cfl_violation():
@@ -86,7 +110,7 @@ def test_step_rejects_nonpositive_dt():
 
 def test_em_zero_field_stays_zero():
     g = _grid()
-    state = _state(sp.SpectralField.zero(g))
+    state = _state(_zero(g))
     out = dyn.step_em(state, 0.01, noise.zero_noise(), np.zeros(0))
     assert sp.l2_norm(out.u) == 0.0
     assert out.t == pytest.approx(0.01)
@@ -112,8 +136,8 @@ def test_em_additive_noise_from_rest():
     model = noise.NoiseModel(noise.ADDITIVE, sigma_fields=sigmas)
     driver = noise.BrownianDriver(5, 2)
     dW = driver.sample_increments(7, 0, 0.01)
-    out = dyn.step_em(_state(sp.SpectralField.zero(g)), 0.01, model, dW)
-    want = noise.apply_noise(model, sp.SpectralField.zero(g), dW)
+    out = dyn.step_em(_state(_zero(g)), 0.01, model, dW)
+    want = noise.apply_noise(model, _zero(g), dW)
     assert np.max(np.abs(out.u.coeffs
                          - want.coeffs * g.dealias_mask[None, ...])) < 1e-14
 
@@ -139,7 +163,7 @@ def test_em_preserves_divergence_free():
     for step in range(5):
         state = dyn.step_em(state, 1e-3, model,
                             driver.sample_increments(0, step, 1e-3))
-        assert state.u.max_divergence() <= 1e-10 * sp.l2_norm(state.u)
+        assert _max_divergence(state.u) <= 1e-10 * sp.l2_norm(state.u)
 
 
 def test_em_mean_mode_invariant():
@@ -224,6 +248,46 @@ def test_steppers_leave_their_input_state_unchanged(dim, n, step, kind):
     assert np.array_equal(u.coeffs, before)
 
 
+def test_transformed_step_result_survives_a_later_step():
+    # the RK4 stage inputs live in the grid's work arrays; the state a step
+    # returns must not
+    g = _grid(16, 3)
+    model = _lin_mult(alpha=1.0)
+    dW = np.full(1, 0.01)
+    a, b = (dyn.step_transformed(
+        _state(sp.make_initial_field(g, "random", 0.5, seed=s)), 5e-3,
+        model, dW) for s in (1, 2))
+    kept = a.u.coeffs.copy()
+    dyn.step_transformed(b, 5e-3, model, dW)
+    assert np.array_equal(a.u.coeffs, kept)
+
+
+# A warmed-up step allocates k1 (which becomes the new state), one k at a
+# time beside it, and leray_project's two temporaries: about 3 fields of
+# the batch's size, against about 9 before the workspace.  One more field-
+# sized temporary per step breaks the budget.
+STEP_ALLOCATION_FIELDS = 4.0
+
+
+def test_transformed_step_allocates_few_field_sizes():
+    g = _grid(16, 3)
+    u0 = sp.make_initial_field(g, "random", 0.5, seed=2)
+    batch = 3
+    state = dyn.SimState(0.0, sp.SpectralField(
+        g, np.repeat(u0.coeffs[None], batch, axis=0)), np.ones(batch),
+        np.zeros(batch))
+    model = _lin_mult(alpha=1.0)
+    dW = np.full((batch, 1), 0.01)
+    state = dyn.step_transformed(state, 5e-3, model, dW)  # sizes the pools
+    tracemalloc.start()
+    try:
+        dyn.step_transformed(state, 5e-3, model, dW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= STEP_ALLOCATION_FIELDS * state.u.coeffs.nbytes
+
+
 def test_transformed_rejects_bad_gamma():
     g = _grid()
     with pytest.raises(ValueError):
@@ -273,8 +337,8 @@ def test_stopping_is_first_hit_and_monotone_in_level():
     high = dyn.StoppingRule(dyn.W1INF_THRESHOLD, 1.0)
     d_low, = dyn.integrate_trajectory(_tg_config(stopping=(low,)))
     d_high, = dyn.integrate_trajectory(_tg_config(stopping=(high,)))
-    t_low = d_low.first_hit(dyn.W1INF_THRESHOLD)
-    t_high = d_high.first_hit(dyn.W1INF_THRESHOLD)
+    t_low = _first_hit(d_low, dyn.W1INF_THRESHOLD)
+    t_high = _first_hit(d_high, dyn.W1INF_THRESHOLD)
     assert t_low is not None and t_high is not None
     assert t_high >= t_low
     # fires immediately: Taylor-Green data already exceeds both levels
@@ -287,7 +351,7 @@ def test_gbm_level_rule_monitors_martingale():
                      model=_lin_mult(alpha=1.0), noise_seed=17,
                      integrator="em", stopping=(rule,), T=0.1, dt=1e-3)
     diag, = dyn.integrate_trajectory(cfg, [1])
-    hit = diag.first_hit(dyn.GBM_LEVEL)
+    hit = _first_hit(diag, dyn.GBM_LEVEL)
     # either it fired at a sampled time or rho_alpha stayed below the level
     if hit is not None:
         assert 0.0 <= hit <= 0.1
@@ -343,7 +407,7 @@ def test_blow_up_flag_on_threshold(monkeypatch):
 
 def test_diagnostics_csv_roundtrip(tmp_path):
     diag, = dyn.integrate_trajectory(_tg_config(sample_every=2))
-    text = diag.to_csv_text()
+    text = _csv_text(diag)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == list(dyn.TrajectoryDiagnostics.COLUMNS)
     assert len(rows) == len(diag.times) + 1
@@ -389,7 +453,7 @@ def test_batch_csv_equals_solo_runs(kind, dim, noise_kind):
     assert len({d.l2[-1] for d in batch}) == len(ids)  # the paths differ
     for tid, diag in zip(ids, batch):
         solo, = dyn.integrate_trajectory(cfg, [tid])
-        assert diag.to_csv_text() == solo.to_csv_text()
+        assert _csv_text(diag) == _csv_text(solo)
         assert diag.final_time == solo.final_time == pytest.approx(0.03)
 
 
@@ -418,7 +482,7 @@ def test_mixed_batch_survivors_equal_their_solo_runs(monkeypatch):
     for tid, diag in zip(ids, batch):
         solo, = dyn.integrate_trajectory(cfg, [tid])
         assert _outcome(diag) == _outcome(solo)
-        assert diag.to_csv_text() == solo.to_csv_text()
+        assert _csv_text(diag) == _csv_text(solo)
         assert (diag.hits, diag.final_time) == (solo.hits, solo.final_time)
         if _outcome(diag) == "CflViolation":
             assert diag.failure.rows is not None and len(diag.times) > 1

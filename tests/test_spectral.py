@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from stocheuler import spectral as sp
 from stocheuler.errors import ShapeMismatch, UnsupportedNorm
@@ -12,6 +13,18 @@ from stocheuler.errors import ShapeMismatch, UnsupportedNorm
 def _random_field(grid, seed=0, amplitude=1.0):
     rng = np.random.default_rng(seed)
     return sp.random_divergence_free(grid, rng, amplitude=amplitude)
+
+
+def _zero(grid):
+    """The zero velocity field on grid."""
+    return sp.SpectralField(
+        grid, np.zeros((grid.dim,) + grid.spectral_shape, dtype=complex))
+
+
+def _max_divergence(f):
+    """max_k |k . f_hat(k)|, the divergence-free defect in Fourier space."""
+    div = np.sum(f.grid.k * f.coeffs, axis=-(f.grid.dim + 1))
+    return float(np.max(np.abs(div)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +95,7 @@ def test_projection_idempotent_and_orthogonal():
         assert sp.l2_norm(ppf - pf) <= 1e-12 * nf
         # <Pf, f - Pf> = 0
         assert abs(sp.l2_inner(pf, f - pf)) <= 1e-12 * nf ** 2
-        assert pf.max_divergence() <= 1e-10 * nf
+        assert _max_divergence(pf) <= 1e-10 * nf
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +167,7 @@ def test_nonlinear_term_dense_convolution_3d():
 
 def test_nonlinear_term_zero():
     g = sp.Grid(2, 16)
-    out = sp.nonlinear_term(sp.SpectralField.zero(g))
+    out = sp.nonlinear_term(_zero(g))
     assert sp.l2_norm(out) == 0.0
 
 
@@ -289,7 +302,7 @@ def test_sobolev_monotone_in_order():
 
 def test_sobolev_zero_field():
     g = sp.Grid(2, 16)
-    z = sp.SpectralField.zero(g)
+    z = _zero(g)
     for m, p in ((0, 2), (2, 4), (1, np.inf)):
         assert sp.sobolev_norm(z, sp.NormRequest(m, p)) == 0.0
 
@@ -357,6 +370,54 @@ def test_batched_transforms_equal_unbatched_rows(dim, n):
         alone = sp._forward(values[row], dim)
         assert np.array_equal(coeffs[row], alone)
         assert np.array_equal(back[row], sp._inverse(alone, g))
+
+
+@pytest.mark.parametrize("fraction", [0.5, 2.0 / 3.0, 1.0])
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 24), (2, 48),
+                                    (3, 16), (3, 24), (3, 48)])
+def test_workspace_transforms_equal_scipy(dim, n, fraction):
+    # the workspace runs scipy's own 1-D passes and skips only lines that
+    # are zero on input or masked on output, so its inverse gives
+    # scipy.fft.irfftn's bits on every grid value and its forward gives
+    # rfftn's on every mode the dealias mask keeps
+    g = sp.Grid(dim, n, dealias_fraction=fraction)
+    ws = g._workspace
+    rng = np.random.default_rng(n)
+    axes = tuple(range(-dim, 0))
+    # the first batch sizes the pools for 5 paths; the later ones are
+    # carved from those pools
+    pools = None
+    for lead in [(5,), (), (3,), (2,)]:
+        values = rng.standard_normal(lead + (dim,) + g.shape)
+        full = scipy.fft.rfftn(values, axes=axes)
+        spectra, out = ws.arrays(lead, ("complex", dim), ("real", dim))
+        ws.forward(values, spectra)
+        assert np.array_equal(spectra[..., g.dealias_mask],
+                              full[..., g.dealias_mask]), lead
+        for coeffs, pruned in ((full * g.dealias_mask, True),
+                               (full, False)):
+            np.copyto(spectra, coeffs)
+            ws.inverse(spectra, out, pruned)
+            assert np.array_equal(
+                out, scipy.fft.irfftn(coeffs, s=g.shape, axes=axes)), lead
+        pools = pools or dict(ws._pools)
+    assert all(ws._pools[name] is pool for name, pool in pools.items())
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_workspace_results_survive_a_later_call(dim, n):
+    # the kernel, the view and the RK4 stages run in the grid's shared work
+    # arrays; what they return must not be one of them
+    g = sp.Grid(dim, n)
+    u, w = (sp.dealias(_random_field(g, seed)) for seed in (1, 2))
+    term = sp.nonlinear_term(u)
+    values, *sups = sp._sup_view(u)
+    kept = term.coeffs.copy(), values.copy()
+    sp.nonlinear_term(w)
+    sp._sup_view(w)
+    assert np.array_equal(term.coeffs, kept[0])
+    assert np.array_equal(values, kept[1])
+    assert sp._sup_view(u)[1:] == tuple(sups)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
@@ -491,7 +552,7 @@ def test_initial_field_registry():
 def test_random_field_is_divergence_free_and_real():
     g = sp.Grid(3, 8)
     u = _random_field(g, seed=14)
-    assert u.max_divergence() < 1e-10
+    assert _max_divergence(u) < 1e-10
     # Hermitian symmetry: physical round-trip is lossless
     back = sp.SpectralField.from_physical(g, u.to_physical())
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-10
