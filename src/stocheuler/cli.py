@@ -68,8 +68,8 @@ def cmd_ensemble(args) -> int:
     doc = _load_doc(args)
     if args.seed is not None:
         apply_overrides(doc, [f"ensemble.master_seed={args.seed}"])
-    out_dir = args.out or doc.get("output", {}).get("dir")
-    cfg = build_ensemble_config(doc, output_dir=out_dir)
+    cfg = build_ensemble_config(doc, output_dir=args.out)
+    out_dir = cfg.output_dir
     sweep = build_sweep(doc)
     summary = run_ensemble(cfg)
     if out_dir:

@@ -2,24 +2,66 @@
 
 Layout mirrors the module names; every physical quantity is in torus units
 (period defaults to 2*pi, time is the nondimensional advective unit).  See
-README for a commented example.
+README for a commented example.  SCHEMA declares each section and its keys
+(a 'stopping' entry's, for that list) once: key -> (converter, default), the
+default REQUIRED, a value, or None to leave the key to the default of the
+constructor it feeds.
 """
 
 from __future__ import annotations
 
-import math
-from contextlib import contextmanager
-
 import yaml
 
 from .analysis import GBMParams
-from .dynamics import (EM, SOBOLEV_THRESHOLD, StoppingRule,
-                       TrajectoryConfig)
+from .dynamics import SOBOLEV_THRESHOLD, StoppingRule, TrajectoryConfig
 from .ensemble import EnsembleConfig, GBMSurrogateSpec, check_sweep_args
 from .errors import ConfigError, InvalidParams, UnsupportedNorm
 from .noise import (ADDITIVE, FUNCTIONAL, LINEAR_MULTIPLICATIVE, NEMYTSKII,
                     NoiseModel, spectrum_sigma_fields)
 from .spectral import Grid, NormRequest, make_initial_field
+
+
+def _converter(convert, what: str):
+    """convert, its failure reported as 'must be <what>, got <value>'."""
+    def checked(value):
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"must be {what}, got {value!r}") from None
+    return checked
+
+
+_number = _converter(float, "a number")
+_integer = _converter(int, "an integer")
+_numbers = _converter(lambda v: [float(x) for x in v], "a list of numbers")
+REQUIRED = object()
+
+SCHEMA = {
+    "grid": {"dim": (_integer, 2), "n": (_integer, 32),
+             "length": (_number, None), "dealias_fraction": (_number, None)},
+    "initial": {"name": (str, "taylor_green"), "amplitude": (_number, None),
+                "seed": (_integer, None)},
+    "noise": {"kind": (str, "none"), "seed": (_integer, 0),
+              "alpha": (_number, 1.0), "k_modes": (_integer, 1),
+              "mode_decay": (_number, 2.0), "g": (str, None)},
+    "integrator": {"kind": (str, None), "T": (_number, REQUIRED),
+                   "dt": (_number, REQUIRED), "alpha": (_number, None),
+                   "cfl": (_number, None), "sample_every": (_integer, None)},
+    "norms": {"m": (_integer, 3), "p": (_number, 2.0)},
+    # per entry; m and p select the norm of a sobolev_threshold rule
+    "stopping": {"kind": (str, REQUIRED), "level": (_number, REQUIRED),
+                 "m": (_integer, 1), "p": (_number, 2.0)},
+    "ensemble": {"n_paths": (_integer, REQUIRED),
+                 "master_seed": (_integer, 0),
+                 "parallel_width": (_integer, None)},
+    "surrogate": dict.fromkeys(("alpha", "R", "T", "dt"), (_number, REQUIRED)),
+    "bound_comparison": {**dict.fromkeys(("mu", "alpha", "R"),
+                                         (_number, REQUIRED)),
+                         "x0": (_number, None)},
+    "sweep": {"alpha_list": (_numbers, REQUIRED), "R": (_number, REQUIRED),
+              "scaling": (str, "fixed"), "Cbar": (_number, None)},
+    "output": {"dir": (str, None)},
+}
 
 
 def load_config(path: str) -> dict:
@@ -57,173 +99,148 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     return doc
 
 
-@contextmanager
-def _checked(where: str):
-    """Report a missing key or a rejected value under `where` as a
-    ConfigError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing key {exc}") from exc
-    except (TypeError, ValueError, InvalidParams, UnsupportedNorm) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _section(doc: dict, name: str, required: bool = True) -> dict:
+def _entries(doc: dict, name: str) -> list[tuple[str, dict]]:
+    """(where, mapping) of each mapping in section `name`, if present."""
     sec = doc.get(name)
-    if sec is None:
-        if required:
-            raise ConfigError(f"missing config section '{name}'")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section '{name}' must be a mapping")
-    return sec
+    if name != "stopping":
+        entries = [] if sec is None else [(name, sec)]
+    elif isinstance(sec, (list, type(None))):
+        entries = [(f"{name}[{i}]", e) for i, e in enumerate(sec or [])]
+    else:
+        raise ConfigError(f"{name}: must be a list, got {sec!r}")
+    for where, values in entries:
+        if not isinstance(values, dict):
+            raise ConfigError(f"{where}: must be a mapping, got {values!r}")
+    return entries
+
+
+def check_keys(doc: dict) -> None:
+    """Reject an unknown section, or an unknown key in a section present."""
+    checks = [("config", doc, SCHEMA)]
+    checks += [(where, values, SCHEMA[name]) for name in doc if name in SCHEMA
+               for where, values in _entries(doc, name)]
+    for where, values, keys in checks:
+        if unknown := set(values) - set(keys):
+            raise ConfigError(f"{where}: unknown key(s) "
+                              f"{', '.join(sorted(map(str, unknown)))}")
+
+
+def _read(values: dict, where: str, schema: dict) -> dict:
+    """One mapping's converted values and its absent keys' defaults."""
+    out = {}
+    for key, (convert, default) in schema.items():
+        if key in values:
+            try:
+                out[key] = convert(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {key} {exc}") from None
+        elif default is REQUIRED:
+            raise ConfigError(f"{where}: missing key '{key}'")
+        elif default is not None:
+            out[key] = default
+    return out
+
+
+def _section(doc: dict, name: str, required: bool = False, **names) -> dict:
+    """One section's converted keys, those in names renamed to arguments."""
+    if required and doc.get(name) is None:
+        raise ConfigError(f"missing config section '{name}'")
+    (_, values), = _entries(doc, name) or [(name, {})]
+    out = _read(values, name, SCHEMA[name])
+    return {names[k] if k in names else k: v for k, v in out.items()}
+
+
+def _call(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a value it rejects reported under `where`."""
+    try:
+        return make(*args, **kwargs)
+    except (KeyError, ValueError, InvalidParams, UnsupportedNorm) as exc:
+        message = exc.args[0] if exc.args else exc  # str(KeyError) quotes
+        raise ConfigError(f"{where}: {message}") from exc
 
 
 def build_grid(doc: dict) -> Grid:
-    sec = _section(doc, "grid")
-    with _checked("grid"):
-        return Grid(dim=int(sec.get("dim", 2)), n=int(sec.get("n", 32)),
-                    length=float(sec.get("length", 2 * math.pi)),
-                    dealias_fraction=float(sec.get("dealias_fraction",
-                                                   2.0 / 3.0)))
+    return _call("grid", Grid, **_section(doc, "grid", required=True))
 
 
 def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, int]:
     """The noise model and the master seed of its Brownian driver."""
-    sec = _section(doc, "noise", required=False)
-    kind = sec.get("kind", "none")
-    seed = int(sec.get("seed", 0))
+    sec = _section(doc, "noise")
+    kind, seed = sec["kind"], sec["seed"]
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if kind in ("none", None):
-        return NoiseModel(ADDITIVE, sigma_fields=()), seed
+        raise ConfigError(f"noise: seed must be non-negative, got {seed}")
+    if kind == "none":
+        return NoiseModel(ADDITIVE), seed
     if kind == LINEAR_MULTIPLICATIVE:
-        alpha = float(sec.get("alpha", 1.0))
-        return NoiseModel(LINEAR_MULTIPLICATIVE, alpha=alpha), seed
-    k_modes = int(sec.get("k_modes", 1))
-    if k_modes < 0:
-        raise ValueError(f"k_modes must be >= 0, got {k_modes}")
-    decay = float(sec.get("mode_decay", 2.0))
-    fields = spectrum_sigma_fields(grid, k_modes, decay, seed)
-    if kind == ADDITIVE:
-        model = NoiseModel(ADDITIVE, sigma_fields=fields)
-    elif kind == NEMYTSKII:
-        with _checked("noise.g"):
-            model = NoiseModel(NEMYTSKII, sigma_fields=fields,
-                               g_tag=sec.get("g", "identity"))
-    elif kind == FUNCTIONAL:
-        profiles = spectrum_sigma_fields(grid, k_modes, decay, seed + 1)
-        model = NoiseModel(FUNCTIONAL, sigma_fields=fields,
-                           profiles=profiles)
-    else:
+        return NoiseModel(kind, alpha=sec["alpha"]), seed
+    if kind not in (ADDITIVE, NEMYTSKII, FUNCTIONAL):
         raise ConfigError(f"noise.kind: unknown kind '{kind}'")
-    return model, seed
+
+    def fields(field_seed):
+        return _call("noise", spectrum_sigma_fields, grid, sec["k_modes"],
+                     sec["mode_decay"], field_seed)
+
+    # the g tag is the one value NoiseModel can reject here
+    options = {"g_tag": sec["g"]} if kind == NEMYTSKII and "g" in sec else {}
+    if kind == FUNCTIONAL:
+        options["profiles"] = fields(seed + 1)
+    return _call("noise.g", NoiseModel, kind, sigma_fields=fields(seed),
+                 **options), seed
 
 
 def build_stopping(doc: dict) -> tuple[StoppingRule, ...]:
-    rules = doc.get("stopping", [])
-    if not isinstance(rules, list):
-        raise ConfigError("'stopping' must be a list")
-    out = []
-    for i, spec in enumerate(rules):
-        where = f"stopping[{i}]"
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{where}: must be a mapping with 'kind' and "
-                              f"'level', got {spec!r}")
-        if "level" not in spec:
-            raise ConfigError(f"{where}: missing key 'level'")
-        try:
-            level = float(spec["level"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: level must be a number, got "
-                              f"{spec['level']!r}") from exc
-        kind = spec.get("kind")
-        with _checked(where):
-            norm_spec = (NormRequest(int(spec.get("m", 1)),
-                                     float(spec.get("p", 2)))
-                         if kind == SOBOLEV_THRESHOLD else None)
-            out.append(StoppingRule(kind, level, norm_spec))
-    return tuple(out)
-
-
-def build_norms(doc: dict) -> NormRequest:
-    """The (m, p) of the sampled W^{m,p} norm; W^{3,2} by default."""
-    norms = _section(doc, "norms", required=False)
-    with _checked("norms"):
-        return NormRequest(int(norms.get("m", 3)), float(norms.get("p", 2)))
+    rules = []
+    for where, values in _entries(doc, "stopping"):
+        spec = _read(values, where, SCHEMA["stopping"])
+        norm_spec = (_call(where, NormRequest, spec["m"], spec["p"])
+                     if spec["kind"] == SOBOLEV_THRESHOLD else None)
+        rules.append(_call(where, StoppingRule, spec["kind"], spec["level"],
+                           norm_spec))
+    return tuple(rules)
 
 
 def build_trajectory_config(doc: dict) -> TrajectoryConfig:
+    check_keys(doc)
     grid = build_grid(doc)
-    with _checked("noise"):
-        model, noise_seed = build_noise(doc, grid)
-    init = _section(doc, "initial", required=False)
-    with _checked("initial"):
-        try:
-            u0 = make_initial_field(grid, init.get("name", "taylor_green"),
-                                    float(init.get("amplitude", 1.0)),
-                                    int(init.get("seed", 0)))
-        except KeyError as exc:  # the message names the unknown field
-            raise ValueError(exc.args[0]) from exc
-    intg = _section(doc, "integrator")
-    unknown = set(intg) - {"kind", "T", "dt", "alpha", "cfl", "sample_every"}
-    if unknown:
-        raise ConfigError(f"integrator: unknown key(s) "
-                          f"{', '.join(sorted(map(str, unknown)))}")
-    norms = build_norms(doc)
+    model, noise_seed = build_noise(doc, grid)
+    u0 = _call("initial", make_initial_field, grid,
+               **_section(doc, "initial"))
+    norms = _call("norms", NormRequest, **_section(doc, "norms"))
     stopping = build_stopping(doc)
-    with _checked("integrator"):
-        options = dict(
-            T=float(intg["T"]), dt=float(intg["dt"]),
-            integrator=intg.get("kind", EM),
-            c_cfl=float(intg.get("cfl", 0.5)),
-            sample_every=int(intg.get("sample_every", 1)))
+    intg = _section(doc, "integrator", required=True, kind="integrator",
+                    cfl="c_cfl")
+    alpha = intg.pop("alpha", None)
     try:
         cfg = TrajectoryConfig(u0=u0, model=model, noise_seed=noise_seed,
-                               stopping=stopping, norms=norms, **options)
+                               stopping=stopping, norms=norms, **intg)
     except InvalidParams as exc:
         raise ConfigError(f"integrator: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"integrator.kind: {exc}") from exc
-    if "alpha" in intg:
-        # the noise coefficient is the run's only alpha; an older config
-        # may repeat it here
-        with _checked("integrator.alpha"):
-            if float(intg["alpha"]) != model.alpha:
-                raise ValueError(f"{intg['alpha']} differs from noise.alpha "
-                                 f"{model.alpha}; a transformed run damps "
-                                 f"at noise.alpha")
+    if alpha is not None and alpha != model.alpha:
+        raise ConfigError(f"integrator.alpha: {alpha} differs from "
+                          f"noise.alpha {model.alpha}, the run's one alpha")
     return cfg
 
 
 def build_ensemble_config(doc: dict, output_dir: str | None = None
                           ) -> EnsembleConfig:
-    ens = _section(doc, "ensemble")
-    surrogate = None
-    trajectory = None
+    """The config's ensemble; output_dir, if given, replaces output.dir."""
+    check_keys(doc)
+    ens = _section(doc, "ensemble", required=True)
+    surrogate = trajectory = bound = None
     if "surrogate" in doc:
-        s = _section(doc, "surrogate")
-        with _checked("surrogate"):
-            surrogate = GBMSurrogateSpec(alpha=float(s["alpha"]),
-                                         R=float(s["R"]), T=float(s["T"]),
-                                         dt=float(s["dt"]))
+        surrogate = _call("surrogate", GBMSurrogateSpec,
+                          **_section(doc, "surrogate"))
     else:
         trajectory = build_trajectory_config(doc)
-    bound = None
     if "bound_comparison" in doc:
-        b = _section(doc, "bound_comparison")
-        with _checked("bound_comparison"):
-            bound = GBMParams(mu=float(b["mu"]), alpha=float(b["alpha"]),
-                              x0=float(b.get("x0", 1.0)), R=float(b["R"]))
-    with _checked("ensemble"):
-        return EnsembleConfig(
-            trajectory=trajectory,
-            n_paths=int(ens["n_paths"]),
-            master_seed=int(ens.get("master_seed", 0)),
-            parallel_width=int(ens.get("parallel_width", 1)),
-            output_dir=output_dir, bound_comparison=bound,
-            surrogate=surrogate)
+        bound = _call("bound_comparison", GBMParams,
+                      **_section(doc, "bound_comparison"))
+    output_dir = output_dir or _section(doc, "output").get("dir")
+    return _call("ensemble", EnsembleConfig, trajectory=trajectory,
+                 output_dir=output_dir, bound_comparison=bound,
+                 surrogate=surrogate, **ens)
 
 
 def build_sweep(doc: dict) -> dict | None:
@@ -231,13 +248,8 @@ def build_sweep(doc: dict) -> dict | None:
     section, checked before any path runs; None without that section."""
     if "sweep" not in doc:
         return None
-    sw = _section(doc, "sweep")
+    args = _section(doc, "sweep", scaling="data_scaling")
     if "surrogate" in doc:
         raise ConfigError("sweep: needs a trajectory config, not a surrogate")
-    with _checked("sweep"):
-        args = dict(alpha_list=[float(a) for a in sw["alpha_list"]],
-                    R=float(sw["R"]),
-                    data_scaling=sw.get("scaling", "fixed"),
-                    Cbar=float(sw.get("Cbar", 1.0)))
-        check_sweep_args(args["alpha_list"], args["data_scaling"])
+    _call("sweep", check_sweep_args, args["alpha_list"], args["data_scaling"])
     return args

@@ -88,7 +88,8 @@ BLOWUP_LEVEL = 1e6
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """First-hitting rule on a monitored scalar."""
+    """First-hitting rule on a monitored scalar; a sobolev_threshold rule
+    monitors the W^{m,p} norm of its norm_spec."""
 
     kind: str
     level: float
@@ -99,6 +100,8 @@ class StoppingRule:
             raise ValueError(f"unknown stopping rule kind '{self.kind}'")
         if self.level <= 0:
             raise ValueError("stopping level must be positive")
+        if self.kind == SOBOLEV_THRESHOLD and self.norm_spec is None:
+            raise ValueError(f"a {SOBOLEV_THRESHOLD} rule needs a norm_spec")
 
 
 @dataclass
@@ -330,8 +333,8 @@ def _monitored_value(rule: StoppingRule, u: SpectralField, state: SimState,
     if rule.kind == W1INF_THRESHOLD:
         return w1inf
     if rule.kind == SOBOLEV_THRESHOLD:
-        spec = rule.norm_spec or NormRequest(1, 2)
-        return wmp if spec == req else sobolev_norm(u, spec)
+        return (wmp if rule.norm_spec == req
+                else sobolev_norm(u, rule.norm_spec))
     # gbm_level monitors rho_alpha(t) = exp(alpha W_t - alpha^2 t / 8)
     return np.exp(alpha * state.W_accum - alpha ** 2 * state.t / 8.0)
 

@@ -257,7 +257,8 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
                             R: float, data_scaling: str = "fixed",
                             Cbar: float = 1.0) -> list[dict]:
     """For each alpha run the linear-multiplicative ensemble and report the
-    fraction of paths whose W^{m,p} norm exceeds alpha^2 / (4 Cbar).
+    fraction of paths whose W^{m,p} norm exceeds alpha^2 / (4 Cbar), out of
+    the paths that did not fail (a row whose every path failed is flagged).
 
     data_scaling 'kappa-scaled' rescales the initial data so its W^{m,p}
     norm is min(current norm, kappa(R, alpha)); alphas whose kappa
@@ -295,12 +296,19 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
         t2 = replace(traj, u0=u0, model=model, stopping=(rule,))
         cfg = replace(base, trajectory=t2)
         summary = run_ensemble(cfg)
+        # a failed path is neither an exceedance nor a survivor
+        n_ok = summary.n_paths - summary.n_engineering_failures
+        if n_ok == 0:
+            rows.append({"alpha": alpha, "kappa": kk.kappa,
+                         "threshold": threshold, "exceed_fraction": None,
+                         "interval": None, "flagged": True,
+                         "note": "every path failed"})
+            continue
         n_exceed = summary.hit_counts.get(SOBOLEV_THRESHOLD, 0)
-        frac = n_exceed / summary.n_paths
         rows.append({"alpha": alpha, "kappa": kk.kappa,
-                     "threshold": threshold, "exceed_fraction": frac,
-                     "interval": list(wilson_interval(n_exceed,
-                                                      summary.n_paths)),
+                     "threshold": threshold,
+                     "exceed_fraction": n_exceed / n_ok,
+                     "interval": list(wilson_interval(n_exceed, n_ok)),
                      "flagged": False, "note": ""})
     return rows
 

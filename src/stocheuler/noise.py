@@ -165,11 +165,13 @@ def lipschitz_probe(model: NoiseModel, u: SpectralField, v: SpectralField,
     return float(np.sqrt(num_sq) / denom)
 
 
-def spectrum_sigma_fields(grid: Grid, n_modes: int, gamma: float,
+def spectrum_sigma_fields(grid: Grid, k_modes: int, gamma: float,
                           seed: int) -> list[SpectralField]:
-    """K random divergence-free fields with ||sigma_k|| ~ k^(-gamma)."""
+    """k_modes random divergence-free fields with ||sigma_k|| ~ k^(-gamma)."""
+    if k_modes < 0:
+        raise ValueError(f"k_modes must be >= 0, got {k_modes}")
     fields = []
-    for k in range(n_modes):
+    for k in range(k_modes):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         amp = (k + 1.0) ** (-gamma)
         fields.append(random_divergence_free(grid, rng, amplitude=amp))

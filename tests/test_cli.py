@@ -340,6 +340,20 @@ def test_run_rejects_unsupported_norm(tmp_path, capsys, override, prefix):
 
 SWEEP = "{alpha_list: [1.0], R: 1.0, scaling: bogus}"
 
+# misspelt keys and sections, each once read as absent (its default used)
+UNKNOWN_KEYS = [
+    ("noise-alpah", "noise.alpah=3", "noise: unknown key(s) alpah"),
+    ("grid-nn", "grid.nn=16", "grid: unknown key(s) nn"),
+    ("initial-amplitud", "initial.amplitud=9",
+     "initial: unknown key(s) amplitud"),
+    ("ensemble-n-path", "ensemble.n_path=3",
+     "ensemble: unknown key(s) n_path"),
+    ("integrater", "integrater.T=5", "config: unknown key(s) integrater"),
+    ("stopping-levle",
+     "stopping=[{kind: w1inf_threshold, level: 100.0, levle: 5.0}]",
+     "stopping[0]: unknown key(s) levle"),
+]
+
 
 @pytest.mark.parametrize("base, overrides, prefix", [
     pytest.param(ENSEMBLE_CONFIG, ["surrogate={alpha: 1.0, R: 16.0, T: 10.0}"],
@@ -369,6 +383,10 @@ SWEEP = "{alpha_list: [1.0], R: 1.0, scaling: bogus}"
                  "sweep: unknown data_scaling 'bogus'", id="sweep-scaling"),
     pytest.param(ENSEMBLE_CONFIG, ["sweep={alpha_list: [1.0], R: 1.0}"],
                  "sweep: needs a trajectory config", id="sweep-surrogate"),
+    *(pytest.param(RUN_CONFIG, [override], prefix, id=case)
+      for case, override, prefix in UNKNOWN_KEYS),
+    pytest.param(ENSEMBLE_CONFIG, ["grid.nn=16"], "grid: unknown key(s) nn",
+                 id="surrogate-grid-nn"),
 ])
 def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
                                                     overrides, prefix):
@@ -486,6 +504,10 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("transform-check", None, ["--n", "16", "--dt-list", "0.01"],
                  "invalid parameters: need T > 0 and at least two dts",
                  id="transform-check-one-dt"),
+    # run checks a section it does not read (ensemble) too
+    *(pytest.param("run", RUN_CONFIG, ["--set", override],
+                   f"config error: {message}", id=f"run-{case}")
+      for case, override, message in UNKNOWN_KEYS),
 ])
 def test_bad_seed_or_number_exits_usage(tmp_path, capsys, command, base,
                                         args, message):
@@ -542,6 +564,12 @@ def test_readme_config_block_builds():
     assert cfgmod.build_trajectory_config(doc).T == doc["integrator"]["T"]
     ensemble = cfgmod.build_ensemble_config(doc)
     assert ensemble.n_paths == doc["ensemble"]["n_paths"]
+    # and the block names every section and key of the schema, commented
+    # out where optional
+    named = set(re.findall(r"^\s*#?\s*(?:- )?(\w+):", blocks[0], re.M))
+    missing = [f"{section}.{key}" for section, keys in cfgmod.SCHEMA.items()
+               for key in (section, *keys) if key not in named]
+    assert missing == []
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])

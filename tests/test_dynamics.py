@@ -220,6 +220,36 @@ def test_transformed_alpha_zero_reduces_to_deterministic():
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-13
 
 
+def _helicity(u):
+    """H(u) = <u, curl u>_{L^2}."""
+    return sp.l2_inner(u, sp.curl(u))
+
+
+def test_transformed_3d_damps_helicity_and_energy_at_alpha_squared():
+    # the paper's regularisation regime: the dealiased 3D transport
+    # conserves energy and helicity, so v = exp(-alpha W) u loses both at
+    # the noise's rate alone, H(v) = H(v0) e^{-alpha^2 t} and
+    # ||v||^2 = ||v0||^2 e^{-alpha^2 t}, whatever the Brownian path
+    g = _grid(16, 3)
+    rng = np.random.default_rng(11)
+    v0 = sp.dealias(sp.leray_project(
+        sp.random_divergence_free(g, rng) + 0.5 * sp.abc_field(g)))
+    alpha, dt, n_steps = 1.0, 5e-3, 100
+    model = _lin_mult(alpha)
+    driver = noise.BrownianDriver(4, 1)
+    state = _state(v0)
+    for k in range(n_steps):
+        state = dyn.step_transformed(state, dt, model,
+                                     driver.sample_increments(0, k, dt))
+    decay = np.exp(-alpha ** 2 * n_steps * dt)
+    assert abs(_helicity(state.u) / (_helicity(v0) * decay) - 1) < 1e-12
+    assert abs(sp.l2_norm(state.u) ** 2 / (sp.l2_norm(v0) ** 2 * decay)
+               - 1) < 1e-12
+    # the transport moved the field, so this is not a pure-damping check
+    undamped = np.exp(alpha ** 2 * n_steps * dt / 2) * state.u
+    assert sp.l2_norm(undamped - v0) > 0.01 * sp.l2_norm(v0)
+
+
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("step, kind", [
     (dyn.step_em, noise.LINEAR_MULTIPLICATIVE),
@@ -304,6 +334,8 @@ def test_stopping_rule_validation():
         dyn.StoppingRule("bogus", 1.0)
     with pytest.raises(ValueError):
         dyn.StoppingRule(dyn.W1INF_THRESHOLD, 0.0)
+    with pytest.raises(ValueError, match="norm_spec"):
+        dyn.StoppingRule(dyn.SOBOLEV_THRESHOLD, 1.0)
 
 
 def _tg_config(**kw):

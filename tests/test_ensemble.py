@@ -228,6 +228,34 @@ def test_sweep_runs_fixed_scaling_rows():
     assert row["interval"][0] <= row["exceed_fraction"] <= row["interval"][1]
 
 
+def test_sweep_leaves_failed_paths_out_of_exceed_fraction(monkeypatch):
+    real = ens.integrate_trajectory
+
+    def odd_ids_fail(cfg, tids):
+        diags = real(cfg, tids)
+        for tid, diag in zip(tids, diags):
+            if tid % 2:
+                diag.failure = RuntimeError("injected failure")
+        return diags
+
+    monkeypatch.setattr(ens, "integrate_trajectory", odd_ids_fail)
+    base = ens.EnsembleConfig(trajectory=_trajectory_cfg(n=8, T=0.02),
+                              n_paths=4, master_seed=1)
+    # every path that runs exceeds the threshold 0.5^2 / 4 at once
+    row, = ens.survival_vs_alpha_sweep(base, [0.5], R=1.0)
+    assert row["exceed_fraction"] == 1.0
+    assert row["interval"] == list(analysis.wilson_interval(2, 2))
+    assert not row["flagged"]
+
+    def all_fail(cfg, tids):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(ens, "integrate_trajectory", all_fail)
+    row, = ens.survival_vs_alpha_sweep(base, [0.5], R=1.0)
+    assert row["exceed_fraction"] is None and row["interval"] is None
+    assert row["flagged"] and row["note"] == "every path failed"
+
+
 def test_sweep_validation():
     base = ens.EnsembleConfig(trajectory=_trajectory_cfg(n=8), n_paths=1,
                               master_seed=0)

@@ -1,11 +1,13 @@
 """Every name a package module imports is used by that module, every name
 in its __all__ is defined, every public name it defines has a consumer,
-every error class is raised or caught, and every name the benchmark tracer
-wraps exists and is called through by a run."""
+every error class is raised or caught, every name the benchmark tracer
+wraps exists and is called through by a run, and every config a benchmark
+workload sends builds."""
 
 import ast
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -46,6 +48,32 @@ def _benchmark_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def test_benchmark_configs_build(tmp_path, monkeypatch):
+    # the config layer rejects unknown keys, so a key a benchmark workload
+    # sends (integrator.alpha, say) must stay in its schema
+    from stocheuler import config
+
+    path = SRC.parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it loads
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    builders = {"run": config.build_trajectory_config,
+                "ensemble": config.build_ensemble_config}
+    for name, workload in workloads.WORKLOADS.items():
+        built = 0
+        for op in workload.ops(1, 0, str(tmp_path), warmup=True):
+            if op.argv[0] not in builders:
+                continue
+            sets = [value for flag, value in zip(op.argv, op.argv[1:])
+                    if flag == "--set"]
+            builders[op.argv[0]](config.apply_overrides({}, sets))
+            built += 1
+        assert built > 0, name
 
 
 def test_every_all_entry_is_defined():
