@@ -96,9 +96,13 @@ def n_time_steps(T: float, dt: float) -> int:
 
 
 # gbm_exit_mc draws block (seed, chunk start, block start) of PATH_CHUNK
-# paths by TIME_BLOCK steps from its own stream: these fix a seed's draws
+# paths by TIME_BLOCK steps from its own stream: these fix a seed's draws.
+# A block's alive rows are drawn in tiles of at most TILE_BYTES (one row at
+# least), each continuing the block's stream: the tile bounds memory and
+# does not enter the stream.
 PATH_CHUNK = 20000
 TIME_BLOCK = 1024
+TILE_BYTES = 256 * 1024
 
 
 def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
@@ -107,7 +111,9 @@ def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
 
     x(t) = x0 exp((mu - alpha^2/2) t + alpha W_t) is evaluated on the dt
     grid; a path counts as hit when max over samples >= R.  Paths that hit
-    stop being simulated (exact pruning; never biases the estimate).
+    stop being simulated (exact pruning; never biases the estimate).  The
+    draws depend on seed, PATH_CHUNK and TIME_BLOCK only; beside vectors of
+    one value per path, the work runs in one TILE_BYTES buffer.
     """
     n_steps = n_time_steps(T, dt)
     if n_paths <= 0:
@@ -120,6 +126,7 @@ def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
     drift = (p.mu - p.alpha ** 2 / 2.0) * dt
     vol = p.alpha * np.sqrt(dt)
     hit_times = np.full(n_paths, np.inf)
+    buf = np.empty(max(TILE_BYTES // 8, min(TIME_BLOCK, n_steps)))
     for chunk in range(0, n_paths, PATH_CHUNK):
         size = min(PATH_CHUNK, n_paths - chunk)
         cur = np.zeros(size)
@@ -129,15 +136,22 @@ def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
             block = min(TIME_BLOCK, n_steps - done)
             gen = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence([seed, chunk, done])))
-            na = int(alive.sum())
-            incr = drift + vol * gen.standard_normal((na, block))
-            paths = cur[alive, None] + np.cumsum(incr, axis=1)
-            hit = paths.max(axis=1) >= log_barrier
             idx = np.flatnonzero(alive)
-            first = np.argmax(paths[hit] >= log_barrier, axis=1)
-            hit_times[chunk + idx[hit]] = (done + 1 + first) * dt
-            cur[idx] = paths[:, -1]
-            alive[idx[hit]] = False
+            tile = buf.size // block
+            for start in range(0, idx.size, tile):
+                rows = idx[start:start + tile]
+                # out= needs a contiguous array, and the last block is short
+                w = buf[:rows.size * block].reshape(rows.size, block)
+                gen.standard_normal(out=w)
+                w *= vol
+                w += drift
+                np.cumsum(w, axis=1, out=w)
+                w += cur[rows, None]
+                hit = w.max(axis=1) >= log_barrier
+                first = np.argmax(w[hit] >= log_barrier, axis=1)
+                hit_times[chunk + rows[hit]] = (done + 1 + first) * dt
+                alive[rows[hit]] = False
+                cur[rows] = w[:, -1]
             done += block
     n_hit = int(np.isfinite(hit_times).sum())
     return GBMExitEstimate(n_paths, n_hit, n_hit / n_paths,

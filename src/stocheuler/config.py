@@ -31,8 +31,15 @@ def _converter(convert, what: str):
     return checked
 
 
+def _whole(value) -> int:
+    """int(value), rejecting the fractional float that int would truncate."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 _number = _converter(float, "a number")
-_integer = _converter(int, "an integer")
+_integer = _converter(_whole, "an integer")
 _numbers = _converter(lambda v: [float(x) for x in v], "a list of numbers")
 REQUIRED = object()
 
@@ -251,5 +258,5 @@ def build_sweep(doc: dict) -> dict | None:
     args = _section(doc, "sweep", scaling="data_scaling")
     if "surrogate" in doc:
         raise ConfigError("sweep: needs a trajectory config, not a surrogate")
-    _call("sweep", check_sweep_args, args["alpha_list"], args["data_scaling"])
+    _call("sweep", check_sweep_args, **args)
     return args

@@ -245,9 +245,16 @@ def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
 SWEEP_SCALINGS = ("fixed", "kappa-scaled")
 
 
-def check_sweep_args(alpha_list: list[float], data_scaling: str) -> None:
+def check_sweep_args(alpha_list: list[float], R: float,
+                     data_scaling: str = "fixed", Cbar: float = 1.0) -> None:
+    """Reject, before any path runs, what survival_vs_alpha_sweep and its
+    kappa_K calls would reject."""
     if not alpha_list:
         raise ValueError("alpha_list must be nonempty")
+    if R < 1:
+        raise ValueError(f"R must be >= 1, got {R}")
+    if Cbar < 1:
+        raise ValueError(f"Cbar must be >= 1, got {Cbar}")
     if data_scaling not in SWEEP_SCALINGS:
         raise ValueError(f"unknown data_scaling '{data_scaling}' "
                          f"(accepted: {', '.join(SWEEP_SCALINGS)})")
@@ -264,7 +271,7 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
     norm is min(current norm, kappa(R, alpha)); alphas whose kappa
     underflows are emitted as flagged rows without running.
     """
-    check_sweep_args(alpha_list, data_scaling)
+    check_sweep_args(alpha_list, R, data_scaling, Cbar)
     traj = base.trajectory
     if traj is None:
         raise ValueError("alpha sweep needs a trajectory config")

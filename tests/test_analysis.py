@@ -1,5 +1,7 @@
 """Exit probabilities, threshold formulas, the worst-case ODE."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -110,6 +112,42 @@ def test_gbm_mc_is_deterministic_for_fixed_seed():
     a = an.gbm_exit_mc(p, T=1.0, dt=0.01, n_paths=2000, seed=3)
     b = an.gbm_exit_mc(p, T=1.0, dt=0.01, n_paths=2000, seed=3)
     assert a.n_hit == b.n_hit
+    assert np.array_equal(a.hit_times, b.hit_times)
+
+
+@pytest.mark.parametrize("layout", [None, (512, 7)])
+def test_gbm_mc_tiles_do_not_change_the_draws(monkeypatch, layout):
+    # a tile continues its block's stream, so any tile size (here 1 row,
+    # 7 rows and the default) leaves every hit time where it was
+    if layout:
+        monkeypatch.setattr(an, "PATH_CHUNK", layout[0])
+        monkeypatch.setattr(an, "TIME_BLOCK", layout[1])
+    p = an.GBMParams(mu=0.375, alpha=1.0, R=4.0)
+    T, dt = 3.0, 0.01
+    row_bytes = 8 * min(an.TIME_BLOCK, an.n_time_steps(T, dt))
+    runs = []
+    for tile_bytes in (1, 7 * row_bytes, an.TILE_BYTES):
+        monkeypatch.setattr(an, "TILE_BYTES", tile_bytes)
+        runs.append(an.gbm_exit_mc(p, T=T, dt=dt, n_paths=1500, seed=8))
+    assert runs[0].n_hit > 0
+    for est in runs[1:]:
+        assert np.array_equal(est.hit_times, runs[0].hit_times)
+
+
+def test_gbm_mc_memory_does_not_grow_with_the_block(monkeypatch):
+    # one (paths, block) array is 8 MiB here; the tiles keep the peak to
+    # the TILE_BYTES buffer and a few path-sized vectors
+    monkeypatch.setattr(an, "PATH_CHUNK", 4096)
+    monkeypatch.setattr(an, "TIME_BLOCK", 256)
+    p = an.GBMParams(mu=0.0, alpha=1.0, R=1e6)
+    tracemalloc.start()
+    try:
+        est = an.gbm_exit_mc(p, T=5.12, dt=0.01, n_paths=4096, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.n_hit == 0
+    assert peak < 2 * 2 ** 20
 
 
 def test_gbm_mc_consistent_with_analytic_bound():

@@ -280,6 +280,11 @@ def test_apply_overrides_parses_yaml_scalars():
         cfgmod.apply_overrides({}, ["no-equals-sign"])
 
 
+@pytest.mark.parametrize("n", [16, "16", 16.0])
+def test_integer_key_takes_an_integral_value(n):
+    assert cfgmod.build_grid({"grid": {"n": n}}).n == 16
+
+
 def test_build_noise_kinds():
     doc = {"grid": {"dim": 2, "n": 16}}
     grid = cfgmod.build_grid(doc)
@@ -387,6 +392,17 @@ UNKNOWN_KEYS = [
       for case, override, prefix in UNKNOWN_KEYS),
     pytest.param(ENSEMBLE_CONFIG, ["grid.nn=16"], "grid: unknown key(s) nn",
                  id="surrogate-grid-nn"),
+    pytest.param(RUN_CONFIG,
+                 ["sweep={alpha_list: [1.0, 3.0], R: 0.5, "
+                  "scaling: kappa-scaled}"],
+                 "sweep: R must be >= 1, got 0.5", id="sweep-R"),
+    pytest.param(RUN_CONFIG, ["sweep={alpha_list: [1.0], R: 1.0, Cbar: 0.5}"],
+                 "sweep: Cbar must be >= 1, got 0.5", id="sweep-Cbar"),
+    pytest.param(RUN_CONFIG, ["grid.n=16.7"],
+                 "grid: n must be an integer, got 16.7", id="grid-n-fraction"),
+    pytest.param(RUN_CONFIG, ["ensemble.n_paths=2.9"],
+                 "ensemble: n_paths must be an integer, got 2.9",
+                 id="n-paths-fraction"),
 ])
 def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
                                                     overrides, prefix):
@@ -504,6 +520,15 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("transform-check", None, ["--n", "16", "--dt-list", "0.01"],
                  "invalid parameters: need T > 0 and at least two dts",
                  id="transform-check-one-dt"),
+    pytest.param("run", RUN_CONFIG, ["--set", "grid.n=16.7"],
+                 "config error: grid: n must be an integer, got 16.7",
+                 id="run-grid-n-fraction"),
+    pytest.param("run", RUN_CONFIG, ["--set", "grid.n=.inf"],
+                 "config error: grid: n must be an integer, got inf",
+                 id="run-grid-n-inf"),
+    pytest.param("ensemble", PDE_ENSEMBLE, ["--set", "ensemble.n_paths=2.9"],
+                 "config error: ensemble: n_paths must be an integer, got 2.9",
+                 id="ensemble-n-paths-fraction"),
     # run checks a section it does not read (ensemble) too
     *(pytest.param("run", RUN_CONFIG, ["--set", override],
                    f"config error: {message}", id=f"run-{case}")
