@@ -52,9 +52,9 @@ from .analysis import _rk4, n_time_steps
 from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
-from .spectral import (Grid, NormRequest, SpectralField, _per_path,
-                       _rk4_stage, _sup_magnitude, _sup_view, _trailing,
-                       curl, dealias, l2_norm, leray_project, lp_norm,
+from .spectral import (Grid, NormRequest, SpectralField, _dealiased_values,
+                       _per_path, _rk4_stage, _sup_magnitude, _sup_view,
+                       _trailing, curl, l2_norm, leray_project, lp_norm,
                        nonlinear_term, sobolev_norm, w1inf_norm)
 
 # curl and w1inf_norm are not called here, but the benchmark tracer
@@ -228,9 +228,8 @@ def _flux_values(state: SimState, dt: float, model: NoiseModel,
     u = state.u
     values, umax = state.values, state.u_max
     if values is None:
-        ud = dealias(u)
-        values = ud.to_physical()
-        if np.array_equal(ud.coeffs, u.coeffs):
+        values, own = _dealiased_values(u)
+        if own:
             umax = _sup_magnitude(values, u.grid.dim)
     lim = np.atleast_1d(cfl_limit(u, c_cfl, _lm_alpha(model), umax))
     over = np.flatnonzero(dt > lim * (1.0 + 1e-12))
@@ -241,10 +240,9 @@ def _flux_values(state: SimState, dt: float, model: NoiseModel,
 
 
 def _project(coeffs: np.ndarray, grid: Grid) -> SpectralField:
-    """Dealias (in place: the step owns coeffs) and Leray-project a step's
-    new coefficients; fail on NaN/Inf."""
-    coeffs *= grid.dealias_mask
-    u_new = leray_project(SpectralField(grid, coeffs))
+    """Dealias and Leray-project a step's new coefficients, on the kept box;
+    fail on NaN/Inf."""
+    u_new = leray_project(SpectralField(grid, coeffs), dealiased=True)
     _check_finite(u_new)
     return u_new
 

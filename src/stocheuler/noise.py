@@ -130,7 +130,8 @@ def apply_noise(model: NoiseModel, u: SpectralField,
         gu = G_REGISTRY[model.g_tag](dealias(u).to_physical())
         amp = sum(_rows(w, ndim) * dealias(sig).to_physical()
                   for w, sig in zip(per_mode, model.sigma_fields))
-        return leray_project(dealias(SpectralField.from_physical(g, amp * gu)))
+        return leray_project(SpectralField.from_physical(g, amp * gu),
+                             dealiased=True)
 
     # functional: sigma_k(u) = f_k(u) alpha_k with f_k an L^2 inner product
     acc = np.zeros_like(u.coeffs)

@@ -46,8 +46,22 @@ holds zeros, which its transform keeps, and a skipped forward line feeds
 only modes the mask zeroes.  So the grid values are scipy's bit for bit,
 and so are the modes inside the mask (tests/test_spectral.py guards both).
 
+The kept box.  The mask keeps a box of modes: on each full axis the runs
+0..c and n-c..n-1, on the half axis 0..c (21 * 21 * 11 of 32 * 32 * 17
+stored modes at 3D n = 32, 28%).  The workspace packs it into its own
+arrays by basic-slice block copies (4 blocks in 3D, 2 in 2D), and the
+advection kernel's sum i k_j T_ij and its projection run there, as does
+leray_project(f, dealiased=True), which the steppers use on their new
+coefficients.  Each mode of the box sees the same operations in the same
+order on the same values as on the whole array, and dealias's multiply by
+the mask's True is kept as a multiply by True, so every mode inside the
+mask is the whole-array result bit for bit; every mode outside it is
++0.0, where the mask's multiply by False left +-0.0 or, on a non-finite
+value, NaN.
+
 W^{m,2} norms (and L^2 norms and inner products) are Parseval sums over the
-half spectrum with a cached weight per (grid, m); they use no transform.
+half spectrum with a read-only weight cached per (dim, n, length, m), so
+the grids of successive runs share it; they use no transform.
 Other (m, p) use collocation on the grid.  Both take a derivative of a mode
 as its grid values see it (``_derivative_symbol``), so they agree on every
 field, Nyquist modes included.
@@ -64,7 +78,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -164,11 +178,6 @@ class Grid:
                          for j in range(self.dim)])
 
     @cached_property
-    def _parseval_weights(self) -> dict[int, np.ndarray]:
-        """Parseval weight per derivative order m, filled on first use."""
-        return {}
-
-    @cached_property
     def _workspace(self) -> "_Workspace":
         return _Workspace(self)
 
@@ -253,40 +262,66 @@ def _c2c(spectra: np.ndarray, axis: int, index: tuple,
 
 class _Workspace:
     """The work arrays of one grid: those of the advection kernel, of the
-    sampled view and of the RK4 stage inputs, and the grid's pruned
-    transforms.
+    sampled view, of the RK4 stage inputs and of the projection on the kept
+    box, with the grid's pruned transforms and its box symbols.
 
-    Three flat pools hold the arrays: grid values ("real"), half spectra
-    ("complex") and the stage inputs ("stage", half spectra as well, since
-    the kernel runs on them).  The kernel and the view never run at the
-    same time, so they share the first two.  A pool is sized to the largest
-    batch seen so far, and each call to arrays() carves its arrays from the
-    start of the pools, so a batch whose paths retired touches less of
-    them.  An array carved from a pool is valid until the next call.
+    Four flat pools hold the arrays: grid values ("real"), half spectra
+    ("complex"), the stage inputs ("stage", half spectra as well, since
+    the kernel runs on them) and the kept box ("box").  The kernel and the
+    view never run at the same time, so they share the first two.  A pool
+    is sized to the largest batch seen so far, and each call to arrays()
+    carves its arrays from the start of the pools, so a batch whose paths
+    retired touches less of them.  An array carved from a pool is valid
+    until the next call.
+
+    The kept box is the modes the dealias mask keeps, packed: on a full
+    axis the runs 0..c and n-c..n-1 side by side, on the half axis 0..c.
+    Each block of it (one run per axis: 4 in 3D, 2 in 2D) is a basic slice
+    of the half spectrum, so gather() and scatter() are block copies.  The
+    workspace holds arrays only, never its grid, so a grid dies with its
+    last reference.
     """
 
     def __init__(self, grid: Grid):
         dim, n = grid.dim, grid.n
         self.n = n
         self.scale = 1.0 / n ** dim  # irfftn's, applied after its last pass
+        mask = grid.dealias_mask
+        full = _runs(mask[(slice(None),) + (0,) * (dim - 1)])
+        half = _runs(mask[(0,) * (dim - 1)])
+        runs = [full] * (dim - 1) + [half]
+        packed = [[slice(end - (r.stop - r.start), end) for r, end in
+                   zip(axis_runs, itertools.accumulate(
+                       r.stop - r.start for r in axis_runs))]
+                  for axis_runs in runs]
+        self._blocks = [((Ellipsis,) + src, (Ellipsis,) + dst)
+                        for src, dst in zip(itertools.product(*runs),
+                                            itertools.product(*packed))]
+        box_shape = tuple(axis_runs[-1].stop for axis_runs in packed)
         pairs, curls = len(_FLUX_PAIRS[dim]), len(_CURL_PAIRS[dim])
         # per path: (dtype, grid shape, components), the components being
-        # the most that the kernel (u, the flux products and their spectra)
-        # or the view (the gradient row, the curl and the square sum) takes
+        # the most that the kernel (u, the flux products and their spectra;
+        # in the box the flux spectra and div T) or the view (the gradient
+        # row, the curl and the square sum) takes, or the projection (the
+        # field, k u_hat and k.u_hat) takes in the box
         self._layout = {
             "real": (float, grid.shape, max(dim + pairs, dim + curls + 1)),
             "complex": (complex, grid.spectral_shape, dim + pairs),
             "stage": (complex, grid.spectral_shape, dim),
+            "box": (complex, box_shape, max(pairs + dim, 2 * dim + 1)),
         }
         self._pools = {name: np.empty(0, dtype)
                        for name, (dtype, _, _) in self._layout.items()}
+        # the symbols the kernel and the projection read, on the box; k and
+        # |k|^2 are stored as the complex values they are cast to when they
+        # meet a complex field, which saves the cast and changes no bit
+        self.k, self.ik, self.k_sq_safe = (
+            self.gather(a, np.empty(a.shape[:-dim] + box_shape, complex))
+            for a in (grid.k, grid.ik, grid.k_sq_safe))
         # the lines each c2c pass runs: pass a (axes -dim .. -2, in
         # scipy's order) needs, on every other full axis j that is still
         # spectral (j > a inverse, j < a forward), only the dealias runs,
         # and on the half axis only the kept modes
-        mask = grid.dealias_mask
-        full = _runs(mask[(slice(None),) + (0,) * (dim - 1)])
-        half = _runs(mask[(0,) * (dim - 1)])
         full_axes = range(-dim, -1)
 
         def lines(forward: bool) -> list[tuple[int, list[tuple]]]:
@@ -313,6 +348,24 @@ class _Workspace:
             out.append(self._pools[name][start[name]:end].reshape(shape))
             start[name] = end
         return out
+
+    def gather(self, spectra: np.ndarray, box: np.ndarray,
+               dealias: bool = False) -> np.ndarray:
+        """Copy the modes of the half spectra that the dealias mask keeps
+        into box, and return box.  dealias multiplies them by the mask's
+        True instead, as dealias() does (it can turn a -0.0 part into
+        +0.0), so the box holds dealias(spectra)'s bits."""
+        for src, dst in self._blocks:
+            box[dst] = spectra[src]
+        if dealias:
+            box *= True
+        return box
+
+    def scatter(self, box: np.ndarray, spectra: np.ndarray) -> None:
+        """Copy box to the modes of the half spectra that the dealias mask
+        keeps; the other modes are left as they are."""
+        for src, dst in self._blocks:
+            spectra[src] = box[dst]
 
     def inverse(self, spectra: np.ndarray, values: np.ndarray,
                 pruned: bool) -> None:
@@ -408,14 +461,32 @@ class NormRequest:
 # Core operators
 
 
-def leray_project(f: SpectralField) -> SpectralField:
-    """Project onto divergence-free fields: u_hat -= k (k.u_hat)/|k|^2."""
+def leray_project(f: SpectralField, dealiased: bool = False) -> SpectralField:
+    """Project onto divergence-free fields: u_hat -= k (k.u_hat)/|k|^2.
+
+    dealiased=True projects dealias(f) on the kept box alone: only the
+    modes the mask keeps are read, each gets the bits the general path
+    gives dealias(f) there, and every mode outside the mask is +0.0.
+    """
     g = f.grid
-    kdotu = np.sum(g.k * f.coeffs, axis=-(g.dim + 1))
-    kdotu /= g.k_sq_safe
-    # in place, so a batch holds one temporary of its size, not two
-    proj = g.k * np.expand_dims(kdotu, -(g.dim + 1))
-    return SpectralField(g, np.subtract(f.coeffs, proj, out=proj))
+    axis = -(g.dim + 1)
+    if not dealiased:
+        kdotu = np.sum(g.k * f.coeffs, axis=axis)
+        kdotu /= g.k_sq_safe
+        # in place, so a batch holds one temporary of its size, not two
+        proj = g.k * np.expand_dims(kdotu, axis)
+        return SpectralField(g, np.subtract(f.coeffs, proj, out=proj))
+    ws = g._workspace
+    box, proj, kdotu = ws.arrays(f.coeffs.shape[:axis], ("box", g.dim),
+                                 ("box", g.dim), ("box", 1))
+    ws.gather(f.coeffs, box, dealias=True)
+    np.sum(np.multiply(ws.k, box, out=proj), axis=axis, keepdims=True,
+           out=kdotu)
+    kdotu /= ws.k_sq_safe
+    np.subtract(box, np.multiply(ws.k, kdotu, out=proj), out=box)
+    out = np.zeros(f.coeffs.shape, dtype=complex)
+    ws.scatter(box, out)
+    return SpectralField(g, out)
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -431,8 +502,9 @@ def nonlinear_term(u: SpectralField,
 
     The flux T = u (x) u is symmetric, so only its dim (dim + 1) / 2
     entries i <= j are transformed, and (div T)_i = sum_j i k_j T_ij; for
-    divergence-free u, div(u (x) u) = u.grad u.  Every array but the
-    projected result is a work array of the grid's workspace.
+    divergence-free u, div(u (x) u) = u.grad u.  The sum runs on the kept
+    box alone, and every mode outside the mask is +0.0.  Every array but
+    the projected result is a work array of the grid's workspace.
     """
     g = u.grid
     axis = -(g.dim + 1)
@@ -440,9 +512,10 @@ def nonlinear_term(u: SpectralField,
     ws = g._workspace
     # the products come first, so a term given u_phys touches no more of
     # the real pool than the view does
-    div, t_hat, products, values = ws.arrays(
+    div, t_hat, products, values, t_box, div_box = ws.arrays(
         u.coeffs.shape[:axis], ("complex", g.dim), ("complex", len(pairs)),
-        ("real", len(pairs)), ("real", g.dim))
+        ("real", len(pairs)), ("real", g.dim), ("box", len(pairs)),
+        ("box", g.dim))
     if u_phys is None:
         np.multiply(u.coeffs, g.dealias_mask, out=div)  # dealias(u)
         ws.inverse(div, values, pruned=True)
@@ -451,17 +524,19 @@ def nonlinear_term(u: SpectralField,
     for out, (i, j) in zip(_components(products, g.dim), pairs):
         np.multiply(comps[i], comps[j], out=out)
     ws.forward(products, t_hat)
-    div[...] = 0.0
-    div_comps = _components(div, g.dim)
+    ws.gather(t_hat, t_box)
+    div_box[...] = 0.0
+    div_comps = _components(div_box, g.dim)
     # each i k_j T_ij is formed in T_ij's own slot; pair (0, 0) comes first,
     # so its slot is free to hold the first of an off-diagonal pair's two
-    t_comps = _components(t_hat, g.dim)
+    t_comps = _components(t_box, g.dim)
     for t, (i, j) in zip(t_comps, pairs):
         if i != j:
-            div_comps[i] += np.multiply(g.ik[j], t, out=t_comps[0])
-        div_comps[j] += np.multiply(g.ik[i], t, out=t)
-    div *= g.dealias_mask
-    return leray_project(SpectralField(g, div))
+            div_comps[i] += np.multiply(ws.ik[j], t, out=t_comps[0])
+        div_comps[j] += np.multiply(ws.ik[i], t, out=t)
+    # the projection reads div's box only: its other modes are not set
+    ws.scatter(div_box, div)
+    return leray_project(SpectralField(g, div), dealiased=True)
 
 
 def curl(u: SpectralField) -> SpectralField:
@@ -518,16 +593,27 @@ def _derivative_symbol(grid: Grid, axes: tuple[int, ...]) -> np.ndarray:
 def _parseval_weight(grid: Grid, m: int) -> np.ndarray:
     """Per stored mode: sum over |alpha| <= m of |symbol of d^alpha|^2,
     times the mode's Hermitian multiplicity and the Parseval factor
-    length^d / n^(2d), so that ||f||_{W^{m,2}}^2 = sum weight |f_hat|^2."""
-    cache = grid._parseval_weights
-    if m not in cache:
-        total = np.zeros(grid.spectral_shape)
-        for order in range(m + 1):
-            for axes in _derivative_multiindices(grid.dim, order):
-                total += np.abs(_derivative_symbol(grid, axes)) ** 2
-        scale = grid.length ** grid.dim / grid.n ** (2 * grid.dim)
-        cache[m] = total * grid.hermitian_weight * scale
-    return cache[m]
+    length^d / n^(2d), so that ||f||_{W^{m,2}}^2 = sum weight |f_hat|^2.
+
+    Read-only, and shared by every grid of the same dim, n and length: each
+    run builds its own grid, and the weight does not depend on the dealias
+    fraction."""
+    return _grid_parseval_weight(grid.dim, grid.n, grid.length, m)
+
+
+@lru_cache(maxsize=16)
+def _grid_parseval_weight(dim: int, n: int, length: float,
+                          m: int) -> np.ndarray:
+    # a grid of its own, dropped after the call: caching the caller's grid
+    # would keep it and its workspace alive
+    grid = Grid(dim, n, length)
+    total = np.zeros(grid.spectral_shape)
+    for order in range(m + 1):
+        for axes in _derivative_multiindices(dim, order):
+            total += np.abs(_derivative_symbol(grid, axes)) ** 2
+    weight = total * grid.hermitian_weight * (length ** dim / n ** (2 * dim))
+    weight.flags.writeable = False
+    return weight
 
 
 def _magnitude(values: np.ndarray, dim: int) -> np.ndarray:
@@ -657,6 +743,22 @@ def _sup_view(u: SpectralField):
     values = np.empty(u.coeffs.shape[:-g.dim] + g.shape)
     g._workspace.inverse(spectra, values, pruned=False)
     return values, _sup_magnitude(values, g.dim), grad_max, curl_max
+
+
+def _dealiased_values(u: SpectralField):
+    """dealias(u).to_physical() bit for bit, by the workspace's pruned
+    inverse, and whether u vanishes outside the mask, so that they are u's
+    own grid values.  The values are a new array: a step keeps them past
+    the kernel's use of the work arrays."""
+    g = u.grid
+    axis = -(g.dim + 1)
+    spectra, = g._workspace.arrays(u.coeffs.shape[:axis],
+                                   ("complex", u.coeffs.shape[axis]))
+    np.multiply(u.coeffs, g.dealias_mask, out=spectra)
+    own = np.array_equal(spectra, u.coeffs)
+    values = np.empty(u.coeffs.shape[:-g.dim] + g.shape)
+    g._workspace.inverse(spectra, values, pruned=True)
+    return values, own
 
 
 def sobolev_norm(f: SpectralField, req: NormRequest):

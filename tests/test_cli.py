@@ -151,6 +151,30 @@ def test_run_set_override_changes_duration(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 5  # 4 steps + initial
 
 
+@pytest.mark.parametrize("kind", ["em", "rk4"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_run_sampled_every_third_step_keeps_those_rows(tmp_path, capsys,
+                                                       kind, dim):
+    # a step that no sample precedes takes its flux values and CFL bound
+    # from its own pruned inverse, a sampled one from the sample's view;
+    # both are the grid values of the same dealiased state, so every row
+    # of a run sampled every third step is byte for byte the row of an
+    # every-step run at the same time
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    lines = {}
+    for every in (1, 3):
+        out = tmp_path / f"every{every}.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--quiet", "--set", f"grid.dim={dim}",
+                         "--set", f"integrator.kind={kind}",
+                         "--set", f"integrator.sample_every={every}"]
+                        ) == cli.EXIT_OK
+        lines[every] = out.read_text().splitlines()
+    # header, then steps 0, 3, 6, 9 and the last step, 10
+    assert lines[3] == [lines[1][0]] + [lines[1][1 + step]
+                                        for step in (0, 3, 6, 9, 10)]
+
+
 def test_ensemble_subcommand_persists_summary(tmp_path, capsys):
     cfg = _write_yaml(tmp_path, ENSEMBLE_CONFIG)
     out_dir = tmp_path / "out"

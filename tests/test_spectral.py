@@ -1,6 +1,9 @@
 """Field operations: projection, nonlinear term, norms, mollifier."""
 
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -418,6 +421,122 @@ def test_workspace_results_survive_a_later_call(dim, n):
     assert np.array_equal(term.coeffs, kept[0])
     assert np.array_equal(values, kept[1])
     assert sp._sup_view(u)[1:] == tuple(sups)
+
+
+def _bits(a):
+    """The IEEE bits of a complex array, one pair of words per entry."""
+    return a.view(np.uint64)
+
+
+def _full_array_nonlinear_term(u):
+    """The advection kernel on whole half spectra: scipy's transforms, the
+    sum i k_j T_ij in the kernel's order on every mode, the dealias mask
+    and the general projection."""
+    g = u.grid
+    axis, axes = -(g.dim + 1), tuple(range(-g.dim, 0))
+    pairs = [(i, j) for i in range(g.dim) for j in range(i, g.dim)]
+    values = np.moveaxis(scipy.fft.irfftn(u.coeffs * g.dealias_mask,
+                                          s=g.shape, axes=axes), axis, 0)
+    t_hat = scipy.fft.rfftn(np.stack([values[i] * values[j]
+                                      for i, j in pairs]), axes=axes)
+    div = np.zeros((g.dim,) + t_hat.shape[1:], dtype=complex)
+    for t, (i, j) in zip(t_hat, pairs):
+        if i != j:
+            div[i] += g.ik[j] * t
+        div[j] += g.ik[i] * t
+    div *= g.dealias_mask
+    return sp.leray_project(sp.SpectralField(g, np.moveaxis(div, 0, axis)))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("fraction", [0.5, 2.0 / 3.0, 1.0])
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 24), (2, 48),
+                                    (3, 16), (3, 24), (3, 48)])
+def test_nonlinear_term_box_equals_full_array_oracle(dim, n, fraction,
+                                                     batch):
+    # the kernel sums and projects on the kept box alone: inside the mask
+    # every bit is the whole-array computation's, outside it every mode is
+    # +0.0; the field has content outside the mask, as a transformed state
+    # has
+    g = sp.Grid(dim, n, dealias_fraction=fraction)
+    rng = np.random.default_rng(n + dim)
+    u = sp.leray_project(sp.SpectralField.from_physical(
+        g, rng.standard_normal(batch + (dim,) + g.shape)))
+    assert np.any(u.coeffs[..., ~g.dealias_mask]) or fraction == 1.0
+    got = sp.nonlinear_term(u).coeffs
+    want = _full_array_nonlinear_term(u).coeffs
+    inside = np.broadcast_to(g.dealias_mask, got.shape)
+    assert np.array_equal(_bits(got[inside]), _bits(want[inside]))
+    assert not np.any(_bits(got[~inside]))
+
+
+@pytest.mark.parametrize("fraction", [0.5, 2.0 / 3.0, 1.0])
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 24), (3, 16), (3, 24)])
+def test_leray_dealiased_path_equals_general_path(dim, n, fraction):
+    # dealiased=True projects dealias(f) on the kept box: the general
+    # path's bits inside the mask, +0.0 outside it, on a batch and a path
+    g = sp.Grid(dim, n, dealias_fraction=fraction)
+    raw = sp.SpectralField.from_physical(g, np.random.default_rng(n).
+                                         standard_normal((2, dim) + g.shape))
+    # dealias's multiply by True turns a -0.0 part into +0.0 on some modes
+    signed = np.empty_like(raw.coeffs)
+    signed.real, signed.imag = -0.0, raw.coeffs.imag
+    for f in (raw, sp.SpectralField(g, raw.coeffs[1]),
+              sp.SpectralField(g, signed)):
+        got = sp.leray_project(f, dealiased=True).coeffs
+        want = sp.leray_project(sp.dealias(f)).coeffs
+        inside = np.broadcast_to(g.dealias_mask, got.shape)
+        assert np.array_equal(_bits(got[inside]), _bits(want[inside]))
+        assert not np.any(_bits(got[~inside]))
+        # on a dealiased field the two paths agree everywhere
+        assert np.array_equal(
+            sp.leray_project(sp.dealias(f), dealiased=True).coeffs, want)
+
+
+# A warmed-up nonlinear_term allocates its result and nothing else of field
+# size: 1.0 field at 3D n=16 with a batch of 3, where the whole-array kernel
+# (its projection's k u_hat beside its result) peaked at 2.0.
+NONLINEAR_TERM_ALLOCATION_FIELDS = 1.5
+
+
+def test_nonlinear_term_allocates_one_field():
+    g = sp.Grid(3, 16)
+    u = sp.SpectralField(g, np.repeat(_random_field(g, seed=2).coeffs[None],
+                                      3, axis=0))
+    sp.nonlinear_term(u)  # sizes the pools
+    tracemalloc.start()
+    try:
+        sp.nonlinear_term(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= NONLINEAR_TERM_ALLOCATION_FIELDS * u.coeffs.nbytes
+
+
+def test_no_reference_cycle_pins_a_grid():
+    # a grid whose workspace or cache referred back to it would live until
+    # a GC pass, and each run's grid would pile up with its work arrays
+    gc.disable()
+    try:
+        g = sp.Grid(3, 16)
+        u = _random_field(g, seed=1)
+        sp.nonlinear_term(u)
+        sp._sup_view(u)
+        sp.leray_project(u, dealiased=True)
+        sp.sobolev_norm(u, sp.NormRequest(3, 2))
+        grid = weakref.ref(g)
+        del g, u
+        assert grid() is None
+    finally:
+        gc.enable()
+
+
+def test_parseval_weight_is_shared_by_equal_grids_and_read_only():
+    a, b = sp.Grid(3, 16), sp.Grid(3, 16, dealias_fraction=0.5)
+    weight = sp._parseval_weight(a, 2)
+    assert sp._parseval_weight(b, 2) is weight
+    assert not weight.flags.writeable
+    assert sp._parseval_weight(sp.Grid(3, 16, length=1.0), 2) is not weight
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
