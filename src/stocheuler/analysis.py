@@ -48,6 +48,8 @@ class GBMParams:
     R: float = 2.0
 
     def __post_init__(self):
+        if np.isnan([self.mu, self.alpha, self.x0, self.R]).any():
+            raise InvalidParams("mu, alpha, x0 and R must not be NaN")
         if self.alpha == 0:
             raise InvalidParams("alpha must be nonzero")
         if self.x0 <= 0:
@@ -83,10 +85,11 @@ class GBMExitEstimate:
 
 def n_time_steps(T: float, dt: float) -> int:
     """T / dt, the number of dt steps to T.  InvalidParams unless T and dt
-    are positive and T / dt is a whole number (to 1e-9 relative) of at least
-    1, so that no run reports on zero steps or ends short of or past T."""
-    if T <= 0 or dt <= 0:
-        raise InvalidParams("T and dt must be positive")
+    are positive and finite and T / dt is a whole number (to 1e-9 relative)
+    of at least 1, so no run reports on zero steps or ends before or past T."""
+    if not (0 < T < np.inf and 0 < dt < np.inf):
+        raise InvalidParams(f"T and dt must be positive and finite, got "
+                            f"T={T}, dt={dt}")
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise InvalidParams(f"T={T} rounds to zero steps of dt={dt}")
@@ -217,11 +220,11 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
     Everything is accumulated in log space; kappa routinely underflows the
     double range and is then reported as 0 with the underflow flag set.
     """
-    if R < 1:
+    if not R >= 1:
         raise InvalidParams(f"R must be >= 1, got {R}")
-    if alpha == 0:
-        raise InvalidParams("alpha must be nonzero")
-    if Cbar < 1:
+    if alpha == 0 or np.isnan(alpha):
+        raise InvalidParams(f"alpha must be a nonzero number, got {alpha}")
+    if not Cbar >= 1:
         raise InvalidParams(f"Cbar must be >= 1, got {Cbar}")
     a2 = alpha ** 2
     log_DR = 4.0 * Cbar * R

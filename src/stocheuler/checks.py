@@ -61,8 +61,8 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
         grid = Grid(2, n)
     except ValueError as exc:
         raise InvalidParams(str(exc)) from None
-    if len(dts) < 2 or min(dts) <= 0 or T <= 0:
-        raise InvalidParams("need T > 0 and at least two dts, all positive")
+    if len(dts) < 2 or not all(0 < x < np.inf for x in (T, *dts)):
+        raise InvalidParams("need T > 0 and at least two dts > 0, all finite")
     dt_fine = min(dts)
     n_fine = int(round(T / dt_fine))
     steps = [int(round(dt / dt_fine)) for dt in dts]

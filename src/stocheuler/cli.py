@@ -221,22 +221,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "incompressible Euler equations on the torus")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def common(p):
-        p.add_argument("--config", help="YAML config file")
+    def common(p, config: bool = False, seed: bool = True):
+        # only the flags the subcommand reads
+        if config:
+            p.add_argument("--config", help="YAML config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="config override (dotted keys)")
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--seed", type=_seed,
-                       help="non-negative seed override (under 'run', the "
-                            "trajectory id)")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="config override (dotted keys)")
+        if seed:
+            p.add_argument("--seed", type=_seed, help="non-negative seed "
+                           "override (under 'run', the trajectory id)")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("run", help="integrate one trajectory")
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ensemble", help="run a Monte Carlo batch")
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("gbm-exit",
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ode-bound",
                        help="worst-case ODE sweep for the kappa/K lemma")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--R-list", type=_float_list, default=[1.0, 2.0, 4.0])
     p.add_argument("--alpha2-list", type=_float_list,
                    default=[1.0, 4.0, 16.0])
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ode_bound)
 
     p = sub.add_parser("kappa-table", help="tabulate K and kappa")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--R-list", type=_float_list, default=[1.0, 2.0, 4.0])
     p.add_argument("--alpha2-list", type=_float_list,
                    default=[1.0, 4.0, 16.0, 64.0])

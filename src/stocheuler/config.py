@@ -10,6 +10,8 @@ constructor it feeds.
 
 from __future__ import annotations
 
+import math
+
 import yaml
 
 from .analysis import GBMParams
@@ -38,9 +40,16 @@ def _whole(value) -> int:
     return int(value)
 
 
-_number = _converter(float, "a number")
+def _real(value) -> float:
+    """float(value), rejecting NaN, which no key accepts (inf is a value)."""
+    if math.isnan(x := float(value)):
+        raise ValueError(value)
+    return x
+
+
+_number = _converter(_real, "a number")
 _integer = _converter(_whole, "an integer")
-_numbers = _converter(lambda v: [float(x) for x in v], "a list of numbers")
+_numbers = _converter(lambda v: [_real(x) for x in v], "a list of numbers")
 REQUIRED = object()
 
 SCHEMA = {

@@ -24,11 +24,11 @@ W^{m,p} order is norms.  A sample whose W^{1,inf} norm reaches BLOWUP_LEVEL
 ends the path as a blow-up.
 
 A sample's W^{1,inf} and sup|curl u| come from one physical-space view of
-the state (spectral._sup_view): an inverse transform of each d_j u and one
-of u, and one sqrt after each max.  The driver keeps a sampled state's
-grid values and max|u| (state.values, state.u_max); step_em and the first
-RK4 stage take their flux and CFL bound from them, so a velocity state is
-transformed to the grid once per step.
+the state (spectral._sup_view): one inverse transform of u and one of its
+gradient stack, and one sqrt after each max.  The driver keeps a sampled
+state's grid values and max|u| (state.values, state.u_max); step_em and the
+first RK4 stage take their flux and CFL bound from them, so a velocity state
+is transformed to the grid once per step.
 
 * step_em              Euler-Maruyama on the velocity form
 * step_rk4             RK4 drift with Euler-Maruyama noise coupling
@@ -166,10 +166,12 @@ class TrajectoryConfig:
     norms: NormRequest = NormRequest(3, 2)
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise InvalidParams(f"dt must be positive, got {self.dt}")
-        if self.T > 0:  # T <= 0 is an empty run
+        if not self.T <= 0:  # T <= 0 is an empty run; NaN is checked
             n_time_steps(self.T, self.dt)
+        if not self.c_cfl > 0:
+            raise InvalidParams(f"c_cfl must be positive, got {self.c_cfl}")
         if self.sample_every < 1:
             raise InvalidParams(f"sample_every must be >= 1, got "
                                 f"{self.sample_every}")

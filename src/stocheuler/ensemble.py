@@ -277,20 +277,24 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
         raise ValueError("alpha sweep needs a trajectory config")
     req = traj.norms
     rows = []
+
+    def row(alpha, kappa, threshold, exceed_fraction=None, interval=None,
+            note=""):
+        """One sweep.csv row; a row with a note is flagged."""
+        rows.append({"alpha": alpha, "kappa": kappa, "threshold": threshold,
+                     "exceed_fraction": exceed_fraction,
+                     "interval": interval, "flagged": bool(note),
+                     "note": note})
+
     for alpha in alpha_list:
         threshold = alpha ** 2 / (4.0 * Cbar)
         if alpha == 0.0:
-            rows.append({"alpha": 0.0, "kappa": 0.0, "threshold": 0.0,
-                         "exceed_fraction": 1.0, "interval": [1.0, 1.0],
-                         "flagged": True,
-                         "note": "undamped baseline: zero threshold"})
+            row(0.0, 0.0, 0.0, 1.0, [1.0, 1.0],
+                "undamped baseline: zero threshold")
             continue
         kk = kappa_K(R, alpha, Cbar)
         if data_scaling == "kappa-scaled" and kk.kappa_underflow:
-            rows.append({"alpha": alpha, "kappa": 0.0,
-                         "threshold": threshold, "exceed_fraction": None,
-                         "interval": None, "flagged": True,
-                         "note": "kappa underflow: run skipped"})
+            row(alpha, 0.0, threshold, note="kappa underflow: run skipped")
             continue
         u0 = traj.u0
         if data_scaling == "kappa-scaled":
@@ -306,17 +310,11 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
         # a failed path is neither an exceedance nor a survivor
         n_ok = summary.n_paths - summary.n_engineering_failures
         if n_ok == 0:
-            rows.append({"alpha": alpha, "kappa": kk.kappa,
-                         "threshold": threshold, "exceed_fraction": None,
-                         "interval": None, "flagged": True,
-                         "note": "every path failed"})
+            row(alpha, kk.kappa, threshold, note="every path failed")
             continue
         n_exceed = summary.hit_counts.get(SOBOLEV_THRESHOLD, 0)
-        rows.append({"alpha": alpha, "kappa": kk.kappa,
-                     "threshold": threshold,
-                     "exceed_fraction": n_exceed / n_ok,
-                     "interval": list(wilson_interval(n_exceed, n_ok)),
-                     "flagged": False, "note": ""})
+        row(alpha, kk.kappa, threshold, n_exceed / n_ok,
+            list(wilson_interval(n_exceed, n_ok)))
     return rows
 
 

@@ -4,10 +4,10 @@ Fields are stored as real-FFT half spectra (``scipy.fft.rfftn`` layout): the
 last axis holds indices 0..n/2 only, and each stored mode k stands for
 itself and its conjugate partner -k, so physical-space values are real by
 construction.  Wavenumbers are numpy's ``fftfreq`` values of the stored
-indices on every axis.  Fields are made and read through the private pair
-``_forward``/``_inverse`` (scipy's rfftn and irfftn), which act on the
-trailing ``dim`` axes and so take a whole (components, n, ..., n) stack in
-one call.
+indices on every axis.  Every field is made and read by the grid
+workspace's passes (below): ``_forward``/``_inverse`` run them unpruned on
+the trailing ``dim`` axes of a whole (components, n, ..., n) stack.
+scipy's rfftn and irfftn are the tests' oracle for them.
 
 Batch axes: a field's coefficients may carry any leading axes in front of
 (dim,) + spectral_shape, one entry per path, and every operator the
@@ -27,24 +27,23 @@ the package's one advection kernel.  Besides it the module holds the Leray
 projection, curl (one component in 2D), the mollifier and initial fields.
 
 The workspace.  Each grid owns one ``_Workspace`` (``Grid._workspace``),
-which holds every large array of the advection kernel, of the sampled view
-and of the RK4 stage inputs, sized to the largest batch seen so far; a
-smaller batch uses the start of it.  The kernel and the view never run at
-the same time, so they share one pool of real and one of complex arrays.
+which holds every large array of the advection kernel, of the sampled
+view, of _inverse and of the RK4 stage inputs, sized to the largest batch
+seen so far; a smaller batch uses the start of it.  The kernel, the view and
+_inverse never run at once, so they share one real and one complex pool.
 What an operator returns is never a work array.  The workspace's
 transforms run the 1-D passes that scipy's rfftn and irfftn run, in their
 order (forward: the last axis, then -dim .. -2; inverse: -dim .. -2, then
 the last axis): numpy's rfft/irfft with ``out=`` on the last axis,
 scipy.fft's fft/ifft in place on the others, and irfftn's 1/n^dim after
-the last pass, as pocketfft applies it.  They skip lines that the 2/3 rule
-makes zero: the inverse of a dealiased field skips the lines that hold
-only masked zeros, and the forward transform of the flux products skips
-the lines whose outputs the mask discards (at n = 32, 21 of 32 indices are
-kept on a full axis and 11 of 17 on the half axis).  Every line that runs
-is the transform scipy runs on the same input; a skipped inverse line
-holds zeros, which its transform keeps, and a skipped forward line feeds
-only modes the mask zeroes.  So the grid values are scipy's bit for bit,
-and so are the modes inside the mask (tests/test_spectral.py guards both).
+the last pass, as pocketfft applies it.  The kernel's transforms skip
+lines that the 2/3 rule makes zero: the inverse of a dealiased field
+skips the lines that hold only masked zeros, and the forward transform of
+the flux products skips the lines whose outputs the mask discards (at
+n = 32, 21 of 32 indices are kept on a full axis and 11 of 17 on the half
+axis).  A skipped inverse line holds zeros, which its transform keeps, and
+a skipped forward line feeds only modes the mask zeroes, so the grid
+values are scipy's bit for bit, and so are the modes inside the mask.
 
 The kept box.  The mask keeps a box of modes: on each full axis the runs
 0..c and n-c..n-1, on the half axis 0..c (21 * 21 * 11 of 32 * 32 * 17
@@ -66,11 +65,10 @@ Other (m, p) use collocation on the grid.  Both take a derivative of a mode
 as its grid values see it (``_derivative_symbol``), so they agree on every
 field, Nyquist modes included.
 
-Sup norms reduce through one kernel, ``_sup_magnitude``: squares accumulate
-in place and the sqrt is taken once, after the max.  A sampled state's
-max|u|, max|grad u| and max|curl u| come from ``_sup_view``, which makes
-one inverse of each d_j u and one of u, and reads the curl as the
-antisymmetric part of the grid gradient.
+Sup norms accumulate squares in place and take the sqrt once, after the
+max.  A sampled state's max|u|, max|grad u| and max|curl u| come from
+``_sup_view``: one inverse of u and one of its whole gradient stack, the
+curl read as the antisymmetric part of the grid gradient.
 """
 
 from __future__ import annotations
@@ -109,8 +107,8 @@ class Grid:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
         if not (0.0 < self.dealias_fraction <= 1.0):
             raise ValueError("dealias_fraction must lie in (0, 1]")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError("length must be positive and finite")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -223,15 +221,26 @@ def _components(a: np.ndarray, dim: int) -> list[np.ndarray]:
     return [a[(Ellipsis, c) + tail] for c in range(a.shape[-(dim + 1)])]
 
 
-def _forward(values: np.ndarray, dim: int) -> np.ndarray:
-    """Half spectra of real values over their trailing dim axes."""
-    return scipy.fft.rfftn(values, axes=tuple(range(-dim, 0)))
+def _forward(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectra of real values over their trailing dim axes, by the
+    workspace's unpruned passes, in a new array."""
+    spectra = np.empty(values.shape[:-grid.dim] + grid.spectral_shape,
+                       complex)
+    grid._workspace.forward(values, spectra, pruned=False)
+    return spectra
 
 
 def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real physical values of half spectra over their trailing axes."""
-    return scipy.fft.irfftn(coeffs, s=grid.shape,
-                            axes=tuple(range(-grid.dim, 0)))
+    """Real grid values of half spectra, shape (..., c) +
+    grid.spectral_shape, by the workspace's unpruned passes on a copy in
+    its complex pool, in a new array."""
+    axis = -(grid.dim + 1)
+    ws = grid._workspace
+    spectra, = ws.arrays(coeffs.shape[:axis], ("complex", coeffs.shape[axis]))
+    np.copyto(spectra, coeffs)
+    values = np.empty(coeffs.shape[:-grid.dim] + grid.shape)
+    ws.inverse(spectra, values, pruned=False)
+    return values
 
 
 # the (i, j), i <= j, of the flux entries u_i u_j, and the (a, b) of each
@@ -267,8 +276,8 @@ class _Workspace:
 
     Four flat pools hold the arrays: grid values ("real"), half spectra
     ("complex"), the stage inputs ("stage", half spectra as well, since
-    the kernel runs on them) and the kept box ("box").  The kernel and the
-    view never run at the same time, so they share the first two.  A pool
+    the kernel runs on them) and the kept box ("box").  The kernel, the
+    view and _inverse never run at once, so they share the first two.  A pool
     is sized to the largest batch seen so far, and each call to arrays()
     carves its arrays from the start of the pools, so a batch whose paths
     retired touches less of them.  An array carved from a pool is valid
@@ -302,10 +311,11 @@ class _Workspace:
         # per path: (dtype, grid shape, components), the components being
         # the most that the kernel (u, the flux products and their spectra;
         # in the box the flux spectra and div T) or the view (the gradient
-        # row, the curl and the square sum) takes, or the projection (the
-        # field, k u_hat and k.u_hat) takes in the box
+        # stack and the curl) takes, or the projection (the field, k u_hat
+        # and k.u_hat) takes in the box; _inverse's copy of a field fits in
+        # the complex pool
         self._layout = {
-            "real": (float, grid.shape, max(dim + pairs, dim + curls + 1)),
+            "real": (float, grid.shape, max(dim + pairs, dim * dim + curls)),
             "complex": (complex, grid.spectral_shape, dim + pairs),
             "stage": (complex, grid.spectral_shape, dim),
             "box": (complex, box_shape, max(pairs + dim, 2 * dim + 1)),
@@ -330,7 +340,7 @@ class _Workspace:
                   for j in full_axes], half)]) for a in full_axes]
 
         self._lines = {"forward": lines(True), "inverse": lines(False),
-                       "inverse all": [(a, [(Ellipsis,)]) for a in full_axes]}
+                       "all": [(a, [(Ellipsis,)]) for a in full_axes]}
 
     def arrays(self, lead: tuple[int, ...], *specs) -> list[np.ndarray]:
         """One work array per (pool, components) in specs, of shape
@@ -375,19 +385,19 @@ class _Workspace:
         pruned says that spectra vanish outside the dealias mask: a pass
         then skips the lines that hold only those zeros.
         """
-        passes = self._lines["inverse" if pruned else "inverse all"]
-        for axis, indices in passes:
+        for axis, indices in self._lines["inverse" if pruned else "all"]:
             for index in indices:
                 _c2c(spectra, axis, index, forward=False)
         np.fft.irfft(spectra, n=self.n, axis=-1, norm="forward", out=values)
         values *= self.scale
 
-    def forward(self, values: np.ndarray, spectra: np.ndarray) -> None:
+    def forward(self, values: np.ndarray, spectra: np.ndarray,
+                pruned: bool) -> None:
         """Write the half spectra of the real values into spectra, by the
-        1-D passes of scipy.fft.rfftn in its order.  Only the modes inside
-        the dealias mask are transformed: the others hold partial sums."""
+        1-D passes of scipy.fft.rfftn in its order.  pruned transforms only
+        the modes inside the dealias mask: the others hold partial sums."""
         np.fft.rfft(values, axis=-1, out=spectra)
-        for axis, indices in self._lines["forward"]:
+        for axis, indices in self._lines["forward" if pruned else "all"]:
             for index in indices:
                 _c2c(spectra, axis, index, forward=True)
 
@@ -412,7 +422,7 @@ class SpectralField:
             raise ShapeMismatch(
                 f"expected shape (..., {grid.dim} or 1, "
                 f"{', '.join(map(str, grid.shape))}), got {values.shape}")
-        return cls(grid, _forward(values, grid.dim))
+        return cls(grid, _forward(values, grid))
 
     def to_physical(self) -> np.ndarray:
         return _inverse(self.coeffs, self.grid)
@@ -523,7 +533,7 @@ def nonlinear_term(u: SpectralField,
     comps = _components(u_phys, g.dim)
     for out, (i, j) in zip(_components(products, g.dim), pairs):
         np.multiply(comps[i], comps[j], out=out)
-    ws.forward(products, t_hat)
+    ws.forward(products, t_hat, pruned=True)
     ws.gather(t_hat, t_box)
     div_box[...] = 0.0
     div_comps = _components(div_box, g.dim)
@@ -621,23 +631,15 @@ def _magnitude(values: np.ndarray, dim: int) -> np.ndarray:
     return np.sqrt(np.sum(values ** 2, axis=-(dim + 1)))
 
 
-def _sup_magnitude(components, dim: int):
-    """Per path, max over the grid of the Euclidean magnitude of the
-    components: an iterable of arrays, or one array with its component axis
-    at -(dim + 1).
-
-    The squares accumulate in place in the given order, which is the order
-    in which np.sum adds a component axis, and the one sqrt comes after the
-    max.  sqrt is monotone and correctly rounded, so this is bit for bit
-    the max of the pointwise magnitudes.
-    """
-    if isinstance(components, np.ndarray):
-        components = _components(components, dim)
-    components = iter(components)
-    first = next(components)
+def _sup_magnitude(values: np.ndarray, dim: int):
+    """Per path, max over the grid of the Euclidean magnitude of values over
+    their component axis -(dim + 1): the squares added in place in np.sum's
+    order, one sqrt after the max (monotone and correctly rounded, so bit
+    for bit the max of the pointwise magnitudes)."""
+    first, *rest = _components(values, dim)
     acc = first * first
     sq = None
-    for c in components:
+    for c in rest:
         sq = np.multiply(c, c, out=sq)
         acc += sq
     return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
@@ -672,52 +674,41 @@ def l2_inner(u: SpectralField, v: SpectralField):
                             axis=_trailing(u.grid.dim + 1)))
 
 
-def _sup_of_squares(comps: np.ndarray, dim: int):
-    """_sup_magnitude of the components of a work array, squaring them in
-    place: the same squares, added in the same order."""
-    acc = np.multiply(comps[0], comps[0], out=comps[0])
-    for c in comps[1:]:
+def _sup_of_squares(work: np.ndarray, dim: int):
+    """_sup_magnitude of a work array, squaring its components in place:
+    the same squares, added in the same order."""
+    first, *rest = _components(work, dim)
+    acc = np.multiply(first, first, out=first)
+    for c in rest:
         acc += np.multiply(c, c, out=c)
     return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
 
 
 def _gradient_sups(f: SpectralField, with_curl: bool = True):
     """max|grad f| (Frobenius) and, with_curl, max|curl f| (else None) over
-    the grid.
-
-    One inverse per j makes the grid values of d_j f_c for every c in one
-    work array.  The squares d_j f_c^2 accumulate in (j, c) order, which is
-    the order np.sum adds the whole (j, c) stack in.  The curl is the
-    antisymmetric part of the grid gradient: a component d_a u_b - d_b u_a
-    takes its first term at j = min(a, b) and is completed at j = max(a, b)
-    by the same subtraction, so its bits do not depend on the streaming.
-    """
+    the grid, from one inverse of the gradient stack into a work array: row
+    j * c + i holds d_j f_i, for the c components f_i.  A curl component
+    d_a f_b - d_b f_a is one subtraction of two rows (the antisymmetric part
+    of the grid gradient), and the squares add in (j, i) order, as np.sum
+    adds the whole stack."""
     g = f.grid
     axis = -(g.dim + 1)
+    lead, comps = f.coeffs.shape[:axis], f.coeffs.shape[axis]
     pairs = _CURL_PAIRS[g.dim] if with_curl else ()
     ws = g._workspace
-    spectra, d_j, rot, acc = ws.arrays(
-        f.coeffs.shape[:axis], ("complex", f.coeffs.shape[axis]),
-        ("real", f.coeffs.shape[axis]), ("real", len(pairs)), ("real", 1))
-    acc, = _components(acc, g.dim)
-    rows, rots = _components(d_j, g.dim), _components(rot, g.dim)
-    for j in range(g.dim):
-        np.multiply(g.grad_symbols[j], f.coeffs, out=spectra)
-        ws.inverse(spectra, d_j, pruned=False)
-        for r, (a, b) in zip(rots, pairs):
-            if j == min(a, b):
-                r[...] = rows[b if j == a else a]
-            elif j == b:
-                np.subtract(r, rows[a], out=r)
-            elif j == a:
-                np.subtract(rows[b], r, out=r)
-        for c, row in enumerate(rows):
-            if j == c == 0:
-                np.multiply(row, row, out=acc)
-            else:
-                acc += np.multiply(row, row, out=row)
-    grad_max = _per_path(np.sqrt(np.max(acc, axis=_trailing(g.dim))))
-    return grad_max, _sup_of_squares(rots, g.dim) if pairs else None
+    spectra, grads, rot = ws.arrays(
+        lead, ("complex", g.dim * comps), ("real", g.dim * comps),
+        ("real", len(pairs)))
+    # per j: one multiply broadcast over (j, c) makes stack-size temporaries
+    by_j = spectra.reshape(lead + (g.dim,) + f.coeffs.shape[axis:])
+    for j, d_j in enumerate(_components(by_j, g.dim + 1)):
+        np.multiply(g.grad_symbols[j], f.coeffs, out=d_j)
+    ws.inverse(spectra, grads, pruned=False)
+    rows = _components(grads, g.dim)
+    for r, (a, b) in zip(_components(rot, g.dim), pairs):
+        np.subtract(rows[a * comps + b], rows[b * comps + a], out=r)
+    return (_sup_of_squares(grads, g.dim),
+            _sup_of_squares(rot, g.dim) if pairs else None)
 
 
 def grad_sup_norm(f: SpectralField):
@@ -726,22 +717,17 @@ def grad_sup_norm(f: SpectralField):
 
 
 def _sup_view(u: SpectralField):
-    """u's grid values, and max|u|, max|grad u| (Frobenius) and max|curl u|
-    over the grid, from one inverse of u and one of each d_j u.
+    """u's grid values (a new array, which the trajectory driver keeps for
+    its next step), and max|u|, max|grad u| (Frobenius) and max|curl u| over
+    the grid, from one inverse of u and one of its gradient stack.
 
-    max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl costs no
-    transform; it equals the grid values of curl(u) up to rounding unless u
-    carries Nyquist modes, where curl's i k symbol and the grid derivative
-    differ.  The values are a new array, because the trajectory driver
-    keeps them for its next step; the rest are work arrays.
+    max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl equals the
+    grid values of curl(u) up to rounding unless u carries Nyquist modes,
+    where curl's i k symbol and the grid derivative differ.
     """
     g = u.grid
     grad_max, curl_max = _gradient_sups(u)
-    spectra, = g._workspace.arrays(u.coeffs.shape[:-(g.dim + 1)],
-                                   ("complex", u.coeffs.shape[-(g.dim + 1)]))
-    np.copyto(spectra, u.coeffs)
-    values = np.empty(u.coeffs.shape[:-g.dim] + g.shape)
-    g._workspace.inverse(spectra, values, pruned=False)
+    values = _inverse(u.coeffs, g)
     return values, _sup_magnitude(values, g.dim), grad_max, curl_max
 
 
@@ -851,7 +837,7 @@ def random_divergence_free(grid: Grid, rng: np.random.Generator,
     noise = rng.standard_normal((grid.dim,) + grid.shape)
     kmag = np.sqrt(np.sum(grid.k_index ** 2, axis=0))
     envelope = np.where((kmag > 0) & (kmag <= kmax), 1.0 / (1.0 + kmag) ** decay, 0.0)
-    f = leray_project(SpectralField(grid, _forward(noise, grid.dim) * envelope))
+    f = leray_project(SpectralField(grid, _forward(noise, grid) * envelope))
     nrm = l2_norm(f)
     if nrm > 0:
         f = f * (amplitude / nrm)

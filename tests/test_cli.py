@@ -427,6 +427,15 @@ UNKNOWN_KEYS = [
     pytest.param(RUN_CONFIG, ["ensemble.n_paths=2.9"],
                  "ensemble: n_paths must be an integer, got 2.9",
                  id="n-paths-fraction"),
+    pytest.param(ENSEMBLE_CONFIG, ["surrogate.T=.inf"],
+                 "surrogate: T and dt must be positive and finite, got T=inf",
+                 id="surrogate-T-inf"),
+    pytest.param(ENSEMBLE_CONFIG, ["surrogate.alpha=.nan"],
+                 "surrogate: alpha must be a number, got nan",
+                 id="surrogate-alpha-nan"),
+    pytest.param(RUN_CONFIG, ["sweep={alpha_list: [1.0, .nan], R: 1.0}"],
+                 "sweep: alpha_list must be a list of numbers",
+                 id="sweep-alpha-nan"),
 ])
 def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
                                                     overrides, prefix):
@@ -553,6 +562,55 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("ensemble", PDE_ENSEMBLE, ["--set", "ensemble.n_paths=2.9"],
                  "config error: ensemble: n_paths must be an integer, got 2.9",
                  id="ensemble-n-paths-fraction"),
+    # a non-finite run parameter is one error line, not a run that ignores
+    # it or a traceback
+    *(pytest.param("run", RUN_CONFIG, ["--set", override],
+                   f"config error: {message}", id=f"run-{key}-nan")
+      for key, override, message in [
+          ("cfl", "integrator.cfl=.nan",
+           "integrator: cfl must be a number, got nan"),
+          ("length", "grid.length=.nan",
+           "grid: length must be a number, got nan"),
+          ("amplitude", "initial.amplitude=.nan",
+           "initial: amplitude must be a number, got nan"),
+          ("alpha", "noise.alpha=.nan",
+           "noise: alpha must be a number, got nan"),
+          ("level", "stopping=[{kind: w1inf_threshold, level: .nan}]",
+           "stopping[0]: level must be a number, got nan"),
+          ("T", "integrator.T=.nan",
+           "integrator: T must be a number, got nan"),
+          ("dt", "integrator.dt=.nan",
+           "integrator: dt must be a number, got nan"),
+      ]),
+    pytest.param("run", RUN_CONFIG,
+                 ["--set", "integrator.cfl=.nan", "--set", "integrator.T=1.0",
+                  "--set", "integrator.dt=1.0"],
+                 "config error: integrator: cfl must be a number, got nan",
+                 id="run-cfl-nan-over-the-cfl-limit"),
+    pytest.param("run", RUN_CONFIG, ["--set", "grid.length=.inf"],
+                 "config error: grid: length must be positive and finite",
+                 id="run-grid-length-inf"),
+    pytest.param("run", RUN_CONFIG, ["--set", "integrator.T=.inf"],
+                 "config error: integrator: T and dt must be positive and "
+                 "finite, got T=inf", id="run-T-inf"),
+    pytest.param("run", RUN_CONFIG, ["--set", "integrator.cfl=0"],
+                 "config error: integrator: c_cfl must be positive, got 0.0",
+                 id="run-cfl-zero"),
+    pytest.param("gbm-exit", None, ["--n-paths", "10", "--T", "inf"],
+                 "invalid parameters: T and dt must be positive and finite, "
+                 "got T=inf", id="gbm-exit-T-inf"),
+    pytest.param("gbm-exit", None, ["--n-paths", "10", "--dt", "nan"],
+                 "invalid parameters: T and dt must be positive and finite",
+                 id="gbm-exit-dt-nan"),
+    pytest.param("gbm-exit", None, ["--n-paths", "10", "--alpha", "nan"],
+                 "invalid parameters: mu, alpha, x0 and R must not be NaN",
+                 id="gbm-exit-alpha-nan"),
+    pytest.param("kappa-table", None, ["--Cbar", "nan"],
+                 "invalid parameters: Cbar must be >= 1, got nan",
+                 id="kappa-table-Cbar-nan"),
+    pytest.param("transform-check", None, ["--n", "16", "--T", "nan"],
+                 "invalid parameters: need T > 0 and at least two dts",
+                 id="transform-check-T-nan"),
     # run checks a section it does not read (ensemble) too
     *(pytest.param("run", RUN_CONFIG, ["--set", override],
                    f"config error: {message}", id=f"run-{case}")
@@ -570,6 +628,35 @@ def test_bad_seed_or_number_exits_usage(tmp_path, capsys, command, base,
     assert message in err
     if not message.startswith("argument "):  # argparse adds a usage line
         assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+# the flags each subcommand does not read, with a value for each, and
+# arguments that keep a run short where the flag would be ignored
+UNREAD_FLAGS = {"gbm-exit": ("--config", "--set"),
+                "transform-check": ("--config", "--set"),
+                "mollifier-check": ("--config", "--set"),
+                "ode-bound": ("--config", "--set", "--seed"),
+                "kappa-table": ("--config", "--set", "--seed")}
+FLAG_VALUES = {"--config": "/nonexistent.yaml", "--set": "nonsense.key=1",
+               "--seed": "1"}
+SHORT_RUN = {"gbm-exit": ["--n-paths", "10", "--T", "1"],
+             "transform-check": ["--n", "16", "--T", "0.05",
+                                 "--dt-list", "0.01,0.005"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in UNREAD_FLAGS.items()
+    for flag in flags])
+def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys,
+                                                    command, flag):
+    out = tmp_path / "out"
+    code = _exit_code([command, *SHORT_RUN.get(command, []), flag,
+                       FLAG_VALUES[flag], "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in err
     assert not out.exists()
 
 
