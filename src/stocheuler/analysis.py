@@ -224,6 +224,8 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
         raise InvalidParams(f"R must be >= 1, got {R}")
     if alpha == 0 or np.isnan(alpha):
         raise InvalidParams(f"alpha must be a nonzero number, got {alpha}")
+    if not np.isfinite(float(alpha) * float(alpha)):
+        raise InvalidParams(f"alpha^2 must be finite, got alpha={alpha}")
     if not Cbar >= 1:
         raise InvalidParams(f"Cbar must be >= 1, got {Cbar}")
     a2 = alpha ** 2

@@ -16,9 +16,9 @@ from .analysis import n_time_steps
 from .dynamics import SimState, step_em, step_rk4, step_transformed
 from .errors import InvalidParams
 from .noise import LINEAR_MULTIPLICATIVE, NoiseModel, zero_noise
-from .spectral import (Grid, NormRequest, SpectralField, curl, dealias,
-                       l2_norm, leray_project, lp_norm, mollify,
-                       random_divergence_free, sobolev_norm, taylor_green)
+from .spectral import (Grid, NormRequest, SpectralField, curl, l2_norm,
+                       lp_norm, mollify, random_divergence_free, sobolev_norm,
+                       taylor_green)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +110,7 @@ def vorticity_decay_check(n: int = 128, alpha: float = 2.0, T: float = 1.0,
     """
     grid = Grid(2, n)
     rng = np.random.default_rng(seed)
-    u0 = leray_project(dealias(
-        taylor_green(grid)
-        + perturbation * random_divergence_free(grid, rng)))
+    u0 = taylor_green(grid) + perturbation * random_divergence_free(grid, rng)
     w0_inf = lp_norm(curl(u0), np.inf)
     n_steps = n_time_steps(T, dt)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -200,9 +198,7 @@ def conservation_check(n: int = 64, T: float = 1.0, dt: float = 5e-3,
     quantities ||u||_2^2 and the vorticity L^4 Casimir."""
     grid = Grid(2, n)
     rng = np.random.default_rng(seed)
-    u = dealias(leray_project(
-        taylor_green(grid)
-        + perturbation * random_divergence_free(grid, rng)))
+    u = taylor_green(grid) + perturbation * random_divergence_free(grid, rng)
 
     e0 = l2_norm(u) ** 2
     w4_0 = lp_norm(curl(u), 4.0)

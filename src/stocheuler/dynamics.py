@@ -23,12 +23,14 @@ gbm_level monitor) is model.alpha, the grid is u0.grid, and the sampled
 W^{m,p} order is norms.  A sample whose W^{1,inf} norm reaches BLOWUP_LEVEL
 ends the path as a blow-up.
 
+States are dealiased from t = 0: TrajectoryConfig rejects a u0 that is not.
 A sample's W^{1,inf} and sup|curl u| come from one physical-space view of
-the state (spectral._sup_view): one inverse transform of u and one of its
-gradient stack, and one sqrt after each max.  The driver keeps a sampled
-state's grid values and max|u| (state.values, state.u_max); step_em and the
-first RK4 stage take their flux and CFL bound from them, so a velocity state
-is transformed to the grid once per step.
+the state (spectral._sup_view): one pruned inverse transform of u and one
+of its gradient stack, and one sqrt after each max.  The driver keeps a
+sampled state's grid values and max|u| (state.values, state.u_max); step_em
+and the first RK4 stage take their flux and CFL bound from them, so a
+velocity state is transformed to the grid once per step (step 1 reuses the
+sample at t = 0).
 
 * step_em              Euler-Maruyama on the velocity form
 * step_rk4             RK4 drift with Euler-Maruyama noise coupling
@@ -52,10 +54,10 @@ from .analysis import _rk4, n_time_steps
 from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise)
-from .spectral import (Grid, NormRequest, SpectralField, _dealiased_values,
-                       _per_path, _rk4_stage, _sup_magnitude, _sup_view,
-                       _trailing, curl, l2_norm, leray_project, lp_norm,
-                       nonlinear_term, sobolev_norm, w1inf_norm)
+from .spectral import (Grid, NormRequest, SpectralField, _inverse, _per_path,
+                       _rk4_stage, _sup_magnitude, _sup_view, _trailing,
+                       curl, l2_norm, leray_project, lp_norm, nonlinear_term,
+                       sobolev_norm, w1inf_norm)
 
 # curl and w1inf_norm are not called here, but the benchmark tracer
 # (perfbench/tracing.py) patches them on this module by name, so they stay
@@ -114,9 +116,8 @@ class SimState:
     gamma: float | np.ndarray = 1.0
     W_accum: float | np.ndarray = 0.0
     step_index: int = 0
-    # u's grid values and max|u|, when a sample of this stepped (so
-    # dealiased) state made them; the next step's flux and CFL check reuse
-    # them
+    # u's grid values and max|u| from a sample of this state; states are
+    # dealiased from t = 0, so the next step's flux and CFL check reuse them
     values: np.ndarray | None = None
     u_max: np.ndarray | None = None
 
@@ -182,6 +183,8 @@ class TrajectoryConfig:
                 and self.model.kind != LINEAR_MULTIPLICATIVE):
             raise ValueError(f"integrator '{TRANSFORMED}' needs "
                              f"{LINEAR_MULTIPLICATIVE} noise")
+        if np.any(self.u0.coeffs[..., ~self.u0.grid.dealias_mask]):
+            raise InvalidParams("u0 must vanish outside the dealias mask")
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +220,16 @@ def _check_finite(u: SpectralField) -> None:
 
 def _flux_values(state: SimState, dt: float, model: NoiseModel,
                  c_cfl: float) -> np.ndarray:
-    """Check that dt is positive and within the CFL limit; return the grid
-    values of the dealiased u, which nonlinear_term takes.
-
-    Every state a step returns is already dealiased, so there these are u's
-    own values (state.values and state.u_max, if a sample made them) and
-    the CFL bound reads max|u| from them.  A u with content outside the
-    dealias mask is checked on its own inverse.
-    """
+    """Check that dt is positive and within the CFL limit, which reads
+    max|u| from u's grid values (state.values, if a sample made them, else
+    the pruned inverse's); return the values, which nonlinear_term takes."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     u = state.u
     values, umax = state.values, state.u_max
     if values is None:
-        values, own = _dealiased_values(u)
-        if own:
-            umax = _sup_magnitude(values, u.grid.dim)
+        values = _inverse(u.coeffs, u.grid, pruned=True)
+        umax = _sup_magnitude(values, u.grid.dim)
     lim = np.atleast_1d(cfl_limit(u, c_cfl, _lm_alpha(model), umax))
     over = np.flatnonzero(dt > lim * (1.0 + 1e-12))
     if over.size:
@@ -266,7 +263,8 @@ def _advance(state: SimState, dt: float, u_new: SpectralField,
 
 def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
             c_cfl: float = 0.5) -> SimState:
-    """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected."""
+    """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected.
+    state.u must vanish outside the dealias mask, as every state does."""
     u = state.u
     u_phys = _flux_values(state, dt, model, c_cfl)
     drift = nonlinear_term(u, u_phys).coeffs
@@ -280,7 +278,8 @@ def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
 
 def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
              c_cfl: float = 0.5) -> SimState:
-    """RK4 on the conservative drift, Euler-Maruyama coupling for the noise."""
+    """RK4 on the conservative drift, Euler-Maruyama coupling for the noise.
+    state.u must vanish outside the dealias mask, as every state does."""
     u = state.u
     u_phys = _flux_values(state, dt, model, c_cfl)
 
@@ -303,7 +302,8 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
     alpha the noise model's coefficient; dW only advances W.  The damping is
     exact: P(v.grad v) is quadratic, so w = exp(alpha^2 tau / 2) v obeys
     w' = -exp(-alpha^2 tau / 2) P(w.grad w) / gamma, which RK4 advances; the
-    factor is undone at tau = dt.
+    factor is undone at tau = dt.  state.u must vanish outside the dealias
+    mask, as every state does.
     """
     gamma = state.gamma
     if np.any(np.less_equal(gamma, 0)):
@@ -378,9 +378,7 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
         l2 = l2_norm(u)
         wmp = sobolev_norm(u, cfg.norms)
         values, u_max, grad_max, curl_max = _sup_view(u)
-        if state.step_index and not transformed:
-            # a stepped state is dealiased, so these are its flux values
-            # (a transformed run samples u = v / gamma, not its state v)
+        if not transformed:  # else the sample is of u = v / gamma, not v
             state.values, state.u_max = values, u_max
         w1inf = u_max + grad_max
         columns = zip(l2.tolist(), wmp.tolist(), w1inf.tolist(),

@@ -248,7 +248,7 @@ SWEEP_SCALINGS = ("fixed", "kappa-scaled")
 def check_sweep_args(alpha_list: list[float], R: float,
                      data_scaling: str = "fixed", Cbar: float = 1.0) -> None:
     """Reject, before any path runs, what survival_vs_alpha_sweep and its
-    kappa_K calls would reject."""
+    kappa_K calls would reject (an alpha whose square overflows, say)."""
     if not alpha_list:
         raise ValueError("alpha_list must be nonempty")
     if R < 1:
@@ -258,6 +258,9 @@ def check_sweep_args(alpha_list: list[float], R: float,
     if data_scaling not in SWEEP_SCALINGS:
         raise ValueError(f"unknown data_scaling '{data_scaling}' "
                          f"(accepted: {', '.join(SWEEP_SCALINGS)})")
+    for alpha in alpha_list:
+        if alpha != 0.0:  # alpha = 0 is the undamped baseline row
+            kappa_K(R, alpha, Cbar)
 
 
 def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],

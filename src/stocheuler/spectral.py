@@ -5,9 +5,12 @@ last axis holds indices 0..n/2 only, and each stored mode k stands for
 itself and its conjugate partner -k, so physical-space values are real by
 construction.  Wavenumbers are numpy's ``fftfreq`` values of the stored
 indices on every axis.  Every field is made and read by the grid
-workspace's passes (below): ``_forward``/``_inverse`` run them unpruned on
-the trailing ``dim`` axes of a whole (components, n, ..., n) stack.
-scipy's rfftn and irfftn are the tests' oracle for them.
+workspace's passes (below): ``_forward``/``_inverse`` run them on the
+trailing ``dim`` axes of a whole (components, n, ..., n) stack.
+scipy's rfftn and irfftn are the tests' oracle for them.  The state
+invariant: every field a run holds is dealias(leray_project(.)) of something
+(Orszag's 2/3 rule).  The initial fields are built so, and every step keeps
+it, so each inverse of a state may be pruned.
 
 Batch axes: a field's coefficients may carry any leading axes in front of
 (dim,) + spectral_shape, one entry per path, and every operator the
@@ -36,8 +39,8 @@ transforms run the 1-D passes that scipy's rfftn and irfftn run, in their
 order (forward: the last axis, then -dim .. -2; inverse: -dim .. -2, then
 the last axis): numpy's rfft/irfft with ``out=`` on the last axis,
 scipy.fft's fft/ifft in place on the others, and irfftn's 1/n^dim after
-the last pass, as pocketfft applies it.  The kernel's transforms skip
-lines that the 2/3 rule makes zero: the inverse of a dealiased field
+the last pass, as pocketfft applies it.  Pruned transforms skip lines
+that the 2/3 rule makes zero: the inverse of a dealiased field (a state)
 skips the lines that hold only masked zeros, and the forward transform of
 the flux products skips the lines whose outputs the mask discards (at
 n = 32, 21 of 32 indices are kept on a full axis and 11 of 17 on the half
@@ -67,8 +70,8 @@ field, Nyquist modes included.
 
 Sup norms accumulate squares in place and take the sqrt once, after the
 max.  A sampled state's max|u|, max|grad u| and max|curl u| come from
-``_sup_view``: one inverse of u and one of its whole gradient stack, the
-curl read as the antisymmetric part of the grid gradient.
+``_sup_view``: one pruned inverse of u and one of its whole gradient
+stack, the curl read as the antisymmetric part of the grid gradient.
 """
 
 from __future__ import annotations
@@ -152,6 +155,11 @@ class Grid:
         return np.all(np.abs(self.k_index) <= cutoff + 1e-12, axis=0)
 
     @cached_property
+    def dealias_mask_complex(self) -> np.ndarray:
+        """The mask as a multiply casts it: the same bits, no cast."""
+        return self.dealias_mask.astype(complex)
+
+    @cached_property
     def ik(self) -> np.ndarray:
         """Fourier symbols i k_j of the first derivatives."""
         return 1j * self.k
@@ -230,16 +238,20 @@ def _forward(values: np.ndarray, grid: Grid) -> np.ndarray:
     return spectra
 
 
-def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+def _inverse(coeffs: np.ndarray, grid: Grid,
+             pruned: bool = False) -> np.ndarray:
     """Real grid values of half spectra, shape (..., c) +
-    grid.spectral_shape, by the workspace's unpruned passes on a copy in
-    its complex pool, in a new array."""
+    grid.spectral_shape, by the workspace's passes on a copy in its complex
+    pool, in a new array; pruned=True copies and inverts dealias(coeffs)."""
     axis = -(grid.dim + 1)
     ws = grid._workspace
     spectra, = ws.arrays(coeffs.shape[:axis], ("complex", coeffs.shape[axis]))
-    np.copyto(spectra, coeffs)
+    if pruned:
+        np.multiply(coeffs, grid.dealias_mask_complex, out=spectra)
+    else:
+        np.copyto(spectra, coeffs)
     values = np.empty(coeffs.shape[:-grid.dim] + grid.shape)
-    ws.inverse(spectra, values, pruned=False)
+    ws.inverse(spectra, values, pruned)
     return values
 
 
@@ -501,7 +513,7 @@ def leray_project(f: SpectralField, dealiased: bool = False) -> SpectralField:
 
 def dealias(f: SpectralField) -> SpectralField:
     """f with every mode outside the 2/3-rule mask zeroed."""
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
+    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask_complex)
 
 
 def nonlinear_term(u: SpectralField,
@@ -527,7 +539,7 @@ def nonlinear_term(u: SpectralField,
         ("real", len(pairs)), ("real", g.dim), ("box", len(pairs)),
         ("box", g.dim))
     if u_phys is None:
-        np.multiply(u.coeffs, g.dealias_mask, out=div)  # dealias(u)
+        np.multiply(u.coeffs, g.dealias_mask_complex, out=div)  # dealias(u)
         ws.inverse(div, values, pruned=True)
         u_phys = values
     comps = _components(u_phys, g.dim)
@@ -684,13 +696,14 @@ def _sup_of_squares(work: np.ndarray, dim: int):
     return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
 
 
-def _gradient_sups(f: SpectralField, with_curl: bool = True):
+def _gradient_sups(f: SpectralField, with_curl: bool = True,
+                   pruned: bool = False):
     """max|grad f| (Frobenius) and, with_curl, max|curl f| (else None) over
     the grid, from one inverse of the gradient stack into a work array: row
     j * c + i holds d_j f_i, for the c components f_i.  A curl component
     d_a f_b - d_b f_a is one subtraction of two rows (the antisymmetric part
     of the grid gradient), and the squares add in (j, i) order, as np.sum
-    adds the whole stack."""
+    adds the whole stack.  pruned: f vanishes outside the dealias mask."""
     g = f.grid
     axis = -(g.dim + 1)
     lead, comps = f.coeffs.shape[:axis], f.coeffs.shape[axis]
@@ -703,7 +716,7 @@ def _gradient_sups(f: SpectralField, with_curl: bool = True):
     by_j = spectra.reshape(lead + (g.dim,) + f.coeffs.shape[axis:])
     for j, d_j in enumerate(_components(by_j, g.dim + 1)):
         np.multiply(g.grad_symbols[j], f.coeffs, out=d_j)
-    ws.inverse(spectra, grads, pruned=False)
+    ws.inverse(spectra, grads, pruned)
     rows = _components(grads, g.dim)
     for r, (a, b) in zip(_components(rot, g.dim), pairs):
         np.subtract(rows[a * comps + b], rows[b * comps + a], out=r)
@@ -719,32 +732,17 @@ def grad_sup_norm(f: SpectralField):
 def _sup_view(u: SpectralField):
     """u's grid values (a new array, which the trajectory driver keeps for
     its next step), and max|u|, max|grad u| (Frobenius) and max|curl u| over
-    the grid, from one inverse of u and one of its gradient stack.
+    the grid, from one pruned inverse of u and one of its gradient stack:
+    u must vanish outside the dealias mask, as every state does.
 
-    max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl equals the
-    grid values of curl(u) up to rounding unless u carries Nyquist modes,
-    where curl's i k symbol and the grid derivative differ.
+    max|u| + max|grad u| is then w1inf_norm(u) bit for bit.  The curl equals
+    the grid values of curl(u) up to rounding unless u carries Nyquist
+    modes, where curl's i k symbol and the grid derivative differ.
     """
     g = u.grid
-    grad_max, curl_max = _gradient_sups(u)
-    values = _inverse(u.coeffs, g)
+    grad_max, curl_max = _gradient_sups(u, pruned=True)
+    values = _inverse(u.coeffs, g, pruned=True)
     return values, _sup_magnitude(values, g.dim), grad_max, curl_max
-
-
-def _dealiased_values(u: SpectralField):
-    """dealias(u).to_physical() bit for bit, by the workspace's pruned
-    inverse, and whether u vanishes outside the mask, so that they are u's
-    own grid values.  The values are a new array: a step keeps them past
-    the kernel's use of the work arrays."""
-    g = u.grid
-    axis = -(g.dim + 1)
-    spectra, = g._workspace.arrays(u.coeffs.shape[:axis],
-                                   ("complex", u.coeffs.shape[axis]))
-    np.multiply(u.coeffs, g.dealias_mask, out=spectra)
-    own = np.array_equal(spectra, u.coeffs)
-    values = np.empty(u.coeffs.shape[:-g.dim] + g.shape)
-    g._workspace.inverse(spectra, values, pruned=True)
-    return values, own
 
 
 def sobolev_norm(f: SpectralField, req: NormRequest):
@@ -791,6 +789,12 @@ def mollify(u: SpectralField, eps: float) -> SpectralField:
 # Field constructors
 
 
+def _initial_field(grid: Grid, values: np.ndarray) -> SpectralField:
+    """The grid values as a state: dealiased and Leray-projected."""
+    return leray_project(SpectralField.from_physical(grid, values),
+                         dealiased=True)
+
+
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """2D: (sin x1 cos x2, -cos x1 sin x2).  3D: the classical TG vortex."""
     x = grid.coordinates
@@ -803,7 +807,7 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
             -np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2]),
             np.zeros(grid.shape),
         ]) * amplitude
-    return SpectralField.from_physical(grid, vals)
+    return _initial_field(grid, vals)
 
 
 def shear_field(grid: Grid, amplitude: float = 1.0) -> SpectralField:
@@ -811,7 +815,7 @@ def shear_field(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     x = grid.coordinates
     vals = np.zeros((grid.dim,) + grid.shape)
     vals[0] = amplitude * np.sin(x[1])
-    return SpectralField.from_physical(grid, vals)
+    return _initial_field(grid, vals)
 
 
 def abc_field(grid: Grid, a: float = 1.0, b: float = 1.0,
@@ -825,7 +829,7 @@ def abc_field(grid: Grid, a: float = 1.0, b: float = 1.0,
         b * np.sin(x[0]) + a * np.cos(x[2]),
         c * np.sin(x[1]) + b * np.cos(x[0]),
     ])
-    return SpectralField.from_physical(grid, vals)
+    return _initial_field(grid, vals)
 
 
 def random_divergence_free(grid: Grid, rng: np.random.Generator,
@@ -837,7 +841,8 @@ def random_divergence_free(grid: Grid, rng: np.random.Generator,
     noise = rng.standard_normal((grid.dim,) + grid.shape)
     kmag = np.sqrt(np.sum(grid.k_index ** 2, axis=0))
     envelope = np.where((kmag > 0) & (kmag <= kmax), 1.0 / (1.0 + kmag) ** decay, 0.0)
-    f = leray_project(SpectralField(grid, _forward(noise, grid) * envelope))
+    f = leray_project(SpectralField(grid, _forward(noise, grid) * envelope),
+                      dealiased=True)
     nrm = l2_norm(f)
     if nrm > 0:
         f = f * (amplitude / nrm)
@@ -854,6 +859,8 @@ FIELD_REGISTRY = {
 def make_initial_field(grid: Grid, name: str, amplitude: float = 1.0,
                        seed: int = 0) -> SpectralField:
     """Build a named initial condition; 'random' uses the given seed."""
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     if name == "random":
         rng = np.random.default_rng(seed)
         return random_divergence_free(grid, rng, amplitude=amplitude)

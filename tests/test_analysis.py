@@ -275,6 +275,11 @@ def test_kappa_K_validation():
         an.kappa_K(1.0, 0.0)
     with pytest.raises(InvalidParams):
         an.kappa_K(1.0, 1.0, Cbar=0.5)
+    # alpha^2 overflows (alpha ** 2 of a float raises OverflowError)
+    for alpha in (1e200, -1e200, np.inf):
+        with pytest.raises(InvalidParams, match="alpha\\^2 must be finite"):
+            an.kappa_K(1.0, alpha)
+    assert np.isfinite(an.kappa_K(1.0, 1e150).log_K)
 
 
 def test_K_at_least_two_on_grid():

@@ -436,6 +436,10 @@ UNKNOWN_KEYS = [
     pytest.param(RUN_CONFIG, ["sweep={alpha_list: [1.0, .nan], R: 1.0}"],
                  "sweep: alpha_list must be a list of numbers",
                  id="sweep-alpha-nan"),
+    # alpha^2 overflows: the sweep would end in an OverflowError traceback
+    pytest.param(RUN_CONFIG, ["sweep={alpha_list: [1.0, 1e200], R: 4.0}"],
+                 "sweep: alpha^2 must be finite, got alpha=1e+200",
+                 id="sweep-alpha-square-overflows"),
 ])
 def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
                                                     overrides, prefix):
@@ -596,6 +600,11 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("run", RUN_CONFIG, ["--set", "integrator.cfl=0"],
                  "config error: integrator: c_cfl must be positive, got 0.0",
                  id="run-cfl-zero"),
+    # an infinite amplitude would write a NaN row at t = 0 and exit 0
+    *(pytest.param("run", RUN_CONFIG, ["--set", f"initial.amplitude={value}"],
+                   f"config error: initial: amplitude must be finite, "
+                   f"got {shown}", id=f"run-amplitude-{shown}")
+      for value, shown in ((".inf", "inf"), ("-.inf", "-inf"))),
     pytest.param("gbm-exit", None, ["--n-paths", "10", "--T", "inf"],
                  "invalid parameters: T and dt must be positive and finite, "
                  "got T=inf", id="gbm-exit-T-inf"),

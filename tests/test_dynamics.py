@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stocheuler import dynamics as dyn, noise, spectral as sp
-from stocheuler.errors import CflViolation
+from stocheuler.errors import CflViolation, InvalidParams
 
 
 def _grid(n=16, dim=2):
@@ -70,31 +70,40 @@ def test_step_em_raises_on_cfl_violation():
 
 
 @pytest.mark.parametrize("step", [dyn.step_em, dyn.step_rk4])
-def test_cfl_reads_max_u_of_the_undealiased_state(step):
-    # u carries modes outside the dealias mask, so max|u| > max|P_N u|; a dt
-    # between the two limits must fail on u itself, not on the dealiased u
-    # that the flux advects
+def test_cfl_reads_max_u_of_the_stepped_state(step):
+    # a stepped state is dealiased, and its bound is its own max|u|, read
+    # from the grid values that its flux advects
     g = _grid(16)
     rng = np.random.default_rng(4)
     u = sp.leray_project(sp.SpectralField.from_physical(
-        g, rng.standard_normal((2,) + g.shape)))
-    assert not np.array_equal(sp.dealias(u).coeffs, u.coeffs)
+        g, rng.standard_normal((2,) + g.shape)), dealiased=True)
     lim_u = dyn.cfl_limit(u, c_cfl=0.5)
-    lim_dealiased = dyn.cfl_limit(sp.dealias(u), c_cfl=0.5)
-    assert lim_u < 0.9 * lim_dealiased
-    dt = 0.5 * (lim_u + lim_dealiased)
-    with pytest.raises(CflViolation):
-        step(_state(u), dt, noise.zero_noise(), np.zeros(0), c_cfl=0.5)
-    step(_state(u), 0.99 * lim_u, noise.zero_noise(), np.zeros(0),
-         c_cfl=0.5)
-    # a stepped state is dealiased, and its bound is still u's own
-    v = step(_state(sp.dealias(u)), 0.5 * lim_u, noise.zero_noise(),
-             np.zeros(0), c_cfl=0.5).u
+    v = step(_state(u), 0.5 * lim_u, noise.zero_noise(), np.zeros(0),
+             c_cfl=0.5).u
     lim_v = dyn.cfl_limit(v, c_cfl=0.5)
     with pytest.raises(CflViolation):
         step(_state(v), lim_v * (1.0 + 1e-9), noise.zero_noise(),
              np.zeros(0), c_cfl=0.5)
     step(_state(v), lim_v, noise.zero_noise(), np.zeros(0), c_cfl=0.5)
+
+
+def test_trajectory_config_rejects_a_u0_outside_the_mask():
+    # every field a run holds vanishes outside the dealias mask, so a u0
+    # with content there, even the rounding of a transform of grid values,
+    # is refused once, before any step
+    g = _grid(16)
+    x = g.coordinates
+    rng = np.random.default_rng(4)
+    for values in (rng.standard_normal((2,) + g.shape),
+                   np.stack([np.sin(x[0]) * np.cos(x[1]),
+                             -np.cos(x[0]) * np.sin(x[1])])):
+        u = sp.leray_project(sp.SpectralField.from_physical(g, values))
+        assert np.any(u.coeffs[..., ~g.dealias_mask])
+        with pytest.raises(InvalidParams, match="dealias mask"):
+            dyn.TrajectoryConfig(u0=u, model=noise.zero_noise(), T=0.01,
+                                 dt=1e-3)
+        dyn.TrajectoryConfig(u0=sp.leray_project(u, dealiased=True),
+                             model=noise.zero_noise(), T=0.01, dt=1e-3)
 
 
 def test_step_rejects_nonpositive_dt():

@@ -338,26 +338,41 @@ def _differentiation_matrix(n):
     return D
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_sup_view_matches_dense_differentiation_matrix(dim):
-    # white noise keeps its Nyquist modes; no rfft on the oracle side
-    n = 16
-    g = sp.Grid(dim, n)
-    values = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
-    u = sp.SpectralField.from_physical(g, values)
+def _dense_sups(values):
+    """max|u|, max|grad u| (Frobenius) and max|curl u| of grid values, the
+    gradient taken by the dense differentiation matrix on each axis."""
+    dim, n = len(values), values.shape[-1]
     D = _differentiation_matrix(n)
     grads = np.stack([np.moveaxis(np.tensordot(D, values, axes=(1, j + 1)),
                                   0, j + 1) for j in range(dim)])
     pairs = [(0, 1)] if dim == 2 else [(1, 2), (2, 0), (0, 1)]
     vort = np.stack([grads[j, c] - grads[c, j] for j, c in pairs])
-    want = (np.max(np.sqrt(np.sum(values ** 2, axis=0))),
+    return (np.max(np.sqrt(np.sum(values ** 2, axis=0))),
             np.max(np.sqrt(np.sum(grads ** 2, axis=(0, 1)))),
             np.max(np.sqrt(np.sum(vort ** 2, axis=0))))
-    got = sp._sup_view(u)[1:]
-    for name, a, b in zip(("u", "grad u", "curl u"), got, want):
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sup_view_matches_dense_differentiation_matrix(dim):
+    # white noise keeps its Nyquist modes, which lp_norm and grad_sup_norm
+    # take as any field's; the view takes a state, which is dealiased.  No
+    # rfft on the oracle side
+    n = 16
+    g = sp.Grid(dim, n)
+    values = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
+    u = sp.SpectralField.from_physical(g, values)
+    want = _dense_sups(values)
+    for name, a, b in (("u", sp.lp_norm(u, np.inf), want[0]),
+                       ("grad u", sp.grad_sup_norm(u), want[1])):
         assert abs(a - b) <= 1e-12 * b, name
-    assert sp.lp_norm(u, np.inf) == got[0]
-    assert sp.grad_sup_norm(u) == got[1]
+    v = sp.dealias(u)
+    view_values, *got = sp._sup_view(v)
+    assert np.array_equal(view_values, v.to_physical())
+    for name, a, b in zip(("u", "grad u", "curl u"), got,
+                          _dense_sups(view_values)):
+        assert abs(a - b) <= 1e-12 * b, name
+    assert sp.lp_norm(v, np.inf) == got[0]
+    assert sp.grad_sup_norm(v) == got[1]
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
@@ -610,6 +625,29 @@ def test_sup_view_on_dealiased_fields(dim, n):
         assert u_max + grad_max == sp.w1inf_norm(u)
         curl_inf = sp.lp_norm(sp.curl(u), np.inf)
         assert abs(curl_max - curl_inf) <= 1e-14 * curl_inf
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("fraction", [0.5, 2.0 / 3.0, 1.0])
+@pytest.mark.parametrize("name, dim", [
+    ("taylor_green", 2), ("taylor_green", 3), ("shear", 2), ("shear", 3),
+    ("abc", 3), ("random", 2), ("random", 3)])
+def test_initial_fields_are_dealiased_states(name, dim, fraction, batch):
+    # every field a run holds is dealias(leray_project(.)): an initial field
+    # is +0.0 on every mode outside the mask, so its pruned inverse, its
+    # unpruned one and the sampled view's values are one array, bit for bit
+    g = sp.Grid(dim, 16, dealias_fraction=fraction)
+    fields = [sp.make_initial_field(g, name, amplitude, seed)
+              for amplitude, seed in ((0.5, 1), (2.0, 2))]
+    u = (sp.SpectralField(g, np.stack([f.coeffs for f in fields]))
+         if batch else fields[0])
+    outside = u.coeffs[..., ~g.dealias_mask]
+    assert not np.any(_bits(np.ascontiguousarray(outside)))
+    div = np.sum(g.k * u.coeffs, axis=-(dim + 1))
+    assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(u.coeffs))
+    values = u.to_physical()
+    for other in (sp._inverse(u.coeffs, g, pruned=True), sp._sup_view(u)[0]):
+        assert np.array_equal(other.view(np.uint64), values.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
