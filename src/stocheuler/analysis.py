@@ -4,6 +4,10 @@ Covers: geometric-Brownian-motion exit probabilities (analytic bound and an
 exact-simulation Monte Carlo cross-check), the logarithmic Gronwall change
 of variables, the explicit small-data thresholds kappa(R, alpha) and
 K(R, alpha), and the worst-case ODE sweep behind them.
+
+Of scipy it loads only scipy.special, which scipy.fft loads anyway;
+log_gronwall_functions imports scipy.integrate when it is called, which
+keeps that import out of every CLI start-up.
 """
 
 from __future__ import annotations
@@ -11,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import stats as _scistats
+from scipy.special import ndtri
 
 from .errors import DomainError, InvalidParams, StiffnessFailure
 
@@ -23,10 +26,16 @@ from .errors import DomainError, InvalidParams, StiffnessFailure
 
 def wilson_interval(successes: int, n: int,
                     confidence: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.  InvalidParams
+    unless n > 0, successes is an integer in [0, n] and 0 < confidence < 1."""
     if n <= 0:
         raise InvalidParams("n must be positive")
-    z = float(_scistats.norm.ppf(0.5 + confidence / 2.0))
+    if not (isinstance(successes, (int, np.integer)) and 0 <= successes <= n):
+        raise InvalidParams(f"successes must be an integer in [0, {n}], "
+                            f"got {successes!r}")
+    if not 0 < confidence < 1:
+        raise InvalidParams(f"confidence must be in (0, 1), got {confidence}")
+    z = float(ndtri(0.5 + confidence / 2.0))  # the normal quantile
     phat = successes / n
     denom = 1.0 + z ** 2 / n
     center = (phat + z ** 2 / (2 * n)) / denom
@@ -180,6 +189,7 @@ def log_gronwall_functions(x: float) -> LogGronwallValues:
     Closed forms for the derivatives:
     Phi' = Phi / (x zeta + 1),  Phi'' = -Phi zeta / (x zeta + 1)^2.
     """
+    from scipy.integrate import quad  # loaded here: see the module docstring
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
     zeta = 1.0 + np.log(x)
@@ -187,8 +197,8 @@ def log_gronwall_functions(x: float) -> LogGronwallValues:
     def integrand(r):
         return 1.0 / (r * (1.0 + np.log(r)) + 1.0) if r > 0 else 1.0
 
-    psi, _err = _sciint.quad(integrand, 0.0, x, epsabs=1e-12, epsrel=1e-12,
-                             limit=200)
+    psi, _err = quad(integrand, 0.0, x, epsabs=1e-12, epsrel=1e-12,
+                     limit=200)
     phi = float(np.exp(psi))
     denom = x * zeta + 1.0
     return LogGronwallValues(zeta=float(zeta), Psi=float(psi), Phi=phi,

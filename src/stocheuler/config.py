@@ -179,25 +179,37 @@ def build_grid(doc: dict) -> Grid:
     return _call("grid", Grid, **_section(doc, "grid", required=True))
 
 
+# the noise keys each kind reads besides kind and seed
+_NOISE_KEYS = {"none": (), LINEAR_MULTIPLICATIVE: ("alpha",),
+               ADDITIVE: ("k_modes", "mode_decay"),
+               FUNCTIONAL: ("k_modes", "mode_decay"),
+               NEMYTSKII: ("k_modes", "mode_decay", "g")}
+
+
 def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, int]:
-    """The noise model and the master seed of its Brownian driver."""
+    """The noise model and the master seed of its Brownian driver.  A key
+    the chosen kind does not read is a ConfigError, as a misspelt one is."""
     sec = _section(doc, "noise")
     kind, seed = sec["kind"], sec["seed"]
+    if kind not in _NOISE_KEYS:
+        raise ConfigError(f"noise.kind: unknown kind '{kind}'")
+    if unread := set(doc.get("noise") or ()) - {"kind", "seed",
+                                                 *_NOISE_KEYS[kind]}:
+        raise ConfigError(f"noise: kind '{kind}' does not read key(s) "
+                          f"{', '.join(sorted(unread))}")
     if seed < 0:
         raise ConfigError(f"noise: seed must be non-negative, got {seed}")
     if kind == "none":
         return NoiseModel(ADDITIVE), seed
     if kind == LINEAR_MULTIPLICATIVE:
         return NoiseModel(kind, alpha=sec["alpha"]), seed
-    if kind not in (ADDITIVE, NEMYTSKII, FUNCTIONAL):
-        raise ConfigError(f"noise.kind: unknown kind '{kind}'")
 
     def fields(field_seed):
         return _call("noise", spectrum_sigma_fields, grid, sec["k_modes"],
                      sec["mode_decay"], field_seed)
 
     # the g tag is the one value NoiseModel can reject here
-    options = {"g_tag": sec["g"]} if kind == NEMYTSKII and "g" in sec else {}
+    options = {"g_tag": sec["g"]} if "g" in sec else {}
     if kind == FUNCTIONAL:
         options["profiles"] = fields(seed + 1)
     return _call("noise.g", NoiseModel, kind, sigma_fields=fields(seed),

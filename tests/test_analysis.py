@@ -27,6 +27,47 @@ def test_wilson_interval_basic_properties():
         an.wilson_interval(0, 0)
 
 
+def _wilson_oracle(k, n, confidence):
+    """The Wilson score interval with z from scipy.stats."""
+    from scipy.stats import norm
+
+    z = float(norm.ppf(0.5 + confidence / 2.0))
+    phat = k / n
+    denom = 1.0 + z ** 2 / n
+    center = (phat + z ** 2 / (2 * n)) / denom
+    half = (z / denom) * np.sqrt(phat * (1 - phat) / n + z ** 2 / (4 * n ** 2))
+    return (float(max(0.0, center - half)), float(min(1.0, center + half)))
+
+
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+@pytest.mark.parametrize("n", [1, 7, 100, 10 ** 5])
+def test_wilson_interval_equals_the_stats_quantile_formula(n, confidence):
+    # z from scipy.special.ndtri is scipy.stats.norm.ppf's, bit for bit, so
+    # every summary.json and gbm-exit interval stays byte-identical
+    for k in sorted({0, 1, n // 2, n - 1, n}):
+        assert (an.wilson_interval(k, n, confidence)
+                == _wilson_oracle(k, n, confidence)), k
+
+
+@pytest.mark.parametrize("successes, n, confidence", [
+    pytest.param(5, 3, 0.99, id="successes-above-n"),
+    pytest.param(-1, 3, 0.99, id="successes-negative"),
+    pytest.param(2.5, 3, 0.99, id="successes-fractional"),
+    pytest.param(2, 3, 1.0, id="confidence-1"),
+    pytest.param(2, 3, 1.5, id="confidence-above-1"),
+    pytest.param(2, 3, 0.0, id="confidence-0"),
+    pytest.param(2, 3, float("nan"), id="confidence-nan"),
+])
+def test_wilson_interval_rejects_bad_input(successes, n, confidence):
+    with pytest.raises(InvalidParams):
+        an.wilson_interval(successes, n, confidence)
+
+
+def test_wilson_interval_takes_numpy_integers():
+    assert (an.wilson_interval(np.int64(3), 10)
+            == an.wilson_interval(3, 10))
+
+
 def test_wilson_interval_narrows_with_n():
     w_small = np.diff(an.wilson_interval(50, 100))[0]
     w_large = np.diff(an.wilson_interval(5000, 10000))[0]
@@ -219,6 +260,14 @@ def test_log_gronwall_base_point():
     assert v.Phi == pytest.approx(np.exp(v.Psi))
     with pytest.raises(DomainError):
         an.log_gronwall_functions(0.5)
+
+
+def test_log_gronwall_values_unchanged():
+    # pinned with ==: the quadrature is imported inside the call
+    v = an.log_gronwall_functions(2.0)
+    assert (v.zeta, v.Psi, v.Phi, v.Phi_prime, v.Phi_double_prime) == (
+        1.6931471805599454, 1.1959189282766547, 3.306594898388175,
+        0.7538470121152445, -0.290991401409409)
 
 
 @pytest.mark.parametrize("x", [1.0, 2.0, 5.0, 10.0, 100.0])

@@ -211,10 +211,11 @@ def test_ensemble_rejects_unwired_integrator_before_any_path(tmp_path,
 @pytest.mark.parametrize("noise_kind", ["none", "additive"])
 def test_transformed_needs_linear_multiplicative_noise(tmp_path, capsys,
                                                        noise_kind):
+    # the whole noise section is replaced: neither kind reads noise.alpha
     cfg = _write_yaml(tmp_path, RUN_CONFIG)
     code = cli.main(["run", "--config", cfg,
                      "--set", "integrator.kind=transformed",
-                     "--set", f"noise.kind={noise_kind}"])
+                     "--set", f"noise={{kind: {noise_kind}, seed: 4}}"])
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("config error: integrator.kind")
@@ -309,16 +310,45 @@ def test_integer_key_takes_an_integral_value(n):
     assert cfgmod.build_grid({"grid": {"n": n}}).n == 16
 
 
+# each noise kind with every key it reads
+NOISE_KIND_KEYS = {
+    "none": {},
+    "linear_multiplicative": {"alpha": 2.0},
+    "additive": {"k_modes": 2, "mode_decay": 1.5},
+    "functional": {"k_modes": 2, "mode_decay": 1.5},
+    "nemytskii": {"k_modes": 2, "mode_decay": 1.5, "g": "cube"},
+}
+
+
 def test_build_noise_kinds():
     doc = {"grid": {"dim": 2, "n": 16}}
     grid = cfgmod.build_grid(doc)
-    for kind in ("none", "additive", "nemytskii", "functional",
-                 "linear_multiplicative"):
+    for kind, keys in NOISE_KIND_KEYS.items():
         model, noise_seed = cfgmod.build_noise(
-            {"noise": {"kind": kind, "k_modes": 2}}, grid)
+            {"noise": {"kind": kind, **keys}}, grid)
         assert noise_seed == 0
     with pytest.raises(ConfigError):
         cfgmod.build_noise({"noise": {"kind": "bogus"}}, grid)
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind in NOISE_KIND_KEYS
+    for key in sorted({k for keys in NOISE_KIND_KEYS.values() for k in keys}
+                      - set(NOISE_KIND_KEYS[kind]))])
+def test_build_noise_rejects_a_key_its_kind_does_not_read(kind, key):
+    grid = cfgmod.build_grid({"grid": {"dim": 2, "n": 16}})
+    value = next(keys[key] for keys in NOISE_KIND_KEYS.values()
+                 if key in keys)
+    with pytest.raises(ConfigError, match=rf"^noise: kind '{kind}' does not "
+                                          rf"read key\(s\) {key}$"):
+        cfgmod.build_noise({"noise": {"kind": kind, key: value}}, grid)
+
+
+def test_build_noise_checks_only_keys_present():
+    # schema defaults (alpha, k_modes, mode_decay) are no stale keys
+    grid = cfgmod.build_grid({"grid": {"dim": 2, "n": 16}})
+    for kind in NOISE_KIND_KEYS:
+        cfgmod.build_noise({"noise": {"kind": kind}}, grid)
 
 
 def test_build_stopping_rejects_unknown_kind():
@@ -406,8 +436,12 @@ UNKNOWN_KEYS = [
                  id="parallel-width-0"),
     pytest.param(RUN_CONFIG, ["initial.name=bogus"],
                  "initial: unknown initial field", id="initial-name"),
-    pytest.param(RUN_CONFIG, ["noise.kind=nemytskii", "noise.g=bogus"],
+    pytest.param(RUN_CONFIG, ["noise={kind: nemytskii, g: bogus}"],
                  "noise.g: unknown g tag", id="noise-g"),
+    # RUN_CONFIG's linear-multiplicative noise section sets noise.alpha
+    pytest.param(RUN_CONFIG, ["noise.kind=additive"],
+                 "noise: kind 'additive' does not read key(s) alpha",
+                 id="noise-alpha-unread"),
     pytest.param(RUN_CONFIG, [f"sweep={SWEEP}"],
                  "sweep: unknown data_scaling 'bogus'", id="sweep-scaling"),
     pytest.param(ENSEMBLE_CONFIG, ["sweep={alpha_list: [1.0], R: 1.0}"],
@@ -531,9 +565,16 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("run", RUN_CONFIG, ["--set", "noise.alpha=abc"],
                  "config error: noise: ", id="noise-alpha"),
     pytest.param("run", RUN_CONFIG,
-                 ["--set", "noise.kind=additive", "--set", "noise.k_modes=-1"],
+                 ["--set", "noise={kind: additive, k_modes: -1}"],
                  "config error: noise: k_modes must be >= 0",
                  id="noise-k-modes"),
+    pytest.param("run", RUN_CONFIG, ["--set", "noise.g=cube"],
+                 "config error: noise: kind 'linear_multiplicative' does "
+                 "not read key(s) g", id="noise-linear_multiplicative-g"),
+    pytest.param("run", RUN_CONFIG,
+                 ["--set", "noise={kind: additive, alpha: 1.0, g: cube}"],
+                 "config error: noise: kind 'additive' does not read "
+                 "key(s) alpha, g", id="noise-additive-alpha-g"),
     pytest.param("kappa-table", None, ["--R-list", ","],
                  "argument --R-list: expected a comma-separated list",
                  id="kappa-table-empty-R-list"),
