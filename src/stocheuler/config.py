@@ -245,9 +245,15 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
         raise ConfigError(f"integrator: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"integrator.kind: {exc}") from exc
-    if alpha is not None and alpha != model.alpha:
-        raise ConfigError(f"integrator.alpha: {alpha} differs from "
-                          f"noise.alpha {model.alpha}, the run's one alpha")
+    if alpha is not None:
+        kind = _section(doc, "noise")["kind"]
+        if kind != LINEAR_MULTIPLICATIVE:
+            raise ConfigError(f"integrator.alpha: noise kind '{kind}' has "
+                              f"no alpha")
+        if alpha != model.alpha:
+            raise ConfigError(f"integrator.alpha: {alpha} differs from "
+                              f"noise.alpha {model.alpha}, the run's one "
+                              f"alpha")
     return cfg
 
 

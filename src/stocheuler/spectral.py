@@ -25,9 +25,12 @@ reduction sums one path's contiguous block.
 
 All differential operators are exact on retained modes; quadratic terms are
 dealiased with the sharp 2/3-rule mask.  The advection term is evaluated in
-divergence form, P div(u (x) u), from the dim (dim + 1) / 2 products u_i u_j:
-the package's one advection kernel.  Besides it the module holds the Leray
-projection, curl (one component in 2D), the mollifier and initial fields.
+divergence form, P div(u (x) u - u_d^2 I), d the last axis, from the
+dim (dim + 1) / 2 - 1 nonzero entries of that flux (5 in 3D, 2 in 2D): the
+projection removes the gradient of u_d^2, and the mask keeps it a gradient.
+This is the package's one advection kernel.  Besides it the module holds
+the Leray projection, curl (one component in 2D), the mollifier and initial
+fields.
 
 The workspace.  Each grid owns one ``_Workspace`` (``Grid._workspace``),
 which holds every large array of the advection kernel, of the sampled
@@ -51,15 +54,15 @@ values are scipy's bit for bit, and so are the modes inside the mask.
 The kept box.  The mask keeps a box of modes: on each full axis the runs
 0..c and n-c..n-1, on the half axis 0..c (21 * 21 * 11 of 32 * 32 * 17
 stored modes at 3D n = 32, 28%).  The workspace packs it into its own
-arrays by basic-slice block copies (4 blocks in 3D, 2 in 2D), and the
-advection kernel's sum i k_j T_ij and its projection run there, as does
-leray_project(f, dealiased=True), which the steppers use on their new
-coefficients.  Each mode of the box sees the same operations in the same
-order on the same values as on the whole array, and dealias's multiply by
-the mask's True is kept as a multiply by True, so every mode inside the
-mask is the whole-array result bit for bit; every mode outside it is
-+0.0, where the mask's multiply by False left +-0.0 or, on a non-finite
-value, NaN.
+arrays by basic-slice block copies (4 blocks in 3D, 2 in 2D).  The
+advection kernel's sum i k_j T_ij runs there, and the kernel projects that
+box in place with the lines of leray_project(f, dealiased=True), which the
+steppers use on their new coefficients.  Each mode of the box sees the
+same operations in the same order on the same values as on the whole
+array, and dealias's multiply by the mask's True is kept as a multiply by
+True, so every mode inside the mask is the whole-array result bit for bit;
+every mode outside it is +0.0, where the mask's multiply by False left
++-0.0 or, on a non-finite value, NaN.
 
 W^{m,2} norms (and L^2 norms and inner products) are Parseval sums over the
 half spectrum with a read-only weight cached per (dim, n, length, m), so
@@ -255,9 +258,12 @@ def _inverse(coeffs: np.ndarray, grid: Grid,
     return values
 
 
-# the (i, j), i <= j, of the flux entries u_i u_j, and the (a, b) of each
-# curl component d_a u_b - d_b u_a
-_FLUX_PAIRS = {dim: tuple((i, j) for i in range(dim) for j in range(i, dim))
+# the (i, j) of the entries the advection kernel transforms of the flux
+# u_i u_j - delta_ij u_d^2 (d the last axis): every i <= j but (d, d), whose
+# entry is zero; the last pair is off-diagonal.  And the (a, b) of each curl
+# component d_a u_b - d_b u_a
+_FLUX_PAIRS = {dim: tuple((i, j) for i in range(dim) for j in range(i, dim)
+                          if i < dim - 1)
                for dim in (2, 3)}
 _CURL_PAIRS = {2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}
 
@@ -321,16 +327,17 @@ class _Workspace:
         box_shape = tuple(axis_runs[-1].stop for axis_runs in packed)
         pairs, curls = len(_FLUX_PAIRS[dim]), len(_CURL_PAIRS[dim])
         # per path: (dtype, grid shape, components), the components being
-        # the most that the kernel (u, the flux products and their spectra;
-        # in the box the flux spectra and div T) or the view (the gradient
-        # stack and the curl) takes, or the projection (the field, k u_hat
-        # and k.u_hat) takes in the box; _inverse's copy of a field fits in
-        # the complex pool
+        # the most that the kernel (u, the flux entries and their spectra;
+        # in the box the flux spectra, div T, k div T and k.div T) or the
+        # view (the gradient stack and the curl) takes; the projection (the
+        # field, k u_hat and k.u_hat) takes less of the box than the kernel,
+        # and _inverse's copy of a field less of the complex pool
         self._layout = {
             "real": (float, grid.shape, max(dim + pairs, dim * dim + curls)),
-            "complex": (complex, grid.spectral_shape, dim + pairs),
+            "complex": (complex, grid.spectral_shape,
+                        max(dim + pairs, dim * dim)),
             "stage": (complex, grid.spectral_shape, dim),
-            "box": (complex, box_shape, max(pairs + dim, 2 * dim + 1)),
+            "box": (complex, box_shape, pairs + 2 * dim + 1),
         }
         self._pools = {name: np.empty(0, dtype)
                        for name, (dtype, _, _) in self._layout.items()}
@@ -502,11 +509,21 @@ def leray_project(f: SpectralField, dealiased: bool = False) -> SpectralField:
     box, proj, kdotu = ws.arrays(f.coeffs.shape[:axis], ("box", g.dim),
                                  ("box", g.dim), ("box", 1))
     ws.gather(f.coeffs, box, dealias=True)
+    return _project_box(g, box, proj, kdotu)
+
+
+def _project_box(g: Grid, box: np.ndarray, proj: np.ndarray,
+                 kdotu: np.ndarray) -> SpectralField:
+    """The field whose kept box is box Leray-projected, +0.0 outside the
+    mask; box, a dealiased field's box, is projected in place, and proj and
+    kdotu are box work arrays of dim components and of one."""
+    ws = g._workspace
+    axis = -(g.dim + 1)
     np.sum(np.multiply(ws.k, box, out=proj), axis=axis, keepdims=True,
            out=kdotu)
     kdotu /= ws.k_sq_safe
     np.subtract(box, np.multiply(ws.k, kdotu, out=proj), out=box)
-    out = np.zeros(f.coeffs.shape, dtype=complex)
+    out = np.zeros(box.shape[:-g.dim] + g.spectral_shape, dtype=complex)
     ws.scatter(box, out)
     return SpectralField(g, out)
 
@@ -522,11 +539,15 @@ def nonlinear_term(u: SpectralField,
     dealiasing; u must be divergence-free.  u_phys, when given, is
     dealias(u).to_physical(), which the term would otherwise compute.
 
-    The flux T = u (x) u is symmetric, so only its dim (dim + 1) / 2
-    entries i <= j are transformed, and (div T)_i = sum_j i k_j T_ij; for
-    divergence-free u, div(u (x) u) = u.grad u.  The sum runs on the kept
-    box alone, and every mode outside the mask is +0.0.  Every array but
-    the projected result is a work array of the grid's workspace.
+    The projection removes any gradient, so P div(u (x) u) =
+    P div(u (x) u - u_d^2 I), d the last axis (Basdevant, J. Comput. Phys.
+    50, 1983), and the 2/3 rule keeps a gradient a gradient.  That flux T is
+    symmetric and T_dd = 0, so only its dim (dim + 1) / 2 - 1 entries of
+    _FLUX_PAIRS are transformed, and (div T)_i = sum_j i k_j T_ij; for
+    divergence-free u, div(u (x) u) = u.grad u.  The sum and the projection
+    run on the kept box alone, and every mode outside the mask is +0.0.
+    Every array but the projected result is a work array of the grid's
+    workspace.
     """
     g = u.grid
     axis = -(g.dim + 1)
@@ -534,17 +555,24 @@ def nonlinear_term(u: SpectralField,
     ws = g._workspace
     # the products come first, so a term given u_phys touches no more of
     # the real pool than the view does
-    div, t_hat, products, values, t_box, div_box = ws.arrays(
-        u.coeffs.shape[:axis], ("complex", g.dim), ("complex", len(pairs)),
-        ("real", len(pairs)), ("real", g.dim), ("box", len(pairs)),
-        ("box", g.dim))
+    spectra, t_hat, products, values, t_box, div_box, proj, kdotu = (
+        ws.arrays(u.coeffs.shape[:axis], ("complex", g.dim),
+                  ("complex", len(pairs)), ("real", len(pairs)),
+                  ("real", g.dim), ("box", len(pairs)), ("box", g.dim),
+                  ("box", g.dim), ("box", 1)))
     if u_phys is None:
-        np.multiply(u.coeffs, g.dealias_mask_complex, out=div)  # dealias(u)
-        ws.inverse(div, values, pruned=True)
+        np.multiply(u.coeffs, g.dealias_mask_complex, out=spectra)
+        ws.inverse(spectra, values, pruned=True)
         u_phys = values
     comps = _components(u_phys, g.dim)
-    for out, (i, j) in zip(_components(products, g.dim), pairs):
+    flux = _components(products, g.dim)
+    # u_d^2 waits in the slot of the last pair, which is off-diagonal and
+    # written last
+    np.multiply(comps[-1], comps[-1], out=flux[-1])
+    for out, (i, j) in zip(flux, pairs):
         np.multiply(comps[i], comps[j], out=out)
+        if i == j:
+            out -= flux[-1]
     ws.forward(products, t_hat, pruned=True)
     ws.gather(t_hat, t_box)
     div_box[...] = 0.0
@@ -556,9 +584,10 @@ def nonlinear_term(u: SpectralField,
         if i != j:
             div_comps[i] += np.multiply(ws.ik[j], t, out=t_comps[0])
         div_comps[j] += np.multiply(ws.ik[i], t, out=t)
-    # the projection reads div's box only: its other modes are not set
-    ws.scatter(div_box, div)
-    return leray_project(SpectralField(g, div), dealiased=True)
+    # the multiply by True that gather(dealias=True) applies, so the box
+    # holds the bits leray_project(dealiased=True) would project
+    div_box *= True
+    return _project_box(g, div_box, proj, kdotu)
 
 
 def curl(u: SpectralField) -> SpectralField:

@@ -725,6 +725,24 @@ def test_integrator_alpha_must_equal_noise_alpha(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["0.0", "1.0"])
+@pytest.mark.parametrize("kind", ["none", "additive"])
+def test_integrator_alpha_needs_linear_multiplicative_noise(tmp_path, capsys,
+                                                            kind, alpha):
+    # only linear multiplicative noise has an alpha; any integrator.alpha
+    # beside another kind is an error naming that kind, whatever its value
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", cfg, "--out", str(out / "result"),
+                     "--set", f"noise={{kind: {kind}}}",
+                     "--set", f"integrator.alpha={alpha}"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == (f"config error: integrator.alpha: noise kind '{kind}' "
+                   f"has no alpha\n")
+    assert not out.exists()
+
+
 def test_equal_integrator_alpha_is_accepted(tmp_path, capsys):
     # the form of the benchmark's ensemble workload: noise.alpha repeated
     # as integrator.alpha, the master seed from --seed

@@ -168,6 +168,19 @@ def test_nonlinear_term_dense_convolution_3d():
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-10
 
 
+def test_nonlinear_term_dense_convolution_3d_random():
+    # ABC is Beltrami, so its projected advection term is rounding noise
+    # and the oracle above compares zero with zero; a random field's term
+    # is not small
+    g = sp.Grid(3, 8)
+    u = sp.dealias(_random_field(g, seed=11))
+    got = sp.nonlinear_term(u)
+    want = _convolution_oracle(u)
+    assert np.max(np.abs(want.coeffs)) > 0.1
+    assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-10
+    assert abs(sp.l2_inner(got, u)) <= 1e-12 * sp.l2_norm(u) ** 3
+
+
 def test_nonlinear_term_zero():
     g = sp.Grid(2, 16)
     out = sp.nonlinear_term(_zero(g))
@@ -447,22 +460,64 @@ def test_workspace_results_survive_a_later_call(dim, n):
     assert sp._sup_view(u)[1:] == tuple(sups)
 
 
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 16)])
+def test_workspace_pools_fit_every_consumer(dim, n):
+    # the kernel is the first to see each larger batch and sizes the pools
+    # by the layout; the view and _inverse then carve theirs from the same
+    # pools, which fails here if the layout is short of their arrays
+    g = sp.Grid(dim, n)
+    fields = [_random_field(g, seed).coeffs for seed in range(4)]
+    for lead in [(), (1,), (2,), (4,)]:
+        u = sp.SpectralField(g, np.stack(fields[:max(lead, default=1)])
+                             .reshape(lead + fields[0].shape))
+        term = sp.nonlinear_term(u)
+        values = sp._sup_view(u)[0]
+        assert np.array_equal(sp._inverse(u.coeffs, g), values)
+        assert np.array_equal(sp.nonlinear_term(u).coeffs, term.coeffs)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 16)])
+def test_nonlinear_term_transforms_one_entry_per_flux_pair(dim, n,
+                                                           monkeypatch):
+    # the reduced flux has dim (dim + 1) / 2 - 1 entries: 5 in 3D, 2 in 2D
+    g = sp.Grid(dim, n)
+    u = _random_field(g, seed=1)
+    ws = g._workspace
+    counts = []
+    forward = ws.forward
+
+    def counting(values, spectra, pruned):
+        counts.append(values.shape[-(dim + 1)])
+        forward(values, spectra, pruned)
+
+    monkeypatch.setattr(ws, "forward", counting)
+    sp.nonlinear_term(u)
+    assert counts == [len(sp._FLUX_PAIRS[dim])] == [{2: 2, 3: 5}[dim]]
+
+
 def _bits(a):
     """The IEEE bits of a complex array, one pair of words per entry."""
     return a.view(np.uint64)
 
 
-def _full_array_nonlinear_term(u):
+def _full_array_nonlinear_term(u, reduced=True):
     """The advection kernel on whole half spectra: scipy's transforms, the
     sum i k_j T_ij in the kernel's order on every mode, the dealias mask
-    and the general projection."""
+    and the general projection.  reduced=True transforms the kernel's flux
+    u_i u_j - delta_ij u_d^2 (d the last axis) without its zero entry
+    (d, d); reduced=False all dim (dim + 1) / 2 products u_i u_j, i <= j,
+    which differ from it by a gradient that the projection removes."""
     g = u.grid
+    d = g.dim - 1
     axis, axes = -(g.dim + 1), tuple(range(-g.dim, 0))
-    pairs = [(i, j) for i in range(g.dim) for j in range(i, g.dim)]
+    pairs = [(i, j) for i in range(g.dim) for j in range(i, g.dim)
+             if not (reduced and i == j == d)]
     values = np.moveaxis(scipy.fft.irfftn(u.coeffs * g.dealias_mask,
                                           s=g.shape, axes=axes), axis, 0)
-    t_hat = scipy.fft.rfftn(np.stack([values[i] * values[j]
-                                      for i, j in pairs]), axes=axes)
+    t_hat = scipy.fft.rfftn(np.stack([
+        values[i] * values[j] - values[d] * values[d]
+        if reduced and i == j else values[i] * values[j]
+        for i, j in pairs]), axes=axes)
     div = np.zeros((g.dim,) + t_hat.shape[1:], dtype=complex)
     for t, (i, j) in zip(t_hat, pairs):
         if i != j:
@@ -470,6 +525,17 @@ def _full_array_nonlinear_term(u):
         div[j] += g.ik[i] * t
     div *= g.dealias_mask
     return sp.leray_project(sp.SpectralField(g, np.moveaxis(div, 0, axis)))
+
+
+def _box_oracle_field(dim, n, fraction, batch):
+    """A projected random field with content outside the mask, as a
+    transformed state has, and its grid."""
+    g = sp.Grid(dim, n, dealias_fraction=fraction)
+    rng = np.random.default_rng(n + dim)
+    u = sp.leray_project(sp.SpectralField.from_physical(
+        g, rng.standard_normal(batch + (dim,) + g.shape)))
+    assert np.any(u.coeffs[..., ~g.dealias_mask]) or fraction == 1.0
+    return g, u
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
@@ -480,18 +546,31 @@ def test_nonlinear_term_box_equals_full_array_oracle(dim, n, fraction,
                                                      batch):
     # the kernel sums and projects on the kept box alone: inside the mask
     # every bit is the whole-array computation's, outside it every mode is
-    # +0.0; the field has content outside the mask, as a transformed state
-    # has
-    g = sp.Grid(dim, n, dealias_fraction=fraction)
-    rng = np.random.default_rng(n + dim)
-    u = sp.leray_project(sp.SpectralField.from_physical(
-        g, rng.standard_normal(batch + (dim,) + g.shape)))
-    assert np.any(u.coeffs[..., ~g.dealias_mask]) or fraction == 1.0
+    # +0.0
+    g, u = _box_oracle_field(dim, n, fraction, batch)
     got = sp.nonlinear_term(u).coeffs
     want = _full_array_nonlinear_term(u).coeffs
     inside = np.broadcast_to(g.dealias_mask, got.shape)
     assert np.array_equal(_bits(got[inside]), _bits(want[inside]))
     assert not np.any(_bits(got[~inside]))
+
+
+# The reduced flux differs from u (x) u by the gradient of u_d^2, which the
+# projection removes up to rounding: at most 1.5e-15 relative L-inf over
+# these cases, against the 1e-13 allowed.
+FULL_FLUX_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("fraction", [0.5, 2.0 / 3.0, 1.0])
+@pytest.mark.parametrize("dim, n", [(2, 16), (2, 24), (2, 48),
+                                    (3, 16), (3, 24), (3, 48)])
+def test_nonlinear_term_equals_six_product_form(dim, n, fraction, batch):
+    g, u = _box_oracle_field(dim, n, fraction, batch)
+    got = sp.nonlinear_term(u).coeffs
+    want = _full_array_nonlinear_term(u, reduced=False).coeffs
+    assert (np.max(np.abs(got - want))
+            <= FULL_FLUX_RTOL * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("fraction", [0.5, 2.0 / 3.0, 1.0])
