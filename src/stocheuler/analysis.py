@@ -47,6 +47,16 @@ def wilson_interval(successes: int, n: int,
 # GBM exit times
 
 
+def squared_alpha(alpha: float) -> float:
+    """alpha ** 2; InvalidParams where it overflows or is 0."""
+    a2 = float(alpha) * float(alpha)
+    if not np.isfinite(a2):
+        raise InvalidParams(f"alpha^2 must be finite, got alpha={alpha}")
+    if a2 == 0:
+        raise InvalidParams(f"alpha^2 must be nonzero, got alpha={alpha}")
+    return alpha ** 2
+
+
 @dataclass(frozen=True)
 class GBMParams:
     """dx = mu x dt + alpha x dW, exit level R from x0."""
@@ -57,10 +67,10 @@ class GBMParams:
     R: float = 2.0
 
     def __post_init__(self):
-        if np.isnan([self.mu, self.alpha, self.x0, self.R]).any():
-            raise InvalidParams("mu, alpha, x0 and R must not be NaN")
-        if self.alpha == 0:
-            raise InvalidParams("alpha must be nonzero")
+        if not np.isfinite([self.mu, self.alpha, self.x0, self.R]).all():
+            raise InvalidParams(f"mu, alpha, x0 and R must not be NaN or "
+                                f"infinite: {self}")
+        squared_alpha(self.alpha)
         if self.x0 <= 0:
             raise InvalidParams("x0 must be positive")
         if self.R <= 1:
@@ -232,13 +242,9 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
     """
     if not R >= 1:
         raise InvalidParams(f"R must be >= 1, got {R}")
-    if alpha == 0 or np.isnan(alpha):
-        raise InvalidParams(f"alpha must be a nonzero number, got {alpha}")
-    if not np.isfinite(float(alpha) * float(alpha)):
-        raise InvalidParams(f"alpha^2 must be finite, got alpha={alpha}")
+    a2 = squared_alpha(alpha)
     if not Cbar >= 1:
         raise InvalidParams(f"Cbar must be >= 1, got {Cbar}")
-    a2 = alpha ** 2
     log_DR = 4.0 * Cbar * R
     DR = float(np.exp(min(log_DR, 700.0))) if log_DR <= 700.0 else np.inf
     power = 1.0 if not np.isfinite(DR) else 1.0 - 1.0 / (8.0 * (DR - 1.0))

@@ -1,10 +1,11 @@
 """Time integration of the stochastic Euler system and its variants.
 
 Each integrator kind in INTEGRATORS has a stepper step_<kind> with one
-contract: step_<kind>(state, dt, model, dW, **options) -> SimState, where dW
-holds the step's Wiener increments (the trajectory driver samples them from
+contract: step_<kind>(state, dt, model, dW, **options) -> SimState maps a
+state holding the velocity u to one holding u, given the step's Wiener
+increments dW (the trajectory driver samples them from
 BrownianDriver(cfg.noise_seed, cfg.model.n_modes); the checks pass their
-own).
+own).  v = gamma u lives only inside step_transformed's step.
 
 Batch axis: a SimState may hold a batch of paths, u of shape
 (B, dim) + spectral_shape with dW of shape (B, K), one gamma and W_accum per
@@ -27,20 +28,20 @@ States are dealiased from t = 0: TrajectoryConfig rejects a u0 that is not.
 A sample's W^{1,inf} and sup|curl u| come from one physical-space view of
 the state (spectral._sup_view): one pruned inverse transform of u and one
 of its gradient stack, and one sqrt after each max.  The driver keeps a
-sampled state's grid values and max|u| (state.values, state.u_max); step_em
-and the first RK4 stage take their flux and CFL bound from them, so a
-velocity state is transformed to the grid once per step (step 1 reuses the
-sample at t = 0).
+sampled state's grid values and max|u| (state.values, state.u_max).  step_em
+and the first stage of the RK4 transport take their flux from them, and
+step_em and step_rk4 their CFL bound, so a state is transformed to the grid
+once per step (step 1 reuses the sample at t = 0).
 
 * step_em              Euler-Maruyama on the velocity form
 * step_rk4             RK4 drift with Euler-Maruyama noise coupling
-* step_transformed     damped random PDE for v = gamma * u (exact
-                       integrating-factor damping + RK4 transport); the
-                       2D vorticity-decay check reads its curl v
+* step_transformed     damped random PDE for v = gamma * u, stepped as u
+                       (exact integrating-factor damping + RK4 transport)
 
-All steppers return new states and mutate nothing.  The RK4 steppers form
-their stage inputs in the grid workspace's stage buffer
-(spectral._rk4_stage) and their k1 + 2 k2 + 2 k3 + k4 sum in place in k1.
+All steppers return new states and mutate nothing.  step_rk4 and
+step_transformed share one RK4 transport (_transport), which forms its stage
+inputs in the grid workspace's stage buffer (spectral._rk4_stage) and its
+k1 + 2 k2 + 2 k3 + k4 sum in place in k1.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ class StoppingRule:
 @dataclass
 class SimState:
     """Integration state of one path, or of a batch of paths: then u has a
-    leading batch axis and gamma and W_accum hold one value per path."""
+    leading batch axis and gamma and W_accum hold one value per path.  u is
+    the velocity under every integrator, and gamma = exp(-alpha W)."""
 
     t: float
     u: SpectralField
@@ -246,15 +248,34 @@ def _project(coeffs: np.ndarray, grid: Grid) -> SpectralField:
     return u_new
 
 
+def _increment(model: NoiseModel, dW: np.ndarray):
+    """W's increment: dW[..., 0] under linear-multiplicative noise, else 0."""
+    return (np.asarray(dW)[..., 0] if model.kind == LINEAR_MULTIPLICATIVE
+            else 0.0)
+
+
 def _advance(state: SimState, dt: float, u_new: SpectralField,
              model: NoiseModel, dW: np.ndarray) -> SimState:
-    """The state after one step: t += dt, W += dW[..., 0] under
-    linear-multiplicative noise, gamma = exp(-alpha W) (1 for alpha = 0)."""
-    W_new = state.W_accum + (np.asarray(dW)[..., 0]
-                             if model.kind == LINEAR_MULTIPLICATIVE else 0.0)
+    """The state after one step: t += dt, W += its increment,
+    gamma = exp(-alpha W) (1 for alpha = 0)."""
+    W_new = state.W_accum + _increment(model, dW)
     return SimState(state.t + dt, u_new,
                     gamma=np.exp(-_lm_alpha(model) * W_new),
                     W_accum=W_new, step_index=state.step_index + 1)
+
+
+def _transport(u: SpectralField, dt: float, u_phys: np.ndarray | None,
+               half: float = 0.0) -> SpectralField:
+    """RK4 over tau in [0, dt] of w' = -exp(-half tau) P(w.grad w) from
+    w(0) = u; the first stage advects u's grid values u_phys (or, if None,
+    the kernel's)."""
+
+    def rhs(tau, w, w_phys=None):
+        k = nonlinear_term(w, w_phys)
+        k *= -np.exp(-half * tau)
+        return k
+
+    return _rk4(u, dt, rhs, k1=rhs(0.0, u, u_phys), stage=_rk4_stage(u))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +302,7 @@ def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
     """RK4 on the conservative drift, Euler-Maruyama coupling for the noise.
     state.u must vanish outside the dealias mask, as every state does."""
     u = state.u
-    u_phys = _flux_values(state, dt, model, c_cfl)
-
-    def rhs(_tau, v, v_phys=None):
-        k = nonlinear_term(v, v_phys)
-        k *= -1.0
-        return k
-
-    u_new = _rk4(u, dt, rhs, k1=rhs(0.0, u, u_phys), stage=_rk4_stage(u))
+    u_new = _transport(u, dt, _flux_values(state, dt, model, c_cfl))
     if model.n_modes:
         u_new += apply_noise(model, u, dW)
     return _advance(state, dt, _project(u_new.coeffs, u.grid), model, dW)
@@ -296,37 +310,32 @@ def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
 
 def step_transformed(state: SimState, dt: float, model: NoiseModel,
                      dW: np.ndarray) -> SimState:
-    """One step of  dv/dt + (alpha^2/2) v + gamma^{-1} P(v.grad v) = 0.
+    """One step of du = -P(u.grad u) dt + alpha u dW (Ito) through the
+    paper's v = gamma u, gamma = exp(-alpha W), which obeys the random PDE
+    dv/dt + (alpha^2/2) v + gamma^{-1} P(v.grad v) = 0.
 
-    state.u holds v = gamma u with gamma = state.gamma = exp(-alpha W) and
-    alpha the noise model's coefficient; dW only advances W.  The damping is
-    exact: P(v.grad v) is quadratic, so w = exp(alpha^2 tau / 2) v obeys
-    w' = -exp(-alpha^2 tau / 2) P(w.grad w) / gamma, which RK4 advances; the
-    factor is undone at tau = dt.  state.u must vanish outside the dealias
-    mask, as every state does.
+    W, so gamma, is frozen over the step.  There u = v / gamma obeys
+    u' = -(alpha^2/2) u - P(u.grad u), and P(u.grad u) is quadratic, so
+    w = exp(alpha^2 tau / 2) u obeys w' = -exp(-alpha^2 tau / 2) P(w.grad w),
+    which RK4 advances from w(0) = u (the damping is exact).  At the step's
+    end gamma drops by exp(-alpha dW[..., 0]), so
+    u_new = exp(alpha dW - alpha^2 dt / 2) w(dt): the v-form step in exact
+    arithmetic, as RK4 on a quadratic rhs commutes with scaling.
     """
-    gamma = state.gamma
-    if np.any(np.less_equal(gamma, 0)):
-        raise ValueError("gamma must be positive")
-    half = 0.5 * _lm_alpha(model) ** 2
-
-    def rhs(tau, w):
-        k = nonlinear_term(w)
-        k *= np.exp(-half * tau) / -gamma
-        return k
-
-    v_new = _rk4(state.u, dt, rhs, stage=_rk4_stage(state.u))
-    v_new *= float(np.exp(-half * dt))
-    _check_finite(v_new)
-    return _advance(state, dt, v_new, model, dW)
+    alpha = _lm_alpha(model)
+    half = 0.5 * alpha ** 2
+    u_new = _transport(state.u, dt, state.values, half)
+    u_new *= np.exp(alpha * _increment(model, dW) - half * dt)
+    _check_finite(u_new)
+    return _advance(state, dt, u_new, model, dW)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory driver
 
 
-def _monitored_value(rule: StoppingRule, u: SpectralField, state: SimState,
-                     alpha: float, w1inf: np.ndarray, wmp: np.ndarray,
+def _monitored_value(rule: StoppingRule, state: SimState, alpha: float,
+                     w1inf: np.ndarray, wmp: np.ndarray,
                      req: NormRequest) -> np.ndarray:
     """The rule's scalar per path at the sample just taken, reusing its
     W^{1,inf} and W^{m,p} values where the rule asks for those norms."""
@@ -334,7 +343,7 @@ def _monitored_value(rule: StoppingRule, u: SpectralField, state: SimState,
         return w1inf
     if rule.kind == SOBOLEV_THRESHOLD:
         return (wmp if rule.norm_spec == req
-                else sobolev_norm(u, rule.norm_spec))
+                else sobolev_norm(state.u, rule.norm_spec))
     # gbm_level monitors rho_alpha(t) = exp(alpha W_t - alpha^2 t / 8)
     return np.exp(alpha * state.W_accum - alpha ** 2 * state.t / 8.0)
 
@@ -365,7 +374,6 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
     if cfg.T <= 0:
         return diags
     alpha = _lm_alpha(cfg.model)
-    transformed = cfg.integrator == TRANSFORMED  # state.u holds v = gamma u
     u0 = cfg.u0
     state = SimState(0.0, SpectralField(
         u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0)),
@@ -374,13 +382,10 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
 
     def sample() -> np.ndarray:
         """Record the batch's diagnostics; True where a path stops."""
-        u = (1.0 / state.gamma) * state.u if transformed else state.u
-        l2 = l2_norm(u)
-        wmp = sobolev_norm(u, cfg.norms)
-        values, u_max, grad_max, curl_max = _sup_view(u)
-        if not transformed:  # else the sample is of u = v / gamma, not v
-            state.values, state.u_max = values, u_max
-        w1inf = u_max + grad_max
+        l2 = l2_norm(state.u)
+        wmp = sobolev_norm(state.u, cfg.norms)
+        state.values, state.u_max, grad_max, curl_max = _sup_view(state.u)
+        w1inf = state.u_max + grad_max
         columns = zip(l2.tolist(), wmp.tolist(), w1inf.tolist(),
                       curl_max.tolist(), state.gamma.tolist())
         for i, row in zip(rows, columns):
@@ -398,8 +403,8 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
             done = fired.setdefault(rule.kind, stop.copy())
             if done.all():
                 continue
-            hit = ~done & (_monitored_value(rule, u, state, alpha, w1inf,
-                                            wmp, cfg.norms) >= rule.level)
+            hit = ~done & (_monitored_value(rule, state, alpha, w1inf, wmp,
+                                            cfg.norms) >= rule.level)
             for i in rows[hit]:
                 diags[i].hits.append((rule.kind, state.t))
             done |= hit

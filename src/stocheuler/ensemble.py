@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import (GBMParams, gbm_survival_bound, kappa_K, n_time_steps,
-                       wilson_interval)
+                       squared_alpha, wilson_interval)
 from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
 from .errors import ConfigError
@@ -50,8 +50,8 @@ class GBMSurrogateSpec:
     def __post_init__(self):
         n_time_steps(self.T, self.dt)
         object.__setattr__(self, "gbm", GBMParams(
-            mu=3.0 * self.alpha ** 2 / 8.0, alpha=self.alpha, x0=1.0,
-            R=self.R))
+            mu=3.0 * squared_alpha(self.alpha) / 8.0, alpha=self.alpha,
+            x0=1.0, R=self.R))
 
 
 @dataclass

@@ -171,9 +171,13 @@ def spectrum_sigma_fields(grid: Grid, k_modes: int, gamma: float,
     """k_modes random divergence-free fields with ||sigma_k|| ~ k^(-gamma)."""
     if k_modes < 0:
         raise ValueError(f"k_modes must be >= 0, got {k_modes}")
-    fields = []
-    for k in range(k_modes):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        amp = (k + 1.0) ** (-gamma)
-        fields.append(random_divergence_free(grid, rng, amplitude=amp))
-    return fields
+    try:
+        amps = [(k + 1.0) ** (-gamma) for k in range(k_modes)]
+        if not np.isfinite(amps).all():
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"(k + 1)^(-mode_decay) overflows at k_modes="
+                         f"{k_modes}, mode_decay={gamma}") from None
+    return [random_divergence_free(
+        grid, np.random.default_rng(np.random.SeedSequence([seed, k])),
+        amplitude=amp) for k, amp in enumerate(amps)]

@@ -725,52 +725,36 @@ def _sup_of_squares(work: np.ndarray, dim: int):
     return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
 
 
-def _gradient_sups(f: SpectralField, with_curl: bool = True,
-                   pruned: bool = False):
-    """max|grad f| (Frobenius) and, with_curl, max|curl f| (else None) over
-    the grid, from one inverse of the gradient stack into a work array: row
-    j * c + i holds d_j f_i, for the c components f_i.  A curl component
-    d_a f_b - d_b f_a is one subtraction of two rows (the antisymmetric part
-    of the grid gradient), and the squares add in (j, i) order, as np.sum
-    adds the whole stack.  pruned: f vanishes outside the dealias mask."""
-    g = f.grid
+def _sup_view(u: SpectralField, pruned: bool = True):
+    """u's grid values (a new array, which the trajectory driver keeps),
+    and max|u|, max|grad u| (Frobenius) and max|curl u| over the grid, from
+    one inverse of u and one of its gradient stack into a work array (row
+    j * c + i holds d_j u_i); pruned: u vanishes outside the dealias mask,
+    as every state does.  A curl component d_a u_b - d_b u_a subtracts two
+    rows, and the squares add in (j, i) order, as np.sum adds the stack, so
+    max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl (None
+    unless u is a velocity) is curl(u)'s up to rounding unless u carries
+    Nyquist modes, where curl's i k symbol and the grid derivative differ.
+    """
+    g = u.grid
     axis = -(g.dim + 1)
-    lead, comps = f.coeffs.shape[:axis], f.coeffs.shape[axis]
-    pairs = _CURL_PAIRS[g.dim] if with_curl else ()
+    lead, comps = u.coeffs.shape[:axis], u.coeffs.shape[axis]
+    pairs = _CURL_PAIRS[g.dim] if comps == g.dim else ()
     ws = g._workspace
     spectra, grads, rot = ws.arrays(
         lead, ("complex", g.dim * comps), ("real", g.dim * comps),
         ("real", len(pairs)))
     # per j: one multiply broadcast over (j, c) makes stack-size temporaries
-    by_j = spectra.reshape(lead + (g.dim,) + f.coeffs.shape[axis:])
+    by_j = spectra.reshape(lead + (g.dim,) + u.coeffs.shape[axis:])
     for j, d_j in enumerate(_components(by_j, g.dim + 1)):
-        np.multiply(g.grad_symbols[j], f.coeffs, out=d_j)
+        np.multiply(g.grad_symbols[j], u.coeffs, out=d_j)
     ws.inverse(spectra, grads, pruned)
     rows = _components(grads, g.dim)
     for r, (a, b) in zip(_components(rot, g.dim), pairs):
         np.subtract(rows[a * comps + b], rows[b * comps + a], out=r)
-    return (_sup_of_squares(grads, g.dim),
-            _sup_of_squares(rot, g.dim) if pairs else None)
-
-
-def grad_sup_norm(f: SpectralField):
-    """max over the grid of the Frobenius magnitude of the gradient."""
-    return _gradient_sups(f, with_curl=False)[0]
-
-
-def _sup_view(u: SpectralField):
-    """u's grid values (a new array, which the trajectory driver keeps for
-    its next step), and max|u|, max|grad u| (Frobenius) and max|curl u| over
-    the grid, from one pruned inverse of u and one of its gradient stack:
-    u must vanish outside the dealias mask, as every state does.
-
-    max|u| + max|grad u| is then w1inf_norm(u) bit for bit.  The curl equals
-    the grid values of curl(u) up to rounding unless u carries Nyquist
-    modes, where curl's i k symbol and the grid derivative differ.
-    """
-    g = u.grid
-    grad_max, curl_max = _gradient_sups(u, pruned=True)
-    values = _inverse(u.coeffs, g, pruned=True)
+    grad_max = _sup_of_squares(grads, g.dim)
+    curl_max = _sup_of_squares(rot, g.dim) if pairs else None
+    values = _inverse(u.coeffs, g, pruned=pruned)
     return values, _sup_magnitude(values, g.dim), grad_max, curl_max
 
 
@@ -783,10 +767,10 @@ def sobolev_norm(f: SpectralField, req: NormRequest):
     """
     g = f.grid
     if np.isinf(req.p):
-        val = lp_norm(f, np.inf)
-        if req.m >= 1:
-            val += grad_sup_norm(f)
-        return val
+        if req.m == 0:
+            return lp_norm(f, np.inf)
+        _, u_max, grad_max, _ = _sup_view(f, pruned=False)
+        return u_max + grad_max
     if req.p == 2:
         return _per_path(np.sqrt(_parseval_sum(f, req.m)))
     total = 0.0

@@ -101,6 +101,23 @@ def test_gbm_params_validation():
         an.GBMParams(mu=0.0, alpha=1.0, R=1.0)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"mu": -np.inf}, "must not be NaN or infinite"),
+    ({"alpha": np.inf}, "must not be NaN or infinite"),
+    ({"x0": np.inf}, "must not be NaN or infinite"),
+    ({"R": np.inf}, "must not be NaN or infinite"),
+    # alpha ** 2 of a float raises OverflowError, and an alpha^2 of 0 made
+    # lambda_c divide by zero
+    ({"alpha": 1e200}, "alpha\\^2 must be finite"),
+    ({"alpha": -1e200}, "alpha\\^2 must be finite"),
+    ({"alpha": 1e-200}, "alpha\\^2 must be nonzero"),
+])
+def test_gbm_params_reject_non_finite_values_and_alpha_squares(bad, match):
+    with pytest.raises(InvalidParams, match=match):
+        an.GBMParams(**{"mu": -1.0, "alpha": 1.0, "x0": 1.0, "R": 2.0,
+                        **bad})
+
+
 def test_gbm_bound_drift_free_case():
     # mu = 0: critical exponent 1, bound = 1 - x0/R
     p = an.GBMParams(mu=0.0, alpha=1.0, x0=1.0, R=4.0)

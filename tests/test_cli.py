@@ -470,6 +470,15 @@ UNKNOWN_KEYS = [
     pytest.param(RUN_CONFIG, ["sweep={alpha_list: [1.0, .nan], R: 1.0}"],
                  "sweep: alpha_list must be a list of numbers",
                  id="sweep-alpha-nan"),
+    # alpha ** 2 of 1e200 raised OverflowError before GBMParams checked it
+    *(pytest.param(ENSEMBLE_CONFIG, [f"{section}.alpha=1e200"],
+                   f"{section}: alpha^2 must be finite, got alpha=1e+200",
+                   id=f"{section}-alpha-square-overflows")
+      for section in ("surrogate", "bound_comparison")),
+    pytest.param(ENSEMBLE_CONFIG, ["bound_comparison.R=.inf"],
+                 "bound_comparison: mu, alpha, x0 and R must not be NaN or "
+                 "infinite",
+                 id="bound-comparison-R-inf"),
     # alpha^2 overflows: the sweep would end in an OverflowError traceback
     pytest.param(RUN_CONFIG, ["sweep={alpha_list: [1.0, 1e200], R: 4.0}"],
                  "sweep: alpha^2 must be finite, got alpha=1e+200",
@@ -655,6 +664,29 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("gbm-exit", None, ["--n-paths", "10", "--alpha", "nan"],
                  "invalid parameters: mu, alpha, x0 and R must not be NaN",
                  id="gbm-exit-alpha-nan"),
+    # alpha ** 2 of 1e200 raised OverflowError; alpha = inf ran NaN paths
+    # and exited 0, and alpha^2 = 0 divided by zero in lambda_c
+    pytest.param("gbm-exit", None, ["--n-paths", "10", "--alpha", "1e200"],
+                 "invalid parameters: alpha^2 must be finite, got "
+                 "alpha=1e+200", id="gbm-exit-alpha-square-overflows"),
+    *(pytest.param("gbm-exit", None, ["--n-paths", "10", f"{flag}={value}"],
+                   "invalid parameters: mu, alpha, x0 and R must not be NaN "
+                   "or infinite",
+                   id=f"gbm-exit-{flag[2:]}-{value}")
+      for flag, value in (("--alpha", "inf"), ("--alpha", "-inf"),
+                          ("--mu", "-inf"), ("--x0", "inf"), ("--R", "inf"))),
+    pytest.param("gbm-exit", None,
+                 ["--n-paths", "10", "--mu", "-1", "--alpha", "1e-200"],
+                 "invalid parameters: alpha^2 must be nonzero, got "
+                 "alpha=1e-200", id="gbm-exit-alpha-square-underflows"),
+    # (k + 1) ** 2000 of a float raised OverflowError
+    *(pytest.param("run", RUN_CONFIG,
+                   ["--set", f"noise={{kind: {kind}, k_modes: 3, "
+                             f"mode_decay: -2000}}"],
+                   "config error: noise: (k + 1)^(-mode_decay) overflows at "
+                   "k_modes=3, mode_decay=-2000.0",
+                   id=f"run-{kind}-mode-decay-overflows")
+      for kind in ("functional", "additive")),
     pytest.param("kappa-table", None, ["--Cbar", "nan"],
                  "invalid parameters: Cbar must be >= 1, got nan",
                  id="kappa-table-Cbar-nan"),

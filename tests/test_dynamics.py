@@ -203,7 +203,8 @@ def test_rk4_with_zero_noise_conserves_energy_short_run():
 
 
 def test_transformed_pure_damping_is_exact_on_shear():
-    # shear has vanishing self-advection: v(t) = e^{-alpha^2 t/2} v(0)
+    # shear has vanishing self-advection, and dW = 0 holds W, so gamma:
+    # u(t) = v(t) / gamma = e^{-alpha^2 t/2} u(0)
     g = _grid(32)
     v = sp.shear_field(g)
     alpha, dt = 2.0, 1e-2
@@ -238,7 +239,8 @@ def test_transformed_3d_damps_helicity_and_energy_at_alpha_squared():
     # the paper's regularisation regime: the dealiased 3D transport
     # conserves energy and helicity, so v = exp(-alpha W) u loses both at
     # the noise's rate alone, H(v) = H(v0) e^{-alpha^2 t} and
-    # ||v||^2 = ||v0||^2 e^{-alpha^2 t}, whatever the Brownian path
+    # ||v||^2 = ||v0||^2 e^{-alpha^2 t}, whatever the Brownian path; the
+    # state holds u, and v = gamma u
     g = _grid(16, 3)
     rng = np.random.default_rng(11)
     v0 = sp.dealias(sp.leray_project(
@@ -250,12 +252,13 @@ def test_transformed_3d_damps_helicity_and_energy_at_alpha_squared():
     for k in range(n_steps):
         state = dyn.step_transformed(state, dt, model,
                                      driver.sample_increments(0, k, dt))
+    v = state.gamma * state.u
     decay = np.exp(-alpha ** 2 * n_steps * dt)
-    assert abs(_helicity(state.u) / (_helicity(v0) * decay) - 1) < 1e-12
-    assert abs(sp.l2_norm(state.u) ** 2 / (sp.l2_norm(v0) ** 2 * decay)
+    assert abs(_helicity(v) / (_helicity(v0) * decay) - 1) < 1e-12
+    assert abs(sp.l2_norm(v) ** 2 / (sp.l2_norm(v0) ** 2 * decay)
                - 1) < 1e-12
     # the transport moved the field, so this is not a pure-damping check
-    undamped = np.exp(alpha ** 2 * n_steps * dt / 2) * state.u
+    undamped = np.exp(alpha ** 2 * n_steps * dt / 2) * v
     assert sp.l2_norm(undamped - v0) > 0.01 * sp.l2_norm(v0)
 
 
@@ -327,11 +330,94 @@ def test_transformed_step_allocates_few_field_sizes():
     assert peak <= STEP_ALLOCATION_FIELDS * state.u.coeffs.nbytes
 
 
-def test_transformed_rejects_bad_gamma():
-    g = _grid()
-    with pytest.raises(ValueError):
-        dyn.step_transformed(dyn.SimState(0.0, sp.shear_field(g), gamma=0.0),
-                             1e-2, _lin_mult(1.0), np.zeros(1))
+def _v_form_step(v, gamma, W, dt, alpha, dW):
+    """One step of the paper's transformed system on v = gamma u itself:
+    dv/dt + (alpha^2/2) v + gamma^{-1} P(v.grad v) = 0 with gamma frozen,
+    the damping exact through w = exp(alpha^2 tau / 2) v; then W += dW."""
+    half = 0.5 * alpha ** 2
+
+    def rhs(tau, w):
+        k = sp.nonlinear_term(w)
+        k *= np.exp(-half * tau) / -gamma
+        return k
+
+    v_new = dyn._rk4(v, dt, rhs)
+    v_new *= float(np.exp(-half * dt))
+    W_new = W + dW[..., 0]
+    return v_new, np.exp(-alpha * W_new), W_new
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_transformed_u_form_equals_the_v_form(dim, n, batch):
+    # the stepper holds u and keeps v = gamma u inside its step; gamma u
+    # must be the v that the v-form steps, path by path
+    g = _grid(n, dim)
+    u0 = sp.make_initial_field(g, "random", 1.0, seed=5)
+    ids = range(batch[0]) if batch else [0]
+    alpha, dt = 1.0, 5e-3
+    model = _lin_mult(alpha)
+    driver = noise.BrownianDriver(6, 1)
+    coeffs = np.broadcast_to(u0.coeffs, batch + u0.coeffs.shape).copy()
+    state = dyn.SimState(0.0, sp.SpectralField(g, coeffs),
+                         np.ones(batch), np.zeros(batch))
+    v = sp.SpectralField(g, coeffs.copy())
+    gamma, W = np.ones(batch), np.zeros(batch)
+    for k in range(20):
+        dW = np.array([driver.sample_increments(i, k, dt) for i in ids])
+        dW = dW.reshape(batch + (1,))
+        state = dyn.step_transformed(state, dt, model, dW)
+        v, gamma, W = _v_form_step(v, gamma, W, dt, alpha, dW)
+    assert np.array_equal(state.W_accum, W)
+    assert np.array_equal(state.gamma, gamma)
+    gap = sp.l2_norm(state.gamma * state.u - v) / sp.l2_norm(v)
+    assert np.all(gap <= 1e-13)
+    # the transport moved the field, so this is not a pure-damping check
+    damped = float(np.exp(-0.5 * alpha ** 2 * 20 * dt)) * u0
+    assert np.all(sp.l2_norm(gamma * damped - v) > 1e-3 * sp.l2_norm(v))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_every_stepper_maps_u_to_u(dim, n):
+    # one contract: each kind's step from the same state and increments
+    # lands within O(dt) of step_em's.  The state's gamma is not 1, and
+    # dW = sqrt(dt) puts alpha u dW, O(sqrt dt), between u and v = gamma u
+    g = _grid(n, dim)
+    u = sp.make_initial_field(g, "random", 1.0, seed=3)
+    dt, W = 1e-3, 0.5
+    model = _lin_mult(alpha=1.0)
+    state = dyn.SimState(0.0, u, gamma=np.exp(-W), W_accum=W)
+    dW = np.full(1, np.sqrt(dt))
+    u_em = dyn.step_em(state, dt, model, dW).u
+    for kind in dyn.INTEGRATORS:
+        out = getattr(dyn, f"step_{kind}")(state, dt, model, dW)
+        assert out.W_accum == W + dW[0]
+        assert sp.l2_norm(out.u - u_em) <= dt * sp.l2_norm(u), kind
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_transformed_first_stage_reuses_the_sampled_values(dim, n,
+                                                           monkeypatch):
+    # the driver keeps a sample's grid values on the state; the first RK4
+    # stage advects them instead of transforming u again, bit for bit
+    g = _grid(n, dim)
+    u = sp.make_initial_field(g, "random", 1.0, seed=4)
+    model = _lin_mult(alpha=1.0)
+    dW = np.full(1, 0.01)
+    values, u_max = sp._sup_view(u)[:2]
+    sampled = dyn.SimState(0.0, u, values=values, u_max=u_max)
+    seen = []
+    real = dyn.nonlinear_term
+
+    def recording(w, w_phys=None):
+        seen.append(w_phys)
+        return real(w, w_phys)
+
+    monkeypatch.setattr(dyn, "nonlinear_term", recording)
+    a = dyn.step_transformed(sampled, 5e-3, model, dW)
+    assert seen[0] is values and all(x is None for x in seen[1:])
+    b = dyn.step_transformed(_state(u), 5e-3, model, dW)
+    assert np.array_equal(a.u.coeffs, b.u.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,10 @@ def test_surrogate_survival_matches_exit_law():
 def test_surrogate_spec_checks_its_law_when_built():
     spec = ens.GBMSurrogateSpec(alpha=2.0, R=16.0, T=1.0, dt=0.1)
     assert spec.gbm == GBMParams(mu=1.5, alpha=2.0, x0=1.0, R=16.0)
+    # alpha ** 2 of 1e200 raised OverflowError before GBMParams checked it
     for bad in ({"T": 0.0}, {"dt": 0.0}, {"dt": -0.1}, {"alpha": 0.0},
-                {"R": 1.0}):
+                {"R": 1.0}, {"alpha": 1e200}, {"alpha": np.inf},
+                {"R": np.inf}):
         args = {"alpha": 1.0, "R": 16.0, "T": 1.0, "dt": 0.1, **bad}
         with pytest.raises(InvalidParams):
             ens.GBMSurrogateSpec(**args)

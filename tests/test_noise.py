@@ -130,6 +130,14 @@ def test_linear_multiplicative_commutes_with_scaling(u_field):
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-14
 
 
+@pytest.mark.parametrize("decay", [-2000.0, -np.inf])
+def test_spectrum_sigma_fields_reject_an_overflowing_amplitude(grid, decay):
+    # (k + 1) ** 2000 of a float raised OverflowError, and 2 ** inf is inf
+    with pytest.raises(ValueError, match="overflows"):
+        noise.spectrum_sigma_fields(grid, 3, decay, seed=1)
+    assert len(noise.spectrum_sigma_fields(grid, 3, np.inf, seed=1)) == 3
+
+
 def test_additive_is_u_independent(grid, u_field):
     sigmas = noise.spectrum_sigma_fields(grid, 3, 2.0, seed=1)
     model = noise.NoiseModel(noise.ADDITIVE, sigma_fields=sigmas)

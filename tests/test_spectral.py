@@ -367,16 +367,16 @@ def _dense_sups(values):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_sup_view_matches_dense_differentiation_matrix(dim):
-    # white noise keeps its Nyquist modes, which lp_norm and grad_sup_norm
-    # take as any field's; the view takes a state, which is dealiased.  No
-    # rfft on the oracle side
+    # white noise keeps its Nyquist modes, which lp_norm and the unpruned
+    # view take as any field's; the pruned view takes a state, which is
+    # dealiased.  No rfft on the oracle side
     n = 16
     g = sp.Grid(dim, n)
     values = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
     u = sp.SpectralField.from_physical(g, values)
     want = _dense_sups(values)
     for name, a, b in (("u", sp.lp_norm(u, np.inf), want[0]),
-                       ("grad u", sp.grad_sup_norm(u), want[1])):
+                       ("grad u", sp._sup_view(u, pruned=False)[2], want[1])):
         assert abs(a - b) <= 1e-12 * b, name
     v = sp.dealias(u)
     view_values, *got = sp._sup_view(v)
@@ -385,7 +385,20 @@ def test_sup_view_matches_dense_differentiation_matrix(dim):
                           _dense_sups(view_values)):
         assert abs(a - b) <= 1e-12 * b, name
     assert sp.lp_norm(v, np.inf) == got[0]
-    assert sp.grad_sup_norm(v) == got[1]
+    assert sp._sup_view(v, pruned=False)[2] == got[1]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_w1inf_norm_of_a_scalar_field(dim):
+    # a one-component field has no curl; its W^{1,inf} norm is that of the
+    # velocity with it as the first component and zeros elsewhere
+    g = sp.Grid(dim, 8)
+    values = np.random.default_rng(dim).standard_normal((1,) + g.shape)
+    f = sp.SpectralField.from_physical(g, values)
+    padded = sp.SpectralField.from_physical(
+        g, np.concatenate([values, np.zeros((dim - 1,) + g.shape)]))
+    assert sp._sup_view(f, pruned=False)[3] is None
+    assert sp.w1inf_norm(f) == sp.w1inf_norm(padded)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
