@@ -102,17 +102,26 @@ class GBMExitEstimate:
     hit_times: np.ndarray = field(repr=False)
 
 
+def _step_ratio(T: float, dt: float) -> float:
+    """T / dt, InvalidParams where it overflows to inf."""
+    if (ratio := T / dt) == np.inf:
+        raise InvalidParams(f"T={T} / dt={dt} overflows: too many steps")
+    return ratio
+
+
 def n_time_steps(T: float, dt: float) -> int:
     """T / dt, the number of dt steps to T.  InvalidParams unless T and dt
-    are positive and finite and T / dt is a whole number (to 1e-9 relative)
-    of at least 1, so no run reports on zero steps or ends before or past T."""
+    are positive and finite, T / dt is finite, and it is a whole number (to
+    1e-9 relative) of at least 1, so no run reports on zero steps or ends
+    before or past T."""
     if not (0 < T < np.inf and 0 < dt < np.inf):
         raise InvalidParams(f"T and dt must be positive and finite, got "
                             f"T={T}, dt={dt}")
-    n_steps = int(round(T / dt))
+    ratio = _step_ratio(T, dt)
+    n_steps = int(round(ratio))
     if n_steps < 1:
         raise InvalidParams(f"T={T} rounds to zero steps of dt={dt}")
-    if abs(T / dt - n_steps) > 1e-9 * n_steps:
+    if abs(ratio - n_steps) > 1e-9 * n_steps:
         raise InvalidParams(f"T={T} is not a whole multiple of dt={dt}")
     return n_steps
 

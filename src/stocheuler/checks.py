@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import n_time_steps
+from .analysis import _step_ratio, n_time_steps
 from .dynamics import SimState, step_em, step_rk4, step_transformed
 from .errors import InvalidParams
 from .noise import LINEAR_MULTIPLICATIVE, NoiseModel, zero_noise
@@ -65,8 +65,8 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
     if len(dts) < 2 or not all(0 < x < np.inf for x in (T, *dts)):
         raise InvalidParams("need T > 0 and at least two dts > 0, all finite")
     dt_fine = min(dts)
-    n_fine = int(round(T / dt_fine))
-    steps = [int(round(dt / dt_fine)) for dt in dts]
+    n_fine = int(round(_step_ratio(T, dt_fine)))
+    steps = [int(round(_step_ratio(dt, dt_fine))) for dt in dts]
     if not (np.isclose(n_fine * dt_fine, T, rtol=1e-9, atol=0.0)
             and all(np.isclose(k * dt_fine, dt, rtol=1e-9, atol=0.0)
                     and n_fine % k == 0 for k, dt in zip(steps, dts))):
@@ -123,7 +123,8 @@ def vorticity_decay_check(n: int = 128, alpha: float = 2.0, T: float = 1.0,
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
             t = (i + 1) * dt
             times.append(t)
-            sup_w.append(float(state.gamma) * lp_norm(curl(state.u), np.inf))
+            gamma = float(np.exp(-alpha * state.W_accum))
+            sup_w.append(gamma * lp_norm(curl(state.u), np.inf))
             env.append(w0_inf * float(np.exp(-alpha ** 2 * t / 2.0)))
     excess = max(s / e for s, e in zip(sup_w, env))
     return VorticityDecayResult(times, sup_w, env, excess)

@@ -285,5 +285,8 @@ def build_sweep(doc: dict) -> dict | None:
     args = _section(doc, "sweep", scaling="data_scaling")
     if "surrogate" in doc:
         raise ConfigError("sweep: needs a trajectory config, not a surrogate")
+    if (kind := _section(doc, "noise")["kind"]) != LINEAR_MULTIPLICATIVE:
+        raise ConfigError(f"sweep: needs {LINEAR_MULTIPLICATIVE} noise, "
+                          f"not '{kind}', whose runs have no alpha to vary")
     _call("sweep", check_sweep_args, **args)
     return args

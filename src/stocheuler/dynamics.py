@@ -1,16 +1,17 @@
 """Time integration of the stochastic Euler system and its variants.
 
 Each integrator kind in INTEGRATORS has a stepper step_<kind> with one
-contract: step_<kind>(state, dt, model, dW, **options) -> SimState maps a
+contract: step_<kind>(state, dt, model, dW, c_cfl=0.5) -> SimState maps a
 state holding the velocity u to one holding u, given the step's Wiener
 increments dW (the trajectory driver samples them from
 BrownianDriver(cfg.noise_seed, cfg.model.n_modes); the checks pass their
-own).  v = gamma u lives only inside step_transformed's step.
+own), or raises CflViolation over the CFL limit.  v = gamma u lives only
+inside step_transformed's step; gamma = exp(-alpha W) is formed where reported.
 
 Batch axis: a SimState may hold a batch of paths, u of shape
-(B, dim) + spectral_shape with dW of shape (B, K), one gamma and W_accum per
-path, and t and step_index shared.  Every stepper acts on each path alone
-(see spectral), so a path's numbers do not depend on the batch it runs in.
+(B, dim) + spectral_shape with dW of shape (B, K), one W_accum per path, and
+t and step_index shared.  Every stepper acts on each path alone (see
+spectral), so a path's numbers do not depend on the batch it runs in.
 A CflViolation or NonFinite raised on a batch names its rows (exc.rows).
 The checks step one unbatched path, u of shape (dim,) + spectral_shape.
 
@@ -29,9 +30,9 @@ A sample's W^{1,inf} and sup|curl u| come from one physical-space view of
 the state (spectral._sup_view): one pruned inverse transform of u and one
 of its gradient stack, and one sqrt after each max.  The driver keeps a
 sampled state's grid values and max|u| (state.values, state.u_max).  step_em
-and the first stage of the RK4 transport take their flux from them, and
-step_em and step_rk4 their CFL bound, so a state is transformed to the grid
-once per step (step 1 reuses the sample at t = 0).
+and the first stage of the RK4 transport take their flux from them, and every
+stepper its CFL bound, so a state is transformed to the grid once per step
+(step 1 reuses the sample at t = 0).
 
 * step_em              Euler-Maruyama on the velocity form
 * step_rk4             RK4 drift with Euler-Maruyama noise coupling
@@ -47,7 +48,7 @@ k1 + 2 k2 + 2 k3 + k4 sum in place in k1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -74,13 +75,8 @@ __all__ = [
 EM = "em"
 RK4 = "rk4"
 TRANSFORMED = "transformed"
-# integrator kind -> the TrajectoryConfig fields its stepper step_<kind>
-# takes as keyword options
-INTEGRATORS = {
-    EM: ("c_cfl",),
-    RK4: ("c_cfl",),
-    TRANSFORMED: (),
-}
+# the integrator kinds; kind k steps with step_<k>
+INTEGRATORS = (EM, RK4, TRANSFORMED)
 
 W1INF_THRESHOLD = "w1inf_threshold"
 SOBOLEV_THRESHOLD = "sobolev_threshold"
@@ -110,12 +106,12 @@ class StoppingRule:
 @dataclass
 class SimState:
     """Integration state of one path, or of a batch of paths: then u has a
-    leading batch axis and gamma and W_accum hold one value per path.  u is
-    the velocity under every integrator, and gamma = exp(-alpha W)."""
+    leading batch axis and W_accum holds one value per path.  u is the
+    velocity under every integrator; the fields after it are keyword-only."""
 
     t: float
     u: SpectralField
-    gamma: float | np.ndarray = 1.0
+    _: KW_ONLY
     W_accum: float | np.ndarray = 0.0
     step_index: int = 0
     # u's grid values and max|u| from a sample of this state; states are
@@ -162,7 +158,7 @@ class TrajectoryConfig:
     T: float
     dt: float
     noise_seed: int = 0  # master seed of the path's BrownianDriver
-    integrator: str = EM  # a key of INTEGRATORS
+    integrator: str = EM  # one of INTEGRATORS
     c_cfl: float = 0.5
     stopping: tuple[StoppingRule, ...] = ()
     sample_every: int = 1
@@ -195,9 +191,9 @@ class TrajectoryConfig:
 
 def cfl_limit(u: SpectralField, c_cfl: float = 0.5, alpha: float = 0.0,
               umax: np.ndarray | None = None):
-    """Advective CFL bound c_cfl dx / max|u| per path; linear-multiplicative
-    runs get the (0.1/alpha)^2 cap.  umax, when given, is max|u| over the
-    grid, so it needs no transform."""
+    """Advective CFL bound c_cfl dx / max|u| per path, capped at
+    (0.1/alpha)^2 for a nonzero alpha (em and rk4 under linear-multiplicative
+    noise).  umax, when given, is max|u| over the grid: no transform."""
     umax = np.asarray(lp_norm(u, np.inf) if umax is None else umax)
     with np.errstate(divide="ignore", invalid="ignore"):
         limit = np.where(umax == 0, np.inf, c_cfl * u.grid.dx / umax)
@@ -220,11 +216,12 @@ def _check_finite(u: SpectralField) -> None:
         raise NonFinite("non-finite Fourier coefficient", rows=bad)
 
 
-def _flux_values(state: SimState, dt: float, model: NoiseModel,
-                 c_cfl: float) -> np.ndarray:
-    """Check that dt is positive and within the CFL limit, which reads
-    max|u| from u's grid values (state.values, if a sample made them, else
-    the pruned inverse's); return the values, which nonlinear_term takes."""
+def _flux_values(state: SimState, dt: float, c_cfl: float,
+                 alpha: float) -> np.ndarray:
+    """Check that dt is positive and within the CFL limit (capped at
+    (0.1/alpha)^2 unless alpha is 0), which reads max|u| from u's grid values
+    (state.values, if a sample made them, else the pruned inverse's); return
+    the values, which nonlinear_term takes."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     u = state.u
@@ -232,7 +229,7 @@ def _flux_values(state: SimState, dt: float, model: NoiseModel,
     if values is None:
         values = _inverse(u.coeffs, u.grid, pruned=True)
         umax = _sup_magnitude(values, u.grid.dim)
-    lim = np.atleast_1d(cfl_limit(u, c_cfl, _lm_alpha(model), umax))
+    lim = np.atleast_1d(cfl_limit(u, c_cfl, alpha, umax))
     over = np.flatnonzero(dt > lim * (1.0 + 1e-12))
     if over.size:
         raise CflViolation(f"dt={dt} exceeds CFL limit "
@@ -256,26 +253,25 @@ def _increment(model: NoiseModel, dW: np.ndarray):
 
 def _advance(state: SimState, dt: float, u_new: SpectralField,
              model: NoiseModel, dW: np.ndarray) -> SimState:
-    """The state after one step: t += dt, W += its increment,
-    gamma = exp(-alpha W) (1 for alpha = 0)."""
-    W_new = state.W_accum + _increment(model, dW)
+    """The state after one step: t += dt, W += its increment."""
     return SimState(state.t + dt, u_new,
-                    gamma=np.exp(-_lm_alpha(model) * W_new),
-                    W_accum=W_new, step_index=state.step_index + 1)
+                    W_accum=state.W_accum + _increment(model, dW),
+                    step_index=state.step_index + 1)
 
 
-def _transport(u: SpectralField, dt: float, u_phys: np.ndarray | None,
+def _transport(u: SpectralField, dt: float, u_phys: np.ndarray,
                half: float = 0.0) -> SpectralField:
     """RK4 over tau in [0, dt] of w' = -exp(-half tau) P(w.grad w) from
-    w(0) = u; the first stage advects u's grid values u_phys (or, if None,
-    the kernel's)."""
+    w(0) = u; the first stage advects u's grid values u_phys."""
 
     def rhs(tau, w, w_phys=None):
         k = nonlinear_term(w, w_phys)
         k *= -np.exp(-half * tau)
         return k
 
-    return _rk4(u, dt, rhs, k1=rhs(0.0, u, u_phys), stage=_rk4_stage(u))
+    k1 = rhs(0.0, u, u_phys)
+    del u_phys  # so a step holds no grid values past its first stage
+    return _rk4(u, dt, rhs, k1=k1, stage=_rk4_stage(u))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,7 @@ def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
     """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected.
     state.u must vanish outside the dealias mask, as every state does."""
     u = state.u
-    u_phys = _flux_values(state, dt, model, c_cfl)
+    u_phys = _flux_values(state, dt, c_cfl, _lm_alpha(model))
     drift = nonlinear_term(u, u_phys).coeffs
     drift *= dt
     # in place, so a batch holds one array of its size here, not three
@@ -301,15 +297,15 @@ def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
              c_cfl: float = 0.5) -> SimState:
     """RK4 on the conservative drift, Euler-Maruyama coupling for the noise.
     state.u must vanish outside the dealias mask, as every state does."""
-    u = state.u
-    u_new = _transport(u, dt, _flux_values(state, dt, model, c_cfl))
+    u_new = _transport(state.u, dt,
+                       _flux_values(state, dt, c_cfl, _lm_alpha(model)))
     if model.n_modes:
-        u_new += apply_noise(model, u, dW)
-    return _advance(state, dt, _project(u_new.coeffs, u.grid), model, dW)
+        u_new += apply_noise(model, state.u, dW)
+    return _advance(state, dt, _project(u_new.coeffs, u_new.grid), model, dW)
 
 
 def step_transformed(state: SimState, dt: float, model: NoiseModel,
-                     dW: np.ndarray) -> SimState:
+                     dW: np.ndarray, c_cfl: float = 0.5) -> SimState:
     """One step of du = -P(u.grad u) dt + alpha u dW (Ito) through the
     paper's v = gamma u, gamma = exp(-alpha W), which obeys the random PDE
     dv/dt + (alpha^2/2) v + gamma^{-1} P(v.grad v) = 0.
@@ -320,11 +316,13 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
     which RK4 advances from w(0) = u (the damping is exact).  At the step's
     end gamma drops by exp(-alpha dW[..., 0]), so
     u_new = exp(alpha dW - alpha^2 dt / 2) w(dt): the v-form step in exact
-    arithmetic, as RK4 on a quadratic rhs commutes with scaling.
+    arithmetic, as RK4 on a quadratic rhs commutes with scaling.  Both
+    factors are exact, so the CFL limit has no (0.1/alpha)^2 cap.
     """
     alpha = _lm_alpha(model)
     half = 0.5 * alpha ** 2
-    u_new = _transport(state.u, dt, state.values, half)
+    u_new = _transport(state.u, dt, _flux_values(state, dt, c_cfl, 0.0),
+                       half)
     u_new *= np.exp(alpha * _increment(model, dW) - half * dt)
     _check_finite(u_new)
     return _advance(state, dt, u_new, model, dW)
@@ -351,10 +349,11 @@ def _monitored_value(rule: StoppingRule, state: SimState, alpha: float,
 def _keep(state: SimState, keep: np.ndarray) -> SimState:
     """The state of the batch rows where keep is True."""
     u = state.u
+    values, u_max = (None if a is None else a[keep]
+                     for a in (state.values, state.u_max))
     return SimState(state.t, SpectralField(u.grid, u.coeffs[keep]),
-                    state.gamma[keep], state.W_accum[keep], state.step_index,
-                    *(None if a is None else a[keep]
-                      for a in (state.values, state.u_max)))
+                    W_accum=state.W_accum[keep], step_index=state.step_index,
+                    values=values, u_max=u_max)
 
 
 def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
@@ -377,7 +376,7 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
     u0 = cfg.u0
     state = SimState(0.0, SpectralField(
         u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0)),
-        np.ones(len(ids)), np.zeros(len(ids)))
+        W_accum=np.zeros(len(ids)))
     rows = np.arange(len(ids))  # the diags index of each batch row
 
     def sample() -> np.ndarray:
@@ -386,8 +385,8 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
         wmp = sobolev_norm(state.u, cfg.norms)
         state.values, state.u_max, grad_max, curl_max = _sup_view(state.u)
         w1inf = state.u_max + grad_max
-        columns = zip(l2.tolist(), wmp.tolist(), w1inf.tolist(),
-                      curl_max.tolist(), state.gamma.tolist())
+        gamma = np.exp(-alpha * state.W_accum)
+        columns = np.column_stack((l2, wmp, w1inf, curl_max, gamma)).tolist()
         for i, row in zip(rows, columns):
             d = diags[i]
             d.times.append(state.t)
@@ -424,7 +423,6 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
     # looked up on the module at call time, so a stepper replaced there (for
     # instance by a tracer) is the one that runs
     step = globals()[f"step_{cfg.integrator}"]
-    options = {key: getattr(cfg, key) for key in INTEGRATORS[cfg.integrator]}
     driver = BrownianDriver(cfg.noise_seed, cfg.model.n_modes)
     n_steps = n_time_steps(cfg.T, cfg.dt)
     try:
@@ -433,7 +431,7 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
             dW = np.array([driver.sample_increments(ids[i], state.step_index,
                                                     cfg.dt) for i in rows])
             try:
-                state = step(state, cfg.dt, cfg.model, dW, **options)
+                state = step(state, cfg.dt, cfg.model, dW, cfg.c_cfl)
             except StochEulerError as exc:
                 if exc.rows is None:
                     raise

@@ -26,6 +26,7 @@ from .analysis import (GBMParams, gbm_survival_bound, kappa_K, n_time_steps,
 from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
 from .errors import ConfigError
+from .noise import LINEAR_MULTIPLICATIVE
 from .spectral import sobolev_norm
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -278,6 +279,8 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
     traj = base.trajectory
     if traj is None:
         raise ValueError("alpha sweep needs a trajectory config")
+    if traj.model.kind != LINEAR_MULTIPLICATIVE:  # no other kind has alpha
+        raise ValueError(f"alpha sweep needs {LINEAR_MULTIPLICATIVE} noise")
     req = traj.norms
     rows = []
 

@@ -232,6 +232,67 @@ def test_run_over_cfl_limit_exits_usage(tmp_path, capsys):
     assert "dt=1.0" in err and "CFL limit" in err
 
 
+# a transformed run whose dt = 0.1 is about 70 times its CFL limit
+OVER_CFL_TRANSFORMED = [
+    "--set", "grid.n=32", "--set", "initial.name=random",
+    "--set", "initial.amplitude=200",
+    "--set", "noise.kind=linear_multiplicative",
+    "--set", "integrator.kind=transformed", "--set", "integrator.T=2.0",
+    "--set", "integrator.dt=0.1"]
+
+
+def test_transformed_run_over_cfl_limit_exits_usage(tmp_path, capsys):
+    # an unstable dt stops the transformed integrator as it stops em and
+    # rk4, and is not reported as a blow-up
+    out = tmp_path / "traj.csv"
+    code = cli.main(["run", *OVER_CFL_TRANSFORMED, "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("cfl violation: dt=0.1 exceeds CFL limit")
+    assert "blow_up" not in captured.out
+    assert not out.exists()
+
+
+def test_transformed_ensemble_over_cfl_limit_exits_usage(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["ensemble", *OVER_CFL_TRANSFORMED,
+                     "--set", "ensemble={n_paths: 2, master_seed: 1}",
+                     "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "all 2 paths failed" in err[0]
+    assert "(2 paths): CflViolation: dt=0.1 exceeds CFL limit" in err[0]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_blow_up"] == 0
+    assert summary["n_engineering_failures"] == 2
+
+
+@pytest.mark.parametrize("dt, cfl, code", [
+    ("0.005", "1e-4", cli.EXIT_USAGE),
+    ("0.5", "0.5", cli.EXIT_USAGE),
+    ("0.5", "1.0", cli.EXIT_OK)])
+def test_transformed_run_reads_integrator_cfl(tmp_path, capsys, dt, cfl,
+                                              code):
+    # integrator.cfl sets the transformed integrator's limit c_cfl dx /
+    # max|u|, with no (0.1/alpha)^2 cap (0.01 here): RUN_CONFIG's
+    # Taylor-Green field has max|u| = 0.5 and dx = 2 pi / 16, so the limit
+    # is 0.785 c_cfl
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    assert cli.main(["run", "--config", cfg, "--quiet",
+                     "--set", "integrator.kind=transformed",
+                     "--set", f"integrator.cfl={cfl}",
+                     "--set", f"integrator.dt={dt}",
+                     "--set", f"integrator.T={dt}"]) == code
+    err = capsys.readouterr().err
+    if code == cli.EXIT_USAGE:
+        assert err.startswith(f"cfl violation: dt={dt} exceeds CFL limit")
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("dt, stepper_raises, code, reason", [
     ("0.5", False, cli.EXIT_USAGE, "CflViolation: dt=0.5 exceeds CFL limit"),
     ("0.005", True, cli.EXIT_SCIENCE, "ValueError: broken stepper"),
@@ -483,6 +544,19 @@ UNKNOWN_KEYS = [
     pytest.param(RUN_CONFIG, ["sweep={alpha_list: [1.0, 1e200], R: 4.0}"],
                  "sweep: alpha^2 must be finite, got alpha=1e+200",
                  id="sweep-alpha-square-overflows"),
+    pytest.param(ENSEMBLE_CONFIG,
+                 ["surrogate={alpha: 1.0, R: 16.0, T: 1e300, dt: 1e-300}"],
+                 "surrogate: T=1e+300 / dt=1e-300 overflows",
+                 id="surrogate-T-over-dt-overflows"),
+    # alpha is linear-multiplicative noise's alone: under any other kind
+    # every sweep row would run the same dynamics
+    *(pytest.param(RUN_CONFIG,
+                   [f"noise={{kind: {kind}}}",
+                    "integrator={kind: em, T: 0.05, dt: 0.005}",
+                    "sweep={alpha_list: [0.5, 2.0], R: 1.0}"],
+                   f"sweep: needs linear_multiplicative noise, not '{kind}'",
+                   id=f"sweep-{kind}-noise")
+      for kind in ("additive", "none")),
 ])
 def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
                                                     overrides, prefix):
@@ -693,6 +767,25 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("transform-check", None, ["--n", "16", "--T", "nan"],
                  "invalid parameters: need T > 0 and at least two dts",
                  id="transform-check-T-nan"),
+    # T / dt overflows to inf: int() of it raised OverflowError
+    pytest.param("run", RUN_CONFIG,
+                 ["--set", "integrator.T=1e300",
+                  "--set", "integrator.dt=1e-300"],
+                 "config error: integrator: T=1e+300 / dt=1e-300 overflows",
+                 id="run-T-over-dt-overflows"),
+    pytest.param("ensemble", ENSEMBLE_CONFIG,
+                 ["--set", "surrogate={alpha: 1.0, R: 16.0, T: 1e300, "
+                           "dt: 1e-300}", "--set", "ensemble.n_paths=2"],
+                 "config error: surrogate: T=1e+300 / dt=1e-300 overflows",
+                 id="surrogate-T-over-dt-overflows"),
+    pytest.param("gbm-exit", None,
+                 ["--n-paths", "10", "--T", "1e300", "--dt", "1e-300"],
+                 "invalid parameters: T=1e+300 / dt=1e-300 overflows",
+                 id="gbm-exit-T-over-dt-overflows"),
+    pytest.param("transform-check", None,
+                 ["--n", "16", "--T", "1e300", "--dt-list", "1e-300,2e-300"],
+                 "invalid parameters: T=1e+300 / dt=1e-300 overflows",
+                 id="transform-check-T-over-dt-overflows"),
     # run checks a section it does not read (ensemble) too
     *(pytest.param("run", RUN_CONFIG, ["--set", override],
                    f"config error: {message}", id=f"run-{case}")

@@ -1,6 +1,7 @@
 """Steppers, stopping rules, and the trajectory driver."""
 
 import csv
+import inspect
 import io
 import tracemalloc
 
@@ -69,7 +70,8 @@ def test_step_em_raises_on_cfl_violation():
         dyn.step_em(_state(u), 10.0, noise.zero_noise(), np.zeros(0))
 
 
-@pytest.mark.parametrize("step", [dyn.step_em, dyn.step_rk4])
+@pytest.mark.parametrize("step", [dyn.step_em, dyn.step_rk4,
+                                  dyn.step_transformed])
 def test_cfl_reads_max_u_of_the_stepped_state(step):
     # a stepped state is dealiased, and its bound is its own max|u|, read
     # from the grid values that its flux advects
@@ -152,15 +154,20 @@ def test_em_additive_noise_from_rest():
 
 
 def test_em_tracks_gamma_consistently():
-    g = _grid(32)
-    u = 0.1 * sp.taylor_green(g)
-    model = _lin_mult(alpha=1.0)
+    # a run's gamma column is exp(-alpha W), W the running sum of its path's
+    # Brownian increments, bit for bit
+    alpha, dt, n_steps, tid = 1.0, 1e-3, 10, 2
+    cfg = _tg_config(u0=0.1 * sp.taylor_green(_grid(32)),
+                     model=_lin_mult(alpha), noise_seed=3, integrator="em",
+                     T=n_steps * dt, dt=dt)
+    diag, = dyn.integrate_trajectory(cfg, [tid])
     driver = noise.BrownianDriver(3, 1)
-    state = _state(u)
-    for step in range(10):
-        state = dyn.step_em(state, 1e-3, model,
-                            driver.sample_increments(0, step, 1e-3))
-    assert state.gamma == pytest.approx(np.exp(-state.W_accum), rel=1e-12)
+    W, want = 0.0, [1.0]
+    for k in range(n_steps):
+        W += driver.sample_increments(tid, k, dt)[0]
+        want.append(float(np.exp(-alpha * W)))
+    assert diag.gamma == want
+    assert len(set(want)) == n_steps + 1
 
 
 def test_em_preserves_divergence_free():
@@ -208,8 +215,8 @@ def test_transformed_pure_damping_is_exact_on_shear():
     g = _grid(32)
     v = sp.shear_field(g)
     alpha, dt = 2.0, 1e-2
-    # W held at -log(1.3)/alpha, so gamma = 1.3 at every step
-    cur = dyn.SimState(0.0, v, gamma=1.3, W_accum=-np.log(1.3) / alpha)
+    # W held at -log(1.3)/alpha, so gamma = exp(-alpha W) = 1.3 at every step
+    cur = dyn.SimState(0.0, v, W_accum=-np.log(1.3) / alpha)
     for _ in range(50):
         cur = dyn.step_transformed(cur, dt, _lin_mult(alpha), np.zeros(1))
     want = np.exp(-alpha ** 2 * 0.5 * 0.5) * v.coeffs  # t = 0.5
@@ -240,7 +247,7 @@ def test_transformed_3d_damps_helicity_and_energy_at_alpha_squared():
     # conserves energy and helicity, so v = exp(-alpha W) u loses both at
     # the noise's rate alone, H(v) = H(v0) e^{-alpha^2 t} and
     # ||v||^2 = ||v0||^2 e^{-alpha^2 t}, whatever the Brownian path; the
-    # state holds u, and v = gamma u
+    # state holds u, and v = gamma u with gamma = exp(-alpha W)
     g = _grid(16, 3)
     rng = np.random.default_rng(11)
     v0 = sp.dealias(sp.leray_project(
@@ -252,7 +259,7 @@ def test_transformed_3d_damps_helicity_and_energy_at_alpha_squared():
     for k in range(n_steps):
         state = dyn.step_transformed(state, dt, model,
                                      driver.sample_increments(0, k, dt))
-    v = state.gamma * state.u
+    v = np.exp(-alpha * state.W_accum) * state.u
     decay = np.exp(-alpha ** 2 * n_steps * dt)
     assert abs(_helicity(v) / (_helicity(v0) * decay) - 1) < 1e-12
     assert abs(sp.l2_norm(v) ** 2 / (sp.l2_norm(v0) ** 2 * decay)
@@ -316,8 +323,8 @@ def test_transformed_step_allocates_few_field_sizes():
     u0 = sp.make_initial_field(g, "random", 0.5, seed=2)
     batch = 3
     state = dyn.SimState(0.0, sp.SpectralField(
-        g, np.repeat(u0.coeffs[None], batch, axis=0)), np.ones(batch),
-        np.zeros(batch))
+        g, np.repeat(u0.coeffs[None], batch, axis=0)),
+        W_accum=np.zeros(batch))
     model = _lin_mult(alpha=1.0)
     dW = np.full((batch, 1), 0.01)
     state = dyn.step_transformed(state, 5e-3, model, dW)  # sizes the pools
@@ -360,7 +367,7 @@ def test_transformed_u_form_equals_the_v_form(dim, n, batch):
     driver = noise.BrownianDriver(6, 1)
     coeffs = np.broadcast_to(u0.coeffs, batch + u0.coeffs.shape).copy()
     state = dyn.SimState(0.0, sp.SpectralField(g, coeffs),
-                         np.ones(batch), np.zeros(batch))
+                         W_accum=np.zeros(batch))
     v = sp.SpectralField(g, coeffs.copy())
     gamma, W = np.ones(batch), np.zeros(batch)
     for k in range(20):
@@ -369,24 +376,44 @@ def test_transformed_u_form_equals_the_v_form(dim, n, batch):
         state = dyn.step_transformed(state, dt, model, dW)
         v, gamma, W = _v_form_step(v, gamma, W, dt, alpha, dW)
     assert np.array_equal(state.W_accum, W)
-    assert np.array_equal(state.gamma, gamma)
-    gap = sp.l2_norm(state.gamma * state.u - v) / sp.l2_norm(v)
+    state_gamma = np.exp(-alpha * state.W_accum)
+    assert np.array_equal(state_gamma, gamma)
+    gap = sp.l2_norm(state_gamma * state.u - v) / sp.l2_norm(v)
     assert np.all(gap <= 1e-13)
     # the transport moved the field, so this is not a pure-damping check
     damped = float(np.exp(-0.5 * alpha ** 2 * 20 * dt)) * u0
     assert np.all(sp.l2_norm(gamma * damped - v) > 1e-3 * sp.l2_norm(v))
 
 
+def test_every_stepper_has_one_signature():
+    # the driver calls step(state, dt, model, dW, c_cfl) whatever the kind
+    want = inspect.signature(dyn.step_em)
+    assert list(want.parameters) == ["state", "dt", "model", "dW", "c_cfl"]
+    assert want.parameters["c_cfl"].default == 0.5
+    for kind in dyn.INTEGRATORS:
+        assert inspect.signature(getattr(dyn, f"step_{kind}")) == want, kind
+
+
+def test_state_fields_after_u_are_keyword_only():
+    # a call written for an older field order fails instead of shifting
+    # its values into other fields
+    u = _zero(_grid())
+    with pytest.raises(TypeError):
+        dyn.SimState(0.0, u, np.ones(3), np.zeros(3))
+    assert dyn.SimState(0.0, u, W_accum=0.5).W_accum == 0.5
+
+
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_every_stepper_maps_u_to_u(dim, n):
     # one contract: each kind's step from the same state and increments
-    # lands within O(dt) of step_em's.  The state's gamma is not 1, and
-    # dW = sqrt(dt) puts alpha u dW, O(sqrt dt), between u and v = gamma u
+    # lands within O(dt) of step_em's.  The state's W is not 0, so
+    # gamma = exp(-alpha W) is not 1, and dW = sqrt(dt) puts alpha u dW,
+    # O(sqrt dt), between u and v = gamma u
     g = _grid(n, dim)
     u = sp.make_initial_field(g, "random", 1.0, seed=3)
     dt, W = 1e-3, 0.5
     model = _lin_mult(alpha=1.0)
-    state = dyn.SimState(0.0, u, gamma=np.exp(-W), W_accum=W)
+    state = dyn.SimState(0.0, u, W_accum=W)
     dW = np.full(1, np.sqrt(dt))
     u_em = dyn.step_em(state, dt, model, dW).u
     for kind in dyn.INTEGRATORS:
@@ -621,7 +648,7 @@ def test_batch_state_drops_rows_that_break_the_cfl_limit():
     u = sp.taylor_green(g)
     batch = sp.SpectralField(g, np.stack([0.01 * u.coeffs, u.coeffs,
                                           0.02 * u.coeffs]))
-    state = dyn.SimState(0.0, batch, np.ones(3), np.zeros(3))
+    state = dyn.SimState(0.0, batch, W_accum=np.zeros(3))
     dt = 0.5 * dyn.cfl_limit(0.02 * u)
     with pytest.raises(CflViolation) as info:
         dyn.step_em(state, dt, noise.zero_noise(), np.zeros((3, 0)))

@@ -271,6 +271,24 @@ def test_sweep_validation():
         ens.survival_vs_alpha_sweep(surro, [1.0], R=1.0)
 
 
+@pytest.mark.parametrize("model", [
+    noise.zero_noise(),
+    noise.NoiseModel(noise.ADDITIVE, sigma_fields=noise.spectrum_sigma_fields(
+        sp.Grid(2, 8), 1, 2.0, seed=1))], ids=["none", "additive"])
+def test_sweep_needs_linear_multiplicative_noise(monkeypatch, model):
+    # replace(model, alpha=...) changes no other kind's dynamics, so every
+    # row would repeat one ensemble; the sweep refuses before any path runs
+    def no_paths(cfg):
+        raise AssertionError("a path ran")
+
+    monkeypatch.setattr(ens, "run_ensemble", no_paths)
+    traj = dyn.TrajectoryConfig(u0=0.5 * sp.taylor_green(sp.Grid(2, 8)),
+                                model=model, T=0.02, dt=5e-3)
+    base = ens.EnsembleConfig(trajectory=traj, n_paths=2, master_seed=1)
+    with pytest.raises(ValueError, match="needs linear_multiplicative noise"):
+        ens.survival_vs_alpha_sweep(base, [0.5, 2.0], R=1.0)
+
+
 # ---------------------------------------------------------------------------
 # Statistical sanity of the surrogate
 
