@@ -1,13 +1,13 @@
 """Closed-form and numerical verifiers for the stochastic-analysis bounds.
 
-Covers: geometric-Brownian-motion exit probabilities (analytic bound and an
-exact-simulation Monte Carlo cross-check), the logarithmic Gronwall change
-of variables, the explicit small-data thresholds kappa(R, alpha) and
+Covers: geometric-Brownian-motion exit probabilities (analytic bound and a
+Monte Carlo cross-check monitored on the dt grid), the logarithmic Gronwall
+change of variables, the explicit small-data thresholds kappa(R, alpha) and
 K(R, alpha), and the worst-case ODE sweep behind them.
 
-Of scipy it loads only scipy.special, which scipy.fft loads anyway;
-log_gronwall_functions imports scipy.integrate when it is called, which
-keeps that import out of every CLI start-up.
+Of scipy it loads scipy.special, which scipy.fft (loaded through noise)
+loads anyway; log_gronwall_functions imports scipy.integrate when it is
+called, which keeps that import out of every CLI start-up.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, InvalidParams, StiffnessFailure
+from .noise import keyed_generator
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +139,16 @@ TILE_BYTES = 256 * 1024
 
 def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
                 seed: int = 0) -> GBMExitEstimate:
-    """Exact-in-law simulation of the GBM hit fraction before T.
+    """Fraction of GBM paths that reach R on the dt grid before T.
 
-    x(t) = x0 exp((mu - alpha^2/2) t + alpha W_t) is evaluated on the dt
-    grid; a path counts as hit when max over samples >= R.  Paths that hit
+    x(t) = x0 exp((mu - alpha^2/2) t + alpha W_t) is simulated exactly in
+    law at the grid times; a path counts as hit when max over samples >= R.
+    Crossings between grid points go unseen, so the fraction reads low
+    against the continuously monitored hit probability.  Paths that hit
     stop being simulated (exact pruning; never biases the estimate).  The
-    draws depend on seed, PATH_CHUNK and TIME_BLOCK only; beside vectors of
-    one value per path, the work runs in one TILE_BYTES buffer.
+    draws come from noise.keyed_generator and depend on seed, PATH_CHUNK
+    and TIME_BLOCK only; beside vectors of one value per path, the work runs
+    in one TILE_BYTES buffer.
     """
     n_steps = n_time_steps(T, dt)
     if n_paths <= 0:
@@ -165,8 +169,7 @@ def gbm_exit_mc(p: GBMParams, T: float, dt: float, n_paths: int,
         done = 0
         while done < n_steps and alive.any():
             block = min(TIME_BLOCK, n_steps - done)
-            gen = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence([seed, chunk, done])))
+            gen = keyed_generator(seed, chunk, done)
             idx = np.flatnonzero(alive)
             tile = buf.size // block
             for start in range(0, idx.size, tile):

@@ -44,6 +44,10 @@ class TransformCheckResult:
     ratios: list[float]
 
 
+# the finest level's steps at most: its increments are drawn at once
+MAX_FINE_STEPS = 10 ** 6
+
+
 def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
                                 T: float = 0.5,
                                 dts: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3),
@@ -55,8 +59,8 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
     The finest-level increments are generated once and aggregated for the
     coarser levels, so every level sees the same Brownian path.  That needs
     every dt to be a whole multiple of the finest and to divide T, and a
-    ratio needs two dts; any other ladder, or an n that Grid rejects, is
-    InvalidParams.
+    ratio needs two dts; any other ladder, a finest level of more than
+    MAX_FINE_STEPS steps, or an n that Grid rejects, is InvalidParams.
     """
     try:
         grid = Grid(2, n)
@@ -65,7 +69,10 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
     if len(dts) < 2 or not all(0 < x < np.inf for x in (T, *dts)):
         raise InvalidParams("need T > 0 and at least two dts > 0, all finite")
     dt_fine = min(dts)
-    n_fine = int(round(_step_ratio(T, dt_fine)))
+    if (ratio := _step_ratio(T, dt_fine)) > MAX_FINE_STEPS:
+        raise InvalidParams(f"T={T} / dt={dt_fine} is {ratio:.3g} fine "
+                            f"steps, more than {MAX_FINE_STEPS}")
+    n_fine = int(round(ratio))
     steps = [int(round(_step_ratio(dt, dt_fine))) for dt in dts]
     if not (np.isclose(n_fine * dt_fine, T, rtol=1e-9, atol=0.0)
             and all(np.isclose(k * dt_fine, dt, rtol=1e-9, atol=0.0)

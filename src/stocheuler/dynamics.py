@@ -18,6 +18,9 @@ The checks step one unbatched path, u of shape (dim,) + spectral_shape.
 integrate_trajectory(cfg, trajectory_ids) is the one trajectory driver: it
 steps all the ids as one batch and drops a path from it when the path hits
 a stopping rule, blows up or fails, as gbm_exit_mc drops paths that hit.
+It draws the batch's increments one Wiener block at a time (noise), one
+sample_increments call per path and block, and drops a path's rows of the
+block with its state.
 
 A TrajectoryConfig states each run parameter once: the linear-multiplicative
 coefficient alpha (noise, gamma = exp(-alpha W), the damping alpha^2/2 and the
@@ -55,7 +58,7 @@ import numpy as np
 from .analysis import _rk4, n_time_steps
 from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
-                    apply_noise)
+                    apply_noise, block_steps)
 from .spectral import (Grid, NormRequest, SpectralField, _inverse, _per_path,
                        _rk4_stage, _sup_magnitude, _sup_view, _trailing,
                        curl, l2_norm, leray_project, lp_norm, nonlinear_term,
@@ -413,23 +416,31 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
 
     def retire(out: np.ndarray) -> None:
         """Drop the rows where out is True from the batch."""
-        nonlocal state, rows
+        nonlocal state, rows, block
         if not out.any():
             return
         for i in rows[out]:
             diags[i].final_time = state.t
-        state, rows = _keep(state, ~out), rows[~out]
+        state, rows, block = _keep(state, ~out), rows[~out], block[~out]
 
     # looked up on the module at call time, so a stepper replaced there (for
     # instance by a tracer) is the one that runs
     step = globals()[f"step_{cfg.integrator}"]
     driver = BrownianDriver(cfg.noise_seed, cfg.model.n_modes)
+    length = block_steps(cfg.model.n_modes)
     n_steps = n_time_steps(cfg.T, cfg.dt)
+    # the batch's increments of the current Wiener block, (rows, steps, K),
+    # drawn up to step `drawn`
+    block, drawn = np.zeros((len(ids), 0, cfg.model.n_modes)), 0
     try:
         retire(sample())
         while rows.size and state.step_index < n_steps:
-            dW = np.array([driver.sample_increments(ids[i], state.step_index,
-                                                    cfg.dt) for i in rows])
+            if state.step_index == drawn:
+                count = min(length, n_steps - drawn)
+                block = np.stack([driver.sample_increments(
+                    ids[i], drawn, cfg.dt, count) for i in rows])
+                drawn += count
+            dW = block[:, state.step_index % length]
             try:
                 state = step(state, cfg.dt, cfg.model, dW, cfg.c_cfl)
             except StochEulerError as exc:

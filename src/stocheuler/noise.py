@@ -1,8 +1,19 @@
 """Wiener increment driver and the sigma(u) noise operator families.
 
-The driver is stateless: every (master_seed, trajectory_id, step) triple
-keys an independent counter-based Philox stream, so ensemble workers never
-need to coordinate RNG state.
+Every keyed Gaussian draw of the package comes from keyed_generator(*key),
+an SFC64 generator seeded by SeedSequence(key): a key names an independent
+stream, so ensemble workers never need to coordinate RNG state.  Its two
+consumers are the trajectory driver (BrownianDriver) and
+analysis.gbm_exit_mc, whose keys are (seed, path chunk, time block).
+
+The driver is stateless.  A path's increments come in blocks of
+block_steps(K) steps by K modes, block b keyed by (master_seed,
+trajectory_id, b): row r of block b, times sqrt(dt), is step b L + r's
+increment.  A block holds at most BLOCK_NORMALS draws (64 KB) and at most
+BLOCK_STEPS steps, and its length depends on K alone, so a path's draws do
+not depend on the batch, chunk or dt it runs with.  A block's first rows
+are the rows that drawing the whole block gives, so a run draws only the
+rows it steps through.
 """
 
 from __future__ import annotations
@@ -17,6 +28,24 @@ from .spectral import (Grid, NormRequest, SpectralField, _rows, dealias,
                        l2_inner, leray_project, random_divergence_free,
                        sobolev_norm)
 
+BLOCK_STEPS = 1024
+BLOCK_NORMALS = 8192
+
+
+def keyed_generator(*key: int) -> np.random.Generator:
+    """The SFC64 generator of SeedSequence(key), for nonnegative ints."""
+    if all(0 <= i < 2 ** 32 for i in key):
+        # SeedSequence turns an int below 2^32 into one uint32 word; handing
+        # it the words skips its slow per-int conversion and gives the same
+        # stream
+        key = np.array(key, dtype=np.uint32)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+
+
+def block_steps(n_modes: int) -> int:
+    """Steps per Wiener block of a path with n_modes modes."""
+    return max(1, min(BLOCK_STEPS, BLOCK_NORMALS // max(1, n_modes)))
+
 
 @dataclass(frozen=True)
 class BrownianDriver:
@@ -25,25 +54,28 @@ class BrownianDriver:
     master_seed: int
     n_modes: int = 1
 
-    def _generator(self, trajectory_id: int, step: int) -> np.random.Generator:
-        ids = [self.master_seed, trajectory_id, step]
-        if all(0 <= i < 2 ** 32 for i in ids):
-            # SeedSequence turns an int below 2^32 into one uint32 word;
-            # handing it the words skips its slow per-int conversion and
-            # gives the same stream
-            ids = np.array(ids, dtype=np.uint32)
-        ss = np.random.SeedSequence(ids)
-        return np.random.Generator(np.random.Philox(ss))
-
-    def sample_increments(self, trajectory_id: int, step: int,
-                          dt: float) -> np.ndarray:
-        """K i.i.d. N(0, dt) increments, deterministic given the ids."""
+    def sample_increments(self, trajectory_id: int, step: int, dt: float,
+                          n_steps: int | None = None) -> np.ndarray:
+        """Step `step`'s K i.i.d. N(0, dt) increments, shape (K,); given
+        n_steps, those of the n_steps steps from `step`, shape (n_steps, K).
+        Deterministic given the ids: a step's increments do not depend on
+        the call that draws them."""
         if dt < 0:
             raise ValueError("dt must be nonnegative")
-        if dt == 0:
-            return np.zeros(self.n_modes)
-        gen = self._generator(trajectory_id, step)
-        return np.sqrt(dt) * gen.standard_normal(self.n_modes)
+        count = 1 if n_steps is None else n_steps
+        if count < 0:
+            raise ValueError("n_steps must be nonnegative")
+        out = np.zeros((count, self.n_modes))
+        if dt > 0 and self.n_modes and count:
+            length, end = block_steps(self.n_modes), step + count
+            for block in range(step // length, (end - 1) // length + 1):
+                first = block * length
+                lo, hi = max(step, first), min(end, first + length)
+                gen = keyed_generator(self.master_seed, trajectory_id, block)
+                rows = gen.standard_normal((hi - first, self.n_modes))
+                out[lo - step:hi - step] = rows[lo - first:]
+            out *= np.sqrt(dt)
+        return out[0] if n_steps is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -725,7 +725,7 @@ def _sup_of_squares(work: np.ndarray, dim: int):
     return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
 
 
-def _sup_view(u: SpectralField, pruned: bool = True):
+def _sup_view(u: SpectralField, pruned: bool = True, with_curl: bool = True):
     """u's grid values (a new array, which the trajectory driver keeps),
     and max|u|, max|grad u| (Frobenius) and max|curl u| over the grid, from
     one inverse of u and one of its gradient stack into a work array (row
@@ -733,13 +733,14 @@ def _sup_view(u: SpectralField, pruned: bool = True):
     as every state does.  A curl component d_a u_b - d_b u_a subtracts two
     rows, and the squares add in (j, i) order, as np.sum adds the stack, so
     max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl (None
-    unless u is a velocity) is curl(u)'s up to rounding unless u carries
-    Nyquist modes, where curl's i k symbol and the grid derivative differ.
+    unless u is a velocity and with_curl is set) is curl(u)'s up to rounding
+    unless u carries Nyquist modes, where curl's i k symbol and the grid
+    derivative differ.
     """
     g = u.grid
     axis = -(g.dim + 1)
     lead, comps = u.coeffs.shape[:axis], u.coeffs.shape[axis]
-    pairs = _CURL_PAIRS[g.dim] if comps == g.dim else ()
+    pairs = _CURL_PAIRS[g.dim] if with_curl and comps == g.dim else ()
     ws = g._workspace
     spectra, grads, rot = ws.arrays(
         lead, ("complex", g.dim * comps), ("real", g.dim * comps),
@@ -769,7 +770,7 @@ def sobolev_norm(f: SpectralField, req: NormRequest):
     if np.isinf(req.p):
         if req.m == 0:
             return lp_norm(f, np.inf)
-        _, u_max, grad_max, _ = _sup_view(f, pruned=False)
+        _, u_max, grad_max, _ = _sup_view(f, pruned=False, with_curl=False)
         return u_max + grad_max
     if req.p == 2:
         return _per_path(np.sqrt(_parseval_sum(f, req.m)))

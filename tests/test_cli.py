@@ -786,6 +786,19 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
                  ["--n", "16", "--T", "1e300", "--dt-list", "1e-300,2e-300"],
                  "invalid parameters: T=1e+300 / dt=1e-300 overflows",
                  id="transform-check-T-over-dt-overflows"),
+    # the finest level's increments are drawn at once: 1e300 of them raised
+    # a numpy ValueError, and 1e10 asked for 74.5 GiB
+    pytest.param("transform-check", None,
+                 ["--n", "16", "--T", "1", "--dt-list", "1e-300,2e-300"],
+                 "invalid parameters: T=1.0 / dt=1e-300 is 1e+300 fine "
+                 "steps, more than 1000000",
+                 id="transform-check-too-many-fine-steps"),
+    pytest.param("transform-check", None,
+                 ["--n", "16", "--T", "1e-290", "--dt-list",
+                  "1e-300,2e-300"],
+                 "invalid parameters: T=1e-290 / dt=1e-300 is 1e+10 fine "
+                 "steps, more than 1000000",
+                 id="transform-check-fine-steps-past-memory"),
     # run checks a section it does not read (ensemble) too
     *(pytest.param("run", RUN_CONFIG, ["--set", override],
                    f"config error: {message}", id=f"run-{case}")

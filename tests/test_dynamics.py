@@ -617,16 +617,15 @@ def _outcome(diag):
     return "blow-up" if diag.blow_up_flag else "hit" if diag.hits else "ran"
 
 
-def test_mixed_batch_survivors_equal_their_solo_runs(monkeypatch):
-    # paths leave the batch as they blow up, hit the gbm_level rule or break
-    # the CFL limit between samples; what every path recorded until then,
-    # and how it ended, is what its solo run gives
+def _check_mixed_batch(monkeypatch):
+    """Run paths 4-9 as one batch, with every outcome among them, and check
+    each against its solo run."""
     g = _grid(16)
     u0 = sp.make_initial_field(g, "random", 0.5, seed=3)
     dt = 0.01
     monkeypatch.setattr(dyn, "BLOWUP_LEVEL", 1.5 * sp.w1inf_norm(u0))
     cfg = dyn.TrajectoryConfig(
-        u0=u0, model=_lin_mult(alpha=1.0), noise_seed=7, T=1.0, dt=dt,
+        u0=u0, model=_lin_mult(alpha=1.0), noise_seed=32, T=1.0, dt=dt,
         c_cfl=1.7 * dt * sp.lp_norm(u0, np.inf) / g.dx, sample_every=10,
         stopping=(dyn.StoppingRule(dyn.GBM_LEVEL, 1.6),))
     ids = range(4, 10)
@@ -640,6 +639,47 @@ def test_mixed_batch_survivors_equal_their_solo_runs(monkeypatch):
         assert (diag.hits, diag.final_time) == (solo.hits, solo.final_time)
         if _outcome(diag) == "CflViolation":
             assert diag.failure.rows is not None and len(diag.times) > 1
+    return batch
+
+
+def test_mixed_batch_survivors_equal_their_solo_runs(monkeypatch):
+    # paths leave the batch as they blow up, hit the gbm_level rule or break
+    # the CFL limit between samples; what every path recorded until then,
+    # and how it ended, is what its solo run gives
+    _check_mixed_batch(monkeypatch)
+
+
+def test_mixed_batch_survivors_equal_their_solo_runs_across_blocks(
+        monkeypatch):
+    # Wiener blocks of 7 steps: paths retire mid-block and on a block
+    # boundary, and the others step on through refills of the batch's block
+    monkeypatch.setattr(noise, "BLOCK_STEPS", 7)
+    batch = _check_mixed_batch(monkeypatch)
+    ends = {round(d.final_time / 0.01) for d in batch} - {100}
+    assert 70 in ends and any(k % 7 for k in ends)
+
+
+def test_a_run_keys_one_seed_sequence_per_path_and_block(monkeypatch):
+    # N paths of S steps construct at most N ceil(S / L) SeedSequences for
+    # Wiener blocks of L steps, not one per path and step
+    cfg = dyn.TrajectoryConfig(
+        u0=sp.make_initial_field(_grid(8), "random", 0.1, seed=1),
+        model=_lin_mult(alpha=1.0), noise_seed=5, T=0.2, dt=0.01)
+    made = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    for length, most in ((None, 3), (7, 3 * 3)):  # 20 steps, 3 paths
+        if length:
+            monkeypatch.setattr(noise, "BLOCK_STEPS", length)
+        made.clear()
+        diags = dyn.integrate_trajectory(cfg, range(3))
+        assert [d.final_time for d in diags] == pytest.approx([0.2] * 3)
+        assert 0 < len(made) <= most
 
 
 def test_batch_state_drops_rows_that_break_the_cfl_limit():

@@ -180,6 +180,23 @@ def test_summary_identical_across_widths_and_chunk_sizes(tmp_path,
     assert all(other == first for other in rest)
 
 
+def test_summary_identical_across_widths_and_chunks_with_short_blocks(
+        tmp_path, monkeypatch):
+    # Wiener blocks of 7 steps, so the 10-step paths cross a block boundary;
+    # the pool's forked workers see the patched length
+    monkeypatch.setattr(noise, "BLOCK_STEPS", 7)
+    traj = _trajectory_cfg()
+    summaries = set()
+    for width, chunk in ((1, 8), (2, 8), (1, 3), (2, 3)):
+        monkeypatch.setattr(ens, "CHUNK_BYTES", chunk * traj.u0.coeffs.nbytes)
+        path = tmp_path / f"w{width}-c{chunk}.json"
+        cfg = ens.EnsembleConfig(trajectory=traj, n_paths=8, master_seed=4,
+                                 parallel_width=width)
+        ens.persist_summary(ens.run_ensemble(cfg), str(path))
+        summaries.add(path.read_bytes())
+    assert len(summaries) == 1
+
+
 def test_thread_cap_env_var(monkeypatch):
     cfg = _surrogate_cfg(width=8)
     monkeypatch.setenv("STOCHEULER_THREADS", "2")

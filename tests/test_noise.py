@@ -49,13 +49,33 @@ def test_increments_reject_negative_dt():
     (0, 0, 0), (7, 3, 5), (2 ** 32 - 1, 12, 2 ** 31), (2 ** 32, 1, 1),
     (10 ** 15, 2 ** 40, 3)])
 def test_increments_are_the_seed_sequence_stream(seed, tid, step):
-    # the draws are those of SeedSequence([seed, tid, step]) keying Philox,
-    # whichever form the driver hands the ids to SeedSequence in
-    ss = np.random.SeedSequence([seed, tid, step])
-    want = np.sqrt(0.01) * np.random.Generator(
-        np.random.Philox(ss)).standard_normal(3)
+    # step k's draws are row k % 1024 of the (1024, K) block that
+    # SeedSequence([seed, tid, k // 1024]) keying SFC64 draws, whichever
+    # form the driver hands the ids to SeedSequence in
+    assert noise.block_steps(3) == 1024
+    ss = np.random.SeedSequence([seed, tid, step // 1024])
+    block = np.random.Generator(np.random.SFC64(ss)).standard_normal((1024, 3))
+    want = np.sqrt(0.01) * block[step % 1024]
     got = noise.BrownianDriver(seed, 3).sample_increments(tid, step, 0.01)
     assert np.array_equal(got, want)
+
+
+def test_single_steps_are_the_rows_of_a_multi_step_call(monkeypatch):
+    # blocks of 7 steps: steps 4-15 span three of them
+    monkeypatch.setattr(noise, "BLOCK_STEPS", 7)
+    drv = noise.BrownianDriver(3, 2)
+    rows = drv.sample_increments(5, 4, 0.01, 12)
+    assert rows.shape == (12, 2)
+    for k, row in enumerate(rows):
+        assert np.array_equal(drv.sample_increments(5, 4 + k, 0.01), row)
+    assert np.array_equal(drv.sample_increments(5, 7, 0.01, 7), rows[3:10])
+    assert drv.sample_increments(5, 4, 0.01, 0).shape == (0, 2)
+
+
+def test_block_length_depends_on_the_mode_count_alone():
+    # at most 1024 steps and 64 KB of draws per block
+    assert [noise.block_steps(k) for k in (0, 1, 8, 9, 1000, 10 ** 6)] \
+        == [1024, 1024, 1024, 910, 8, 1]
 
 
 def test_increment_replay_is_bit_identical():
@@ -77,12 +97,9 @@ def test_increment_mean_clt_bound():
     # 10^6 draws: sample mean within 4 * sqrt(dt / N) of zero
     dt = 0.01
     drv = noise.BrownianDriver(5, 1000)
-    total = 0.0
-    n_draws = 0
-    for step in range(1000):
-        x = drv.sample_increments(0, step, dt)
-        total += x.sum()
-        n_draws += x.size
+    x = drv.sample_increments(0, 0, dt, 1000)  # the rows of steps 0-999
+    total = x.sum()
+    n_draws = x.size
     assert n_draws == 10 ** 6
     assert abs(total / n_draws) <= 4.0 * np.sqrt(dt / n_draws)
 
@@ -92,9 +109,7 @@ def test_quadratic_variation_within_one_percent():
     dt = 1e-3
     n_steps = 10 ** 5
     drv = noise.BrownianDriver(11, 1)
-    qv = 0.0
-    for step in range(n_steps):
-        qv += float(drv.sample_increments(0, step, dt)[0]) ** 2
+    qv = float(np.sum(drv.sample_increments(0, 0, dt, n_steps) ** 2))
     T = n_steps * dt
     assert abs(qv - T) <= 0.01 * T
 

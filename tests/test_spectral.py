@@ -401,6 +401,27 @@ def test_w1inf_norm_of_a_scalar_field(dim):
     assert sp.w1inf_norm(f) == sp.w1inf_norm(padded)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_w1inf_norm_forms_no_curl_rows(monkeypatch, dim):
+    # the W^{1,inf} norm reads max|u| and max|grad u| of the view: it looks
+    # up no curl pairs, and its bits are those of the view that forms them
+    g = sp.Grid(dim, 16)
+    u = sp.random_divergence_free(g, np.random.default_rng(dim))
+    _, u_max, grad_max, curl_max = sp._sup_view(u, pruned=False)
+    assert curl_max is not None
+    read = []
+
+    class Pairs(dict):
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(sp, "_CURL_PAIRS", Pairs(sp._CURL_PAIRS))
+    assert sp.w1inf_norm(u) == u_max + grad_max
+    assert sp.sobolev_norm(u, sp.NormRequest(1, np.inf)) == u_max + grad_max
+    assert read == []
+
+
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
 def test_batched_transforms_equal_unbatched_rows(dim, n):
     # the batched trajectory driver is byte-identical to solo runs only
