@@ -282,13 +282,15 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
 
 def _rk4(v, dt: float, rhs, k1=None, stage=None):
     """Classic RK4 with a time-dependent rhs(tau, v) over tau in [0, dt];
-    k1, when given, is rhs(0, v).  v is a float (the ODE sweep below) or a
-    SpectralField (the dynamics steppers).
+    k1, when given, is rhs(0, v).  v is a float (the ODE sweep below), a
+    SpectralField, or an array (the dynamics steppers' kept boxes).
 
     stage(c, k), when given, returns the stage input v + c k; the steppers
     pass one that forms it in a work buffer.  The sum k1 + 2 k2 + 2 k3 + k4
     forms in k1 by augmented assignments, which rebind a float and update a
-    field in place, so every k must be a new field; the result is k1.
+    field or an array in place, so k1 must be its own; each later k is
+    added into k1 and into the next stage input before the next k is asked
+    for, so rhs may return k2, k3 and k4 in one buffer.  The result is k1.
     """
     if stage is None:
         def stage(c, k):

@@ -42,10 +42,12 @@ stepper its CFL bound, so a state is transformed to the grid once per step
 * step_transformed     damped random PDE for v = gamma * u, stepped as u
                        (exact integrating-factor damping + RK4 transport)
 
-All steppers return new states and mutate nothing.  step_rk4 and
-step_transformed share one RK4 transport (_transport), which forms its stage
-inputs in the grid workspace's stage buffer (spectral._rk4_stage) and its
-k1 + 2 k2 + 2 k3 + k4 sum in place in k1.
+All steppers return new states and mutate nothing.  A step gathers u's
+kept box (see spectral) once, runs on box arrays of the grid workspace and
+scatters once into the new state; it calls nonlinear_term and apply_noise
+in their box form (out=).  step_rk4 and step_transformed share one RK4
+transport (_transport), which forms its stage inputs in one box array,
+k2, k3 and k4 in another, and k1 + 2 k2 + 2 k3 + k4 in place in k1.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ from .analysis import _rk4, n_time_steps
 from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise, block_steps)
-from .spectral import (Grid, NormRequest, SpectralField, _inverse, _per_path,
-                       _rk4_stage, _sup_magnitude, _sup_view, _trailing,
-                       curl, l2_norm, leray_project, lp_norm, nonlinear_term,
-                       sobolev_norm, w1inf_norm)
+from .spectral import (Grid, NormRequest, SpectralField, _field_of_box,
+                       _inverse, _per_path, _project_box, _rows,
+                       _sup_magnitude, _sup_view, _trailing, curl, l2_norm,
+                       lp_norm, nonlinear_term, sobolev_norm, w1inf_norm)
 
 # curl and w1inf_norm are not called here, but the benchmark tracer
 # (perfbench/tracing.py) patches them on this module by name, so they stay
@@ -210,15 +212,6 @@ def _lm_alpha(model: NoiseModel) -> float:
     return model.alpha if model.kind == LINEAR_MULTIPLICATIVE else 0.0
 
 
-def _check_finite(u: SpectralField) -> None:
-    """Raise NonFinite naming the paths whose coefficients hold a NaN or
-    Inf."""
-    finite = np.isfinite(u.coeffs.view(float))
-    if not finite.all():
-        bad = np.flatnonzero(~finite.all(axis=_trailing(u.grid.dim + 1)))
-        raise NonFinite("non-finite Fourier coefficient", rows=bad)
-
-
 def _flux_values(state: SimState, dt: float, c_cfl: float,
                  alpha: float) -> np.ndarray:
     """Check that dt is positive and within the CFL limit (capped at
@@ -240,12 +233,13 @@ def _flux_values(state: SimState, dt: float, c_cfl: float,
     return values
 
 
-def _project(coeffs: np.ndarray, grid: Grid) -> SpectralField:
-    """Dealias and Leray-project a step's new coefficients, on the kept box;
-    fail on NaN/Inf."""
-    u_new = leray_project(SpectralField(grid, coeffs), dealiased=True)
-    _check_finite(u_new)
-    return u_new
+def _boxes(u: SpectralField, count: int) -> list[np.ndarray]:
+    """count step work arrays of u's box shape, the first holding u's box."""
+    g = u.grid
+    boxes = g._workspace.arrays(u.coeffs.shape[:-(g.dim + 1)],
+                                *[("step", g.dim)] * count)
+    g._workspace.gather(u.coeffs, boxes[0])
+    return boxes
 
 
 def _increment(model: NoiseModel, dW: np.ndarray):
@@ -254,27 +248,43 @@ def _increment(model: NoiseModel, dW: np.ndarray):
             else 0.0)
 
 
-def _advance(state: SimState, dt: float, u_new: SpectralField,
-             model: NoiseModel, dW: np.ndarray) -> SimState:
-    """The state after one step: t += dt, W += its increment."""
-    return SimState(state.t + dt, u_new,
+def _advance(state: SimState, dt: float, box: np.ndarray,
+             model: NoiseModel, dW: np.ndarray,
+             project: bool = True) -> SimState:
+    """The state after a step whose new u has the kept box box: projected
+    as leray_project(dealiased=True) projects (if project), NonFinite on the
+    paths with a NaN or Inf, t += dt and W += its increment."""
+    g = state.u.grid
+    if project:
+        _project_box(g, box)
+    finite = np.isfinite(box.view(float)).all(axis=_trailing(g.dim + 1))
+    if not finite.all():
+        raise NonFinite("non-finite Fourier coefficient",
+                        rows=np.flatnonzero(~finite))
+    return SimState(state.t + dt, _field_of_box(g, box),
                     W_accum=state.W_accum + _increment(model, dW),
                     step_index=state.step_index + 1)
 
 
-def _transport(u: SpectralField, dt: float, u_phys: np.ndarray,
-               half: float = 0.0) -> SpectralField:
+def _transport(g: Grid, boxes: list[np.ndarray], dt: float,
+               u_phys: np.ndarray, half: float = 0.0) -> np.ndarray:
     """RK4 over tau in [0, dt] of w' = -exp(-half tau) P(w.grad w) from
-    w(0) = u; the first stage advects u's grid values u_phys."""
+    w(0) = u on boxes _boxes(u, 4): u's, k1 (the result), k2..k4 and the
+    stage inputs.  The first stage advects u's grid values u_phys."""
+    v, k1, k, stage_in = boxes
 
-    def rhs(tau, w, w_phys=None):
-        k = nonlinear_term(w, w_phys)
-        k *= -np.exp(-half * tau)
-        return k
+    def rhs(tau, w, w_phys=None, out=k):
+        nonlinear_term(SpectralField(g, w), w_phys, out=out)
+        out *= -np.exp(-half * tau)
+        return out
 
-    k1 = rhs(0.0, u, u_phys)
+    def stage(c, k_i):
+        np.multiply(k_i, c, out=stage_in)
+        return np.add(stage_in, v, out=stage_in)
+
+    rhs(0.0, v, u_phys, out=k1)
     del u_phys  # so a step holds no grid values past its first stage
-    return _rk4(u, dt, rhs, k1=k1, stage=_rk4_stage(u))
+    return _rk4(v, dt, rhs, k1=k1, stage=stage)
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +296,28 @@ def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
     """u+ = u - dt P(u.grad u) + P(sigma(u) dW), dealiased and re-projected.
     state.u must vanish outside the dealias mask, as every state does."""
     u = state.u
-    u_phys = _flux_values(state, dt, c_cfl, _lm_alpha(model))
-    drift = nonlinear_term(u, u_phys).coeffs
+    v, drift, noise = _boxes(u, 3)
+    nonlinear_term(SpectralField(u.grid, v),
+                   _flux_values(state, dt, c_cfl, _lm_alpha(model)),
+                   out=drift)
     drift *= dt
-    # in place, so a batch holds one array of its size here, not three
-    coeffs = np.subtract(u.coeffs, drift, out=drift)
+    box = np.subtract(v, drift, out=drift)
     if model.n_modes:
-        coeffs += apply_noise(model, u, dW).coeffs
-    return _advance(state, dt, _project(coeffs, u.grid), model, dW)
+        box += apply_noise(model, u, dW, out=noise)
+    return _advance(state, dt, box, model, dW)
 
 
 def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
              c_cfl: float = 0.5) -> SimState:
     """RK4 on the conservative drift, Euler-Maruyama coupling for the noise.
     state.u must vanish outside the dealias mask, as every state does."""
-    u_new = _transport(state.u, dt,
-                       _flux_values(state, dt, c_cfl, _lm_alpha(model)))
+    u = state.u
+    boxes = _boxes(u, 4)
+    box = _transport(u.grid, boxes, dt,
+                     _flux_values(state, dt, c_cfl, _lm_alpha(model)))
     if model.n_modes:
-        u_new += apply_noise(model, state.u, dW)
-    return _advance(state, dt, _project(u_new.coeffs, u_new.grid), model, dW)
+        box += apply_noise(model, u, dW, out=boxes[2])
+    return _advance(state, dt, box, model, dW)
 
 
 def step_transformed(state: SimState, dt: float, model: NoiseModel,
@@ -324,11 +337,11 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
     """
     alpha = _lm_alpha(model)
     half = 0.5 * alpha ** 2
-    u_new = _transport(state.u, dt, _flux_values(state, dt, c_cfl, 0.0),
-                       half)
-    u_new *= np.exp(alpha * _increment(model, dW) - half * dt)
-    _check_finite(u_new)
-    return _advance(state, dt, u_new, model, dW)
+    g = state.u.grid
+    box = _transport(g, _boxes(state.u, 4), dt,
+                     _flux_values(state, dt, c_cfl, 0.0), half)
+    box *= _rows(np.exp(alpha * _increment(model, dW) - half * dt), g.dim + 1)
+    return _advance(state, dt, box, model, dW, project=False)
 
 
 # ---------------------------------------------------------------------------

@@ -129,24 +129,33 @@ def zero_noise() -> NoiseModel:
     return NoiseModel(ADDITIVE, sigma_fields=())
 
 
-def apply_noise(model: NoiseModel, u: SpectralField,
-                dW: np.ndarray) -> SpectralField:
+def apply_noise(model: NoiseModel, u: SpectralField, dW: np.ndarray, *,
+                out: np.ndarray | None = None):
     """P(sum_k sigma_k(u) dW_k) for one step's increments.
 
     dW has shape (..., K): a batch of fields u (see spectral) takes one row
-    of K increments per path.
+    of K increments per path.  out, the steppers' form, is a box work
+    array of u's batch and components: the term's kept box is written there
+    and returned, and the linear-multiplicative kind makes nothing of a
+    field's size.
     """
     dW = np.atleast_1d(np.asarray(dW, dtype=float))
     if dW.shape[-1] != model.n_modes:
         raise ShapeMismatch(
             f"got {dW.shape[-1]} increments for {model.n_modes} noise modes")
     g = u.grid
+    ws = g._workspace
     ndim = g.dim + 1
     per_mode = np.moveaxis(dW, -1, 0)  # the K per-path increment arrays
 
     if model.kind == LINEAR_MULTIPLICATIVE:
-        return SpectralField(g, _rows(model.alpha * per_mode[0], ndim)
-                             * u.coeffs)
+        scale = _rows(model.alpha * per_mode[0], ndim)
+        if out is None:
+            return SpectralField(g, scale * u.coeffs)
+        return np.multiply(scale, ws.gather(u.coeffs, out), out=out)
+
+    if out is not None:
+        return ws.gather(apply_noise(model, u, dW).coeffs, out)
 
     if model.n_modes == 0:
         return SpectralField(g, np.zeros_like(u.coeffs))

@@ -34,8 +34,8 @@ fields.
 
 The workspace.  Each grid owns one ``_Workspace`` (``Grid._workspace``),
 which holds every large array of the advection kernel, of the sampled
-view, of _inverse and of the RK4 stage inputs, sized to the largest batch
-seen so far; a smaller batch uses the start of it.  The kernel, the view and
+view, of _inverse and of the steppers, sized to the largest batch seen so
+far; a smaller batch uses the start of it.  The kernel, the view and
 _inverse never run at once, so they share one real and one complex pool.
 What an operator returns is never a work array.  The workspace's
 transforms run the 1-D passes that scipy's rfftn and irfftn run, in their
@@ -55,14 +55,13 @@ The kept box.  The mask keeps a box of modes: on each full axis the runs
 0..c and n-c..n-1, on the half axis 0..c (21 * 21 * 11 of 32 * 32 * 17
 stored modes at 3D n = 32, 28%).  The workspace packs it into its own
 arrays by basic-slice block copies (4 blocks in 3D, 2 in 2D).  The
-advection kernel's sum i k_j T_ij runs there, and the kernel projects that
-box in place with the lines of leray_project(f, dealiased=True), which the
-steppers use on their new coefficients.  Each mode of the box sees the
-same operations in the same order on the same values as on the whole
-array, and dealias's multiply by the mask's True is kept as a multiply by
-True, so every mode inside the mask is the whole-array result bit for bit;
-every mode outside it is +0.0, where the mask's multiply by False left
-+-0.0 or, on a non-finite value, NaN.
+advection kernel is box in, box out, and the steppers gather u's box once
+per step, work on boxes and scatter once (see dynamics).  Each mode of the
+box sees the same operations in the same order on the same values as on
+the whole array, and dealias's multiply by the mask's True is kept as a
+multiply by True, so every mode inside the mask is the whole-array result
+bit for bit; every mode outside it is +0.0, where the mask's multiply by
+False left +-0.0 or, on a non-finite value, NaN.
 
 W^{m,2} norms (and L^2 norms and inner products) are Parseval sums over the
 half spectrum with a read-only weight cached per (dim, n, length, m), so
@@ -289,17 +288,19 @@ def _c2c(spectra: np.ndarray, axis: int, index: tuple,
 
 class _Workspace:
     """The work arrays of one grid: those of the advection kernel, of the
-    sampled view, of the RK4 stage inputs and of the projection on the kept
-    box, with the grid's pruned transforms and its box symbols.
+    sampled view, of the steppers and of the projection on the kept box,
+    with the grid's pruned transforms and its box symbols.
 
-    Four flat pools hold the arrays: grid values ("real"), half spectra
-    ("complex"), the stage inputs ("stage", half spectra as well, since
-    the kernel runs on them) and the kept box ("box").  The kernel, the
-    view and _inverse never run at once, so they share the first two.  A pool
+    Five flat pools hold the arrays: grid values ("real"), half spectra
+    ("complex"), boxes of the kernel and of leray_project ("box"), of
+    _project_box ("proj") and of the steppers ("step": u's box, k1, one k
+    at a time and the stage input, or nonlinear_term's box in and out).
+    The kernel, the view and _inverse never run at once, so they share the
+    first two, and nothing that a stepper calls carves from "step".  A pool
     is sized to the largest batch seen so far, and each call to arrays()
     carves its arrays from the start of the pools, so a batch whose paths
     retired touches less of them.  An array carved from a pool is valid
-    until the next call.
+    until the next call that carves from that pool.
 
     The kept box is the modes the dealias mask keeps, packed: on a full
     axis the runs 0..c and n-c..n-1 side by side, on the half axis 0..c.
@@ -324,20 +325,20 @@ class _Workspace:
         self._blocks = [((Ellipsis,) + src, (Ellipsis,) + dst)
                         for src, dst in zip(itertools.product(*runs),
                                             itertools.product(*packed))]
-        box_shape = tuple(axis_runs[-1].stop for axis_runs in packed)
+        self.box_shape = tuple(axis_runs[-1].stop for axis_runs in packed)
         pairs, curls = len(_FLUX_PAIRS[dim]), len(_CURL_PAIRS[dim])
         # per path: (dtype, grid shape, components), the components being
         # the most that the kernel (u, the flux entries and their spectra;
-        # in the box the flux spectra, div T, k div T and k.div T) or the
-        # view (the gradient stack and the curl) takes; the projection (the
-        # field, k u_hat and k.u_hat) takes less of the box than the kernel,
-        # and _inverse's copy of a field less of the complex pool
+        # in the box the flux spectra) or the view (the gradient stack and
+        # the curl) takes, or leray_project in the box; _inverse's copy of a
+        # field takes less of the complex pool
+        box = (complex, self.box_shape)
         self._layout = {
             "real": (float, grid.shape, max(dim + pairs, dim * dim + curls)),
             "complex": (complex, grid.spectral_shape,
                         max(dim + pairs, dim * dim)),
-            "stage": (complex, grid.spectral_shape, dim),
-            "box": (complex, box_shape, pairs + 2 * dim + 1),
+            "box": box + (max(pairs, dim),), "proj": box + (dim + 1,),
+            "step": box + (4 * dim,),
         }
         self._pools = {name: np.empty(0, dtype)
                        for name, (dtype, _, _) in self._layout.items()}
@@ -345,7 +346,7 @@ class _Workspace:
         # |k|^2 are stored as the complex values they are cast to when they
         # meet a complex field, which saves the cast and changes no bit
         self.k, self.ik, self.k_sq_safe = (
-            self.gather(a, np.empty(a.shape[:-dim] + box_shape, complex))
+            self.box(a).astype(complex)
             for a in (grid.k, grid.ik, grid.k_sq_safe))
         # the lines each c2c pass runs: pass a (axes -dim .. -2, in
         # scipy's order) needs, on every other full axis j that is still
@@ -378,16 +379,17 @@ class _Workspace:
             start[name] = end
         return out
 
-    def gather(self, spectra: np.ndarray, box: np.ndarray,
-               dealias: bool = False) -> np.ndarray:
+    def box(self, spectra: np.ndarray) -> np.ndarray:
+        """A new array holding the kept box of the half spectra."""
+        return self.gather(spectra, np.empty(
+            spectra.shape[:-len(self.box_shape)] + self.box_shape,
+            spectra.dtype))
+
+    def gather(self, spectra: np.ndarray, box: np.ndarray) -> np.ndarray:
         """Copy the modes of the half spectra that the dealias mask keeps
-        into box, and return box.  dealias multiplies them by the mask's
-        True instead, as dealias() does (it can turn a -0.0 part into
-        +0.0), so the box holds dealias(spectra)'s bits."""
+        into box, and return box."""
         for src, dst in self._blocks:
             box[dst] = spectra[src]
-        if dealias:
-            box *= True
         return box
 
     def scatter(self, box: np.ndarray, spectra: np.ndarray) -> None:
@@ -506,25 +508,28 @@ def leray_project(f: SpectralField, dealiased: bool = False) -> SpectralField:
         proj = g.k * np.expand_dims(kdotu, axis)
         return SpectralField(g, np.subtract(f.coeffs, proj, out=proj))
     ws = g._workspace
-    box, proj, kdotu = ws.arrays(f.coeffs.shape[:axis], ("box", g.dim),
-                                 ("box", g.dim), ("box", 1))
-    ws.gather(f.coeffs, box, dealias=True)
-    return _project_box(g, box, proj, kdotu)
+    box, = ws.arrays(f.coeffs.shape[:axis], ("box", g.dim))
+    return _field_of_box(g, _project_box(g, ws.gather(f.coeffs, box)))
 
 
-def _project_box(g: Grid, box: np.ndarray, proj: np.ndarray,
-                 kdotu: np.ndarray) -> SpectralField:
-    """The field whose kept box is box Leray-projected, +0.0 outside the
-    mask; box, a dealiased field's box, is projected in place, and proj and
-    kdotu are box work arrays of dim components and of one."""
+def _project_box(g: Grid, box: np.ndarray) -> np.ndarray:
+    """Leray-project box, the kept box of a field f, in place by the lines
+    of the general path, and return it.  It first multiplies box by the
+    mask's True, as dealias(f) does (it can turn a -0.0 part into +0.0)."""
     ws = g._workspace
     axis = -(g.dim + 1)
+    box *= True
+    proj, kdotu = ws.arrays(box.shape[:axis], ("proj", g.dim), ("proj", 1))
     np.sum(np.multiply(ws.k, box, out=proj), axis=axis, keepdims=True,
            out=kdotu)
     kdotu /= ws.k_sq_safe
-    np.subtract(box, np.multiply(ws.k, kdotu, out=proj), out=box)
+    return np.subtract(box, np.multiply(ws.k, kdotu, out=proj), out=box)
+
+
+def _field_of_box(g: Grid, box: np.ndarray) -> SpectralField:
+    """The new field whose kept box is box and which is +0.0 outside it."""
     out = np.zeros(box.shape[:-g.dim] + g.spectral_shape, dtype=complex)
-    ws.scatter(box, out)
+    g._workspace.scatter(box, out)
     return SpectralField(g, out)
 
 
@@ -533,8 +538,8 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask_complex)
 
 
-def nonlinear_term(u: SpectralField,
-                   u_phys: np.ndarray | None = None) -> SpectralField:
+def nonlinear_term(u: SpectralField, u_phys: np.ndarray | None = None, *,
+                   out: np.ndarray | None = None):
     """P(u . grad u) = P div(u (x) u), pseudo-spectral with 2/3-rule
     dealiasing; u must be divergence-free.  u_phys, when given, is
     dealias(u).to_physical(), which the term would otherwise compute.
@@ -545,38 +550,53 @@ def nonlinear_term(u: SpectralField,
     symmetric and T_dd = 0, so only its dim (dim + 1) / 2 - 1 entries of
     _FLUX_PAIRS are transformed, and (div T)_i = sum_j i k_j T_ij; for
     divergence-free u, div(u (x) u) = u.grad u.  The sum and the projection
-    run on the kept box alone, and every mode outside the mask is +0.0.
-    Every array but the projected result is a work array of the grid's
-    workspace.
+    run on the kept box alone (_nonlinear_box), and every mode outside the
+    mask is +0.0.  out, the steppers' form, is a box array: u.coeffs is then
+    u's kept box, and the term's box is written to out and returned.
     """
     g = u.grid
+    if out is not None:
+        return _nonlinear_box(g, u.coeffs, u_phys, out)
+    ws = g._workspace
+    box, term = ws.arrays(u.coeffs.shape[:-(g.dim + 1)], ("step", g.dim),
+                          ("step", g.dim))
+    if u_phys is None:
+        ws.gather(u.coeffs, box)
+    return _field_of_box(g, _nonlinear_box(g, box, u_phys, term))
+
+
+def _nonlinear_box(g: Grid, box: np.ndarray, values: np.ndarray | None,
+                   out: np.ndarray) -> np.ndarray:
+    """nonlinear_term's core: P(u.grad u)'s kept box into out, returned,
+    from u's grid values, or else from u's box, which is multiplied by True
+    in place as dealias(u) is.  The other arrays are workspace arrays."""
     axis = -(g.dim + 1)
     pairs = _FLUX_PAIRS[g.dim]
     ws = g._workspace
-    # the products come first, so a term given u_phys touches no more of
-    # the real pool than the view does
-    spectra, t_hat, products, values, t_box, div_box, proj, kdotu = (
-        ws.arrays(u.coeffs.shape[:axis], ("complex", g.dim),
-                  ("complex", len(pairs)), ("real", len(pairs)),
-                  ("real", g.dim), ("box", len(pairs)), ("box", g.dim),
-                  ("box", g.dim), ("box", 1)))
-    if u_phys is None:
-        np.multiply(u.coeffs, g.dealias_mask_complex, out=spectra)
-        ws.inverse(spectra, values, pruned=True)
-        u_phys = values
-    comps = _components(u_phys, g.dim)
+    # the products come first, so a term given its values touches no more
+    # of the real pool than the view does
+    spectra, t_hat, products, u_phys, t_box = ws.arrays(
+        out.shape[:axis], ("complex", g.dim), ("complex", len(pairs)),
+        ("real", len(pairs)), ("real", g.dim), ("box", len(pairs)))
+    if values is None:
+        box *= True
+        spectra[...] = 0.0
+        ws.scatter(box, spectra)
+        ws.inverse(spectra, u_phys, pruned=True)
+        values = u_phys
+    comps = _components(values, g.dim)
     flux = _components(products, g.dim)
     # u_d^2 waits in the slot of the last pair, which is off-diagonal and
     # written last
     np.multiply(comps[-1], comps[-1], out=flux[-1])
-    for out, (i, j) in zip(flux, pairs):
-        np.multiply(comps[i], comps[j], out=out)
+    for slot, (i, j) in zip(flux, pairs):
+        np.multiply(comps[i], comps[j], out=slot)
         if i == j:
-            out -= flux[-1]
+            slot -= flux[-1]
     ws.forward(products, t_hat, pruned=True)
     ws.gather(t_hat, t_box)
-    div_box[...] = 0.0
-    div_comps = _components(div_box, g.dim)
+    out[...] = 0.0
+    div_comps = _components(out, g.dim)
     # each i k_j T_ij is formed in T_ij's own slot; pair (0, 0) comes first,
     # so its slot is free to hold the first of an off-diagonal pair's two
     t_comps = _components(t_box, g.dim)
@@ -584,10 +604,7 @@ def nonlinear_term(u: SpectralField,
         if i != j:
             div_comps[i] += np.multiply(ws.ik[j], t, out=t_comps[0])
         div_comps[j] += np.multiply(ws.ik[i], t, out=t)
-    # the multiply by True that gather(dealias=True) applies, so the box
-    # holds the bits leray_project(dealiased=True) would project
-    div_box *= True
-    return _project_box(g, div_box, proj, kdotu)
+    return _project_box(g, out)
 
 
 def curl(u: SpectralField) -> SpectralField:
@@ -599,22 +616,6 @@ def curl(u: SpectralField) -> SpectralField:
     return SpectralField(g, np.stack(
         [g.ik[a] * comps[b] - g.ik[b] * comps[a]
          for a, b in _CURL_PAIRS[g.dim]], axis=axis))
-
-
-def _rk4_stage(v: SpectralField):
-    """stage(c, k) for analysis._rk4: the stage input v + c k, formed in
-    place in the grid workspace's stage buffer."""
-    g = v.grid
-    buf, = g._workspace.arrays(v.coeffs.shape[:-(g.dim + 1)],
-                               ("stage", v.coeffs.shape[-(g.dim + 1)]))
-    field = SpectralField(g, buf)
-
-    def stage(c, k: SpectralField) -> SpectralField:
-        np.multiply(k.coeffs, c, out=buf)
-        np.add(buf, v.coeffs, out=buf)
-        return field
-
-    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -872,12 +873,18 @@ FIELD_REGISTRY = {
 
 def make_initial_field(grid: Grid, name: str, amplitude: float = 1.0,
                        seed: int = 0) -> SpectralField:
-    """Build a named initial condition; 'random' uses the given seed."""
+    """Build a named initial condition; 'random' uses the given seed.  A
+    field whose L^2 norm overflows is a ValueError."""
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
-    if name == "random":
-        rng = np.random.default_rng(seed)
-        return random_divergence_free(grid, rng, amplitude=amplitude)
-    if name not in FIELD_REGISTRY:
+    if name not in FIELD_REGISTRY and name != "random":
         raise KeyError(f"unknown initial field '{name}'")
-    return FIELD_REGISTRY[name](grid, amplitude)
+    u = (random_divergence_free(grid, np.random.default_rng(seed),
+                                amplitude=amplitude) if name == "random"
+         else FIELD_REGISTRY[name](grid, amplitude))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = l2_norm(u)
+    if not np.isfinite(norm):
+        raise ValueError(f"the field's L^2 norm overflows at amplitude "
+                         f"{amplitude}")
+    return u

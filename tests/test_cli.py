@@ -1,6 +1,7 @@
 """CLI exit codes, subcommands, and config-file plumbing."""
 
 import csv
+import hashlib
 import json
 import os
 import pathlib
@@ -184,6 +185,116 @@ def test_ensemble_subcommand_persists_summary(tmp_path, capsys):
     payload = json.loads((out_dir / "summary.json").read_text())
     assert payload["n_paths"] == 20
     assert payload["analytic_bound"] == pytest.approx(0.5)
+
+
+# sha256 of the outputs at commit 65a1c8a, whose steppers ran on whole half
+# spectra (numpy 2.4, scipy 1.17): the kept-box steppers must give the same
+# bytes.  A random field of seed 3, 10 steps of dt = 0.005.
+DIGEST_RUN = {
+    "grid": {"dim": 2, "n": 16},
+    "initial": {"name": "random", "amplitude": 0.5, "seed": 3},
+    "integrator": {"kind": "em", "T": 0.05, "dt": 0.005},
+}
+DIGEST_NOISE = {
+    "none": {"kind": "none"},
+    "linear_multiplicative": {"kind": "linear_multiplicative", "alpha": 1.0,
+                              "seed": 4},
+    "additive": {"kind": "additive", "k_modes": 2, "seed": 4},
+}
+RUN_DIGESTS = {
+    (2, "em", "none"):
+        "cfa95b338dfdce3b9d4e6c12dc137e177dd64b009c7627c4b53cdd01e316be9a",
+    (2, "em", "linear_multiplicative"):
+        "f5f8151d3e01038be573d03ba97b41466dcc5f77828ff8d63beae3ceb578ead7",
+    (2, "em", "additive"):
+        "44f39dd770636e719b5db23c0331e46c3b1390cc3de4c4651c28e13c0aabb8f4",
+    (2, "rk4", "none"):
+        "fb253e0ba669f2ed5e1edba1490eeb5cbd326177eef138da4c6db8f392ee8a2f",
+    (2, "rk4", "linear_multiplicative"):
+        "4057ac424f9919e6a9c48b7e1380e446d3bf68db5a529ae43e2f8ff0e36e7e3c",
+    (2, "rk4", "additive"):
+        "29f0fbf0845c38686a8b01493d92862ed555a4be40fa365f200b92a3b5024358",
+    (2, "transformed", "linear_multiplicative"):
+        "14b57a1bebeb8e9f990a0ebd153165d353b1e48a58d0613d003b63d53c37874d",
+    (3, "em", "none"):
+        "4eacbb02d23df06e29c557ef4b3c648cd43c18ffc629b04a89214d5da17af3ba",
+    (3, "em", "linear_multiplicative"):
+        "560194413256b6a746d6cf907e77614c121477345eee4db02bb3921e093fabe1",
+    (3, "em", "additive"):
+        "179f31636f335a5d6ba4ee8599dffde552ce38cdc1c99a44f8c32b88b14038fb",
+    (3, "rk4", "none"):
+        "9bf6fad04a1e20cc3b7c0237926c1112c26d40695efb1f674f5c42e7236be0e2",
+    (3, "rk4", "linear_multiplicative"):
+        "5ba70313585d6e48112ffa3767d91087616acab3ae401a45c4c42beee155faba",
+    (3, "rk4", "additive"):
+        "c5197946f81196efa0cb6928faf566ce2545e5b90739e760c878f331ffed86b5",
+    (3, "transformed", "linear_multiplicative"):
+        "adad61b35147e62ef6250d2237dcf6293611fe7c06344f9e32d0b54b4e6f9be4",
+}
+# 4 paths of an em ensemble, 3 of which hit the gbm level mid-run
+ENSEMBLE_DIGESTS = {
+    "paths/0.csv":
+        "c23b56ef0d07fe21b62f7b068c1d4cd988b261b6e4f453054eff861f4074ef01",
+    "paths/1.csv":
+        "a4ce53d738377d9e9e6b513f505ecda7e48ffb0b05a28f3ffa547a2de596bcd2",
+    "paths/2.csv":
+        "ed739e82309ab4d9a32f0039069dc5d92b124bbb392820edcd3b8a8f64b7f9c7",
+    "paths/3.csv":
+        "03a058da3be4d07180db06af0beee32120404f3c59e084c0e024b7ff8e7d7fd4",
+    "summary.json":
+        "41847ab6fde4374663ec6bff91223b720525364bd98c0a02c6b85baff9c70269",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("dim, kind, noise_kind", list(RUN_DIGESTS))
+def test_run_csv_is_byte_identical_to_the_whole_array_steppers(
+        tmp_path, capsys, dim, kind, noise_kind):
+    doc = dict(DIGEST_RUN, grid={"dim": dim, "n": {2: 16, 3: 8}[dim]},
+               noise=DIGEST_NOISE[noise_kind],
+               integrator=dict(DIGEST_RUN["integrator"], kind=kind))
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", _write_yaml(tmp_path, doc),
+                     "--out", str(out), "--quiet"]) == cli.EXIT_OK
+    assert _sha256(out) == RUN_DIGESTS[dim, kind, noise_kind]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_ensemble_is_byte_identical_to_the_whole_array_steppers(
+        tmp_path, capsys, width):
+    doc = dict(DIGEST_RUN, noise=DIGEST_NOISE["linear_multiplicative"],
+               ensemble={"n_paths": 4, "master_seed": 7,
+                         "parallel_width": width},
+               stopping=[{"kind": "gbm_level", "level": 1.05}])
+    out_dir = tmp_path / "out"
+    assert cli.main(["ensemble", "--config", _write_yaml(tmp_path, doc),
+                     "--out", str(out_dir), "--quiet"]) == cli.EXIT_OK
+    files = sorted(p for p in out_dir.rglob("*") if p.is_file())
+    assert {p.relative_to(out_dir).as_posix(): _sha256(p)
+            for p in files} == ENSEMBLE_DIGESTS
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+@pytest.mark.parametrize("name", ["random", "taylor_green"])
+def test_initial_field_whose_l2_norm_overflows_exits_usage(
+        tmp_path, capsys, command, name):
+    # finite coefficients whose L^2 norm overflows: a run sampled l2 = inf,
+    # printed numpy overflow warnings and exited 0 with blow_up=True at
+    # T_final=0
+    doc = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", _write_yaml(tmp_path, doc),
+                     "--out", str(out), "--set", "grid.n=16",
+                     "--set", f"initial={{name: {name}, amplitude: 1e200}}"])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: initial: the field's L^2 norm "
+                            "overflows at amplitude 1e+200\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_run_rejects_unwired_integrator_kind(tmp_path, capsys):

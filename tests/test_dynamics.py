@@ -311,14 +311,17 @@ def test_transformed_step_result_survives_a_later_step():
     assert np.array_equal(a.u.coeffs, kept)
 
 
-# A warmed-up step allocates k1 (which becomes the new state), one k at a
-# time beside it, and leray_project's two temporaries: about 3 fields of
-# the batch's size, against about 9 before the workspace.  One more field-
-# sized temporary per step breaks the budget.
-STEP_ALLOCATION_FIELDS = 4.0
+# A warmed-up step runs on box arrays of the grid's workspace and allocates
+# its result, one field, and, when no sample made them, u's grid values
+# (8/9 of a field at 3D n = 16) with _sup_magnitude's two one-component
+# squares beside them: 1.48 fields, 1.54 measured for every stepper at this
+# batch of 3.  The bound leaves a margin of a quarter field; one more
+# field-size temporary per step breaks it.  The whole-array steppers took
+# 2.0 (transformed), 2.3 (rk4) and 3.2 (em) fields here.
+STEP_ALLOCATION_FIELDS = 1.8
 
 
-def test_transformed_step_allocates_few_field_sizes():
+def _check_step_allocation(step):
     g = _grid(16, 3)
     u0 = sp.make_initial_field(g, "random", 0.5, seed=2)
     batch = 3
@@ -327,14 +330,82 @@ def test_transformed_step_allocates_few_field_sizes():
         W_accum=np.zeros(batch))
     model = _lin_mult(alpha=1.0)
     dW = np.full((batch, 1), 0.01)
-    state = dyn.step_transformed(state, 5e-3, model, dW)  # sizes the pools
+    state = step(state, 5e-3, model, dW)  # sizes the pools
     tracemalloc.start()
     try:
-        dyn.step_transformed(state, 5e-3, model, dW)
+        step(state, 5e-3, model, dW)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= STEP_ALLOCATION_FIELDS * state.u.coeffs.nbytes
+
+
+def test_transformed_step_allocates_few_field_sizes():
+    _check_step_allocation(dyn.step_transformed)
+
+
+@pytest.mark.parametrize("step", [dyn.step_em, dyn.step_rk4])
+def test_em_and_rk4_steps_allocate_few_field_sizes(step):
+    _check_step_allocation(step)
+
+
+def _whole_array_step(kind, u, dt, model, dW):
+    """One step of one path the whole-array way the steppers took before
+    they ran on the kept box: nonlinear_term, the noise term and the
+    re-projection leray_project(dealiased=True) on whole half spectra, and
+    RK4 with the stage input v + c k."""
+    alpha = model.alpha if kind == dyn.TRANSFORMED else 0.0
+    half = 0.5 * alpha ** 2
+    if kind == dyn.EM:
+        drift = sp.nonlinear_term(u).coeffs
+        drift *= dt
+        u_new = sp.SpectralField(u.grid, u.coeffs - drift)
+    else:
+        def rhs(tau, w):
+            k = sp.nonlinear_term(w)
+            k *= -np.exp(-half * tau)
+            return k
+
+        u_new = dyn._rk4(u, dt, rhs)
+    if kind == dyn.TRANSFORMED:
+        u_new *= np.exp(alpha * dW[0] - half * dt)
+        return u_new
+    u_new += noise.apply_noise(model, u, dW)
+    return sp.leray_project(u_new, dealiased=True)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("kind, noise_kind", [
+    (dyn.EM, noise.LINEAR_MULTIPLICATIVE), (dyn.EM, noise.ADDITIVE),
+    (dyn.EM, noise.NEMYTSKII), (dyn.EM, noise.FUNCTIONAL),
+    (dyn.RK4, noise.ADDITIVE), (dyn.RK4, noise.LINEAR_MULTIPLICATIVE),
+    (dyn.RK4, noise.NEMYTSKII), (dyn.RK4, noise.FUNCTIONAL),
+    (dyn.TRANSFORMED, noise.LINEAR_MULTIPLICATIVE)])
+def test_box_steps_equal_the_whole_array_steps(kind, noise_kind, dim, n):
+    # a batch of 3 in which path 1 leaves after step 3: every state of
+    # every path is bit for bit the whole-array step of that path alone
+    g = _grid(n, dim)
+    model = (_lin_mult(alpha=1.0) if noise_kind == noise.LINEAR_MULTIPLICATIVE
+             else noise.NoiseModel(
+                 noise_kind, g_tag="square",
+                 sigma_fields=noise.spectrum_sigma_fields(g, 2, 2.0, seed=5),
+                 profiles=noise.spectrum_sigma_fields(g, 2, 2.0, seed=6)))
+    u0 = [sp.make_initial_field(g, "random", 0.5, seed=s) for s in (1, 2, 3)]
+    driver = noise.BrownianDriver(9, model.n_modes)
+    dt, rows = 5e-3, [0, 1, 2]
+    state = dyn.SimState(0.0, sp.SpectralField(
+        g, np.stack([u.coeffs for u in u0])), W_accum=np.zeros(3))
+    solo = list(u0)
+    step = getattr(dyn, f"step_{kind}")
+    for k in range(8):
+        if k == 3:
+            rows = [0, 2]
+            state = dyn._keep(state, np.array([True, False, True]))
+        dW = np.stack([driver.sample_increments(i, k, dt) for i in rows])
+        state = step(state, dt, model, dW)
+        for r, i in enumerate(rows):
+            solo[i] = _whole_array_step(kind, solo[i], dt, model, dW[r])
+            assert np.array_equal(state.u.coeffs[r], solo[i].coeffs), (k, i)
 
 
 def _v_form_step(v, gamma, W, dt, alpha, dW):
@@ -436,9 +507,9 @@ def test_transformed_first_stage_reuses_the_sampled_values(dim, n,
     seen = []
     real = dyn.nonlinear_term
 
-    def recording(w, w_phys=None):
+    def recording(w, w_phys=None, **box_form):
         seen.append(w_phys)
-        return real(w, w_phys)
+        return real(w, w_phys, **box_form)
 
     monkeypatch.setattr(dyn, "nonlinear_term", recording)
     a = dyn.step_transformed(sampled, 5e-3, model, dW)

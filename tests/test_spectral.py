@@ -529,6 +529,28 @@ def test_nonlinear_term_transforms_one_entry_per_flux_pair(dim, n,
     assert counts == [len(sp._FLUX_PAIRS[dim])] == [{2: 2, 3: 5}[dim]]
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 16)])
+def test_nonlinear_term_box_form_is_the_box_of_the_field_form(dim, n, lead):
+    # the steppers' form takes u's kept box and writes the term's box into
+    # their own array: the bits of the field form's box, from u's box or
+    # from u's grid values, and nothing of the field's size is returned
+    g = sp.Grid(dim, n)
+    ws = g._workspace
+    fields = [sp.dealias(_random_field(g, seed)).coeffs for seed in range(3)]
+    u = sp.SpectralField(g, np.stack(fields).reshape(
+        lead + fields[0].shape) if lead else fields[0])
+    term = sp.nonlinear_term(u)
+    assert not np.any(term.coeffs[..., ~g.dealias_mask])
+    want = ws.box(term.coeffs)
+    for u_phys in (None, sp._inverse(u.coeffs, g, pruned=True)):
+        out = np.empty_like(want)
+        got = sp.nonlinear_term(sp.SpectralField(g, ws.box(u.coeffs)), u_phys,
+                                out=out)
+        assert got is out
+        assert np.array_equal(_bits(out), _bits(want))
+
+
 def _bits(a):
     """The IEEE bits of a complex array, one pair of words per entry."""
     return a.view(np.uint64)
