@@ -257,6 +257,9 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
     a2 = squared_alpha(alpha)
     if not Cbar >= 1:
         raise InvalidParams(f"Cbar must be >= 1, got {Cbar}")
+    if np.inf in (R, Cbar):
+        raise InvalidParams(f"R and Cbar must be finite, got R={R}, "
+                            f"Cbar={Cbar}")
     log_DR = 4.0 * Cbar * R
     DR = float(np.exp(min(log_DR, 700.0))) if log_DR <= 700.0 else np.inf
     power = 1.0 if not np.isfinite(DR) else 1.0 - 1.0 / (8.0 * (DR - 1.0))
@@ -338,6 +341,10 @@ class OdeLemmaParams:
     log_y0: float | None = None  # overrides y0 when it underflows
 
     def __post_init__(self):
+        if not np.isfinite([self.R, self.alpha, self.Cbar]).all():
+            raise InvalidParams(f"R, alpha and Cbar must be finite, got "
+                                f"R={self.R}, alpha={self.alpha}, "
+                                f"Cbar={self.Cbar}")
         if self.R < 1 or self.alpha == 0 or self.Cbar < 1:
             raise InvalidParams("need R >= 1, alpha != 0, Cbar >= 1")
         if self.log_y0 is None and self.y0 <= 0:

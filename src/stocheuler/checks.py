@@ -3,8 +3,10 @@
 These run the quantitative experiments that the package exists to exhibit:
 the exponential-martingale transform equivalence under time refinement, the
 transformed 2D vorticity decay, the numeric smoothing-operator properties
-and deterministic conservation, each PDE check on the dynamics steppers,
-whose states hold u: a check that needs v = gamma u forms it.
+and deterministic conservation.  Each PDE check runs one path through the
+trajectory driver, dynamics.integrate_trajectory, on increments of its own
+(_run), and reads the path's samples and last state u: a check that needs
+v = gamma u forms it.
 """
 
 from __future__ import annotations
@@ -14,27 +16,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _step_ratio, n_time_steps
-from .dynamics import SimState, step_em, step_rk4, step_transformed
-from .errors import InvalidParams
+from .dynamics import (EM, RK4, TRANSFORMED, TrajectoryConfig,
+                       TrajectoryDiagnostics, integrate_trajectory)
+from .errors import InvalidParams, NonFinite
 from .noise import LINEAR_MULTIPLICATIVE, NoiseModel, zero_noise
-from .spectral import (Grid, NormRequest, SpectralField, curl, l2_norm,
-                       lp_norm, mollify, random_divergence_free, sobolev_norm,
-                       taylor_green)
+from .spectral import (Grid, NormRequest, curl, l2_norm, lp_norm, mollify,
+                       random_divergence_free, sobolev_norm, taylor_green)
+
+
+def _run(increments: np.ndarray, **cfg) -> TrajectoryDiagnostics:
+    """One path of TrajectoryConfig(**cfg), sampled at 0 and T unless cfg
+    says otherwise, on the increments (steps, K); a path that blows up or
+    fails raises, as its stepper did."""
+    cfg.setdefault("sample_every", len(increments))
+    diag, = integrate_trajectory(TrajectoryConfig(**cfg), (0,),
+                                 increments[None])
+    if diag.failure is not None:
+        raise diag.failure
+    if diag.blow_up_flag:
+        raise NonFinite(f"the path blew up at t={diag.final_time}")
+    return diag
 
 
 # ---------------------------------------------------------------------------
 # Transform equivalence under refinement
-
-
-def _path(step, u0: SpectralField, dt: float, increments: np.ndarray,
-          alpha: float) -> SpectralField:
-    """The final u of a stepper run over the given scalar increments of the
-    linear-multiplicative noise alpha u dW."""
-    model = NoiseModel(LINEAR_MULTIPLICATIVE, alpha=alpha)
-    state = SimState(0.0, u0)
-    for dW in increments:
-        state = step(state, dt, model, np.array([dW]))
-    return state.u
 
 
 @dataclass
@@ -68,6 +73,8 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
         raise InvalidParams(str(exc)) from None
     if len(dts) < 2 or not all(0 < x < np.inf for x in (T, *dts)):
         raise InvalidParams("need T > 0 and at least two dts > 0, all finite")
+    if not np.isfinite(alpha):
+        raise InvalidParams(f"alpha must be finite, got {alpha}")
     dt_fine = min(dts)
     if (ratio := _step_ratio(T, dt_fine)) > MAX_FINE_STEPS:
         raise InvalidParams(f"T={T} / dt={dt_fine} is {ratio:.3g} fine "
@@ -80,13 +87,15 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
         raise InvalidParams(f"every dt in {list(dts)} must be a whole "
                             f"multiple of the finest dt and divide T={T}")
     u0 = taylor_green(grid)
+    model = NoiseModel(LINEAR_MULTIPLICATIVE, alpha=alpha)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     fine = np.sqrt(dt_fine) * gen.standard_normal(n_fine)
     errors = []
     for dt, ratio in zip(dts, steps):
-        incr = fine.reshape(-1, ratio).sum(axis=1)
-        errors.append(l2_norm(_path(step_em, u0, dt, incr, alpha)
-                              - _path(step_transformed, u0, dt, incr, alpha)))
+        incr = fine.reshape(-1, ratio, 1).sum(axis=1)
+        em, tr = (_run(incr, u0=u0, model=model, T=T, dt=dt,
+                       integrator=kind).final_u for kind in (EM, TRANSFORMED))
+        errors.append(l2_norm(em - tr))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     return TransformCheckResult(list(dts), errors, ratios)
 
@@ -118,23 +127,16 @@ def vorticity_decay_check(n: int = 128, alpha: float = 2.0, T: float = 1.0,
     grid = Grid(2, n)
     rng = np.random.default_rng(seed)
     u0 = taylor_green(grid) + perturbation * random_divergence_free(grid, rng)
-    w0_inf = lp_norm(curl(u0), np.inf)
-    n_steps = n_time_steps(T, dt)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dW = np.sqrt(dt) * gen.standard_normal((n_steps, 1))
+    dW = np.sqrt(dt) * gen.standard_normal((n_time_steps(T, dt), 1))
     model = NoiseModel(LINEAR_MULTIPLICATIVE, alpha=alpha)
-    state = SimState(0.0, u0)
-    times, sup_w, env = [0.0], [w0_inf], [w0_inf]
-    for i in range(n_steps):
-        state = step_transformed(state, dt, model, dW[i])
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            t = (i + 1) * dt
-            times.append(t)
-            gamma = float(np.exp(-alpha * state.W_accum))
-            sup_w.append(gamma * lp_norm(curl(state.u), np.inf))
-            env.append(w0_inf * float(np.exp(-alpha ** 2 * t / 2.0)))
+    diag = _run(dW, u0=u0, model=model, T=T, dt=dt, integrator=TRANSFORMED,
+                sample_every=sample_every)
+    sup_w = [g * w for g, w in zip(diag.gamma, diag.curl_inf)]
+    env = [sup_w[0] * float(np.exp(-alpha ** 2 * t / 2.0))
+           for t in diag.times]
     excess = max(s / e for s, e in zip(sup_w, env))
-    return VorticityDecayResult(times, sup_w, env, excess)
+    return VorticityDecayResult(diag.times, sup_w, env, excess)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +212,8 @@ def conservation_check(n: int = 64, T: float = 1.0, dt: float = 5e-3,
 
     e0 = l2_norm(u) ** 2
     w4_0 = lp_norm(curl(u), 4.0)
-    state, model = SimState(0.0, u), zero_noise()
-    for _ in range(n_time_steps(T, dt)):
-        state = step_rk4(state, dt, model, np.zeros(0))
-    u = state.u
+    u = _run(np.zeros((n_time_steps(T, dt), 0)), u0=u, model=zero_noise(),
+             T=T, dt=dt, integrator=RK4).final_u
     e1 = l2_norm(u) ** 2
     w4_1 = lp_norm(curl(u), 4.0)
     return ConservationResult(abs(e1 - e0) / e0, abs(w4_1 - w4_0) / w4_0)

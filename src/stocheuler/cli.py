@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation/usage error (including a time step over
 the CFL limit), 2 scientific failure (a checked inequality failed at the
-requested parameters, a run outside the trajectory driver went non-finite,
-or the ode-bound integration could not meet its step-doubling tolerance).
+requested parameters, a check's path went non-finite or blew up, or the
+ode-bound integration could not meet its step-doubling tolerance).
 A raised error (config, parameters, CFL, non-finite, stiffness) is one
 stderr line and writes no --out file.  A PDE ensemble in which every path
 failed exits as its most common failure would: 1 for a CFL violation, else
@@ -70,7 +70,7 @@ def cmd_ensemble(args) -> int:
         apply_overrides(doc, [f"ensemble.master_seed={args.seed}"])
     cfg = build_ensemble_config(doc, output_dir=args.out)
     out_dir = cfg.output_dir
-    sweep = build_sweep(doc)
+    sweep = build_sweep(doc, cfg.trajectory)
     summary = run_ensemble(cfg)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

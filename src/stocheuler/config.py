@@ -277,16 +277,13 @@ def build_ensemble_config(doc: dict, output_dir: str | None = None
                  surrogate=surrogate, **ens)
 
 
-def build_sweep(doc: dict) -> dict | None:
+def build_sweep(doc: dict, trajectory: TrajectoryConfig | None
+                ) -> dict | None:
     """The keyword arguments of survival_vs_alpha_sweep from the 'sweep'
-    section, checked before any path runs; None without that section."""
+    section, checked against the ensemble's trajectory config (None for a
+    surrogate) before any path runs; None without that section."""
     if "sweep" not in doc:
         return None
     args = _section(doc, "sweep", scaling="data_scaling")
-    if "surrogate" in doc:
-        raise ConfigError("sweep: needs a trajectory config, not a surrogate")
-    if (kind := _section(doc, "noise")["kind"]) != LINEAR_MULTIPLICATIVE:
-        raise ConfigError(f"sweep: needs {LINEAR_MULTIPLICATIVE} noise, "
-                          f"not '{kind}', whose runs have no alpha to vary")
-    _call("sweep", check_sweep_args, **args)
+    _call("sweep", check_sweep_args, trajectory, **args)
     return args

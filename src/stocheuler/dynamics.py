@@ -4,8 +4,8 @@ Each integrator kind in INTEGRATORS has a stepper step_<kind> with one
 contract: step_<kind>(state, dt, model, dW, c_cfl=0.5) -> SimState maps a
 state holding the velocity u to one holding u, given the step's Wiener
 increments dW (the trajectory driver samples them from
-BrownianDriver(cfg.noise_seed, cfg.model.n_modes); the checks pass their
-own), or raises CflViolation over the CFL limit.  v = gamma u lives only
+BrownianDriver(cfg.noise_seed, cfg.model.n_modes) unless it is given them),
+or raises CflViolation over the CFL limit.  v = gamma u lives only
 inside step_transformed's step; gamma = exp(-alpha W) is formed where reported.
 
 Batch axis: a SimState may hold a batch of paths, u of shape
@@ -13,14 +13,13 @@ Batch axis: a SimState may hold a batch of paths, u of shape
 t and step_index shared.  Every stepper acts on each path alone (see
 spectral), so a path's numbers do not depend on the batch it runs in.
 A CflViolation or NonFinite raised on a batch names its rows (exc.rows).
-The checks step one unbatched path, u of shape (dim,) + spectral_shape.
 
-integrate_trajectory(cfg, trajectory_ids) is the one trajectory driver: it
-steps all the ids as one batch and drops a path from it when the path hits
-a stopping rule, blows up or fails, as gbm_exit_mc drops paths that hit.
+integrate_trajectory(cfg, trajectory_ids) is the one loop that steps a
+path (run, ensemble and the checks): it steps all the ids as one batch and
+drops a path from it when the path hits a stopping rule, blows up or fails.
 It draws the batch's increments one Wiener block at a time (noise), one
-sample_increments call per path and block, and drops a path's rows of the
-block with its state.
+sample_increments call per path and block, or takes them all from the
+checks' increments, and drops a path's rows of the block with its state.
 
 A TrajectoryConfig states each run parameter once: the linear-multiplicative
 coefficient alpha (noise, gamma = exp(-alpha W), the damping alpha^2/2 and the
@@ -58,7 +57,8 @@ from dataclasses import KW_ONLY, dataclass, field
 import numpy as np
 
 from .analysis import _rk4, n_time_steps
-from .errors import CflViolation, InvalidParams, NonFinite, StochEulerError
+from .errors import (CflViolation, InvalidParams, NonFinite, ShapeMismatch,
+                     StochEulerError)
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise, block_steps)
 from .spectral import (Grid, NormRequest, SpectralField, _field_of_box,
@@ -139,6 +139,7 @@ class TrajectoryDiagnostics:
     blow_up_flag: bool = False
     final_time: float = 0.0
     failure: Exception | None = None  # what ended a failed path; not in CSV
+    final_u: SpectralField | None = None  # the path's last state; not in CSV
 
     COLUMNS = ("t", "l2", "wmp", "w1inf", "curl_inf", "gamma")
 
@@ -172,7 +173,9 @@ class TrajectoryConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise InvalidParams(f"dt must be positive, got {self.dt}")
-        if not self.T <= 0:  # T <= 0 is an empty run; NaN is checked
+        if self.T < 0:
+            raise InvalidParams(f"T must be non-negative, got {self.T}")
+        if self.T != 0:  # T = 0 is an empty run; NaN is checked
             n_time_steps(self.T, self.dt)
         if not self.c_cfl > 0:
             raise InvalidParams(f"c_cfl must be positive, got {self.c_cfl}")
@@ -198,12 +201,13 @@ def cfl_limit(u: SpectralField, c_cfl: float = 0.5, alpha: float = 0.0,
               umax: np.ndarray | None = None):
     """Advective CFL bound c_cfl dx / max|u| per path, capped at
     (0.1/alpha)^2 for a nonzero alpha (em and rk4 under linear-multiplicative
-    noise).  umax, when given, is max|u| over the grid: no transform."""
+    noise), a cap that is +inf where it overflows.  umax, when given, is
+    max|u| over the grid: no transform."""
     umax = np.asarray(lp_norm(u, np.inf) if umax is None else umax)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         limit = np.where(umax == 0, np.inf, c_cfl * u.grid.dx / umax)
-    if alpha != 0.0:
-        limit = np.minimum(limit, (0.1 / abs(alpha)) ** 2)
+        if alpha != 0.0:
+            limit = np.minimum(limit, np.float64(0.1 / abs(alpha)) ** 2)
     return _per_path(limit)
 
 
@@ -372,21 +376,30 @@ def _keep(state: SimState, keep: np.ndarray) -> SimState:
                     values=values, u_max=u_max)
 
 
-def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
+def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
+                         increments: np.ndarray | None = None
                          ) -> list[TrajectoryDiagnostics]:
     """Run the paths trajectory_ids as one batch, each to T, its first
     stopping hit, numerical blow-up or failure; one diagnostics per id.
 
     A path's noise is keyed by (cfg.noise_seed, its id) alone, and every
     operator acts on each path alone, so its diagnostics are bit for bit
-    those of a batch of one.  A path leaves the batch when it stops.  A
-    step that raises a CflViolation or NonFinite naming rows is run again
-    without them; a NonFinite path is a blow-up, any other error ends the
-    paths it names (all, if it names none) with diag.failure set.
+    those of a batch of one; increments (ids, steps, K), if given, are the
+    paths' increments instead.  A path leaves the batch when it stops, with
+    its last state in diag.final_u.  A step that raises a CflViolation or
+    NonFinite naming rows is run again without them; a NonFinite path is a
+    blow-up, any other error ends the paths it names (all, if it names none)
+    with diag.failure set.
     """
     ids = list(trajectory_ids)
     diags = [TrajectoryDiagnostics() for _ in ids]
-    if cfg.T <= 0:
+    n_modes = cfg.model.n_modes
+    n_steps = n_time_steps(cfg.T, cfg.dt) if cfg.T else 0
+    shape = (len(ids), n_steps, n_modes)
+    if increments is not None and np.shape(increments) != shape:
+        raise ShapeMismatch(f"increments of shape {np.shape(increments)}, "
+                            f"need {shape}")
+    if not n_steps:
         return diags
     alpha = _lm_alpha(cfg.model)
     u0 = cfg.u0
@@ -427,24 +440,30 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
             stop = stop | done
         return stop
 
+    def finish(out, coeffs: np.ndarray) -> None:
+        """Record the end of paths rows[out], whose last u is coeffs."""
+        for i, u in zip(rows[out], coeffs):
+            diags[i].final_time = state.t
+            diags[i].final_u = SpectralField(u0.grid, u)
+
     def retire(out: np.ndarray) -> None:
         """Drop the rows where out is True from the batch."""
         nonlocal state, rows, block
         if not out.any():
             return
-        for i in rows[out]:
-            diags[i].final_time = state.t
+        finish(out, state.u.coeffs[out])
         state, rows, block = _keep(state, ~out), rows[~out], block[~out]
 
     # looked up on the module at call time, so a stepper replaced there (for
     # instance by a tracer) is the one that runs
     step = globals()[f"step_{cfg.integrator}"]
-    driver = BrownianDriver(cfg.noise_seed, cfg.model.n_modes)
-    length = block_steps(cfg.model.n_modes)
-    n_steps = n_time_steps(cfg.T, cfg.dt)
+    driver = BrownianDriver(cfg.noise_seed, n_modes)
+    length = block_steps(n_modes)
     # the batch's increments of the current Wiener block, (rows, steps, K),
-    # drawn up to step `drawn`
-    block, drawn = np.zeros((len(ids), 0, cfg.model.n_modes)), 0
+    # drawn up to step `drawn`; given increments are one block of the run
+    block, drawn = np.zeros((len(ids), 0, n_modes)), 0
+    if increments is not None:
+        block, drawn, length = np.asarray(increments, float), n_steps, n_steps
     try:
         retire(sample())
         while rows.size and state.step_index < n_steps:
@@ -474,6 +493,5 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,)
     except Exception as exc:
         for i in rows:
             diags[i].failure = exc
-    for i in rows:
-        diags[i].final_time = state.t
+    finish(slice(None), state.u.coeffs)
     return diags

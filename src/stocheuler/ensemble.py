@@ -25,7 +25,7 @@ from .analysis import (GBMParams, gbm_survival_bound, kappa_K, n_time_steps,
                        squared_alpha, wilson_interval)
 from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParams
 from .noise import LINEAR_MULTIPLICATIVE
 from .spectral import sobolev_norm
 
@@ -64,6 +64,8 @@ class EnsembleConfig:
     output_dir: str | None = None
     bound_comparison: GBMParams | None = None
     surrogate: GBMSurrogateSpec | None = None
+    # gbm_survival_bound(bound_comparison), evaluated before any path runs
+    analytic_bound: float | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.n_paths < 1 or self.parallel_width < 1:
@@ -73,6 +75,11 @@ class EnsembleConfig:
                              f"{self.master_seed}")
         if self.trajectory is None and self.surrogate is None:
             raise ValueError("need a trajectory config or a surrogate spec")
+        if self.bound_comparison is not None:
+            try:
+                self.analytic_bound = gbm_survival_bound(self.bound_comparison)
+            except InvalidParams as exc:
+                raise ConfigError(f"bound_comparison: {exc}") from None
 
 
 @dataclass
@@ -222,15 +229,13 @@ def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
             counts[kind] += 1
     l2s = [r.final_l2 for r in ok] or [0.0]
     wmps = [r.final_wmp for r in ok] or [0.0]
-    bound = (gbm_survival_bound(cfg.bound_comparison)
-             if cfg.bound_comparison is not None else None)
     n_ok = max(1, len(ok))
     return EnsembleSummary(
         n_paths=len(records), n_survived=n_survived,
         survival_fraction=n_survived / n_ok,
         wilson_99=wilson_interval(n_survived, n_ok),
         hit_histograms=histograms, hit_counts=counts, horizon=horizon,
-        analytic_bound=bound,
+        analytic_bound=cfg.analytic_bound,
         mean_final_l2=float(np.mean(l2s)), max_final_l2=float(np.max(l2s)),
         mean_final_wmp=float(np.mean(wmps)),
         max_final_wmp=float(np.max(wmps)), n_blow_up=n_blow,
@@ -246,10 +251,18 @@ def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
 SWEEP_SCALINGS = ("fixed", "kappa-scaled")
 
 
-def check_sweep_args(alpha_list: list[float], R: float,
-                     data_scaling: str = "fixed", Cbar: float = 1.0) -> None:
+def check_sweep_args(traj: TrajectoryConfig | None, alpha_list: list[float],
+                     R: float, data_scaling: str = "fixed",
+                     Cbar: float = 1.0) -> None:
     """Reject, before any path runs, what survival_vs_alpha_sweep and its
-    kappa_K calls would reject (an alpha whose square overflows, say)."""
+    kappa_K calls would reject (an alpha whose square overflows, say): the
+    sweep varies the alpha of the ensemble's trajectory config traj."""
+    if traj is None:
+        raise ValueError("needs a trajectory config, not a surrogate")
+    if traj.model.kind != LINEAR_MULTIPLICATIVE:  # no other kind has alpha
+        kind = traj.model.kind if traj.model.n_modes else "none"
+        raise ValueError(f"needs {LINEAR_MULTIPLICATIVE} noise, not "
+                         f"'{kind}', whose runs have no alpha to vary")
     if not alpha_list:
         raise ValueError("alpha_list must be nonempty")
     if R < 1:
@@ -275,12 +288,8 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
     norm is min(current norm, kappa(R, alpha)); alphas whose kappa
     underflows are emitted as flagged rows without running.
     """
-    check_sweep_args(alpha_list, R, data_scaling, Cbar)
     traj = base.trajectory
-    if traj is None:
-        raise ValueError("alpha sweep needs a trajectory config")
-    if traj.model.kind != LINEAR_MULTIPLICATIVE:  # no other kind has alpha
-        raise ValueError(f"alpha sweep needs {LINEAR_MULTIPLICATIVE} noise")
+    check_sweep_args(traj, alpha_list, R, data_scaling, Cbar)
     req = traj.norms
     rows = []
 

@@ -647,6 +647,12 @@ UNKNOWN_KEYS = [
                    f"{section}: alpha^2 must be finite, got alpha=1e+200",
                    id=f"{section}-alpha-square-overflows")
       for section in ("surrogate", "bound_comparison")),
+    # the bound was evaluated after every path ran and wrote its CSV
+    *(pytest.param(RUN_CONFIG, [f"bound_comparison={bound}"],
+                   f"bound_comparison: {message}", id=f"bound-comparison-{case}")
+      for case, bound, message in (
+          ("mu", "{mu: 1.0, alpha: 1.0, R: 16.0}", "need mu < alpha^2 / 2"),
+          ("R", "{mu: 0.375, alpha: 1.0, x0: 2.0, R: 1.5}", "need R > x0"))),
     pytest.param(ENSEMBLE_CONFIG, ["bound_comparison.R=.inf"],
                  "bound_comparison: mu, alpha, x0 and R must not be NaN or "
                  "infinite",
@@ -832,6 +838,12 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
     pytest.param("run", RUN_CONFIG, ["--set", "integrator.T=.inf"],
                  "config error: integrator: T and dt must be positive and "
                  "finite, got T=inf", id="run-T-inf"),
+    # a negative horizon was an empty run: samples=0, survival 1.0
+    *(pytest.param(command, base, ["--set", "integrator.T=-1"],
+                   "config error: integrator: T must be non-negative, got "
+                   "-1.0", id=f"{command}-T-negative")
+      for command, base in (("run", RUN_CONFIG),
+                            ("ensemble", PDE_ENSEMBLE))),
     pytest.param("run", RUN_CONFIG, ["--set", "integrator.cfl=0"],
                  "config error: integrator: c_cfl must be positive, got 0.0",
                  id="run-cfl-zero"),
@@ -930,6 +942,26 @@ def test_bad_seed_or_number_exits_usage(tmp_path, capsys, command, base,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, message", [
+    # a stiffness failure with a RuntimeWarning, exit 2
+    (["ode-bound", "--R-list", "inf", "--alpha2-list", "4"],
+     "R and Cbar must be finite, got R=inf, Cbar=1.0"),
+    # RuntimeWarnings, exit 0
+    (["kappa-table", "--Cbar", "inf"],
+     "R and Cbar must be finite, got R=1.0, Cbar=inf"),
+    # a non-finite result, exit 2
+    (["transform-check", "--n", "16", "--alpha", "nan"],
+     "alpha must be finite, got nan"),
+], ids=["ode-bound", "kappa-table", "transform-check"])
+def test_non_finite_lemma_and_check_inputs_exit_usage(tmp_path, capsys,
+                                                      args, message):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out), "--quiet"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"invalid parameters: {message}\n"
+    assert not out.exists()
+
+
 # the flags each subcommand does not read, with a value for each, and
 # arguments that keep a run short where the flag would be ignored
 UNREAD_FLAGS = {"gbm-exit": ("--config", "--set"),
@@ -990,6 +1022,21 @@ def test_integrator_alpha_needs_linear_multiplicative_noise(tmp_path, capsys,
     assert err == (f"config error: integrator.alpha: noise kind '{kind}' "
                    f"has no alpha\n")
     assert not out.exists()
+
+
+def test_ensemble_sweep_writes_sweep_csv(tmp_path, capsys):
+    doc = dict(PDE_ENSEMBLE, sweep={"alpha_list": [0.0, 1.0], "R": 1.0})
+    out = tmp_path / "out"
+    code = cli.main(["ensemble", "--config", _write_yaml(tmp_path, doc),
+                     "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_OK
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["alpha"] for r in rows] == ["0.0", "1.0"]
+    assert rows[0]["note"] == "undamped baseline: zero threshold"
+    assert rows[1]["flagged"] == "False"
+    assert float(rows[1]["threshold"]) == 0.25
+    assert 0.0 <= float(rows[1]["exceed_fraction"]) <= 1.0
 
 
 def test_equal_integrator_alpha_is_accepted(tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stocheuler import dynamics as dyn, noise, spectral as sp
-from stocheuler.errors import CflViolation, InvalidParams
+from stocheuler.errors import CflViolation, InvalidParams, ShapeMismatch
 
 
 def _grid(n=16, dim=2):
@@ -61,6 +61,26 @@ def test_cfl_limit_advective_and_noise_cap():
     # linear-multiplicative cap (0.1/alpha)^2
     assert dyn.cfl_limit(u, c_cfl=0.5, alpha=10.0) == pytest.approx(1e-4)
     assert dyn.cfl_limit(_zero(g), alpha=2.0) == pytest.approx(0.0025)
+
+
+@pytest.mark.parametrize("kind", ["em", "rk4"])
+def test_a_tiny_alpha_has_no_cfl_cap(kind):
+    # (0.1 / 1e-200) ** 2 overflows: the cap is +inf, not an OverflowError
+    g = _grid(16)
+    u = sp.taylor_green(g)
+    assert dyn.cfl_limit(u, alpha=1e-200) == dyn.cfl_limit(u)
+    cfg = dyn.TrajectoryConfig(u0=u, model=_lin_mult(alpha=1e-200), T=0.01,
+                               dt=0.005, integrator=kind)
+    diag, = dyn.integrate_trajectory(cfg)
+    assert diag.failure is None and not diag.blow_up_flag
+    assert diag.final_time == pytest.approx(0.01)
+    assert len(diag.times) == 3
+
+
+def test_trajectory_config_rejects_a_negative_horizon():
+    # T = 0 is the empty run; T < 0 was one too, silently
+    with pytest.raises(InvalidParams, match="T must be non-negative"):
+        _tg_config(T=-1.0)
 
 
 def test_step_em_raises_on_cfl_violation():
@@ -764,3 +784,73 @@ def test_batch_state_drops_rows_that_break_the_cfl_limit():
     with pytest.raises(CflViolation) as info:
         dyn.step_em(state, dt, noise.zero_noise(), np.zeros((3, 0)))
     assert list(info.value.rows) == [1]
+
+
+# ---------------------------------------------------------------------------
+# Given increments: the checks' run loop
+
+
+def _keyed_increments(cfg, ids):
+    """The BrownianDriver draws that cfg's run of the ids steps on."""
+    driver = noise.BrownianDriver(cfg.noise_seed, cfg.model.n_modes)
+    steps = round(cfg.T / cfg.dt)
+    return np.stack([driver.sample_increments(tid, 0, cfg.dt, steps)
+                     for tid in ids])
+
+
+@pytest.mark.parametrize("kind", ["em", "transformed"])
+def test_given_keyed_increments_give_the_keyed_run(kind):
+    # a batch of 2 in which path 3 hits the gbm_level rule early: run on the
+    # driver's own draws, passed in, each path writes the same CSV, and its
+    # final_u is its last state, the one its solo run ends on
+    g = _grid(16)
+    cfg = dyn.TrajectoryConfig(
+        u0=sp.make_initial_field(g, "random", 0.5, seed=3),
+        model=_lin_mult(alpha=1.0), noise_seed=32, T=0.5, dt=0.01,
+        integrator=kind, sample_every=5,
+        stopping=(dyn.StoppingRule(dyn.GBM_LEVEL, 1.5),))
+    ids = [1, 3]
+    keyed = dyn.integrate_trajectory(cfg, ids)
+    given = dyn.integrate_trajectory(cfg, ids, _keyed_increments(cfg, ids))
+    assert [bool(d.hits) for d in keyed] == [False, True]
+    assert keyed[1].final_time < 0.3
+    for tid, a, b in zip(ids, keyed, given):
+        assert _csv_text(a) == _csv_text(b)
+        assert (a.hits, a.final_time) == (b.hits, b.final_time)
+        solo, = dyn.integrate_trajectory(cfg, [tid])
+        for diag in (a, b):
+            assert diag.final_u.coeffs.shape == cfg.u0.coeffs.shape
+            assert np.array_equal(diag.final_u.coeffs, solo.final_u.coeffs)
+            assert sp.l2_norm(diag.final_u) == diag.l2[-1]
+
+
+def test_increments_of_another_shape_are_refused_before_any_step(
+        monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(dyn, "step_em", no_step)
+    cfg = dyn.TrajectoryConfig(u0=sp.taylor_green(_grid(8)),
+                               model=_lin_mult(alpha=1.0), T=0.02, dt=0.01)
+    for shape in ((2, 2, 1), (1, 3, 1), (1, 2, 2), (2, 1)):
+        with pytest.raises(ShapeMismatch, match="need \\(1, 2, 1\\)"):
+            dyn.integrate_trajectory(cfg, [0], np.zeros(shape))
+
+
+def test_a_nan_increment_blows_up_its_path_mid_step():
+    # the step's NonFinite names row 1 alone: row 1 is a blow-up at the
+    # step it entered, and row 0 runs on as it runs solo
+    cfg = dyn.TrajectoryConfig(
+        u0=sp.make_initial_field(_grid(16), "random", 0.5, seed=3),
+        model=_lin_mult(alpha=1.0), noise_seed=4, T=0.05, dt=0.005)
+    dW = _keyed_increments(cfg, [0, 1])
+    dW[1, 4] = np.nan
+    row0, row1 = dyn.integrate_trajectory(cfg, [0, 1], dW)
+    assert row1.blow_up_flag and row1.failure is None
+    assert row1.final_time == pytest.approx(0.02)
+    assert len(row1.times) == 5
+    assert np.isfinite(row1.final_u.coeffs).all()
+    solo, = dyn.integrate_trajectory(cfg, [0], dW[:1])
+    assert not row0.blow_up_flag and row0.failure is None
+    assert _csv_text(row0) == _csv_text(solo)
+    assert row0.final_time == solo.final_time == pytest.approx(0.05)

@@ -306,6 +306,47 @@ def test_sweep_needs_linear_multiplicative_noise(monkeypatch, model):
         ens.survival_vs_alpha_sweep(base, [0.5, 2.0], R=1.0)
 
 
+def test_sweep_args_are_checked_against_the_trajectory_config():
+    # the sweep's own preconditions, once, for the config layer and the sweep
+    traj = _trajectory_cfg()
+    ens.check_sweep_args(traj, [0.0, 1.0], R=1.0)
+    with pytest.raises(ValueError, match="needs a trajectory config"):
+        ens.check_sweep_args(None, [1.0], R=1.0)
+    for model, kind in ((noise.zero_noise(), "none"),
+                        (noise.NoiseModel(noise.ADDITIVE, sigma_fields=(
+                            traj.u0,)), "additive")):
+        with pytest.raises(ValueError, match=f"noise, not '{kind}'"):
+            ens.check_sweep_args(dyn.TrajectoryConfig(
+                u0=traj.u0, model=model, T=0.02, dt=5e-3), [1.0], R=1.0)
+
+
+def test_kappa_scaled_sweep_runs_on_the_rescaled_data(monkeypatch):
+    # at R = 1 and alpha = 4, kappa is about 3.8e-202 and does not
+    # underflow, so the row runs on u0 scaled to norm kappa; dt stays within
+    # em's (0.1 / alpha)^2 cap.  The scaled field's Parseval norm
+    # underflows to 0.0, so the scale is read off its coefficients
+    traj = _trajectory_cfg(T=2e-3, dt=5e-4)
+    base = ens.EnsembleConfig(trajectory=traj, n_paths=2, master_seed=0)
+    ran = []
+    real = ens.run_ensemble
+
+    def spy(cfg):
+        ran.append(cfg.trajectory.u0)
+        return real(cfg)
+
+    monkeypatch.setattr(ens, "run_ensemble", spy)
+    row, = ens.survival_vs_alpha_sweep(base, [4.0], R=1.0,
+                                       data_scaling="kappa-scaled")
+    kappa = analysis.kappa_K(1.0, 4.0).kappa
+    assert 0.0 < kappa < 1e-200
+    assert row["kappa"] == kappa and not row["flagged"]
+    assert row["exceed_fraction"] == 0.0
+    u0, = ran
+    scale = kappa / sp.sobolev_norm(traj.u0, traj.norms)
+    np.testing.assert_allclose(u0.coeffs, scale * traj.u0.coeffs, rtol=1e-12)
+    assert np.abs(u0.coeffs).max() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # Statistical sanity of the surrogate
 
