@@ -5,17 +5,19 @@ Monte Carlo cross-check monitored on the dt grid), the logarithmic Gronwall
 change of variables, the explicit small-data thresholds kappa(R, alpha) and
 K(R, alpha), and the worst-case ODE sweep behind them.
 
-Of scipy it loads scipy.special, which scipy.fft (loaded through noise)
-loads anyway; log_gronwall_functions imports scipy.integrate when it is
-called, which keeps that import out of every CLI start-up.
+It imports no scipy: the Wilson z comes from _ndtri, a port of Cephes ndtri
+(Moshier, Methods and Programs for Mathematical Functions, 1989) with
+scipy.special.ndtri's bits, and log_gronwall_functions imports
+scipy.integrate when it is called.  So a command that transforms no field
+loads no scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError, InvalidParams, StiffnessFailure
 from .noise import keyed_generator
@@ -23,6 +25,55 @@ from .noise import keyed_generator
 
 # ---------------------------------------------------------------------------
 # Wilson score interval (used here and by the ensemble module)
+
+# Cephes ndtri's coefficients as doubles, highest power first, each Q with
+# its implied leading 1 (which Horner's first step multiplies exactly).
+# P0/Q0 serve exp(-2) < y < 1 - exp(-2), P1/Q1 and P2/Q2 the tails where
+# x = sqrt(-2 log y) is below 8 and at least 8
+_S2PI, _EXP_M2 = 2.5066282746310007, 0.1353352832366127  # sqrt(2 pi), e^-2
+_P0 = (-59.96335010141079, 98.00107541859997, -56.67628574690703,
+       13.931260938727968, -1.2391658386738125)
+_Q0 = (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905,
+       -225.46268785411937, 200.26021238006066, -82.03722561683334,
+       15.90562251262117, -1.1833162112133)
+_P1 = (4.0554489230596245, 31.525109459989388, 57.16281922464213,
+       44.08050738932008, 14.684956192885803, 2.1866330685079025,
+       -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854)
+_Q1 = (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672,
+       15.04253856929075, 2.504649462083094, -0.14218292285478779,
+       -0.03808064076915783, -0.0009332594808954574)
+_P2 = (3.2377489177694603, 6.915228890689842, 3.9388102529247444,
+       1.3330346081580755, 0.20148538954917908, 0.012371663481782003,
+       0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09)
+_Q2 = (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132,
+       0.21623699359449663, 0.013420400608854318, 0.00032801446468212774,
+       2.8924786474538068e-06, 6.790194080099813e-09)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """The polynomial of coef (highest power first) at x, by Horner."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """The standard normal quantile of y in [0, 1]: Cephes ndtri, operation
+    for operation, so its bits are scipy.special.ndtri's."""
+    if y == 0.0 or y == 1.0:
+        return math.inf if y else -math.inf
+    if upper := y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    P, Q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    z = 1.0 / x
+    x = x - math.log(x) / x - z * _polevl(z, P) / _polevl(z, Q)
+    return x if upper else -x
 
 
 def wilson_interval(successes: int, n: int,
@@ -36,7 +87,7 @@ def wilson_interval(successes: int, n: int,
                             f"got {successes!r}")
     if not 0 < confidence < 1:
         raise InvalidParams(f"confidence must be in (0, 1), got {confidence}")
-    z = float(ndtri(0.5 + confidence / 2.0))  # the normal quantile
+    z = _ndtri(0.5 + confidence / 2.0)  # the normal quantile
     phat = successes / n
     denom = 1.0 + z ** 2 / n
     center = (phat + z ** 2 / (2 * n)) / denom
@@ -48,12 +99,13 @@ def wilson_interval(successes: int, n: int,
 # GBM exit times
 
 
-def squared_alpha(alpha: float) -> float:
-    """alpha ** 2; InvalidParams where it overflows or is 0."""
+def squared_alpha(alpha: float, nonzero: bool = True) -> float:
+    """alpha ** 2; InvalidParams where it overflows, or where it is 0 and
+    nonzero is set (the noise of a run may vanish, a GBM's may not)."""
     a2 = float(alpha) * float(alpha)
     if not np.isfinite(a2):
         raise InvalidParams(f"alpha^2 must be finite, got alpha={alpha}")
-    if a2 == 0:
+    if a2 == 0 and nonzero:
         raise InvalidParams(f"alpha^2 must be nonzero, got alpha={alpha}")
     return alpha ** 2
 
@@ -349,6 +401,8 @@ class OdeLemmaParams:
             raise InvalidParams("need R >= 1, alpha != 0, Cbar >= 1")
         if self.log_y0 is None and self.y0 <= 0:
             raise InvalidParams("y0 must be positive (or give log_y0)")
+        if self.log_y0 is not None and not np.isfinite(self.log_y0):
+            raise InvalidParams(f"log_y0 must be finite, got {self.log_y0}")
         if self.z_tag not in Z_PROFILE_TAGS:
             raise InvalidParams(f"unknown z profile '{self.z_tag}'")
 
@@ -369,7 +423,8 @@ class OdeBoundResult:
 
 
 def _integrate_logY(p: OdeLemmaParams, dt: float, T_end: float) -> np.ndarray:
-    """RK4 on Y' = a(t)(Cbar + alpha^2 + z(t) Y), Y = log y (exact change)."""
+    """RK4 on Y' = a(t)(Cbar + alpha^2 + z(t) Y), Y = log y (exact change).
+    StiffnessFailure at the first step whose Y is not finite."""
     a2 = p.alpha ** 2
     z = _z_profile(p.z_tag, p.alpha)
 
@@ -384,10 +439,14 @@ def _integrate_logY(p: OdeLemmaParams, dt: float, T_end: float) -> np.ndarray:
     Y = p.log_y0_value
     out[0] = Y
     t = 0.0
-    for i in range(n):
-        Y = _rk4(Y, dt, lambda tau, y: f(t + tau, y))
-        t += dt
-        out[i + 1] = Y
+    with np.errstate(over="ignore", invalid="ignore"):  # Y is checked
+        for i in range(n):
+            Y = _rk4(Y, dt, lambda tau, y: f(t + tau, y))
+            t += dt
+            if not math.isfinite(Y):
+                raise StiffnessFailure(f"the log solution left the double "
+                                       f"range at t={t:.6g} (dt={dt:.6g})")
+            out[i + 1] = Y
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _step_ratio, n_time_steps
+from .analysis import _step_ratio, n_time_steps, squared_alpha
 from .dynamics import (EM, RK4, TRANSFORMED, TrajectoryConfig,
                        TrajectoryDiagnostics, integrate_trajectory)
 from .errors import InvalidParams, NonFinite
@@ -75,6 +75,7 @@ def transform_equivalence_check(n: int = 64, alpha: float = 1.0,
         raise InvalidParams("need T > 0 and at least two dts > 0, all finite")
     if not np.isfinite(alpha):
         raise InvalidParams(f"alpha must be finite, got {alpha}")
+    squared_alpha(alpha, nonzero=False)
     dt_fine = min(dts)
     if (ratio := _step_ratio(T, dt_fine)) > MAX_FINE_STEPS:
         raise InvalidParams(f"T={T} / dt={dt_fine} is {ratio:.3g} fine "

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation/usage error (including a time step over
 the CFL limit), 2 scientific failure (a checked inequality failed at the
 requested parameters, a check's path went non-finite or blew up, or the
-ode-bound integration could not meet its step-doubling tolerance).
+ode-bound integration could not meet its step-doubling tolerance or left
+the double range).
 A raised error (config, parameters, CFL, non-finite, stiffness) is one
 stderr line and writes no --out file.  A PDE ensemble in which every path
 failed exits as its most common failure would: 1 for a CFL violation, else

@@ -14,7 +14,7 @@ import math
 
 import yaml
 
-from .analysis import GBMParams
+from .analysis import GBMParams, squared_alpha
 from .dynamics import SOBOLEV_THRESHOLD, StoppingRule, TrajectoryConfig
 from .ensemble import EnsembleConfig, GBMSurrogateSpec, check_sweep_args
 from .errors import ConfigError, InvalidParams, UnsupportedNorm
@@ -202,6 +202,7 @@ def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, int]:
     if kind == "none":
         return NoiseModel(ADDITIVE), seed
     if kind == LINEAR_MULTIPLICATIVE:
+        _call("noise.alpha", squared_alpha, sec["alpha"], nonzero=False)
         return NoiseModel(kind, alpha=sec["alpha"]), seed
 
     def fields(field_seed):

@@ -42,7 +42,9 @@ transforms run the 1-D passes that scipy's rfftn and irfftn run, in their
 order (forward: the last axis, then -dim .. -2; inverse: -dim .. -2, then
 the last axis): numpy's rfft/irfft with ``out=`` on the last axis,
 scipy.fft's fft/ifft in place on the others, and irfftn's 1/n^dim after
-the last pass, as pocketfft applies it.  Pruned transforms skip lines
+the last pass, as pocketfft applies it.  _c2c imports scipy.fft, so it
+loads at a process's first c2c pass and a command that transforms no field
+never loads it.  Pruned transforms skip lines
 that the 2/3 rule makes zero: the inverse of a dealiased field (a state)
 skips the lines that hold only masked zeros, and the forward transform of
 the flux products skips the lines whose outputs the mask discards (at
@@ -84,7 +86,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import ShapeMismatch, UnsupportedNorm
 
@@ -277,6 +278,7 @@ def _c2c(spectra: np.ndarray, axis: int, index: tuple,
          forward: bool) -> None:
     """One unscaled complex pass of scipy.fft along axis over the lines
     spectra[index], in place."""
+    import scipy.fft  # loaded by the first pass: see the module docstring
     lines = spectra[index]
     fft = scipy.fft.fft if forward else scipy.fft.ifft
     done = fft(lines, axis=axis, norm="backward" if forward else "forward",

@@ -49,6 +49,28 @@ def test_wilson_interval_equals_the_stats_quantile_formula(n, confidence):
                 == _wilson_oracle(k, n, confidence)), k
 
 
+def test_ndtri_port_has_the_bits_of_scipy_special_ndtri():
+    # the Wilson z comes from a port of Cephes ndtri, which keeps scipy out
+    # of the CLI's start-up; scipy.special stays its oracle
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(2024)
+    ys = np.concatenate([
+        rng.random(60000),  # mostly the centre, exp(-2) < y < 1 - exp(-2)
+        10.0 ** -rng.uniform(0.0, 13.8, 20000),  # x < 8: y > exp(-32)
+        10.0 ** -rng.uniform(13.9, 300.0, 20000),  # x >= 8
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 10000),  # the upper tail
+        [0.0, 1.0, 5e-324, np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0),
+         *(0.5 + c / 2.0 for c in (0.9, 0.95, 0.99, 0.999))]])
+    x = np.sqrt(-2.0 * np.log(np.minimum(ys, 1.0 - ys)[ys % 1.0 != 0.0]))
+    assert (x < 2.0).sum() > 1000 and ((2.0 <= x) & (x < 8.0)).sum() > 1000
+    assert (x >= 8.0).sum() > 1000
+    port = np.array([an._ndtri(float(y)) for y in ys])
+    want = ndtri(ys)
+    differ = np.flatnonzero(port.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, (ys[differ[:5]], port[differ[:5]])
+
+
 @pytest.mark.parametrize("successes, n, confidence", [
     pytest.param(5, 3, 0.99, id="successes-above-n"),
     pytest.param(-1, 3, 0.99, id="successes-negative"),

@@ -453,6 +453,34 @@ def test_ode_bound_stiffness_failure_exits_science(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("R, code, message", [
+    # log kappa is finite, and the log solution passes -1.8e308
+    (120.0, cli.EXIT_SCIENCE, "stiffness failure: the log solution left the "
+                              "double range at t=19.69 (dt=0.01)"),
+    # log kappa is -inf (K overflows the log too)
+    (200.0, cli.EXIT_USAGE, "invalid parameters: log_y0 must be finite, "
+                            "got -inf"),
+])
+def test_ode_bound_out_of_range_log_solution_ends_at_once(
+        tmp_path, capsys, monkeypatch, R, code, message):
+    # step doubling halved dt eight times on NaN, 26-53 s, behind a numpy
+    # RuntimeWarning
+    integrate, calls = cli.analysis._integrate_logY, []
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(cli.analysis, "_integrate_logY", counted)
+    out = tmp_path / "ode.json"
+    assert cli.main(["ode-bound", "--R-list", str(R), "--alpha2-list", "1",
+                     "--out", str(out), "--quiet"]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert len(calls) <= 2
+    assert not out.exists()
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code = cli.main(["run", "--config", "/nonexistent.yaml"])
     assert code == cli.EXIT_USAGE
@@ -922,6 +950,22 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
                  "invalid parameters: T=1e-290 / dt=1e-300 is 1e+10 fine "
                  "steps, more than 1000000",
                  id="transform-check-fine-steps-past-memory"),
+    # alpha ** 2 of 1e200 raised OverflowError in the transformed step and
+    # in the gbm_level monitor, failed every ensemble path, and gave
+    # transform-check a CFL limit of 0
+    *(pytest.param(command, base,
+                   ["--set", "noise.alpha=1e200", "--set",
+                    f"integrator={{kind: {kind}, T: 0.01, dt: 0.005}}",
+                    "--set", f"stopping=[{{kind: {rule}, level: 2.0}}]"],
+                   "config error: noise.alpha: alpha^2 must be finite, got "
+                   "alpha=1e+200", id=f"{command}-{kind}-alpha-square-overflows")
+      for command, base, kind, rule in (
+          ("run", RUN_CONFIG, "transformed", "w1inf_threshold"),
+          ("run", RUN_CONFIG, "em", "gbm_level"),
+          ("ensemble", PDE_ENSEMBLE, "transformed", "w1inf_threshold"))),
+    pytest.param("transform-check", None, ["--n", "16", "--alpha", "1e200"],
+                 "invalid parameters: alpha^2 must be finite, got "
+                 "alpha=1e+200", id="transform-check-alpha-square-overflows"),
     # run checks a section it does not read (ensemble) too
     *(pytest.param("run", RUN_CONFIG, ["--set", override],
                    f"config error: {message}", id=f"run-{case}")
@@ -1051,6 +1095,20 @@ def test_equal_integrator_alpha_is_accepted(tmp_path, capsys):
     payload = json.loads((out / "summary.json").read_text())
     assert payload["master_seed"] == 7
     assert payload["n_engineering_failures"] == 0
+
+
+@pytest.mark.parametrize("alpha", ["0.0", "1e-200"])
+@pytest.mark.parametrize("command, base", [("run", RUN_CONFIG),
+                                           ("ensemble", PDE_ENSEMBLE)])
+def test_a_vanishing_noise_alpha_runs(tmp_path, capsys, command, base,
+                                      alpha):
+    # noise.alpha is checked for an alpha^2 that overflows, not for one of 0
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", _write_yaml(tmp_path, base),
+                     "--out", str(out), "--quiet", "--set",
+                     f"noise.alpha={alpha}", "--set",
+                     "integrator={kind: transformed, T: 0.01, "
+                     "dt: 0.005}"]) == cli.EXIT_OK
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

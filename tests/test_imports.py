@@ -2,8 +2,9 @@
 in its __all__ is defined, every public name it defines has a consumer,
 every error class is raised or caught, every name the benchmark tracer
 wraps exists and is called through by a run, every config a benchmark
-workload sends builds, and importing the package or its CLI loads no scipy
-subpackage that a run does not execute."""
+workload sends builds, importing the package or its CLI loads no scipy
+subpackage that a run does not execute, and only a command that transforms
+a field loads scipy at all."""
 
 import ast
 import importlib.util
@@ -214,3 +215,57 @@ def test_import_loads_no_unused_scipy_subpackage(module):
                           *UNUSED_SCIPY], capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == []
+
+
+def _scipy_after(code: str, *args: str, cwd=None) -> list[str]:
+    """The scipy modules loaded once code has run in a fresh interpreter
+    with the package on its path and args in sys.argv[2:]."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); " + code + "; "
+             "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe, str(SRC.parent),
+                          *args], capture_output=True, text=True, check=True,
+                         cwd=cwd)
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["stocheuler.cli", "stocheuler"])
+def test_import_loads_no_scipy(module):
+    # scipy.fft loads at the first transform, and the Wilson z comes from a
+    # port of ndtri: scipy.special and scipy.fft were most of the start-up
+    assert _scipy_after(f"import {module}") == []
+
+
+CONFIGS = {"surrogate.yaml": """
+surrogate: {alpha: 1.0, R: 16.0, T: 10.0, dt: 0.01}
+ensemble: {n_paths: 20, master_seed: 5, parallel_width: 1}
+bound_comparison: {mu: 0.375, alpha: 1.0, R: 16.0}
+""", "run.yaml": """
+grid: {dim: 2, n: 16}
+noise: {kind: linear_multiplicative, alpha: 1.0}
+integrator: {kind: em, T: 0.01, dt: 0.005}
+"""}
+
+
+def _loaded_by_main(tmp_path, *argv: str) -> list[str]:
+    """The scipy modules loaded by cli.main(argv), run in tmp_path beside
+    CONFIGS, in a fresh interpreter."""
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    return _scipy_after(
+        "from stocheuler import cli; assert cli.main(sys.argv[2:]) == 0",
+        *argv, "--out", "out", "--quiet", cwd=tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gbm-exit", "--n-paths", "100", "--T", "1"],
+    ["kappa-table"],
+    ["ode-bound", "--R-list", "1", "--alpha2-list", "4"],
+    ["ensemble", "--config", "surrogate.yaml"],
+], ids=lambda argv: argv[0])
+def test_a_command_that_transforms_no_field_loads_no_scipy(tmp_path, argv):
+    assert _loaded_by_main(tmp_path, *argv) == []
+
+
+def test_a_2d_run_loads_scipy_fft(tmp_path):
+    assert "scipy.fft" in _loaded_by_main(tmp_path, "run", "--config",
+                                          "run.yaml")
