@@ -365,20 +365,13 @@ def _rk4(v, dt: float, rhs, k1=None, stage=None):
     return k1
 
 
-Z_PROFILE_TAGS = ("extremal", "half", "zero", "decaying")
-
-
-def _z_profile(tag: str, alpha: float):
-    a2 = alpha ** 2
-    if tag == "extremal":
-        return lambda t: a2 / 4.0
-    if tag == "half":
-        return lambda t: a2 / 8.0
-    if tag == "zero":
-        return lambda t: 0.0
-    if tag == "decaying":
-        return lambda t: (a2 / 4.0) * np.exp(-t)
-    raise InvalidParams(f"unknown z profile '{tag}'")
+# the lemma's z(t) by tag, as profile(alpha^2, t)
+Z_PROFILES = {
+    "extremal": lambda a2, t: a2 / 4.0,
+    "half": lambda a2, t: a2 / 8.0,
+    "zero": lambda a2, t: 0.0,
+    "decaying": lambda a2, t: (a2 / 4.0) * np.exp(-t),
+}
 
 
 @dataclass(frozen=True)
@@ -403,7 +396,7 @@ class OdeLemmaParams:
             raise InvalidParams("y0 must be positive (or give log_y0)")
         if self.log_y0 is not None and not np.isfinite(self.log_y0):
             raise InvalidParams(f"log_y0 must be finite, got {self.log_y0}")
-        if self.z_tag not in Z_PROFILE_TAGS:
+        if self.z_tag not in Z_PROFILES:
             raise InvalidParams(f"unknown z profile '{self.z_tag}'")
 
     @property
@@ -426,13 +419,13 @@ def _integrate_logY(p: OdeLemmaParams, dt: float, T_end: float) -> np.ndarray:
     """RK4 on Y' = a(t)(Cbar + alpha^2 + z(t) Y), Y = log y (exact change).
     StiffnessFailure at the first step whose Y is not finite."""
     a2 = p.alpha ** 2
-    z = _z_profile(p.z_tag, p.alpha)
+    z = Z_PROFILES[p.z_tag]
 
     def a(t):
         return p.Cbar * p.R * np.exp(-a2 * t / 8.0)
 
     def f(t, Y):
-        return a(t) * (p.Cbar + a2 + z(t) * Y)
+        return a(t) * (p.Cbar + a2 + z(a2, t) * Y)
 
     n = int(np.ceil(T_end / dt))
     out = np.empty(n + 1)

@@ -34,11 +34,24 @@ EXIT_USAGE = 1
 EXIT_SCIENCE = 2
 
 
+def _out_path(path: str) -> str:
+    """path, after making the directory it goes in."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
+def _write_rows(path: str, rows: list[dict]) -> None:
+    """rows as CSV under a header of the first row's keys."""
+    with open(_out_path(path), "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w") as fh:
+        with open(_out_path(args.out), "w") as fh:
             fh.write(text + "\n")
     if not args.quiet:
         print(text)
@@ -56,8 +69,7 @@ def cmd_run(args) -> int:
     if diag.failure is not None:
         raise diag.failure
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        diag.to_csv(args.out)
+        diag.to_csv(_out_path(args.out))
     if not args.quiet:
         print(f"trajectory: T_final={diag.final_time:.6g} "
               f"samples={len(diag.times)} blow_up={diag.blow_up_flag} "
@@ -85,11 +97,7 @@ def cmd_ensemble(args) -> int:
     if sweep is not None:
         rows = survival_vs_alpha_sweep(cfg, **sweep)
         if out_dir:
-            with open(os.path.join(out_dir, "sweep.csv"), "w",
-                      newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
+            _write_rows(os.path.join(out_dir, "sweep.csv"), rows)
     if not args.quiet:
         print(f"ensemble: n={summary.n_paths} "
               f"survival={summary.survival_fraction:.4f} "
@@ -156,11 +164,7 @@ def cmd_kappa_table(args) -> int:
                          "log_kappa": kk.log_kappa,
                          "kappa_underflow": kk.kappa_underflow})
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_rows(args.out, rows)
     if not args.quiet:
         for r in rows:
             print(f"R={r['R']:g} alpha2={r['alpha2']:g} "

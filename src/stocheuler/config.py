@@ -75,7 +75,7 @@ SCHEMA = {
                                          (_number, REQUIRED)),
                          "x0": (_number, None)},
     "sweep": {"alpha_list": (_numbers, REQUIRED), "R": (_number, REQUIRED),
-              "scaling": (str, "fixed"), "Cbar": (_number, None)},
+              "Cbar": (_number, None)},
     "output": {"dir": (str, None)},
 }
 
@@ -285,6 +285,6 @@ def build_sweep(doc: dict, trajectory: TrajectoryConfig | None
     surrogate) before any path runs; None without that section."""
     if "sweep" not in doc:
         return None
-    args = _section(doc, "sweep", scaling="data_scaling")
+    args = _section(doc, "sweep")
     _call("sweep", check_sweep_args, trajectory, **args)
     return args

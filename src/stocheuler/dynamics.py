@@ -9,9 +9,11 @@ or raises CflViolation over the CFL limit.  v = gamma u lives only
 inside step_transformed's step; gamma = exp(-alpha W) is formed where reported.
 
 Batch axis: a SimState may hold a batch of paths, u of shape
-(B, dim) + spectral_shape with dW of shape (B, K), one W_accum per path, and
-t and step_index shared.  Every stepper acts on each path alone (see
-spectral), so a path's numbers do not depend on the batch it runs in.
+(B, dim) + spectral_shape with dW of shape (B, K) and one W_accum per path.
+A state holds no clock: the trajectory driver counts the batch's steps k and
+reports every time (a sample's t, a hit, final_time, gbm_level's rho) as
+k dt.  Every stepper acts on each path alone (see spectral), so a path's
+numbers do not depend on the batch it runs in.
 A CflViolation or NonFinite raised on a batch names its rows (exc.rows).
 
 integrate_trajectory(cfg, trajectory_ids) is the one loop that steps a
@@ -114,11 +116,9 @@ class SimState:
     leading batch axis and W_accum holds one value per path.  u is the
     velocity under every integrator; the fields after it are keyword-only."""
 
-    t: float
     u: SpectralField
     _: KW_ONLY
     W_accum: float | np.ndarray = 0.0
-    step_index: int = 0
     # u's grid values and max|u| from a sample of this state; states are
     # dealiased from t = 0, so the next step's flux and CFL check reuse them
     values: np.ndarray | None = None
@@ -257,7 +257,7 @@ def _advance(state: SimState, dt: float, box: np.ndarray,
              project: bool = True) -> SimState:
     """The state after a step whose new u has the kept box box: projected
     as leray_project(dealiased=True) projects (if project), NonFinite on the
-    paths with a NaN or Inf, t += dt and W += its increment."""
+    paths with a NaN or Inf, and W += its increment."""
     g = state.u.grid
     if project:
         _project_box(g, box)
@@ -265,9 +265,8 @@ def _advance(state: SimState, dt: float, box: np.ndarray,
     if not finite.all():
         raise NonFinite("non-finite Fourier coefficient",
                         rows=np.flatnonzero(~finite))
-    return SimState(state.t + dt, _field_of_box(g, box),
-                    W_accum=state.W_accum + _increment(model, dW),
-                    step_index=state.step_index + 1)
+    return SimState(_field_of_box(g, box),
+                    W_accum=state.W_accum + _increment(model, dW))
 
 
 def _transport(g: Grid, boxes: list[np.ndarray], dt: float,
@@ -352,18 +351,18 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
 # Trajectory driver
 
 
-def _monitored_value(rule: StoppingRule, state: SimState, alpha: float,
-                     w1inf: np.ndarray, wmp: np.ndarray,
+def _monitored_value(rule: StoppingRule, state: SimState, t: float,
+                     alpha: float, w1inf: np.ndarray, wmp: np.ndarray,
                      req: NormRequest) -> np.ndarray:
-    """The rule's scalar per path at the sample just taken, reusing its
-    W^{1,inf} and W^{m,p} values where the rule asks for those norms."""
+    """The rule's scalar per path at the sample just taken, at time t,
+    reusing its W^{1,inf} and W^{m,p} values where the rule asks for them."""
     if rule.kind == W1INF_THRESHOLD:
         return w1inf
     if rule.kind == SOBOLEV_THRESHOLD:
         return (wmp if rule.norm_spec == req
                 else sobolev_norm(state.u, rule.norm_spec))
     # gbm_level monitors rho_alpha(t) = exp(alpha W_t - alpha^2 t / 8)
-    return np.exp(alpha * state.W_accum - alpha ** 2 * state.t / 8.0)
+    return np.exp(alpha * state.W_accum - alpha ** 2 * t / 8.0)
 
 
 def _keep(state: SimState, keep: np.ndarray) -> SimState:
@@ -371,9 +370,8 @@ def _keep(state: SimState, keep: np.ndarray) -> SimState:
     u = state.u
     values, u_max = (None if a is None else a[keep]
                      for a in (state.values, state.u_max))
-    return SimState(state.t, SpectralField(u.grid, u.coeffs[keep]),
-                    W_accum=state.W_accum[keep], step_index=state.step_index,
-                    values=values, u_max=u_max)
+    return SimState(SpectralField(u.grid, u.coeffs[keep]),
+                    W_accum=state.W_accum[keep], values=values, u_max=u_max)
 
 
 def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
@@ -403,13 +401,15 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
         return diags
     alpha = _lm_alpha(cfg.model)
     u0 = cfg.u0
-    state = SimState(0.0, SpectralField(
+    state = SimState(SpectralField(
         u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0)),
         W_accum=np.zeros(len(ids)))
     rows = np.arange(len(ids))  # the diags index of each batch row
+    k = 0  # the batch's steps taken; the state's time is k * cfg.dt
 
     def sample() -> np.ndarray:
         """Record the batch's diagnostics; True where a path stops."""
+        t = k * cfg.dt
         l2 = l2_norm(state.u)
         wmp = sobolev_norm(state.u, cfg.norms)
         state.values, state.u_max, grad_max, curl_max = _sup_view(state.u)
@@ -418,7 +418,7 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
         columns = np.column_stack((l2, wmp, w1inf, curl_max, gamma)).tolist()
         for i, row in zip(rows, columns):
             d = diags[i]
-            d.times.append(state.t)
+            d.times.append(t)
             for series, v in zip((d.l2, d.wmp, d.w1inf, d.curl_inf,
                                   d.gamma), row):
                 series.append(v)
@@ -431,10 +431,10 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
             done = fired.setdefault(rule.kind, stop.copy())
             if done.all():
                 continue
-            hit = ~done & (_monitored_value(rule, state, alpha, w1inf, wmp,
-                                            cfg.norms) >= rule.level)
+            hit = ~done & (_monitored_value(rule, state, t, alpha, w1inf,
+                                            wmp, cfg.norms) >= rule.level)
             for i in rows[hit]:
-                diags[i].hits.append((rule.kind, state.t))
+                diags[i].hits.append((rule.kind, t))
             done |= hit
         for done in fired.values():
             stop = stop | done
@@ -443,7 +443,7 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
     def finish(out, coeffs: np.ndarray) -> None:
         """Record the end of paths rows[out], whose last u is coeffs."""
         for i, u in zip(rows[out], coeffs):
-            diags[i].final_time = state.t
+            diags[i].final_time = k * cfg.dt
             diags[i].final_u = SpectralField(u0.grid, u)
 
     def retire(out: np.ndarray) -> None:
@@ -466,13 +466,13 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
         block, drawn, length = np.asarray(increments, float), n_steps, n_steps
     try:
         retire(sample())
-        while rows.size and state.step_index < n_steps:
-            if state.step_index == drawn:
+        while rows.size and k < n_steps:
+            if k == drawn:
                 count = min(length, n_steps - drawn)
                 block = np.stack([driver.sample_increments(
                     ids[i], drawn, cfg.dt, count) for i in rows])
                 drawn += count
-            dW = block[:, state.step_index % length]
+            dW = block[:, k % length]
             try:
                 state = step(state, cfg.dt, cfg.model, dW, cfg.c_cfl)
             except StochEulerError as exc:
@@ -487,8 +487,8 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
                         diags[i].failure = exc
                 retire(out)
                 continue  # the same step again, on the other paths
-            if state.step_index % cfg.sample_every == 0 \
-                    or state.step_index == n_steps:
+            k += 1
+            if k % cfg.sample_every == 0 or k == n_steps:
                 retire(sample())
     except Exception as exc:
         for i in rows:

@@ -27,7 +27,6 @@ from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
 from .errors import ConfigError, InvalidParams
 from .noise import LINEAR_MULTIPLICATIVE
-from .spectral import sobolev_norm
 
 SUMMARY_SCHEMA_VERSION = 1
 HIT_HISTOGRAM_BINS = 20
@@ -248,12 +247,8 @@ def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
 # Alpha sweep against the kappa(R, alpha) threshold
 
 
-SWEEP_SCALINGS = ("fixed", "kappa-scaled")
-
-
 def check_sweep_args(traj: TrajectoryConfig | None, alpha_list: list[float],
-                     R: float, data_scaling: str = "fixed",
-                     Cbar: float = 1.0) -> None:
+                     R: float, Cbar: float = 1.0) -> None:
     """Reject, before any path runs, what survival_vs_alpha_sweep and its
     kappa_K calls would reject (an alpha whose square overflows, say): the
     sweep varies the alpha of the ensemble's trajectory config traj."""
@@ -269,34 +264,27 @@ def check_sweep_args(traj: TrajectoryConfig | None, alpha_list: list[float],
         raise ValueError(f"R must be >= 1, got {R}")
     if Cbar < 1:
         raise ValueError(f"Cbar must be >= 1, got {Cbar}")
-    if data_scaling not in SWEEP_SCALINGS:
-        raise ValueError(f"unknown data_scaling '{data_scaling}' "
-                         f"(accepted: {', '.join(SWEEP_SCALINGS)})")
     for alpha in alpha_list:
         if alpha != 0.0:  # alpha = 0 is the undamped baseline row
             kappa_K(R, alpha, Cbar)
 
 
 def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
-                            R: float, data_scaling: str = "fixed",
-                            Cbar: float = 1.0) -> list[dict]:
+                            R: float, Cbar: float = 1.0) -> list[dict]:
     """For each alpha run the linear-multiplicative ensemble and report the
     fraction of paths whose W^{m,p} norm exceeds alpha^2 / (4 Cbar), out of
-    the paths that did not fail (a row whose every path failed is flagged).
-
-    data_scaling 'kappa-scaled' rescales the initial data so its W^{m,p}
-    norm is min(current norm, kappa(R, alpha)); alphas whose kappa
-    underflows are emitted as flagged rows without running.
+    the paths that did not fail (a row whose every path failed is flagged),
+    next to log kappa(R, alpha), which is finite where kappa underflows.
     """
     traj = base.trajectory
-    check_sweep_args(traj, alpha_list, R, data_scaling, Cbar)
-    req = traj.norms
+    check_sweep_args(traj, alpha_list, R, Cbar)
     rows = []
 
-    def row(alpha, kappa, threshold, exceed_fraction=None, interval=None,
+    def row(alpha, log_kappa, threshold, exceed_fraction=None, interval=None,
             note=""):
         """One sweep.csv row; a row with a note is flagged."""
-        rows.append({"alpha": alpha, "kappa": kappa, "threshold": threshold,
+        rows.append({"alpha": alpha, "log_kappa": log_kappa,
+                     "threshold": threshold,
                      "exceed_fraction": exceed_fraction,
                      "interval": interval, "flagged": bool(note),
                      "note": note})
@@ -304,31 +292,22 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
     for alpha in alpha_list:
         threshold = alpha ** 2 / (4.0 * Cbar)
         if alpha == 0.0:
-            row(0.0, 0.0, 0.0, 1.0, [1.0, 1.0],
+            row(0.0, -np.inf, 0.0, 1.0, [1.0, 1.0],
                 "undamped baseline: zero threshold")
             continue
-        kk = kappa_K(R, alpha, Cbar)
-        if data_scaling == "kappa-scaled" and kk.kappa_underflow:
-            row(alpha, 0.0, threshold, note="kappa underflow: run skipped")
-            continue
-        u0 = traj.u0
-        if data_scaling == "kappa-scaled":
-            norm0 = sobolev_norm(u0, req)
-            target = min(norm0, kk.kappa)
-            if norm0 > 0:
-                u0 = (target / norm0) * u0
+        log_kappa = kappa_K(R, alpha, Cbar).log_kappa
         model = replace(traj.model, alpha=alpha)
-        rule = StoppingRule(SOBOLEV_THRESHOLD, threshold, req)
-        t2 = replace(traj, u0=u0, model=model, stopping=(rule,))
+        rule = StoppingRule(SOBOLEV_THRESHOLD, threshold, traj.norms)
+        t2 = replace(traj, model=model, stopping=(rule,))
         cfg = replace(base, trajectory=t2)
         summary = run_ensemble(cfg)
         # a failed path is neither an exceedance nor a survivor
         n_ok = summary.n_paths - summary.n_engineering_failures
         if n_ok == 0:
-            row(alpha, kk.kappa, threshold, note="every path failed")
+            row(alpha, log_kappa, threshold, note="every path failed")
             continue
         n_exceed = summary.hit_counts.get(SOBOLEV_THRESHOLD, 0)
-        row(alpha, kk.kappa, threshold, n_exceed / n_ok,
+        row(alpha, log_kappa, threshold, n_exceed / n_ok,
             list(wilson_interval(n_exceed, n_ok)))
     return rows
 

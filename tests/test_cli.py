@@ -10,7 +10,7 @@ import re
 import pytest
 import yaml
 
-from stocheuler import cli, config as cfgmod, dynamics
+from stocheuler import analysis, cli, config as cfgmod, dynamics
 from stocheuler.errors import ConfigError, NonFinite
 
 
@@ -189,7 +189,10 @@ def test_ensemble_subcommand_persists_summary(tmp_path, capsys):
 
 # sha256 of the outputs at commit 65a1c8a, whose steppers ran on whole half
 # spectra (numpy 2.4, scipy 1.17): the kept-box steppers must give the same
-# bytes.  A random field of seed 3, 10 steps of dt = 0.005.
+# bytes.  A random field of seed 3, 10 steps of dt = 0.005.  Re-recorded
+# after commit 53da025, where the driver began to report t = k dt: only the
+# t column changed (0.030000000000000002 -> 0.03 and 0.049999999999999996
+# -> 0.05), so only the run CSVs and paths/2.csv have new digests.
 DIGEST_RUN = {
     "grid": {"dim": 2, "n": 16},
     "initial": {"name": "random", "amplitude": 0.5, "seed": 3},
@@ -203,33 +206,33 @@ DIGEST_NOISE = {
 }
 RUN_DIGESTS = {
     (2, "em", "none"):
-        "cfa95b338dfdce3b9d4e6c12dc137e177dd64b009c7627c4b53cdd01e316be9a",
+        "15af325ea2ed44d28f6476342afe2f6a4853b57235442bad8e7c1f8aed39d0cc",
     (2, "em", "linear_multiplicative"):
-        "f5f8151d3e01038be573d03ba97b41466dcc5f77828ff8d63beae3ceb578ead7",
+        "dbc3f95b59eb8393fe56f347ecd6ed3f1ab8729cb7a52a0582ee0f757567f3e9",
     (2, "em", "additive"):
-        "44f39dd770636e719b5db23c0331e46c3b1390cc3de4c4651c28e13c0aabb8f4",
+        "bd45e4a45e83eef6c7c391b7969bdbb1772af14d95f7333f33a0238731a9d70b",
     (2, "rk4", "none"):
-        "fb253e0ba669f2ed5e1edba1490eeb5cbd326177eef138da4c6db8f392ee8a2f",
+        "54dac63fe93cc1a8814130e20b6f220f886ae381e69c236c46c1989bfca43e29",
     (2, "rk4", "linear_multiplicative"):
-        "4057ac424f9919e6a9c48b7e1380e446d3bf68db5a529ae43e2f8ff0e36e7e3c",
+        "c98ededc2002a2bb02971ad415602bf6dc78d80d6a0317904a3288f410019ff0",
     (2, "rk4", "additive"):
-        "29f0fbf0845c38686a8b01493d92862ed555a4be40fa365f200b92a3b5024358",
+        "3c7f9059aa4073a57ff038eef52d4ceb58e288de0448dfc16940ca0a3a8e8af9",
     (2, "transformed", "linear_multiplicative"):
-        "14b57a1bebeb8e9f990a0ebd153165d353b1e48a58d0613d003b63d53c37874d",
+        "e38c18722e0a03a1dc9f2f89ed9e3f4cc7fb00010b2b8b5fa1aa6e77f259e003",
     (3, "em", "none"):
-        "4eacbb02d23df06e29c557ef4b3c648cd43c18ffc629b04a89214d5da17af3ba",
+        "a6e2cc48069677953a35bdf7e1d60de1e6347e8a6d2b545ba00ea3d240e4a55e",
     (3, "em", "linear_multiplicative"):
-        "560194413256b6a746d6cf907e77614c121477345eee4db02bb3921e093fabe1",
+        "5c0ec5ffe9301f4aadcb0e3dd7c8df038624aefd14c94d8baaea7727817a5e1f",
     (3, "em", "additive"):
-        "179f31636f335a5d6ba4ee8599dffde552ce38cdc1c99a44f8c32b88b14038fb",
+        "53dbe0f0e4d7ef2d6f0016c1f4f4c4c37f5b101a1a41210061595dbf342ed51b",
     (3, "rk4", "none"):
-        "9bf6fad04a1e20cc3b7c0237926c1112c26d40695efb1f674f5c42e7236be0e2",
+        "8d0dfde98e7c935f1de99b9b512085ef4f1b2d4128a2ca1fc666a4a43fa50b7f",
     (3, "rk4", "linear_multiplicative"):
-        "5ba70313585d6e48112ffa3767d91087616acab3ae401a45c4c42beee155faba",
+        "6cc9e351baf153503e59fa8edc8962c7386138ac8c934adfeef0ca5b3b9aa764",
     (3, "rk4", "additive"):
-        "c5197946f81196efa0cb6928faf566ce2545e5b90739e760c878f331ffed86b5",
+        "c16f0a32d8f7781cfa9322a22467119b7628f5453237f139e2e7498f916deafa",
     (3, "transformed", "linear_multiplicative"):
-        "adad61b35147e62ef6250d2237dcf6293611fe7c06344f9e32d0b54b4e6f9be4",
+        "2471e0de3cabd50ff68a2049784167f34e90a03db42b2f3b74d02272ead0592a",
 }
 # 4 paths of an em ensemble, 3 of which hit the gbm level mid-run
 ENSEMBLE_DIGESTS = {
@@ -238,7 +241,7 @@ ENSEMBLE_DIGESTS = {
     "paths/1.csv":
         "a4ce53d738377d9e9e6b513f505ecda7e48ffb0b05a28f3ffa547a2de596bcd2",
     "paths/2.csv":
-        "ed739e82309ab4d9a32f0039069dc5d92b124bbb392820edcd3b8a8f64b7f9c7",
+        "c2186a9776bde6712cac94828f1123a3025401301c92c06486efafc4c31fb346",
     "paths/3.csv":
         "03a058da3be4d07180db06af0beee32120404f3c59e084c0e024b7ff8e7d7fd4",
     "summary.json":
@@ -275,6 +278,51 @@ def test_ensemble_is_byte_identical_to_the_whole_array_steppers(
     files = sorted(p for p in out_dir.rglob("*") if p.is_file())
     assert {p.relative_to(out_dir).as_posix(): _sha256(p)
             for p in files} == ENSEMBLE_DIGESTS
+
+
+def test_run_csv_times_are_whole_steps_of_dt(tmp_path, capsys):
+    # the t column is k dt for the step k; a time accumulated as t + dt
+    # wrote 0.030000000000000002 and 0.049999999999999996 here
+    doc = dict(DIGEST_RUN, noise=DIGEST_NOISE["none"])
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", _write_yaml(tmp_path, doc),
+                     "--out", str(out), "--quiet"]) == cli.EXIT_OK
+    with open(out) as fh:
+        times = [row["t"] for row in csv.DictReader(fh)]
+    assert times == [repr(k * 0.005) for k in range(11)]
+    assert times[-1] == "0.05"
+
+
+# sha256 of ode-bound --R-list 1,2 --alpha2-list 1,4 per z profile, and of
+# the default kappa-table CSV, recorded at commit 53da025 (numpy 2.4)
+ODE_BOUND_DIGESTS = {
+    "extremal":
+        "db939d2e527575b496801fc1f6ce36aef7e217451739483e971aabeb379b3ff8",
+    "half":
+        "37ca8d5df9aed475381f85f3903ee0d99f12996e24375366977f886e251e27b1",
+    "zero":
+        "b43cfc12937d91c4c090a8be2abe60e6312c1dee6c14f9d2efdb4e573706a955",
+    "decaying":
+        "67b9a775ffa8222424dc418e6c9e0c72b4912d6946bb093e957078f83f95bfde",
+}
+KAPPA_TABLE_DIGEST = (
+    "a22b388c19230360888f305ce8a9ef9083e163b61c8d3955b69206b6ab1a2870")
+
+
+@pytest.mark.parametrize("z_profile", list(ODE_BOUND_DIGESTS))
+def test_ode_bound_json_keeps_its_bits(tmp_path, z_profile):
+    out = tmp_path / "ode.json"
+    assert cli.main(["ode-bound", "--R-list", "1,2", "--alpha2-list", "1,4",
+                     "--z-profile", z_profile, "--out", str(out),
+                     "--quiet"]) == cli.EXIT_OK
+    assert _sha256(out) == ODE_BOUND_DIGESTS[z_profile]
+
+
+def test_kappa_table_csv_keeps_its_bits(tmp_path):
+    out = tmp_path / "kappa.csv"
+    assert cli.main(["kappa-table", "--out", str(out),
+                     "--quiet"]) == cli.EXIT_OK
+    assert _sha256(out) == KAPPA_TABLE_DIGEST
 
 
 @pytest.mark.parametrize("command", ["run", "ensemble"])
@@ -597,7 +645,8 @@ def test_run_rejects_unsupported_norm(tmp_path, capsys, override, prefix):
     assert len(err.splitlines()) == 1
 
 
-SWEEP = "{alpha_list: [1.0], R: 1.0, scaling: bogus}"
+# a sweep has no scaling key: its rows run on the config's initial field
+SWEEP = "{alpha_list: [1.0], R: 1.0, scaling: kappa-scaled}"
 
 # misspelt keys and sections, each once read as absent (its default used)
 UNKNOWN_KEYS = [
@@ -643,7 +692,7 @@ UNKNOWN_KEYS = [
                  "noise: kind 'additive' does not read key(s) alpha",
                  id="noise-alpha-unread"),
     pytest.param(RUN_CONFIG, [f"sweep={SWEEP}"],
-                 "sweep: unknown data_scaling 'bogus'", id="sweep-scaling"),
+                 "sweep: unknown key(s) scaling", id="sweep-scaling"),
     pytest.param(ENSEMBLE_CONFIG, ["sweep={alpha_list: [1.0], R: 1.0}"],
                  "sweep: needs a trajectory config", id="sweep-surrogate"),
     *(pytest.param(RUN_CONFIG, [override], prefix, id=case)
@@ -651,8 +700,7 @@ UNKNOWN_KEYS = [
     pytest.param(ENSEMBLE_CONFIG, ["grid.nn=16"], "grid: unknown key(s) nn",
                  id="surrogate-grid-nn"),
     pytest.param(RUN_CONFIG,
-                 ["sweep={alpha_list: [1.0, 3.0], R: 0.5, "
-                  "scaling: kappa-scaled}"],
+                 ["sweep={alpha_list: [1.0, 3.0], R: 0.5}"],
                  "sweep: R must be >= 1, got 0.5", id="sweep-R"),
     pytest.param(RUN_CONFIG, ["sweep={alpha_list: [1.0], R: 1.0, Cbar: 0.5}"],
                  "sweep: Cbar must be >= 1, got 0.5", id="sweep-Cbar"),
@@ -1078,6 +1126,9 @@ def test_ensemble_sweep_writes_sweep_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["alpha"] for r in rows] == ["0.0", "1.0"]
     assert rows[0]["note"] == "undamped baseline: zero threshold"
+    assert "kappa" not in rows[0]
+    assert rows[0]["log_kappa"] == "-inf"
+    assert rows[1]["log_kappa"] == repr(analysis.kappa_K(1.0, 1.0).log_kappa)
     assert rows[1]["flagged"] == "False"
     assert float(rows[1]["threshold"]) == 0.25
     assert 0.0 <= float(rows[1]["exceed_fraction"]) <= 1.0

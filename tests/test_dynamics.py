@@ -21,7 +21,7 @@ def _lin_mult(alpha=1.0):
 
 
 def _state(u):
-    return dyn.SimState(0.0, u)
+    return dyn.SimState(u)
 
 
 def _zero(grid):
@@ -144,8 +144,6 @@ def test_em_zero_field_stays_zero():
     state = _state(_zero(g))
     out = dyn.step_em(state, 0.01, noise.zero_noise(), np.zeros(0))
     assert sp.l2_norm(out.u) == 0.0
-    assert out.t == pytest.approx(0.01)
-    assert out.step_index == 1
 
 
 def test_em_single_step_matches_drift_identity():
@@ -236,7 +234,7 @@ def test_transformed_pure_damping_is_exact_on_shear():
     v = sp.shear_field(g)
     alpha, dt = 2.0, 1e-2
     # W held at -log(1.3)/alpha, so gamma = exp(-alpha W) = 1.3 at every step
-    cur = dyn.SimState(0.0, v, W_accum=-np.log(1.3) / alpha)
+    cur = dyn.SimState(v, W_accum=-np.log(1.3) / alpha)
     for _ in range(50):
         cur = dyn.step_transformed(cur, dt, _lin_mult(alpha), np.zeros(1))
     want = np.exp(-alpha ** 2 * 0.5 * 0.5) * v.coeffs  # t = 0.5
@@ -345,7 +343,7 @@ def _check_step_allocation(step):
     g = _grid(16, 3)
     u0 = sp.make_initial_field(g, "random", 0.5, seed=2)
     batch = 3
-    state = dyn.SimState(0.0, sp.SpectralField(
+    state = dyn.SimState(sp.SpectralField(
         g, np.repeat(u0.coeffs[None], batch, axis=0)),
         W_accum=np.zeros(batch))
     model = _lin_mult(alpha=1.0)
@@ -413,7 +411,7 @@ def test_box_steps_equal_the_whole_array_steps(kind, noise_kind, dim, n):
     u0 = [sp.make_initial_field(g, "random", 0.5, seed=s) for s in (1, 2, 3)]
     driver = noise.BrownianDriver(9, model.n_modes)
     dt, rows = 5e-3, [0, 1, 2]
-    state = dyn.SimState(0.0, sp.SpectralField(
+    state = dyn.SimState(sp.SpectralField(
         g, np.stack([u.coeffs for u in u0])), W_accum=np.zeros(3))
     solo = list(u0)
     step = getattr(dyn, f"step_{kind}")
@@ -457,7 +455,7 @@ def test_transformed_u_form_equals_the_v_form(dim, n, batch):
     model = _lin_mult(alpha)
     driver = noise.BrownianDriver(6, 1)
     coeffs = np.broadcast_to(u0.coeffs, batch + u0.coeffs.shape).copy()
-    state = dyn.SimState(0.0, sp.SpectralField(g, coeffs),
+    state = dyn.SimState(sp.SpectralField(g, coeffs),
                          W_accum=np.zeros(batch))
     v = sp.SpectralField(g, coeffs.copy())
     gamma, W = np.ones(batch), np.zeros(batch)
@@ -490,8 +488,8 @@ def test_state_fields_after_u_are_keyword_only():
     # its values into other fields
     u = _zero(_grid())
     with pytest.raises(TypeError):
-        dyn.SimState(0.0, u, np.ones(3), np.zeros(3))
-    assert dyn.SimState(0.0, u, W_accum=0.5).W_accum == 0.5
+        dyn.SimState(u, np.ones(3), np.zeros(3))
+    assert dyn.SimState(u, W_accum=0.5).W_accum == 0.5
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
@@ -504,7 +502,7 @@ def test_every_stepper_maps_u_to_u(dim, n):
     u = sp.make_initial_field(g, "random", 1.0, seed=3)
     dt, W = 1e-3, 0.5
     model = _lin_mult(alpha=1.0)
-    state = dyn.SimState(0.0, u, W_accum=W)
+    state = dyn.SimState(u, W_accum=W)
     dW = np.full(1, np.sqrt(dt))
     u_em = dyn.step_em(state, dt, model, dW).u
     for kind in dyn.INTEGRATORS:
@@ -523,7 +521,7 @@ def test_transformed_first_stage_reuses_the_sampled_values(dim, n,
     model = _lin_mult(alpha=1.0)
     dW = np.full(1, 0.01)
     values, u_max = sp._sup_view(u)[:2]
-    sampled = dyn.SimState(0.0, u, values=values, u_max=u_max)
+    sampled = dyn.SimState(u, values=values, u_max=u_max)
     seen = []
     real = dyn.nonlinear_term
 
@@ -575,6 +573,18 @@ def test_integrate_trajectory_records_all_columns():
         assert len(series) == n
     assert diag.final_time == pytest.approx(0.2)
     assert not diag.blow_up_flag
+
+
+def test_the_driver_reports_whole_steps_of_dt():
+    # one clock: each sample's t and the final time are k dt for the step k
+    # the driver counted.  A time accumulated as t + dt ended these 400
+    # steps of 0.005 at 1.9999999999999793
+    cfg = dyn.TrajectoryConfig(u0=sp.taylor_green(_grid(8)),
+                               model=noise.zero_noise(), T=2.0, dt=0.005,
+                               sample_every=50)
+    diag, = dyn.integrate_trajectory(cfg)
+    assert diag.times == [k * 0.005 for k in range(0, 401, 50)]
+    assert diag.final_time == diag.times[-1] == 2.0
 
 
 def test_stopping_is_first_hit_and_monotone_in_level():
@@ -779,7 +789,7 @@ def test_batch_state_drops_rows_that_break_the_cfl_limit():
     u = sp.taylor_green(g)
     batch = sp.SpectralField(g, np.stack([0.01 * u.coeffs, u.coeffs,
                                           0.02 * u.coeffs]))
-    state = dyn.SimState(0.0, batch, W_accum=np.zeros(3))
+    state = dyn.SimState(batch, W_accum=np.zeros(3))
     dt = 0.5 * dyn.cfl_limit(0.02 * u)
     with pytest.raises(CflViolation) as info:
         dyn.step_em(state, dt, noise.zero_noise(), np.zeros((3, 0)))

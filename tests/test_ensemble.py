@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,26 +221,46 @@ def test_summary_roundtrip(tmp_path):
                       "wilson_99": list(summary.wilson_99)}
 
 
+def test_ensemble_hit_times_are_whole_steps_of_dt():
+    # the driver counts the steps: each gbm_level hit, and the final time of
+    # a path that hit, is k dt for its step k.  A time accumulated as t + dt
+    # read 0.030000000000000002 at k = 6 and 0.049999999999999996 at k = 10
+    dt = 0.005
+    traj = replace(_trajectory_cfg(n=8, T=0.5, dt=dt),
+                   stopping=(dyn.StoppingRule(dyn.GBM_LEVEL, 1.05),))
+    cfg = ens.EnsembleConfig(trajectory=traj, n_paths=40, master_seed=7)
+    records = ens._run_chunk((cfg, range(cfg.n_paths)))
+    hits = [r for r in records if r.hits]
+    assert len(hits) >= 20
+    for r in hits:
+        t = r.hits[dyn.GBM_LEVEL]
+        assert t == round(t / dt) * dt == r.final_time
+    assert {round(r.final_time / dt) for r in hits} & {6, 10}
+
+
 # ---------------------------------------------------------------------------
 # Alpha sweep
 
 
-def test_sweep_flags_baseline_and_underflow_rows():
+def test_sweep_reports_log_kappa_where_kappa_underflows():
     base = ens.EnsembleConfig(trajectory=_trajectory_cfg(n=8, T=0.02),
                               n_paths=2, master_seed=1)
-    rows = ens.survival_vs_alpha_sweep(base, [0.0, 1.0, 2.0], R=4.0,
-                                       data_scaling="kappa-scaled")
+    rows = ens.survival_vs_alpha_sweep(base, [0.0, 1.0, 2.0], R=4.0)
     assert rows[0]["flagged"] and "baseline" in rows[0]["note"]
-    # R = 4 puts kappa far below double-precision underflow for both alphas
-    assert rows[1]["flagged"] and "underflow" in rows[1]["note"]
-    assert rows[2]["flagged"]
+    assert rows[0]["log_kappa"] == -np.inf
+    # R = 4 puts kappa far below double-precision underflow for both
+    # alphas; the rows run, and their log kappa is finite
+    for row, alpha in zip(rows[1:], (1.0, 2.0)):
+        kk = analysis.kappa_K(4.0, alpha)
+        assert kk.kappa == 0.0 and np.isfinite(kk.log_kappa)
+        assert row["log_kappa"] == kk.log_kappa and "kappa" not in row
+        assert not row["flagged"] and row["exceed_fraction"] is not None
 
 
 def test_sweep_runs_fixed_scaling_rows():
     base = ens.EnsembleConfig(trajectory=_trajectory_cfg(n=8, T=0.02),
                               n_paths=3, master_seed=1)
-    rows = ens.survival_vs_alpha_sweep(base, [2.0], R=1.0,
-                                       data_scaling="fixed")
+    rows = ens.survival_vs_alpha_sweep(base, [2.0], R=1.0)
     row = rows[0]
     assert not row["flagged"]
     assert row["threshold"] == pytest.approx(1.0)
@@ -280,9 +301,6 @@ def test_sweep_validation():
                               master_seed=0)
     with pytest.raises(ValueError):
         ens.survival_vs_alpha_sweep(base, [], R=1.0)
-    with pytest.raises(ValueError):
-        ens.survival_vs_alpha_sweep(base, [1.0], R=1.0,
-                                    data_scaling="bogus")
     surro = _surrogate_cfg()
     with pytest.raises(ValueError):
         ens.survival_vs_alpha_sweep(surro, [1.0], R=1.0)
@@ -318,33 +336,6 @@ def test_sweep_args_are_checked_against_the_trajectory_config():
         with pytest.raises(ValueError, match=f"noise, not '{kind}'"):
             ens.check_sweep_args(dyn.TrajectoryConfig(
                 u0=traj.u0, model=model, T=0.02, dt=5e-3), [1.0], R=1.0)
-
-
-def test_kappa_scaled_sweep_runs_on_the_rescaled_data(monkeypatch):
-    # at R = 1 and alpha = 4, kappa is about 3.8e-202 and does not
-    # underflow, so the row runs on u0 scaled to norm kappa; dt stays within
-    # em's (0.1 / alpha)^2 cap.  The scaled field's Parseval norm
-    # underflows to 0.0, so the scale is read off its coefficients
-    traj = _trajectory_cfg(T=2e-3, dt=5e-4)
-    base = ens.EnsembleConfig(trajectory=traj, n_paths=2, master_seed=0)
-    ran = []
-    real = ens.run_ensemble
-
-    def spy(cfg):
-        ran.append(cfg.trajectory.u0)
-        return real(cfg)
-
-    monkeypatch.setattr(ens, "run_ensemble", spy)
-    row, = ens.survival_vs_alpha_sweep(base, [4.0], R=1.0,
-                                       data_scaling="kappa-scaled")
-    kappa = analysis.kappa_K(1.0, 4.0).kappa
-    assert 0.0 < kappa < 1e-200
-    assert row["kappa"] == kappa and not row["flagged"]
-    assert row["exceed_fraction"] == 0.0
-    u0, = ran
-    scale = kappa / sp.sobolev_norm(traj.u0, traj.norms)
-    np.testing.assert_allclose(u0.coeffs, scale * traj.u0.coeffs, rtol=1e-12)
-    assert np.abs(u0.coeffs).max() > 0.0
 
 
 # ---------------------------------------------------------------------------
