@@ -8,8 +8,9 @@ K(R, alpha), and the worst-case ODE sweep behind them.
 It imports no scipy: the Wilson z comes from _ndtri, a port of Cephes ndtri
 (Moshier, Methods and Programs for Mathematical Functions, 1989) with
 scipy.special.ndtri's bits, and log_gronwall_functions imports
-scipy.integrate when it is called.  So a command that transforms no field
-loads no scipy.
+scipy.integrate when it is called.  With spectral's FFT passes, which run
+scipy's compiled pocketfft module loaded from its file, no command loads a
+scipy module.
 """
 
 from __future__ import annotations

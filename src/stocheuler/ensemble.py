@@ -299,7 +299,8 @@ def survival_vs_alpha_sweep(base: EnsembleConfig, alpha_list: list[float],
         model = replace(traj.model, alpha=alpha)
         rule = StoppingRule(SOBOLEV_THRESHOLD, threshold, traj.norms)
         t2 = replace(traj, model=model, stopping=(rule,))
-        cfg = replace(base, trajectory=t2)
+        # the rows are the summaries: paths/<id>.csv stay the base run's
+        cfg = replace(base, trajectory=t2, output_dir=None)
         summary = run_ensemble(cfg)
         # a failed path is neither an exceedance nor a survivor
         n_ok = summary.n_paths - summary.n_engineering_failures

@@ -42,9 +42,12 @@ transforms run the 1-D passes that scipy's rfftn and irfftn run, in their
 order (forward: the last axis, then -dim .. -2; inverse: -dim .. -2, then
 the last axis): numpy's rfft/irfft with ``out=`` on the last axis,
 scipy.fft's fft/ifft in place on the others, and irfftn's 1/n^dim after
-the last pass, as pocketfft applies it.  _c2c imports scipy.fft, so it
-loads at a process's first c2c pass and a command that transforms no field
-never loads it.  Pruned transforms skip lines
+the last pass, as pocketfft applies it.  _c2c makes the very call that
+scipy.fft's fft/ifft make into scipy's compiled pocketfft module
+(``scipy/fft/_pocketfft/pypocketfft``), which ``_pocketfft`` loads from its
+file at a process's first c2c pass.  So no command loads scipy.fft or any
+other scipy module; the extension adds no name to sys.modules.
+Pruned transforms skip lines
 that the 2/3 rule makes zero: the inverse of a dealiased field (a state)
 skips the lines that hold only masked zeros, and the forward transform of
 the flux products skips the lines whose outputs the mask discards (at
@@ -80,8 +83,11 @@ stack, the curl read as the antisymmetric part of the grid gradient.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -274,18 +280,39 @@ def _runs(keep: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[::2], edges[1::2])]
 
 
+@lru_cache(maxsize=1)
+def _pocketfft():
+    """scipy's compiled pocketfft module, the one scipy.fft's passes call,
+    loaded from its file under its own name: that imports no scipy module
+    and adds no name to sys.modules.  CPython keeps one module object per
+    extension file and name, so this is the object that ``import
+    scipy.fft`` gives scipy.fft, before or after this load.  A scipy
+    without the file is an ImportError that names the path looked in."""
+    name = "scipy.fft._pocketfft.pypocketfft"
+    spec = importlib.util.find_spec("scipy")  # finds scipy, imports nothing
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError(f"{name}: scipy is not installed")
+    base = os.path.join(spec.submodule_search_locations[0], "fft",
+                        "_pocketfft", "pypocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            loader = importlib.machinery.ExtensionFileLoader(name,
+                                                             base + suffix)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"{name}: no file {base}<suffix> for any suffix in "
+                      f"{importlib.machinery.EXTENSION_SUFFIXES}")
+
+
 def _c2c(spectra: np.ndarray, axis: int, index: tuple,
          forward: bool) -> None:
-    """One unscaled complex pass of scipy.fft along axis over the lines
-    spectra[index], in place."""
-    import scipy.fft  # loaded by the first pass: see the module docstring
+    """One unscaled complex pass along axis over the lines spectra[index],
+    in place: the call into pocketfft that scipy.fft.fft or ifft makes with
+    norm "backward" or "forward", overwrite_x=True and one worker."""
     lines = spectra[index]
-    fft = scipy.fft.fft if forward else scipy.fft.ifft
-    done = fft(lines, axis=axis, norm="backward" if forward else "forward",
-               overwrite_x=True)
-    # overwrite_x allows, but does not promise, an in-place transform
-    if not np.may_share_memory(done, lines):
-        lines[...] = done
+    _pocketfft().c2c(lines, (axis,), forward, 0, lines, 1)
 
 
 class _Workspace:
@@ -699,16 +726,41 @@ def lp_norm(f: SpectralField, p: float):
     return _per_path((total * g.cell_volume) ** (1.0 / p))
 
 
-def _parseval_sum(f: SpectralField, m: int):
-    """||f||_{W^{m,2}}^2 from the stored coefficients, per path."""
-    sq = f.coeffs.real ** 2 + f.coeffs.imag ** 2
-    return np.sum(sq * _parseval_weight(f.grid, m),
-                  axis=_trailing(f.grid.dim + 1))
+# a path's Parseval sum below this may be made of subnormal terms, whose
+# rounding can take its digits (at amplitude 1e-170 every square is 0).  Each
+# of its at most 2^19 terms (3D n = 64) loses at most 2^-1075 to underflow,
+# so a sum at or above it is off by less than 2^-156 of itself
+_TINY_SUM = 2.0 ** -900
+
+
+def _parseval_sum(coeffs: np.ndarray, weight: np.ndarray):
+    """Per path, the sum of weight |coeffs|^2 over the trailing axes."""
+    sq = coeffs.real ** 2 + coeffs.imag ** 2
+    return np.sum(sq * weight, axis=_trailing(weight.ndim + 1))
+
+
+def _parseval_norm(f: SpectralField, m: int):
+    """||f||_{W^{m,2}} per path: the sqrt of its Parseval sum, or, for a
+    path whose sum is below _TINY_SUM and whose coefficients are not all
+    zero, s sqrt(sum weight |c/s|^2) with s the path's max |c|."""
+    weight = _parseval_weight(f.grid, m)
+    total = _parseval_sum(f.coeffs, weight)
+    norm = np.sqrt(total)
+    tiny = total < _TINY_SUM
+    if np.any(tiny):
+        axes = _trailing(f.grid.dim + 1)
+        s = np.max(np.abs(f.coeffs), axis=axes)
+        tiny &= s > 0
+        s = np.where(tiny, s, 1.0)
+        scaled = s * np.sqrt(_parseval_sum(f.coeffs / _rows(s, f.grid.dim + 1),
+                                           weight))
+        norm = np.where(tiny, scaled, norm)
+    return _per_path(norm)
 
 
 def l2_norm(f: SpectralField):
     """Spectral (Parseval) L^2 norm."""
-    return _per_path(np.sqrt(_parseval_sum(f, 0)))
+    return _parseval_norm(f, 0)
 
 
 def l2_inner(u: SpectralField, v: SpectralField):
@@ -776,7 +828,7 @@ def sobolev_norm(f: SpectralField, req: NormRequest):
         _, u_max, grad_max, _ = _sup_view(f, pruned=False, with_curl=False)
         return u_max + grad_max
     if req.p == 2:
-        return _per_path(np.sqrt(_parseval_sum(f, req.m)))
+        return _parseval_norm(f, req.m)
     total = 0.0
     for order in range(req.m + 1):
         for axes in _derivative_multiindices(g.dim, order):

@@ -1134,6 +1134,27 @@ def test_ensemble_sweep_writes_sweep_csv(tmp_path, capsys):
     assert 0.0 <= float(rows[1]["exceed_fraction"]) <= 1.0
 
 
+def test_ensemble_sweep_keeps_the_ensembles_path_csvs(tmp_path, capsys):
+    # each alpha's ensemble reports a sweep row only: paths/<id>.csv stay
+    # those of the ensemble that summary.json summarises (at alpha = 3 every
+    # path hits its threshold at t = 0, so a sweep's paths would differ)
+    outputs = {}
+    for name, extra in (("plain", {}),
+                        ("swept", {"sweep": {"alpha_list": [3.0], "R": 1.0}})):
+        out = tmp_path / name
+        code = cli.main(["ensemble", "--config",
+                         _write_yaml(tmp_path, dict(PDE_ENSEMBLE, **extra)),
+                         "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_OK
+        outputs[name] = {p.relative_to(out).as_posix(): p.read_bytes()
+                         for p in sorted(out.rglob("*.csv"))
+                         if p.name != "sweep.csv"}
+        outputs[name]["summary.json"] = (out / "summary.json").read_bytes()
+    assert sorted(outputs["plain"]) == ["paths/0.csv", "paths/1.csv",
+                                        "summary.json"]
+    assert outputs["swept"] == outputs["plain"]
+
+
 def test_equal_integrator_alpha_is_accepted(tmp_path, capsys):
     # the form of the benchmark's ensemble workload: noise.alpha repeated
     # as integrator.alpha, the master seed from --seed

@@ -2,6 +2,9 @@
 
 import gc
 import itertools
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -323,6 +326,41 @@ def test_sobolev_zero_field():
         assert sp.sobolev_norm(z, sp.NormRequest(m, p)) == 0.0
 
 
+@pytest.mark.parametrize("name", ["random", "taylor_green"])
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+def test_parseval_norms_of_tiny_fields_scale_with_their_amplitude(dim, n,
+                                                                  name):
+    # the squares of a field at 1e-170 underflow to 0, and at 1e-150 some
+    # are subnormal; such a path's norm is taken on the field scaled by its
+    # max |c|.  A sum at or above the threshold keeps the plain sum's bits
+    g = sp.Grid(dim, n)
+    W32 = sp.NormRequest(3, 2)
+
+    def norms(u):
+        return sp.l2_norm(u), sp.sobolev_norm(u, W32)
+
+    unit = norms(sp.make_initial_field(g, name, 1.0, seed=2))
+    for amplitude in (1e-150, 1e-170, 1e-250):
+        got = norms(sp.make_initial_field(g, name, amplitude, seed=2))
+        for value, want in zip(got, unit):
+            assert value == pytest.approx(amplitude * want, rel=2e-15), (
+                amplitude)
+    for amplitude in (1.0, 1e-100):
+        u = sp.make_initial_field(g, name, amplitude, seed=2)
+        for m, value in zip((0, 3), norms(u)):
+            plain = np.sum((u.coeffs.real ** 2 + u.coeffs.imag ** 2)
+                           * sp._parseval_weight(g, m))
+            assert plain >= sp._TINY_SUM
+            assert value == np.sqrt(plain)
+    # per path in a batch: a unit path keeps its bits, a zero path reads 0
+    u = sp.make_initial_field(g, name, 1.0, seed=2)
+    batch = sp.SpectralField(g, np.stack([u.coeffs, 1e-170 * u.coeffs,
+                                          0.0 * u.coeffs]))
+    l2 = sp.l2_norm(batch)
+    assert l2[0] == unit[0] and l2[2] == 0.0
+    assert l2[1] == pytest.approx(1e-170 * unit[0], rel=2e-15)
+
+
 def test_norm_request_validation():
     with pytest.raises(UnsupportedNorm):
         sp.NormRequest(2, np.inf)
@@ -476,6 +514,95 @@ def test_workspace_transforms_equal_scipy(dim, n, fraction):
             scipy.fft.irfftn(full, s=g.shape, axes=axes)), lead
         pools = pools or dict(ws._pools)
     assert all(ws._pools[name] is pool for name, pool in pools.items())
+
+
+def _in_a_fresh_interpreter(code: str, *args: str, path=None) -> str:
+    """The stdout of code run in a fresh interpreter, with path (by default
+    the package's source root) first on sys.path and args in sys.argv[1:]."""
+    root = path or pathlib.Path(sp.__file__).resolve().parents[1]
+    probe = f"import sys; sys.path.insert(0, {str(root)!r}); " + code
+    return subprocess.run([sys.executable, "-c", probe, *args],
+                          capture_output=True, text=True, check=True).stdout
+
+
+# the package's passes against scipy.fft's in the same interpreter, and
+# whether the package's pocketfft module is the one scipy.fft calls
+_ONE_MODULE = """
+import numpy as np
+def package():
+    from stocheuler import spectral as sp
+    g = sp.Grid(3, 16)
+    values = np.random.default_rng(1).standard_normal((3,) + g.shape)
+    spectra = sp._forward(values, g)
+    return sp, g, values, spectra, sp._inverse(spectra * g.dealias_mask, g,
+                                               pruned=True)
+def scipy_fft():
+    import scipy.fft
+    import scipy.fft._pocketfft.basic as basic
+    return scipy.fft, basic.pfft
+if sys.argv[1] == "package":
+    sp, g, values, spectra, grid_values = package()
+    fft, pfft = scipy_fft()
+else:
+    fft, pfft = scipy_fft()
+    sp, g, values, spectra, grid_values = package()
+name = "scipy.fft._pocketfft.pypocketfft"
+assert sp._pocketfft() is pfft is sys.modules[name]
+assert np.array_equal(spectra, fft.rfftn(values, axes=(-3, -2, -1)))
+assert np.array_equal(grid_values, fft.irfftn(
+    spectra * g.dealias_mask, s=g.shape, axes=(-3, -2, -1)))
+assert np.array_equal(sp._forward(grid_values, g), fft.rfftn(
+    grid_values, axes=(-3, -2, -1)))
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["package", "scipy.fft"])
+def test_pocketfft_is_one_module_in_either_import_order(first):
+    # the package loads the extension from its file, and a later import
+    # scipy.fft gets that module object; a scipy.fft loaded first gives the
+    # package its own: either way one module, and the transforms work after
+    assert _in_a_fresh_interpreter(_ONE_MODULE, first) == "ok\n"
+
+
+@pytest.mark.parametrize("lead, dim, n", [((25,), 2, 32), ((), 3, 16)])
+def test_c2c_gives_scipy_fft_bits_on_every_line_set(lead, dim, n):
+    # _c2c is scipy.fft.fft/ifft with norm "backward"/"forward" on the lines
+    # spectra[index], minus scipy.fft's dispatch; it writes those lines alone
+    g = sp.Grid(dim, n)
+    rng = np.random.default_rng(dim * n)
+    shape = lead + (dim,) + g.spectral_shape
+    for lines in g._workspace._lines.values():
+        for axis, indices in lines:
+            for index, forward in itertools.product(indices, (True, False)):
+                spectra = (rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+                want = spectra.copy()
+                fft = scipy.fft.fft if forward else scipy.fft.ifft
+                want[index] = fft(want[index], axis=axis, overwrite_x=True,
+                                  norm="backward" if forward else "forward")
+                sp._c2c(spectra, axis, index, forward)
+                assert np.array_equal(spectra, want), (axis, index, forward)
+
+
+def test_a_scipy_without_pocketfft_fails_at_the_first_transform(tmp_path):
+    # a scipy package with no compiled pocketfft module: importing the
+    # package and its CLI works, and the first transform is an ImportError
+    # that names the path looked in, with no scipy module imported
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    src = pathlib.Path(sp.__file__).resolve().parents[1]
+    out = _in_a_fresh_interpreter(
+        "sys.path.insert(0, sys.argv[1]); "
+        "import stocheuler.cli; from stocheuler import spectral as sp\n"
+        "try:\n    sp.taylor_green(sp.Grid(2, 16))\n"
+        "except ImportError as exc:\n    print(exc)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+        str(src), path=tmp_path)
+    message, loaded = out.splitlines()
+    base = tmp_path / "scipy" / "fft" / "_pocketfft" / "pypocketfft"
+    assert str(base) in message
+    assert loaded == "[]"
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
