@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidParams, StiffnessFailure
-from .noise import keyed_generator
+from .noise import keyed_generator, squared_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +98,6 @@ def wilson_interval(successes: int, n: int,
 
 # ---------------------------------------------------------------------------
 # GBM exit times
-
-
-def squared_alpha(alpha: float, nonzero: bool = True) -> float:
-    """alpha ** 2; InvalidParams where it overflows, or where it is 0 and
-    nonzero is set (the noise of a run may vanish, a GBM's may not)."""
-    a2 = float(alpha) * float(alpha)
-    if not np.isfinite(a2):
-        raise InvalidParams(f"alpha^2 must be finite, got alpha={alpha}")
-    if a2 == 0 and nonzero:
-        raise InvalidParams(f"alpha^2 must be nonzero, got alpha={alpha}")
-    return alpha ** 2
 
 
 @dataclass(frozen=True)

@@ -185,10 +185,11 @@ def cmd_transform_check(args) -> int:
 
 def cmd_mollifier_check(args) -> int:
     res = checks.mollifier_check(seed=args.seed)
-    ok = (res.uniform_bound_ok and res.convergence_monotone
-          and res.converged_to_zero)
+    ok = (res.uniform_bound_ok and res.gain_bounded
+          and res.convergence_monotone and res.converged_to_zero)
     _emit(args, {"uniform_bound_ok": res.uniform_bound_ok,
                  "derivative_gain_constant": res.derivative_gain_constant,
+                 "gain_bounded": res.gain_bounded,
                  "convergence_monotone": res.convergence_monotone,
                  "converged_to_zero": res.converged_to_zero})
     return EXIT_OK if ok else EXIT_SCIENCE

@@ -14,12 +14,12 @@ import math
 
 import yaml
 
-from .analysis import GBMParams, squared_alpha
+from .analysis import GBMParams
 from .dynamics import SOBOLEV_THRESHOLD, StoppingRule, TrajectoryConfig
 from .ensemble import EnsembleConfig, GBMSurrogateSpec, check_sweep_args
 from .errors import ConfigError, InvalidParams, UnsupportedNorm
 from .noise import (ADDITIVE, FUNCTIONAL, LINEAR_MULTIPLICATIVE, NEMYTSKII,
-                    NoiseModel, spectrum_sigma_fields)
+                    NONE, NoiseModel, spectrum_sigma_fields)
 from .spectral import Grid, NormRequest, make_initial_field
 
 
@@ -180,7 +180,7 @@ def build_grid(doc: dict) -> Grid:
 
 
 # the noise keys each kind reads besides kind and seed
-_NOISE_KEYS = {"none": (), LINEAR_MULTIPLICATIVE: ("alpha",),
+_NOISE_KEYS = {NONE: (), LINEAR_MULTIPLICATIVE: ("alpha",),
                ADDITIVE: ("k_modes", "mode_decay"),
                FUNCTIONAL: ("k_modes", "mode_decay"),
                NEMYTSKII: ("k_modes", "mode_decay", "g")}
@@ -199,11 +199,10 @@ def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, int]:
                           f"{', '.join(sorted(unread))}")
     if seed < 0:
         raise ConfigError(f"noise: seed must be non-negative, got {seed}")
-    if kind == "none":
-        return NoiseModel(ADDITIVE), seed
+    if kind == NONE:
+        return NoiseModel(kind), seed
     if kind == LINEAR_MULTIPLICATIVE:
-        _call("noise.alpha", squared_alpha, sec["alpha"], nonzero=False)
-        return NoiseModel(kind, alpha=sec["alpha"]), seed
+        return _call("noise.alpha", NoiseModel, kind, alpha=sec["alpha"]), seed
 
     def fields(field_seed):
         return _call("noise", spectrum_sigma_fields, grid, sec["k_modes"],
@@ -247,10 +246,9 @@ def build_trajectory_config(doc: dict) -> TrajectoryConfig:
     except ValueError as exc:
         raise ConfigError(f"integrator.kind: {exc}") from exc
     if alpha is not None:
-        kind = _section(doc, "noise")["kind"]
-        if kind != LINEAR_MULTIPLICATIVE:
-            raise ConfigError(f"integrator.alpha: noise kind '{kind}' has "
-                              f"no alpha")
+        if model.kind != LINEAR_MULTIPLICATIVE:
+            raise ConfigError(f"integrator.alpha: noise kind '{model.kind}' "
+                              f"has no alpha")
         if alpha != model.alpha:
             raise ConfigError(f"integrator.alpha: {alpha} differs from "
                               f"noise.alpha {model.alpha}, the run's one "

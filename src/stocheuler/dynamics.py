@@ -9,11 +9,12 @@ or raises CflViolation over the CFL limit.  v = gamma u lives only
 inside step_transformed's step; gamma = exp(-alpha W) is formed where reported.
 
 Batch axis: a SimState may hold a batch of paths, u of shape
-(B, dim) + spectral_shape with dW of shape (B, K) and one W_accum per path.
-A state holds no clock: the trajectory driver counts the batch's steps k and
-reports every time (a sample's t, a hit, final_time, gbm_level's rho) as
-k dt.  Every stepper acts on each path alone (see spectral), so a path's
-numbers do not depend on the batch it runs in.
+(B, dim) + spectral_shape with dW of shape (B, K).  A state holds u and its
+sampled grid view alone.  The trajectory driver counts the batch's steps k
+and reports every time (a sample's t, a hit, final_time, gbm_level's rho) as
+k dt, and under linear-multiplicative noise it sums each path's W from the
+dW[:, 0] of the steps that path took.  Every stepper acts on each path alone
+(see spectral), so a path's numbers do not depend on the batch it runs in.
 A CflViolation or NonFinite raised on a batch names its rows (exc.rows).
 
 integrate_trajectory(cfg, trajectory_ids) is the one loop that steps a
@@ -25,9 +26,10 @@ checks' increments, and drops a path's rows of the block with its state.
 
 A TrajectoryConfig states each run parameter once: the linear-multiplicative
 coefficient alpha (noise, gamma = exp(-alpha W), the damping alpha^2/2 and the
-gbm_level monitor) is model.alpha, the grid is u0.grid, and the sampled
-W^{m,p} order is norms.  A sample whose W^{1,inf} norm reaches BLOWUP_LEVEL
-ends the path as a blow-up.
+gbm_level monitor) is model.alpha, which the model checks and which is 0
+under every other noise kind, the grid is u0.grid, and the sampled W^{m,p}
+order is norms.  A gbm_level rule needs linear-multiplicative noise.  A
+sample whose W^{1,inf} norm reaches BLOWUP_LEVEL ends the path as a blow-up.
 
 States are dealiased from t = 0: TrajectoryConfig rejects a u0 that is not.
 A sample's W^{1,inf} and sup|curl u| come from one physical-space view of
@@ -59,8 +61,8 @@ from dataclasses import KW_ONLY, dataclass, field
 import numpy as np
 
 from .analysis import _rk4, n_time_steps
-from .errors import (CflViolation, InvalidParams, NonFinite, ShapeMismatch,
-                     StochEulerError)
+from .errors import (CflViolation, ConfigError, InvalidParams, NonFinite,
+                     ShapeMismatch, StochEulerError)
 from .noise import (LINEAR_MULTIPLICATIVE, BrownianDriver, NoiseModel,
                     apply_noise, block_steps)
 from .spectral import (Grid, NormRequest, SpectralField, _field_of_box,
@@ -113,12 +115,11 @@ class StoppingRule:
 @dataclass
 class SimState:
     """Integration state of one path, or of a batch of paths: then u has a
-    leading batch axis and W_accum holds one value per path.  u is the
-    velocity under every integrator; the fields after it are keyword-only."""
+    leading batch axis.  u is the velocity under every integrator; the
+    fields after it are keyword-only."""
 
     u: SpectralField
     _: KW_ONLY
-    W_accum: float | np.ndarray = 0.0
     # u's grid values and max|u| from a sample of this state; states are
     # dealiased from t = 0, so the next step's flux and CFL check reuse them
     values: np.ndarray | None = None
@@ -191,6 +192,12 @@ class TrajectoryConfig:
                              f"{LINEAR_MULTIPLICATIVE} noise")
         if np.any(self.u0.coeffs[..., ~self.u0.grid.dealias_mask]):
             raise InvalidParams("u0 must vanish outside the dealias mask")
+        # without alpha, rho = exp(alpha W - alpha^2 t / 8) is 1 at every t
+        if (self.model.kind != LINEAR_MULTIPLICATIVE
+                and any(r.kind == GBM_LEVEL for r in self.stopping)):
+            raise ConfigError(f"stopping: a {GBM_LEVEL} rule needs "
+                              f"{LINEAR_MULTIPLICATIVE} noise, not "
+                              f"'{self.model.kind}'")
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +216,6 @@ def cfl_limit(u: SpectralField, c_cfl: float = 0.5, alpha: float = 0.0,
         if alpha != 0.0:
             limit = np.minimum(limit, np.float64(0.1 / abs(alpha)) ** 2)
     return _per_path(limit)
-
-
-def _lm_alpha(model: NoiseModel) -> float:
-    """The linear-multiplicative coefficient alpha; 0 for other noise kinds."""
-    return model.alpha if model.kind == LINEAR_MULTIPLICATIVE else 0.0
 
 
 def _flux_values(state: SimState, dt: float, c_cfl: float,
@@ -246,27 +248,17 @@ def _boxes(u: SpectralField, count: int) -> list[np.ndarray]:
     return boxes
 
 
-def _increment(model: NoiseModel, dW: np.ndarray):
-    """W's increment: dW[..., 0] under linear-multiplicative noise, else 0."""
-    return (np.asarray(dW)[..., 0] if model.kind == LINEAR_MULTIPLICATIVE
-            else 0.0)
-
-
-def _advance(state: SimState, dt: float, box: np.ndarray,
-             model: NoiseModel, dW: np.ndarray,
-             project: bool = True) -> SimState:
+def _advance(g: Grid, box: np.ndarray, project: bool = True) -> SimState:
     """The state after a step whose new u has the kept box box: projected
-    as leray_project(dealiased=True) projects (if project), NonFinite on the
-    paths with a NaN or Inf, and W += its increment."""
-    g = state.u.grid
+    as leray_project(dealiased=True) projects (if project), and NonFinite on
+    the paths with a NaN or Inf."""
     if project:
         _project_box(g, box)
     finite = np.isfinite(box.view(float)).all(axis=_trailing(g.dim + 1))
     if not finite.all():
         raise NonFinite("non-finite Fourier coefficient",
                         rows=np.flatnonzero(~finite))
-    return SimState(_field_of_box(g, box),
-                    W_accum=state.W_accum + _increment(model, dW))
+    return SimState(_field_of_box(g, box))
 
 
 def _transport(g: Grid, boxes: list[np.ndarray], dt: float,
@@ -301,13 +293,12 @@ def step_em(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
     u = state.u
     v, drift, noise = _boxes(u, 3)
     nonlinear_term(SpectralField(u.grid, v),
-                   _flux_values(state, dt, c_cfl, _lm_alpha(model)),
-                   out=drift)
+                   _flux_values(state, dt, c_cfl, model.alpha), out=drift)
     drift *= dt
     box = np.subtract(v, drift, out=drift)
     if model.n_modes:
         box += apply_noise(model, u, dW, out=noise)
-    return _advance(state, dt, box, model, dW)
+    return _advance(u.grid, box)
 
 
 def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
@@ -317,10 +308,10 @@ def step_rk4(state: SimState, dt: float, model: NoiseModel, dW: np.ndarray,
     u = state.u
     boxes = _boxes(u, 4)
     box = _transport(u.grid, boxes, dt,
-                     _flux_values(state, dt, c_cfl, _lm_alpha(model)))
+                     _flux_values(state, dt, c_cfl, model.alpha))
     if model.n_modes:
         box += apply_noise(model, u, dW, out=boxes[2])
-    return _advance(state, dt, box, model, dW)
+    return _advance(u.grid, box)
 
 
 def step_transformed(state: SimState, dt: float, model: NoiseModel,
@@ -338,31 +329,32 @@ def step_transformed(state: SimState, dt: float, model: NoiseModel,
     arithmetic, as RK4 on a quadratic rhs commutes with scaling.  Both
     factors are exact, so the CFL limit has no (0.1/alpha)^2 cap.
     """
-    alpha = _lm_alpha(model)
+    alpha = model.alpha
     half = 0.5 * alpha ** 2
     g = state.u.grid
     box = _transport(g, _boxes(state.u, 4), dt,
                      _flux_values(state, dt, c_cfl, 0.0), half)
-    box *= _rows(np.exp(alpha * _increment(model, dW) - half * dt), g.dim + 1)
-    return _advance(state, dt, box, model, dW, project=False)
+    dW0 = dW[..., 0] if model.n_modes else 0.0
+    box *= _rows(np.exp(alpha * dW0 - half * dt), g.dim + 1)
+    return _advance(g, box, project=False)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory driver
 
 
-def _monitored_value(rule: StoppingRule, state: SimState, t: float,
-                     alpha: float, w1inf: np.ndarray, wmp: np.ndarray,
-                     req: NormRequest) -> np.ndarray:
-    """The rule's scalar per path at the sample just taken, at time t,
-    reusing its W^{1,inf} and W^{m,p} values where the rule asks for them."""
+def _monitored_value(rule: StoppingRule, u: SpectralField, W: np.ndarray,
+                     t: float, alpha: float, w1inf: np.ndarray,
+                     wmp: np.ndarray, req: NormRequest) -> np.ndarray:
+    """The rule's scalar per path at the sample just taken of u, at time t
+    and path values W, reusing its W^{1,inf} and W^{m,p} values."""
     if rule.kind == W1INF_THRESHOLD:
         return w1inf
     if rule.kind == SOBOLEV_THRESHOLD:
         return (wmp if rule.norm_spec == req
-                else sobolev_norm(state.u, rule.norm_spec))
+                else sobolev_norm(u, rule.norm_spec))
     # gbm_level monitors rho_alpha(t) = exp(alpha W_t - alpha^2 t / 8)
-    return np.exp(alpha * state.W_accum - alpha ** 2 * t / 8.0)
+    return np.exp(alpha * W - alpha ** 2 * t / 8.0)
 
 
 def _keep(state: SimState, keep: np.ndarray) -> SimState:
@@ -370,8 +362,8 @@ def _keep(state: SimState, keep: np.ndarray) -> SimState:
     u = state.u
     values, u_max = (None if a is None else a[keep]
                      for a in (state.values, state.u_max))
-    return SimState(SpectralField(u.grid, u.coeffs[keep]),
-                    W_accum=state.W_accum[keep], values=values, u_max=u_max)
+    return SimState(SpectralField(u.grid, u.coeffs[keep]), values=values,
+                    u_max=u_max)
 
 
 def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
@@ -399,12 +391,12 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
                             f"need {shape}")
     if not n_steps:
         return diags
-    alpha = _lm_alpha(cfg.model)
+    alpha = cfg.model.alpha
     u0 = cfg.u0
     state = SimState(SpectralField(
-        u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0)),
-        W_accum=np.zeros(len(ids)))
+        u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0)))
     rows = np.arange(len(ids))  # the diags index of each batch row
+    W = np.zeros(len(ids))  # each row's Wiener path at the state's time
     k = 0  # the batch's steps taken; the state's time is k * cfg.dt
 
     def sample() -> np.ndarray:
@@ -414,7 +406,7 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
         wmp = sobolev_norm(state.u, cfg.norms)
         state.values, state.u_max, grad_max, curl_max = _sup_view(state.u)
         w1inf = state.u_max + grad_max
-        gamma = np.exp(-alpha * state.W_accum)
+        gamma = np.exp(-alpha * W)
         columns = np.column_stack((l2, wmp, w1inf, curl_max, gamma)).tolist()
         for i, row in zip(rows, columns):
             d = diags[i]
@@ -431,8 +423,9 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
             done = fired.setdefault(rule.kind, stop.copy())
             if done.all():
                 continue
-            hit = ~done & (_monitored_value(rule, state, t, alpha, w1inf,
-                                            wmp, cfg.norms) >= rule.level)
+            hit = ~done & (_monitored_value(rule, state.u, W, t, alpha,
+                                            w1inf, wmp, cfg.norms)
+                           >= rule.level)
             for i in rows[hit]:
                 diags[i].hits.append((rule.kind, t))
             done |= hit
@@ -448,11 +441,12 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
 
     def retire(out: np.ndarray) -> None:
         """Drop the rows where out is True from the batch."""
-        nonlocal state, rows, block
+        nonlocal state, rows, W, block
         if not out.any():
             return
         finish(out, state.u.coeffs[out])
-        state, rows, block = _keep(state, ~out), rows[~out], block[~out]
+        state, rows, W, block = (_keep(state, ~out), rows[~out], W[~out],
+                                 block[~out])
 
     # looked up on the module at call time, so a stepper replaced there (for
     # instance by a tracer) is the one that runs
@@ -487,6 +481,8 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
                         diags[i].failure = exc
                 retire(out)
                 continue  # the same step again, on the other paths
+            if cfg.model.kind == LINEAR_MULTIPLICATIVE:
+                W = W + dW[:, 0]
             k += 1
             if k % cfg.sample_every == 0 or k == n_steps:
                 retire(sample())

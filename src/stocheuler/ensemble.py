@@ -22,11 +22,11 @@ import numpy as np
 
 from . import analysis
 from .analysis import (GBMParams, gbm_survival_bound, kappa_K, n_time_steps,
-                       squared_alpha, wilson_interval)
+                       wilson_interval)
 from .dynamics import (GBM_LEVEL, SOBOLEV_THRESHOLD, StoppingRule,
                        TrajectoryConfig, integrate_trajectory)
 from .errors import ConfigError, InvalidParams
-from .noise import LINEAR_MULTIPLICATIVE
+from .noise import LINEAR_MULTIPLICATIVE, squared_alpha
 
 SUMMARY_SCHEMA_VERSION = 1
 HIT_HISTOGRAM_BINS = 20
@@ -255,9 +255,9 @@ def check_sweep_args(traj: TrajectoryConfig | None, alpha_list: list[float],
     if traj is None:
         raise ValueError("needs a trajectory config, not a surrogate")
     if traj.model.kind != LINEAR_MULTIPLICATIVE:  # no other kind has alpha
-        kind = traj.model.kind if traj.model.n_modes else "none"
         raise ValueError(f"needs {LINEAR_MULTIPLICATIVE} noise, not "
-                         f"'{kind}', whose runs have no alpha to vary")
+                         f"'{traj.model.kind}', whose runs have no alpha to "
+                         f"vary")
     if not alpha_list:
         raise ValueError("alpha_list must be nonempty")
     if R < 1:

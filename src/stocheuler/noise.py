@@ -14,6 +14,12 @@ BLOCK_STEPS steps, and its length depends on K alone, so a path's draws do
 not depend on the batch, chunk or dt it runs with.  A block's first rows
 are the rows that drawing the whole block gives, so a run draws only the
 rows it steps through.
+
+A NoiseModel is the one place that says what alpha and "no noise" mean:
+kind none has no modes, alpha belongs to linear-multiplicative noise alone,
+and the model checks it where it is built (squared_alpha, which the GBM
+and kappa code share).  The trajectory driver sums the path W that alpha
+multiplies.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInput, ShapeMismatch
+from .errors import DegenerateInput, InvalidParams, ShapeMismatch
 from .spectral import (Grid, NormRequest, SpectralField, _rows, dealias,
                        l2_inner, leray_project, random_divergence_free,
                        sobolev_norm)
@@ -89,20 +95,35 @@ G_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sigmoid": lambda u: np.tanh(u),
 }
 
+NONE = "none"
 ADDITIVE = "additive"
 LINEAR_MULTIPLICATIVE = "linear_multiplicative"
 NEMYTSKII = "nemytskii"
 FUNCTIONAL = "functional"
 
 
+def squared_alpha(alpha: float, nonzero: bool = True) -> float:
+    """alpha ** 2; InvalidParams where it overflows, or where it is 0 and
+    nonzero is set (the noise of a run may vanish, a GBM's may not)."""
+    a2 = float(alpha) * float(alpha)
+    if not np.isfinite(a2):
+        raise InvalidParams(f"alpha^2 must be finite, got alpha={alpha}")
+    if a2 == 0 and nonzero:
+        raise InvalidParams(f"alpha^2 must be nonzero, got alpha={alpha}")
+    return alpha ** 2
+
+
 @dataclass
 class NoiseModel:
     """Tagged description of the noise operator sigma.
 
+    none:                  sigma = 0, no modes
     additive:              sigma_k fixed fields, u-independent
     linear_multiplicative: alpha * u with a single scalar Brownian motion
     nemytskii:             sigma_k(u)(x) = alpha_k(x) g(u(x)), g from registry
     functional:            sigma_k(u) = <u, profile_k>_{L^2} * alpha_k(x)
+
+    alpha, whose square must be finite, is 0 unless linear_multiplicative.
     """
 
     kind: str
@@ -112,9 +133,15 @@ class NoiseModel:
     profiles: Sequence[SpectralField] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.kind not in (ADDITIVE, LINEAR_MULTIPLICATIVE, NEMYTSKII,
+        if self.kind not in (NONE, ADDITIVE, LINEAR_MULTIPLICATIVE, NEMYTSKII,
                              FUNCTIONAL):
             raise ValueError(f"unknown noise kind '{self.kind}'")
+        if self.kind == LINEAR_MULTIPLICATIVE:
+            squared_alpha(self.alpha, nonzero=False)
+        elif self.alpha != 0:
+            raise InvalidParams(f"noise kind '{self.kind}' has no alpha")
+        if self.kind == NONE and self.sigma_fields:
+            raise InvalidParams(f"noise kind '{NONE}' has no sigma_fields")
         if self.kind == NEMYTSKII and self.g_tag not in G_REGISTRY:
             raise ValueError(f"unknown g tag '{self.g_tag}'")
 
@@ -126,7 +153,7 @@ class NoiseModel:
 
 
 def zero_noise() -> NoiseModel:
-    return NoiseModel(ADDITIVE, sigma_fields=())
+    return NoiseModel(NONE)
 
 
 def apply_noise(model: NoiseModel, u: SpectralField, dW: np.ndarray, *,

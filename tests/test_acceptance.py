@@ -137,8 +137,8 @@ def test_07_spectral_core_properties():
     if gap > 1e-10:
         problems.append(f"dense convolution oracle (gap {gap:.1e})")
     moll = checks.mollifier_check()
-    if not (moll.uniform_bound_ok and moll.convergence_monotone
-            and moll.converged_to_zero):
+    if not (moll.uniform_bound_ok and moll.gain_bounded
+            and moll.convergence_monotone and moll.converged_to_zero):
         problems.append("mollifier properties")
     ok = not problems
     _verdict("spectral core properties", ok,

@@ -24,6 +24,19 @@ def test_transform_errors_and_conservation_drifts_keep_their_bits():
             res.enstrophy_l4_drift.hex()] == CONSERVATION_DRIFTS
 
 
+def test_mollifier_check_reports_a_failed_gain_bound_alone():
+    # a gain limit below the measured constant fails the gain bound, and
+    # only it: the residuals still converge to zero
+    res = checks.mollifier_check()
+    assert res.gain_bounded and res.converged_to_zero
+    low = checks.mollifier_check(gain_limit=0.5 *
+                                 res.derivative_gain_constant)
+    assert low.derivative_gain_constant == res.derivative_gain_constant
+    assert not low.gain_bounded
+    assert (low.uniform_bound_ok, low.convergence_monotone,
+            low.converged_to_zero) == (True, True, True)
+
+
 def test_vorticity_decay_reads_the_driver_samples():
     res = checks.vorticity_decay_check(n=32, T=0.2, sample_every=10)
     assert res.max_excess == pytest.approx(VORTICITY_EXCESS, rel=1e-12)

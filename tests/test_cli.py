@@ -102,6 +102,7 @@ def test_mollifier_check_passes(tmp_path):
     assert code == cli.EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["uniform_bound_ok"] is True
+    assert payload["gain_bounded"] is True
     assert payload["convergence_monotone"] is True
 
 
@@ -750,6 +751,15 @@ UNKNOWN_KEYS = [
                    f"sweep: needs linear_multiplicative noise, not '{kind}'",
                    id=f"sweep-{kind}-noise")
       for kind in ("additive", "none")),
+    # rho = exp(alpha W - alpha^2 t / 8) is 1 without alpha: a gbm_level
+    # rule at level 2 could never fire
+    *(pytest.param(RUN_CONFIG,
+                   [f"noise={{kind: {kind}}}",
+                    "integrator={kind: em, T: 0.05, dt: 0.005}",
+                    "stopping=[{kind: gbm_level, level: 2.0}]"],
+                   f"stopping: a gbm_level rule needs linear_multiplicative "
+                   f"noise, not '{kind}'", id=f"gbm-level-{kind}-noise")
+      for kind in ("additive", "none")),
 ])
 def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
                                                     overrides, prefix):
@@ -1011,6 +1021,16 @@ PDE_ENSEMBLE = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
           ("run", RUN_CONFIG, "transformed", "w1inf_threshold"),
           ("run", RUN_CONFIG, "em", "gbm_level"),
           ("ensemble", PDE_ENSEMBLE, "transformed", "w1inf_threshold"))),
+    # rho = exp(alpha W - alpha^2 t / 8) is 1 without alpha: a gbm_level
+    # rule at level 0.5 fired at t = 0, and the run exited 0
+    *(pytest.param("run", None,
+                   ["--set", "grid.n=8", "--set", f"noise.kind={kind}",
+                    "--set", "integrator={kind: em, T: 0.02, dt: 0.005}",
+                    "--set", "stopping=[{kind: gbm_level, level: 0.5}]"],
+                   f"config error: stopping: a gbm_level rule needs "
+                   f"linear_multiplicative noise, not '{kind}'",
+                   id=f"run-gbm-level-{kind}-noise")
+      for kind in ("none", "additive")),
     pytest.param("transform-check", None, ["--n", "16", "--alpha", "1e200"],
                  "invalid parameters: alpha^2 must be finite, got "
                  "alpha=1e+200", id="transform-check-alpha-square-overflows"),

@@ -1,6 +1,7 @@
 """Steppers, stopping rules, and the trajectory driver."""
 
 import csv
+import dataclasses
 import inspect
 import io
 import tracemalloc
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from stocheuler import dynamics as dyn, noise, spectral as sp
-from stocheuler.errors import CflViolation, InvalidParams, ShapeMismatch
+from stocheuler.errors import (CflViolation, ConfigError, InvalidParams,
+                               ShapeMismatch)
 
 
 def _grid(n=16, dim=2):
@@ -228,13 +230,12 @@ def test_rk4_with_zero_noise_conserves_energy_short_run():
 
 
 def test_transformed_pure_damping_is_exact_on_shear():
-    # shear has vanishing self-advection, and dW = 0 holds W, so gamma:
-    # u(t) = v(t) / gamma = e^{-alpha^2 t/2} u(0)
+    # shear has vanishing self-advection, and dW = 0 holds W, so gamma,
+    # whatever its value: u(t) = v(t) / gamma = e^{-alpha^2 t/2} u(0)
     g = _grid(32)
     v = sp.shear_field(g)
     alpha, dt = 2.0, 1e-2
-    # W held at -log(1.3)/alpha, so gamma = exp(-alpha W) = 1.3 at every step
-    cur = dyn.SimState(v, W_accum=-np.log(1.3) / alpha)
+    cur = dyn.SimState(v)
     for _ in range(50):
         cur = dyn.step_transformed(cur, dt, _lin_mult(alpha), np.zeros(1))
     want = np.exp(-alpha ** 2 * 0.5 * 0.5) * v.coeffs  # t = 0.5
@@ -273,11 +274,12 @@ def test_transformed_3d_damps_helicity_and_energy_at_alpha_squared():
     alpha, dt, n_steps = 1.0, 5e-3, 100
     model = _lin_mult(alpha)
     driver = noise.BrownianDriver(4, 1)
-    state = _state(v0)
+    state, W = _state(v0), 0.0
     for k in range(n_steps):
-        state = dyn.step_transformed(state, dt, model,
-                                     driver.sample_increments(0, k, dt))
-    v = np.exp(-alpha * state.W_accum) * state.u
+        dW = driver.sample_increments(0, k, dt)
+        state = dyn.step_transformed(state, dt, model, dW)
+        W += dW[0]
+    v = np.exp(-alpha * W) * state.u
     decay = np.exp(-alpha ** 2 * n_steps * dt)
     assert abs(_helicity(v) / (_helicity(v0) * decay) - 1) < 1e-12
     assert abs(sp.l2_norm(v) ** 2 / (sp.l2_norm(v0) ** 2 * decay)
@@ -307,7 +309,7 @@ def test_steppers_leave_their_input_state_unchanged(dim, n, step, kind):
         model = _lin_mult(alpha=1.0)
     else:
         model = noise.NoiseModel(
-            kind, alpha=1.0, g_tag="square",
+            kind, g_tag="square",
             sigma_fields=noise.spectrum_sigma_fields(g, 2, 2.0, seed=6))
     before = u.coeffs.copy()
     dW = noise.BrownianDriver(2, model.n_modes).sample_increments(0, 0, 1e-4)
@@ -344,8 +346,7 @@ def _check_step_allocation(step):
     u0 = sp.make_initial_field(g, "random", 0.5, seed=2)
     batch = 3
     state = dyn.SimState(sp.SpectralField(
-        g, np.repeat(u0.coeffs[None], batch, axis=0)),
-        W_accum=np.zeros(batch))
+        g, np.repeat(u0.coeffs[None], batch, axis=0)))
     model = _lin_mult(alpha=1.0)
     dW = np.full((batch, 1), 0.01)
     state = step(state, 5e-3, model, dW)  # sizes the pools
@@ -412,7 +413,7 @@ def test_box_steps_equal_the_whole_array_steps(kind, noise_kind, dim, n):
     driver = noise.BrownianDriver(9, model.n_modes)
     dt, rows = 5e-3, [0, 1, 2]
     state = dyn.SimState(sp.SpectralField(
-        g, np.stack([u.coeffs for u in u0])), W_accum=np.zeros(3))
+        g, np.stack([u.coeffs for u in u0])))
     solo = list(u0)
     step = getattr(dyn, f"step_{kind}")
     for k in range(8):
@@ -455,8 +456,7 @@ def test_transformed_u_form_equals_the_v_form(dim, n, batch):
     model = _lin_mult(alpha)
     driver = noise.BrownianDriver(6, 1)
     coeffs = np.broadcast_to(u0.coeffs, batch + u0.coeffs.shape).copy()
-    state = dyn.SimState(sp.SpectralField(g, coeffs),
-                         W_accum=np.zeros(batch))
+    state = dyn.SimState(sp.SpectralField(g, coeffs))
     v = sp.SpectralField(g, coeffs.copy())
     gamma, W = np.ones(batch), np.zeros(batch)
     for k in range(20):
@@ -464,10 +464,7 @@ def test_transformed_u_form_equals_the_v_form(dim, n, batch):
         dW = dW.reshape(batch + (1,))
         state = dyn.step_transformed(state, dt, model, dW)
         v, gamma, W = _v_form_step(v, gamma, W, dt, alpha, dW)
-    assert np.array_equal(state.W_accum, W)
-    state_gamma = np.exp(-alpha * state.W_accum)
-    assert np.array_equal(state_gamma, gamma)
-    gap = sp.l2_norm(state_gamma * state.u - v) / sp.l2_norm(v)
+    gap = sp.l2_norm(gamma * state.u - v) / sp.l2_norm(v)
     assert np.all(gap <= 1e-13)
     # the transport moved the field, so this is not a pure-damping check
     damped = float(np.exp(-0.5 * alpha ** 2 * 20 * dt)) * u0
@@ -489,25 +486,23 @@ def test_state_fields_after_u_are_keyword_only():
     u = _zero(_grid())
     with pytest.raises(TypeError):
         dyn.SimState(u, np.ones(3), np.zeros(3))
-    assert dyn.SimState(u, W_accum=0.5).W_accum == 0.5
+    assert dyn.SimState(u, u_max=np.ones(1)).u_max == 1.0
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
 def test_every_stepper_maps_u_to_u(dim, n):
     # one contract: each kind's step from the same state and increments
-    # lands within O(dt) of step_em's.  The state's W is not 0, so
-    # gamma = exp(-alpha W) is not 1, and dW = sqrt(dt) puts alpha u dW,
-    # O(sqrt dt), between u and v = gamma u
+    # lands within O(dt) of step_em's.  dW = sqrt(dt) puts alpha u dW,
+    # O(sqrt dt), between u and the step's v = gamma u
     g = _grid(n, dim)
     u = sp.make_initial_field(g, "random", 1.0, seed=3)
-    dt, W = 1e-3, 0.5
+    dt = 1e-3
     model = _lin_mult(alpha=1.0)
-    state = dyn.SimState(u, W_accum=W)
+    state = dyn.SimState(u)
     dW = np.full(1, np.sqrt(dt))
     u_em = dyn.step_em(state, dt, model, dW).u
     for kind in dyn.INTEGRATORS:
         out = getattr(dyn, f"step_{kind}")(state, dt, model, dW)
-        assert out.W_accum == W + dW[0]
         assert sp.l2_norm(out.u - u_em) <= dt * sp.l2_norm(u), kind
 
 
@@ -610,6 +605,22 @@ def test_gbm_level_rule_monitors_martingale():
     # either it fired at a sampled time or rho_alpha stayed below the level
     if hit is not None:
         assert 0.0 <= hit <= 0.1
+
+
+@pytest.mark.parametrize("kind", [noise.NONE, noise.ADDITIVE])
+def test_gbm_level_rule_needs_linear_multiplicative_noise(kind):
+    # rho = exp(alpha W - alpha^2 t / 8) is 1 without alpha: the rule would
+    # fire at t = 0 for a level below 1 and never for one above it
+    g = _grid(8)
+    model = noise.NoiseModel(kind, sigma_fields=(
+        () if kind == noise.NONE else noise.spectrum_sigma_fields(g, 1, 2.0,
+                                                                  seed=1)))
+    for level in (0.5, 2.0):
+        with pytest.raises(ConfigError, match=f"^stopping: a gbm_level rule "
+                                              f"needs linear_multiplicative "
+                                              f"noise, not '{kind}'$"):
+            _tg_config(u0=sp.taylor_green(g), model=model, integrator="em",
+                       stopping=(dyn.StoppingRule(dyn.GBM_LEVEL, level),))
 
 
 def test_transformed_trajectory_gamma_is_positive():
@@ -789,7 +800,7 @@ def test_batch_state_drops_rows_that_break_the_cfl_limit():
     u = sp.taylor_green(g)
     batch = sp.SpectralField(g, np.stack([0.01 * u.coeffs, u.coeffs,
                                           0.02 * u.coeffs]))
-    state = dyn.SimState(batch, W_accum=np.zeros(3))
+    state = dyn.SimState(batch)
     dt = 0.5 * dyn.cfl_limit(0.02 * u)
     with pytest.raises(CflViolation) as info:
         dyn.step_em(state, dt, noise.zero_noise(), np.zeros((3, 0)))
@@ -834,6 +845,32 @@ def test_given_keyed_increments_give_the_keyed_run(kind):
             assert sp.l2_norm(diag.final_u) == diag.l2[-1]
 
 
+@pytest.mark.parametrize("kind", ["em", "transformed"])
+def test_the_driver_sums_each_paths_W_from_its_increments(kind):
+    # the state holds no W: the driver sums each path's dW[:, 0] over the
+    # steps it took, and every sampled gamma is exp(-alpha W) of that sum,
+    # bit for bit.  Path 3, row 0, hits the gbm_level rule early and leaves
+    # the batch with its row of W; path 1 steps on with its own
+    assert [f.name for f in dataclasses.fields(dyn.SimState)] == [
+        "u", "values", "u_max"]
+    g = _grid(16)
+    alpha, dt = 1.0, 0.01
+    cfg = dyn.TrajectoryConfig(
+        u0=sp.make_initial_field(g, "random", 0.5, seed=3),
+        model=_lin_mult(alpha), noise_seed=32, T=0.5, dt=dt,
+        integrator=kind, stopping=(dyn.StoppingRule(dyn.GBM_LEVEL, 1.5),))
+    ids = [3, 1]
+    dW = _keyed_increments(cfg, ids)
+    diags = dyn.integrate_trajectory(cfg, ids, dW)
+    assert diags[0].hits and diags[0].final_time < 0.3
+    assert not diags[1].hits and diags[1].final_time == pytest.approx(0.5)
+    for diag, path in zip(diags, dW):
+        W = np.concatenate(([0.0], np.cumsum(path[:, 0])))
+        steps = [round(t / dt) for t in diag.times]
+        assert steps == list(range(len(steps)))
+        assert diag.gamma == np.exp(-alpha * W[steps]).tolist()
+
+
 def test_increments_of_another_shape_are_refused_before_any_step(
         monkeypatch):
     def no_step(*args):
@@ -864,3 +901,72 @@ def test_a_nan_increment_blows_up_its_path_mid_step():
     assert not row0.blow_up_flag and row0.failure is None
     assert _csv_text(row0) == _csv_text(solo)
     assert row0.final_time == solo.final_time == pytest.approx(0.05)
+
+
+# ---------------------------------------------------------------------------
+# Mirror symmetry: Euler commutes with each reflection S_j
+
+
+def _reflect(u, j):
+    """S_j u: grid index i -> -i mod n on axis j and u_j negated, taken on
+    the grid and dealiased again after the forward transform."""
+    values = np.roll(np.flip(u.to_physical(), axis=1 + j), 1, axis=1 + j)
+    values[j] *= -1
+    return sp.dealias(sp.SpectralField.from_physical(u.grid, values))
+
+
+def _symmetrized(u):
+    """The mean of u over all 2^d products of the reflections S_j."""
+    fields = [u]
+    for j in range(u.grid.dim):
+        fields += [_reflect(f, j) for f in fields]
+    total = fields[0]
+    for f in fields[1:]:
+        total = total + f
+    return total * (1.0 / len(fields))
+
+
+def _relative_gap(a, b):
+    return sp.l2_norm(a - b) / sp.l2_norm(b)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("kind", [dyn.RK4, dyn.EM, dyn.TRANSFORMED])
+def test_one_step_commutes_with_each_reflection(kind, dim, n):
+    # S_j maps Euler solutions to Euler solutions and commutes with the
+    # Leray projection and with alpha u dW: stepping S_j u gives S_j of the
+    # step of u, whatever the stepper does with the roundoff
+    g = _grid(n, dim)
+    u = sp.make_initial_field(g, "random", 0.5, seed=12)
+    if kind == dyn.RK4:
+        model, dW = noise.zero_noise(), np.zeros(0)
+    else:
+        model, dW = _lin_mult(alpha=1.0), np.array([0.07])
+    dt = 0.5 * dyn.cfl_limit(u, 0.5, model.alpha)
+    step = getattr(dyn, f"step_{kind}")
+    stepped = step(_state(u), dt, model, dW).u
+    assert _relative_gap(stepped, u) > 1e-3  # the step moved u
+    for j in range(dim):
+        mirrored = step(_state(_reflect(u, j)), dt, model, dW).u
+        assert _relative_gap(mirrored, _reflect(stepped, j)) <= 1e-13, j
+
+
+@pytest.mark.parametrize("dim, n, steps", [(2, 32, 200), (3, 16, 100)])
+@pytest.mark.parametrize("kind", [dyn.RK4, dyn.TRANSFORMED])
+def test_a_run_from_a_mirror_symmetric_field_stays_symmetric(kind, dim, n,
+                                                              steps):
+    # a field that every S_j fixes stays fixed along the run: the driver's
+    # path keeps u = P_sym u to roundoff, noiseless and under alpha u dW
+    g = _grid(n, dim)
+    u0 = _symmetrized(sp.make_initial_field(g, "random", 0.5, seed=13))
+    assert _relative_gap(_symmetrized(u0), u0) <= 1e-15
+    model = noise.zero_noise() if kind == dyn.RK4 else _lin_mult(alpha=1.0)
+    dt = 0.005
+    cfg = dyn.TrajectoryConfig(u0=u0, model=model, noise_seed=5,
+                               T=steps * dt, dt=dt, integrator=kind,
+                               sample_every=steps)
+    diag, = dyn.integrate_trajectory(cfg)
+    u = diag.final_u
+    assert diag.failure is None and diag.final_time == pytest.approx(cfg.T)
+    assert _relative_gap(u, u0) > 1e-3  # the run moved u
+    assert _relative_gap(_symmetrized(u), u) <= 1e-13

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stocheuler import noise, spectral as sp
-from stocheuler.errors import DegenerateInput, ShapeMismatch
+from stocheuler.errors import DegenerateInput, InvalidParams, ShapeMismatch
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,50 @@ def test_model_validation():
         noise.NoiseModel(noise.NEMYTSKII, g_tag="bogus")
     assert noise.NoiseModel(noise.LINEAR_MULTIPLICATIVE, alpha=2.0).n_modes == 1
     assert noise.zero_noise().n_modes == 0
+
+
+def test_zero_noise_is_the_none_kind():
+    model = noise.zero_noise()
+    assert model.kind == noise.NONE == "none"
+    assert (model.alpha, model.n_modes) == (0.0, 0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-200, -3.0, 1e150])
+def test_linear_multiplicative_alpha_whose_square_is_finite_is_accepted(
+        alpha):
+    # the noise of a run may vanish: alpha = 0 and an alpha whose square
+    # underflows to 0 are runs without noise
+    assert noise.NoiseModel(noise.LINEAR_MULTIPLICATIVE,
+                            alpha=alpha).alpha == alpha
+
+
+@pytest.mark.parametrize("alpha, shown", [
+    (1e200, "1e+200"), (-1e200, "-1e+200"), (np.inf, "inf"),
+    (np.nan, "nan")])
+def test_linear_multiplicative_alpha_whose_square_overflows_is_refused(
+        alpha, shown):
+    # a Python-built model with alpha = 1e200 failed every path of its run
+    # with an OverflowError; the model refuses it where it is built
+    with pytest.raises(InvalidParams) as info:
+        noise.NoiseModel(noise.LINEAR_MULTIPLICATIVE, alpha=alpha)
+    assert str(info.value) == f"alpha^2 must be finite, got alpha={shown}"
+
+
+@pytest.mark.parametrize("kind", [noise.NONE, noise.ADDITIVE,
+                                  noise.NEMYTSKII, noise.FUNCTIONAL])
+@pytest.mark.parametrize("alpha", [3.0, 1.0, np.nan])
+def test_alpha_of_another_noise_kind_is_refused(kind, alpha):
+    # alpha is linear-multiplicative noise's alone: no other kind reads it
+    with pytest.raises(InvalidParams, match=f"noise kind '{kind}' has no "
+                                            f"alpha"):
+        noise.NoiseModel(kind, alpha=alpha)
+    assert noise.NoiseModel(kind).alpha == 0.0
+
+
+def test_none_kind_takes_no_sigma_fields():
+    u = sp.taylor_green(sp.Grid(2, 8))
+    with pytest.raises(InvalidParams, match="has no sigma_fields"):
+        noise.NoiseModel(noise.NONE, sigma_fields=(u,))
 
 
 # ---------------------------------------------------------------------------
