@@ -204,6 +204,10 @@ def build_noise(doc: dict, grid: Grid) -> tuple[NoiseModel, int]:
     if kind == LINEAR_MULTIPLICATIVE:
         return _call("noise.alpha", NoiseModel, kind, alpha=sec["alpha"]), seed
 
+    if sec["k_modes"] == 0:
+        raise ConfigError(f"noise.k_modes: kind '{kind}' with 0 modes is a "
+                          f"run without noise; set noise.kind: {NONE}")
+
     def fields(field_seed):
         return _call("noise", spectrum_sigma_fields, grid, sec["k_modes"],
                      sec["mode_decay"], field_seed)

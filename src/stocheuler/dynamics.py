@@ -32,9 +32,12 @@ order is norms.  A gbm_level rule needs linear-multiplicative noise.  A
 sample whose W^{1,inf} norm reaches BLOWUP_LEVEL ends the path as a blow-up.
 
 States are dealiased from t = 0: TrajectoryConfig rejects a u0 that is not.
-A sample's W^{1,inf} and sup|curl u| come from one physical-space view of
-the state (spectral._sup_view): one pruned inverse transform of u and one
-of its gradient stack, and one sqrt after each max.  The driver keeps a
+The first batch is a read-only view of u0 repeated per path: no stepper
+writes its input state.  A sample's W^{1,inf} and sup|curl u| come from one
+physical-space view of the state (spectral._sup_view): one pruned inverse
+transform of u and, per derivative axis j, one of the rows d_j u_i, and one
+sqrt after each max; it carves its work arrays from the pools that
+nonlinear_term sizes, so sampling makes them no larger.  The driver keeps a
 sampled state's grid values and max|u| (state.values, state.u_max).  step_em
 and the first stage of the RK4 transport take their flux from them, and every
 stepper its CFL bound, so a state is transformed to the grid once per step
@@ -393,8 +396,11 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
         return diags
     alpha = cfg.model.alpha
     u0 = cfg.u0
-    state = SimState(SpectralField(
-        u0.grid, np.repeat(u0.coeffs[None], len(ids), axis=0)))
+    # a read-only view: no stepper writes its input state, _keep copies the
+    # rows it keeps, and a path that ends before its first step keeps a view
+    # of u0 as its final_u
+    state = SimState(SpectralField(u0.grid, np.broadcast_to(
+        u0.coeffs, (len(ids),) + u0.coeffs.shape)))
     rows = np.arange(len(ids))  # the diags index of each batch row
     W = np.zeros(len(ids))  # each row's Wiener path at the state's time
     k = 0  # the batch's steps taken; the state's time is k * cfg.dt

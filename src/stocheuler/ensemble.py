@@ -31,8 +31,10 @@ from .noise import LINEAR_MULTIPLICATIVE, squared_alpha
 SUMMARY_SCHEMA_VERSION = 1
 HIT_HISTOGRAM_BINS = 20
 # half-spectrum bytes of one chunk of paths: 30 paths at 2D n=32, one at
-# 3D n=32.  A batch's peak memory is about five times its coefficients; a
-# 2D n=32 path runs about as fast in a batch of 10 as in one of 60
+# 3D n=32.  A chunk's run on a worker's new workspace peaks at about 9
+# (2D n=32, 30 paths) to 10 (3D n=32, one path) times its coefficients of
+# traced memory; a 2D n=32 path runs about as fast in a batch of 10 as in
+# one of 60
 CHUNK_BYTES = 512 * 1024
 
 

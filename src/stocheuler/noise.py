@@ -123,7 +123,10 @@ class NoiseModel:
     nemytskii:             sigma_k(u)(x) = alpha_k(x) g(u(x)), g from registry
     functional:            sigma_k(u) = <u, profile_k>_{L^2} * alpha_k(x)
 
-    alpha, whose square must be finite, is 0 unless linear_multiplicative.
+    alpha, whose square must be finite, is 0 unless linear_multiplicative;
+    sigma_fields belong to additive, nemytskii and functional noise,
+    profiles to functional noise, one per sigma field, and a g_tag other
+    than the default to nemytskii noise.
     """
 
     kind: str
@@ -140,8 +143,19 @@ class NoiseModel:
             squared_alpha(self.alpha, nonzero=False)
         elif self.alpha != 0:
             raise InvalidParams(f"noise kind '{self.kind}' has no alpha")
-        if self.kind == NONE and self.sigma_fields:
-            raise InvalidParams(f"noise kind '{NONE}' has no sigma_fields")
+        # a field the kind never reads is refused, not dropped
+        if self.kind in (NONE, LINEAR_MULTIPLICATIVE) and self.sigma_fields:
+            raise InvalidParams(f"noise kind '{self.kind}' has no "
+                                f"sigma_fields")
+        if self.kind != FUNCTIONAL and self.profiles:
+            raise InvalidParams(f"noise kind '{self.kind}' has no profiles")
+        if self.kind != NEMYTSKII and self.g_tag != "identity":
+            raise InvalidParams(f"noise kind '{self.kind}' has no g_tag")
+        if (self.kind == FUNCTIONAL
+                and len(self.profiles) != len(self.sigma_fields)):
+            raise InvalidParams(f"functional noise needs one profile per "
+                                f"sigma field, got {len(self.profiles)} "
+                                f"for {len(self.sigma_fields)}")
         if self.kind == NEMYTSKII and self.g_tag not in G_REGISTRY:
             raise ValueError(f"unknown g tag '{self.g_tag}'")
 

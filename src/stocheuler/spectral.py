@@ -3,10 +3,11 @@
 Fields are stored as real-FFT half spectra (``scipy.fft.rfftn`` layout): the
 last axis holds indices 0..n/2 only, and each stored mode k stands for
 itself and its conjugate partner -k, so physical-space values are real by
-construction.  Wavenumbers are numpy's ``fftfreq`` values of the stored
-indices on every axis.  Every field is made and read by the grid
-workspace's passes (below): ``_forward``/``_inverse`` run them on the
-trailing ``dim`` axes of a whole (components, n, ..., n) stack.
+construction.  Wavenumbers are the integers of the stored indices in
+``fftfreq``'s order on every axis (``Grid.k_index``).  Every field is made
+and read by the grid workspace's passes (below): ``_forward``/``_inverse``
+run them on the trailing ``dim`` axes of a whole (components, n, ..., n)
+stack.
 scipy's rfftn and irfftn are the tests' oracle for them.  The state
 invariant: every field a run holds is dealias(leray_project(.)) of something
 (Orszag's 2/3 rule).  The initial fields are built so, and every step keeps
@@ -40,21 +41,21 @@ _inverse never run at once, so they share one real and one complex pool.
 What an operator returns is never a work array.  The workspace's
 transforms run the 1-D passes that scipy's rfftn and irfftn run, in their
 order (forward: the last axis, then -dim .. -2; inverse: -dim .. -2, then
-the last axis): numpy's rfft/irfft with ``out=`` on the last axis,
-scipy.fft's fft/ifft in place on the others, and irfftn's 1/n^dim after
-the last pass, as pocketfft applies it.  _c2c makes the very call that
-scipy.fft's fft/ifft make into scipy's compiled pocketfft module
-(``scipy/fft/_pocketfft/pypocketfft``), which ``_pocketfft`` loads from its
-file at a process's first c2c pass.  So no command loads scipy.fft or any
-other scipy module; the extension adds no name to sys.modules.
-Pruned transforms skip lines
-that the 2/3 rule makes zero: the inverse of a dealiased field (a state)
-skips the lines that hold only masked zeros, and the forward transform of
-the flux products skips the lines whose outputs the mask discards (at
-n = 32, 21 of 32 indices are kept on a full axis and 11 of 17 on the half
-axis).  A skipped inverse line holds zeros, which its transform keeps, and
-a skipped forward line feeds only modes the mask zeroes, so the grid
-values are scipy's bit for bit, and so are the modes inside the mask.
+the last axis): pocketfft's r2c/c2r into the pool (``out=``) on the last
+axis, its c2c in place on the others, and irfftn's 1/n^dim after the
+last pass, as pocketfft applies it.  Each is the very call that
+scipy.fft's rfft/irfft/fft/ifft make into scipy's compiled pocketfft
+module (``scipy/fft/_pocketfft/pypocketfft``), which ``_pocketfft`` loads
+from its file at a process's first transform.  So no command loads
+scipy.fft, any other scipy module or numpy.fft; the extension adds no
+name to sys.modules.  Pruned transforms skip lines that the 2/3 rule makes
+zero: the inverse of a dealiased field (a state) skips the lines that hold
+only masked zeros, and the forward transform of the flux products skips
+the lines whose outputs the mask discards (at n = 32, 21 of 32 indices
+are kept on a full axis and 11 of 17 on the half axis).  A skipped
+inverse line holds zeros, which its transform keeps, and a skipped forward
+line feeds only modes the mask zeroes, so the grid values are scipy's bit
+for bit, and so are the modes inside the mask.
 
 The kept box.  The mask keeps a box of modes: on each full axis the runs
 0..c and n-c..n-1, on the half axis 0..c (21 * 21 * 11 of 32 * 32 * 17
@@ -77,8 +78,9 @@ field, Nyquist modes included.
 
 Sup norms accumulate squares in place and take the sqrt once, after the
 max.  A sampled state's max|u|, max|grad u| and max|curl u| come from
-``_sup_view``: one pruned inverse of u and one of its whole gradient
-stack, the curl read as the antisymmetric part of the grid gradient.
+``_sup_view``: one pruned inverse of u and, per derivative axis j, one of
+the rows d_j u_i, the curl read as the antisymmetric part of the grid
+gradient.  Streamed so, the view fits in the pools that the kernel sizes.
 """
 
 from __future__ import annotations
@@ -136,10 +138,14 @@ class Grid:
 
     @cached_property
     def k_index(self) -> np.ndarray:
-        """Integer wavenumbers, shape (dim,) + spectral_shape: the fftfreq
-        values of the stored indices, so the last axis ends at -n/2."""
-        full = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        half = full[:self.n // 2 + 1]
+        """Integer wavenumbers, shape (dim,) + spectral_shape, as floats: on
+        a full axis 0..n/2-1 then -n/2..-1 (fftfreq's order), on the half
+        axis 0..n/2-1 then -n/2.  Cast from integers: fftfreq(n, 1/n) scales
+        by 1/(n (1/n)), which is not 1 at n = 98, 196, 206, ..."""
+        half_n = self.n // 2
+        full = np.concatenate((np.arange(half_n),
+                               np.arange(-half_n, 0))).astype(float)
+        half = full[:half_n + 1]
         axes = np.meshgrid(*([full] * (self.dim - 1) + [half]), indexing="ij")
         return np.array(axes)
 
@@ -185,12 +191,6 @@ class Grid:
         w = np.full(self.n // 2 + 1, 2.0)
         w[[0, -1]] = 1.0
         return w
-
-    @cached_property
-    def grad_symbols(self) -> np.ndarray:
-        """Symbols of d_1, ..., d_dim as the grid values see them."""
-        return np.stack([_derivative_symbol(self, (j,))
-                         for j in range(self.dim)])
 
     @cached_property
     def _workspace(self) -> "_Workspace":
@@ -331,6 +331,23 @@ class _Workspace:
     retired touches less of them.  An array carved from a pool is valid
     until the next call that carves from that pool.
 
+    The kernel sizes the two shared pools; per path, in fields of one
+    component: real dim + pairs (u's grid values and the flux products: 8
+    in 3D, 4 in 2D), complex max(dim, pairs) (u's spectra, then the flux
+    spectra in their place, as the inverse has consumed u's: 5 in 3D, 2
+    in 2D), pairs the _FLUX_PAIRS.  The view fits inside them: it streams
+    u's gradient one derivative axis j at a time, one row d_j u_i per
+    component in the real pool, folding each row's square into one
+    accumulator and each curl component from its two rows as they come,
+    so it holds dim + 1 + curls rows (7 in 3D, 4 in 2D) where the whole
+    gradient stack would take dim * dim + curls (12 and 5).
+
+    The symbols come from grid.k_index, and the grid's full-spectrum k and
+    ik are never built: k, ik and |k|^2 (1 at k = 0) on the box, and per
+    axis j the line of d_j's symbol as the grid values see it, i k_j with
+    the Nyquist modes |k_j| = n/2 zeroed (_derivative_symbol), which varies
+    along axis j alone and broadcasts over the half spectrum.
+
     The kept box is the modes the dealias mask keeps, packed: on a full
     axis the runs 0..c and n-c..n-1 side by side, on the half axis 0..c.
     Each block of it (one run per axis: 4 in 3D, 2 in 2D) is a basic slice
@@ -357,26 +374,37 @@ class _Workspace:
         self.box_shape = tuple(axis_runs[-1].stop for axis_runs in packed)
         pairs, curls = len(_FLUX_PAIRS[dim]), len(_CURL_PAIRS[dim])
         # per path: (dtype, grid shape, components), the components being
-        # the most that the kernel (u, the flux entries and their spectra;
-        # in the box the flux spectra) or the view (the gradient stack and
-        # the curl) takes, or leray_project in the box; _inverse's copy of a
-        # field takes less of the complex pool
+        # the most that the kernel or the view takes (see above), or, in
+        # the box, the kernel's flux spectra or leray_project; _inverse's
+        # copy of a field takes no more of the complex pool than u's spectra
         box = (complex, self.box_shape)
         self._layout = {
-            "real": (float, grid.shape, max(dim + pairs, dim * dim + curls)),
-            "complex": (complex, grid.spectral_shape,
-                        max(dim + pairs, dim * dim)),
+            "real": (float, grid.shape, max(dim + pairs, dim + 1 + curls)),
+            "complex": (complex, grid.spectral_shape, max(dim, pairs)),
             "box": box + (max(pairs, dim),), "proj": box + (dim + 1,),
             "step": box + (4 * dim,),
         }
         self._pools = {name: np.empty(0, dtype)
                        for name, (dtype, _, _) in self._layout.items()}
-        # the symbols the kernel and the projection read, on the box; k and
-        # |k|^2 are stored as the complex values they are cast to when they
-        # meet a complex field, which saves the cast and changes no bit
-        self.k, self.ik, self.k_sq_safe = (
-            self.box(a).astype(complex)
-            for a in (grid.k, grid.ik, grid.k_sq_safe))
+        # the symbols the kernel and the projection read, on the box, by
+        # the operations that form grid.k, grid.ik and grid.k_sq_safe; k
+        # and |k|^2 are stored as the complex values they are cast to when
+        # they meet a complex field, which saves the cast and changes no bit
+        k = (TWO_PI / grid.length) * self.box(grid.k_index)
+        k_sq_safe = np.sum(k ** 2, axis=0)
+        k_sq_safe[(0,) * dim] = 1.0  # the box's first mode is k = 0
+        self.k, self.ik = k.astype(complex), 1j * k
+        self.k_sq_safe = k_sq_safe.astype(complex)
+        # d_j's symbol on its axis j, shaped to broadcast over the trailing
+        # dim axes of a half spectrum
+        self.grad_lines = []
+        for j in range(dim):
+            line = grid.k_index[(j,) + (0,) * j + (slice(None),)
+                                + (0,) * (dim - 1 - j)]
+            symbol = 1j * ((TWO_PI / grid.length) * line)
+            symbol[np.abs(line) == n // 2] = 0.0
+            self.grad_lines.append(
+                symbol.reshape((-1,) + (1,) * (dim - 1 - j)))
         # the lines each c2c pass runs: pass a (axes -dim .. -2, in
         # scipy's order) needs, on every other full axis j that is still
         # spectral (j > a inverse, j < a forward), only the dealias runs,
@@ -438,7 +466,7 @@ class _Workspace:
         for axis, indices in self._lines["inverse" if pruned else "all"]:
             for index in indices:
                 _c2c(spectra, axis, index, forward=False)
-        np.fft.irfft(spectra, n=self.n, axis=-1, norm="forward", out=values)
+        _pocketfft().c2r(spectra, (-1,), self.n, False, 0, values, 1)
         values *= self.scale
 
     def forward(self, values: np.ndarray, spectra: np.ndarray,
@@ -446,7 +474,7 @@ class _Workspace:
         """Write the half spectra of the real values into spectra, by the
         1-D passes of scipy.fft.rfftn in its order.  pruned transforms only
         the modes inside the dealias mask: the others hold partial sums."""
-        np.fft.rfft(values, axis=-1, out=spectra)
+        _pocketfft().r2c(values, (-1,), True, 0, spectra, 1)
         for axis, indices in self._lines["forward" if pruned else "all"]:
             for index in indices:
                 _c2c(spectra, axis, index, forward=True)
@@ -599,16 +627,15 @@ def _nonlinear_box(g: Grid, box: np.ndarray, values: np.ndarray | None,
     """nonlinear_term's core: P(u.grad u)'s kept box into out, returned,
     from u's grid values, or else from u's box, which is multiplied by True
     in place as dealias(u) is.  The other arrays are workspace arrays."""
-    axis = -(g.dim + 1)
+    lead = out.shape[:-(g.dim + 1)]
     pairs = _FLUX_PAIRS[g.dim]
     ws = g._workspace
     # the products come first, so a term given its values touches no more
     # of the real pool than the view does
-    spectra, t_hat, products, u_phys, t_box = ws.arrays(
-        out.shape[:axis], ("complex", g.dim), ("complex", len(pairs)),
-        ("real", len(pairs)), ("real", g.dim), ("box", len(pairs)))
+    products, u_phys = ws.arrays(lead, ("real", len(pairs)), ("real", g.dim))
     if values is None:
         box *= True
+        spectra, = ws.arrays(lead, ("complex", g.dim))
         spectra[...] = 0.0
         ws.scatter(box, spectra)
         ws.inverse(spectra, u_phys, pruned=True)
@@ -622,6 +649,9 @@ def _nonlinear_box(g: Grid, box: np.ndarray, values: np.ndarray | None,
         np.multiply(comps[i], comps[j], out=slot)
         if i == j:
             slot -= flux[-1]
+    # u's spectra are spent: the flux spectra are carved in their place
+    t_hat, t_box = ws.arrays(lead, ("complex", len(pairs)),
+                             ("box", len(pairs)))
     ws.forward(products, t_hat, pruned=True)
     ws.gather(t_hat, t_box)
     out[...] = 0.0
@@ -783,10 +813,11 @@ def _sup_of_squares(work: np.ndarray, dim: int):
 def _sup_view(u: SpectralField, pruned: bool = True, with_curl: bool = True):
     """u's grid values (a new array, which the trajectory driver keeps),
     and max|u|, max|grad u| (Frobenius) and max|curl u| over the grid, from
-    one inverse of u and one of its gradient stack into a work array (row
-    j * c + i holds d_j u_i); pruned: u vanishes outside the dealias mask,
-    as every state does.  A curl component d_a u_b - d_b u_a subtracts two
-    rows, and the squares add in (j, i) order, as np.sum adds the stack, so
+    one inverse of u and, per derivative axis j, one of the rows d_j u_i
+    into work arrays; pruned: u vanishes outside the dealias mask, as every
+    state does.  A curl component d_a u_b - d_b u_a keeps the first of its
+    two rows to come and subtracts when the second comes, and the squares
+    add in (j, i) order, as np.sum adds the whole gradient stack, so
     max|u| + max|grad u| is w1inf_norm(u) bit for bit.  The curl (None
     unless u is a velocity and with_curl is set) is curl(u)'s up to rounding
     unless u carries Nyquist modes, where curl's i k symbol and the grid
@@ -797,18 +828,27 @@ def _sup_view(u: SpectralField, pruned: bool = True, with_curl: bool = True):
     lead, comps = u.coeffs.shape[:axis], u.coeffs.shape[axis]
     pairs = _CURL_PAIRS[g.dim] if with_curl and comps == g.dim else ()
     ws = g._workspace
-    spectra, grads, rot = ws.arrays(
-        lead, ("complex", g.dim * comps), ("real", g.dim * comps),
+    spectra, grads, acc, rot = ws.arrays(
+        lead, ("complex", comps), ("real", comps), ("real", 1),
         ("real", len(pairs)))
-    # per j: one multiply broadcast over (j, c) makes stack-size temporaries
-    by_j = spectra.reshape(lead + (g.dim,) + u.coeffs.shape[axis:])
-    for j, d_j in enumerate(_components(by_j, g.dim + 1)):
-        np.multiply(g.grad_symbols[j], u.coeffs, out=d_j)
-    ws.inverse(spectra, grads, pruned)
-    rows = _components(grads, g.dim)
-    for r, (a, b) in zip(_components(rot, g.dim), pairs):
-        np.subtract(rows[a * comps + b], rows[b * comps + a], out=r)
-    grad_max = _sup_of_squares(grads, g.dim)
+    acc, = _components(acc, g.dim)
+    acc[...] = 0.0  # 0 + the first square is that square, bit for bit
+    rows, curls = _components(grads, g.dim), _components(rot, g.dim)
+    for j, line in enumerate(ws.grad_lines):
+        np.multiply(line, u.coeffs, out=spectra)
+        ws.inverse(spectra, grads, pruned)
+        for i, row in enumerate(rows):  # row is d_j u_i
+            for r, (a, b) in zip(curls, pairs):
+                if (j, i) not in ((a, b), (b, a)):
+                    continue
+                if j < i:  # the first of the component's two rows
+                    np.copyto(r, row)
+                elif j == a:
+                    np.subtract(row, r, out=r)
+                else:
+                    np.subtract(r, row, out=r)
+            acc += np.multiply(row, row, out=row)
+    grad_max = _per_path(np.sqrt(np.max(acc, axis=_trailing(g.dim))))
     curl_max = _sup_of_squares(rot, g.dim) if pairs else None
     values = _inverse(u.coeffs, g, pruned=pruned)
     return values, _sup_magnitude(values, g.dim), grad_max, curl_max

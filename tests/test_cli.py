@@ -760,6 +760,12 @@ UNKNOWN_KEYS = [
                    f"stopping: a gbm_level rule needs linear_multiplicative "
                    f"noise, not '{kind}'", id=f"gbm-level-{kind}-noise")
       for kind in ("additive", "none")),
+    # k_modes: 0 ran these kinds as a run without noise under their name
+    *(pytest.param(RUN_CONFIG, [f"noise={{kind: {kind}, k_modes: 0}}"],
+                   f"noise.k_modes: kind '{kind}' with 0 modes is a run "
+                   f"without noise; set noise.kind: none",
+                   id=f"{kind}-noise-k-modes-0")
+      for kind in ("additive", "nemytskii", "functional")),
 ])
 def test_ensemble_rejects_bad_input_before_any_path(tmp_path, capsys, base,
                                                     overrides, prefix):

@@ -4,8 +4,9 @@ every error class is raised or caught, every name the benchmark tracer
 wraps exists and is called through by a run, every config a benchmark
 workload sends builds, importing the package or its CLI loads no scipy
 subpackage that a run does not execute, and no command loads a scipy
-module: a command that transforms a field runs scipy's compiled pocketfft
-module, which the package loads from its file (tests/test_spectral.py)."""
+module or numpy.fft: a command that transforms a field runs scipy's
+compiled pocketfft module, which the package loads from its file
+(tests/test_spectral.py)."""
 
 import ast
 import importlib.util
@@ -218,11 +219,17 @@ def test_import_loads_no_unused_scipy_subpackage(module):
     assert out.stdout.split() == []
 
 
+# the FFT modules no command loads: scipy's, and numpy's, whose rfft and
+# irfft the package's transforms no longer call
+FFT_MODULES = ("scipy", "numpy.fft")
+
+
 def _scipy_after(code: str, *args: str, cwd=None) -> list[str]:
-    """The scipy modules loaded once code has run in a fresh interpreter
-    with the package on its path and args in sys.argv[2:]."""
+    """The FFT_MODULES loaded once code has run in a fresh interpreter with
+    the package on its path and args in sys.argv[2:]."""
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); " + code + "; "
-             "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+             "print(' '.join(m for m in sys.modules "
+             f"if m.startswith({FFT_MODULES!r})))")
     out = subprocess.run([sys.executable, "-c", probe, str(SRC.parent),
                           *args], capture_output=True, text=True, check=True,
                          cwd=cwd)
@@ -257,7 +264,7 @@ ensemble: {n_paths: 2, master_seed: 3, parallel_width: 1}
 
 
 def _loaded_by_main(tmp_path, *argv: str) -> list[str]:
-    """The scipy modules loaded by cli.main(argv), run in tmp_path beside
+    """The FFT_MODULES loaded by cli.main(argv), run in tmp_path beside
     CONFIGS, in a fresh interpreter."""
     for name, text in CONFIGS.items():
         (tmp_path / name).write_text(text)
@@ -287,5 +294,6 @@ def test_a_command_that_transforms_no_field_loads_no_scipy(tmp_path, argv):
         "transform-check"])
 def test_a_command_that_transforms_fields_loads_no_scipy(tmp_path, argv):
     # the passes call scipy's compiled pocketfft module, loaded from its file
-    # without a name in sys.modules, and not through scipy.fft
+    # without a name in sys.modules, and not through scipy.fft; its r2c and
+    # c2r run the last axis, so numpy.fft does not load either
     assert _loaded_by_main(tmp_path, *argv) == []

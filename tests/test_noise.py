@@ -171,6 +171,44 @@ def test_none_kind_takes_no_sigma_fields():
         noise.NoiseModel(noise.NONE, sigma_fields=(u,))
 
 
+@pytest.mark.parametrize("kind, fields, message", [
+    (noise.LINEAR_MULTIPLICATIVE, "sigma_fields",
+     "noise kind 'linear_multiplicative' has no sigma_fields"),
+    (noise.LINEAR_MULTIPLICATIVE, "profiles",
+     "noise kind 'linear_multiplicative' has no profiles"),
+    (noise.ADDITIVE, "profiles", "noise kind 'additive' has no profiles"),
+    (noise.NEMYTSKII, "profiles", "noise kind 'nemytskii' has no profiles"),
+    *((kind, "g_tag", f"noise kind '{kind}' has no g_tag")
+      for kind in (noise.NONE, noise.ADDITIVE, noise.LINEAR_MULTIPLICATIVE,
+                   noise.FUNCTIONAL)),
+])
+def test_a_kind_refuses_the_fields_it_never_reads(kind, fields, message):
+    # they were dropped silently: a model that is given them would not be
+    # the model that runs
+    u = sp.taylor_green(sp.Grid(2, 8))
+    given = ({} if kind in (noise.NONE, noise.LINEAR_MULTIPLICATIVE)
+             else {"sigma_fields": (u,)})
+    if kind == noise.FUNCTIONAL:
+        given["profiles"] = (u,)
+    given[fields] = "cube" if fields == "g_tag" else (u,)
+    with pytest.raises(InvalidParams) as info:
+        noise.NoiseModel(kind, **given)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("profiles", [0, 1, 3])
+def test_functional_noise_needs_one_profile_per_sigma_field(profiles):
+    # the modes past the shorter list were dropped silently
+    sigmas = noise.spectrum_sigma_fields(sp.Grid(2, 8), 3, 2.0, seed=1)
+    with pytest.raises(InvalidParams) as info:
+        noise.NoiseModel(noise.FUNCTIONAL, sigma_fields=sigmas[:2],
+                         profiles=sigmas[:profiles])
+    assert str(info.value) == (f"functional noise needs one profile per "
+                               f"sigma field, got {profiles} for 2")
+    assert noise.NoiseModel(noise.FUNCTIONAL, sigma_fields=sigmas[:2],
+                            profiles=sigmas[1:]).n_modes == 2
+
+
 # ---------------------------------------------------------------------------
 # apply_noise
 

@@ -312,6 +312,30 @@ def test_sobolev_norms_match_full_spectrum_collocation():
                 assert abs(got - want) <= 1e-12 * want
 
 
+def test_k_index_holds_exact_integers_for_every_even_n():
+    # fftfreq(n, 1/n) scales by 1/(n (1/n)), which is not 1 at 91 even n up
+    # to 2048: k_index held 3.000000000000001 and -49.000000000000014 at
+    # n = 98, so Grid.nyquist found no Nyquist plane
+    for n in range(8, 513, 2):
+        line = np.r_[0:n // 2, -(n // 2):0]
+        k = sp.Grid(2, n).k_index
+        assert np.array_equal(k[0][:, 0], line), n
+        assert np.array_equal(k[1][0], line[:n // 2 + 1]), n
+        assert np.array_equal(k, np.round(k)), n
+
+
+@pytest.mark.parametrize("n", [96, 98, 196])
+def test_parseval_w12_matches_the_full_spectrum_oracle_for_any_even_n(n):
+    # white noise fills the Nyquist planes, whose derivative the grid
+    # values do not see: at n = 98 Parseval read 355.38 against 349.26
+    g = sp.Grid(2, n)
+    vals = np.random.default_rng(n).standard_normal((2,) + g.shape)
+    got = sp.sobolev_norm(sp.SpectralField.from_physical(g, vals),
+                          sp.NormRequest(1, 2))
+    want = _full_spectrum_w_mp(vals, g, 1, 2.0)
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_sobolev_monotone_in_order():
     g = sp.Grid(2, 16)
     u = _random_field(g, seed=4)
@@ -880,7 +904,9 @@ def test_sup_view_on_dealiased_fields(dim, n):
                 (dim,) + g.shape))))
         values, u_max, grad_max, curl_max = sp._sup_view(u)
         assert np.array_equal(values, u.to_physical())
-        grads = sp._inverse(g.grad_symbols[:, None] * u.coeffs[None], g)
+        symbols = np.stack([sp._derivative_symbol(g, (j,))
+                            for j in range(dim)])
+        grads = sp._inverse(symbols[:, None] * u.coeffs[None], g)
         ref_u = np.max(np.sqrt(np.sum(u.to_physical() ** 2, axis=0)))
         ref_grad = np.sqrt(np.max(np.sum(grads ** 2, axis=(0, 1))))
         assert u_max + grad_max == ref_u + ref_grad
