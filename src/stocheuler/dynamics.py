@@ -58,7 +58,6 @@ k2, k3 and k4 in another, and k1 + 2 k2 + 2 k3 + k4 in place in k1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
@@ -152,11 +151,13 @@ class TrajectoryDiagnostics:
             self.write_csv(fh)
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(self.COLUMNS)
-        for row in zip(self.times, self.l2, self.wmp, self.w1inf,
-                       self.curl_inf, self.gamma):
-            writer.writerow([repr(v) for v in row])
+        """The rows csv.writer writes (its "\r\n" line ends; no repr of a
+        number needs quoting), joined and written at once."""
+        rows = zip(self.times, self.l2, self.wmp, self.w1inf, self.curl_inf,
+                   self.gamma)
+        fh.write("\r\n".join([",".join(self.COLUMNS)]
+                              + [",".join(map(repr, row)) for row in rows])
+                 + "\r\n")
 
 
 @dataclass
@@ -242,7 +243,7 @@ def _flux_values(state: SimState, dt: float, c_cfl: float,
     return values
 
 
-def _boxes(u: SpectralField, count: int) -> list[np.ndarray]:
+def _boxes(u: SpectralField, count: int) -> tuple[np.ndarray, ...]:
     """count step work arrays of u's box shape, the first holding u's box."""
     g = u.grid
     boxes = g._workspace.arrays(u.coeffs.shape[:-(g.dim + 1)],
@@ -257,7 +258,8 @@ def _advance(g: Grid, box: np.ndarray, project: bool = True) -> SimState:
     the paths with a NaN or Inf."""
     if project:
         _project_box(g, box)
-    finite = np.isfinite(box.view(float)).all(axis=_trailing(g.dim + 1))
+    finite = np.logical_and.reduce(np.isfinite(box.view(float)),
+                                   axis=_trailing(g.dim + 1))
     if not finite.all():
         raise NonFinite("non-finite Fourier coefficient",
                         rows=np.flatnonzero(~finite))
@@ -413,13 +415,16 @@ def integrate_trajectory(cfg: TrajectoryConfig, trajectory_ids=(0,),
         state.values, state.u_max, grad_max, curl_max = _sup_view(state.u)
         w1inf = state.u_max + grad_max
         gamma = np.exp(-alpha * W)
-        columns = np.column_stack((l2, wmp, w1inf, curl_max, gamma)).tolist()
-        for i, row in zip(rows, columns):
+        for i, a, b, c, e, f in zip(rows, l2.tolist(), wmp.tolist(),
+                                    w1inf.tolist(), curl_max.tolist(),
+                                    gamma.tolist()):
             d = diags[i]
             d.times.append(t)
-            for series, v in zip((d.l2, d.wmp, d.w1inf, d.curl_inf,
-                                  d.gamma), row):
-                series.append(v)
+            d.l2.append(a)
+            d.wmp.append(b)
+            d.w1inf.append(c)
+            d.curl_inf.append(e)
+            d.gamma.append(f)
         stop = w1inf >= BLOWUP_LEVEL
         for i in rows[stop]:
             diags[i].blow_up_flag = True

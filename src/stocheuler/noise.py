@@ -30,9 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateInput, InvalidParams, ShapeMismatch
-from .spectral import (Grid, NormRequest, SpectralField, _rows, dealias,
-                       l2_inner, leray_project, random_divergence_free,
-                       sobolev_norm)
+from .spectral import (Grid, NormRequest, SpectralField, _project_box,
+                       _rows, dealias, l2_inner, leray_project,
+                       random_divergence_free, sobolev_norm)
 
 BLOCK_STEPS = 1024
 BLOCK_NORMALS = 8192
@@ -178,7 +178,8 @@ def apply_noise(model: NoiseModel, u: SpectralField, dW: np.ndarray, *,
     of K increments per path.  out, the steppers' form, is a box work
     array of u's batch and components: the term's kept box is written there
     and returned, and the linear-multiplicative kind makes nothing of a
-    field's size.
+    field's size.  Additive and functional noise then project their mode
+    sum on the kept box alone, as the projection acts mode by mode.
     """
     dW = np.atleast_1d(np.asarray(dW, dtype=float))
     if dW.shape[-1] != model.n_modes:
@@ -187,13 +188,25 @@ def apply_noise(model: NoiseModel, u: SpectralField, dW: np.ndarray, *,
     g = u.grid
     ws = g._workspace
     ndim = g.dim + 1
-    per_mode = np.moveaxis(dW, -1, 0)  # the K per-path increment arrays
 
     if model.kind == LINEAR_MULTIPLICATIVE:
-        scale = _rows(model.alpha * per_mode[0], ndim)
+        scale = _rows(model.alpha * dW[..., 0], ndim)
         if out is None:
             return SpectralField(g, scale * u.coeffs)
         return np.multiply(scale, ws.gather(u.coeffs, out), out=out)
+
+    if model.kind in (ADDITIVE, FUNCTIONAL):
+        # functional: sigma_k(u) = f_k(u) alpha_k with f_k an L^2 inner
+        # product
+        acc = np.zeros_like(u.coeffs)
+        for k, sig in enumerate(model.sigma_fields):
+            w = dW[..., k]
+            if model.kind == FUNCTIONAL:
+                w = w * l2_inner(u, model.profiles[k])
+            acc += _rows(w, ndim) * sig.coeffs
+        if out is None:
+            return leray_project(SpectralField(g, acc))
+        return _project_box(g, ws.gather(acc, out))
 
     if out is not None:
         return ws.gather(apply_noise(model, u, dW).coeffs, out)
@@ -201,25 +214,13 @@ def apply_noise(model: NoiseModel, u: SpectralField, dW: np.ndarray, *,
     if model.n_modes == 0:
         return SpectralField(g, np.zeros_like(u.coeffs))
 
-    if model.kind == ADDITIVE:
-        acc = np.zeros_like(u.coeffs)
-        for w, sig in zip(per_mode, model.sigma_fields):
-            acc += _rows(w, ndim) * sig.coeffs
-        return leray_project(SpectralField(g, acc))
-
-    if model.kind == NEMYTSKII:
-        # sum_k dW_k alpha_k(x) g(u(x)) is linear in alpha_k: one transform
-        gu = G_REGISTRY[model.g_tag](dealias(u).to_physical())
-        amp = sum(_rows(w, ndim) * dealias(sig).to_physical()
-                  for w, sig in zip(per_mode, model.sigma_fields))
-        return leray_project(SpectralField.from_physical(g, amp * gu),
-                             dealiased=True)
-
-    # functional: sigma_k(u) = f_k(u) alpha_k with f_k an L^2 inner product
-    acc = np.zeros_like(u.coeffs)
-    for w, sig, prof in zip(per_mode, model.sigma_fields, model.profiles):
-        acc += _rows(w * l2_inner(u, prof), ndim) * sig.coeffs
-    return leray_project(SpectralField(g, acc))
+    # nemytskii: sum_k dW_k alpha_k(x) g(u(x)) is linear in alpha_k: one
+    # transform
+    gu = G_REGISTRY[model.g_tag](dealias(u).to_physical())
+    amp = sum(_rows(dW[..., k], ndim) * dealias(sig).to_physical()
+              for k, sig in enumerate(model.sigma_fields))
+    return leray_project(SpectralField.from_physical(g, amp * gu),
+                         dealiased=True)
 
 
 def _sigma_stack(model: NoiseModel, u: SpectralField) -> list[SpectralField]:

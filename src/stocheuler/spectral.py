@@ -329,7 +329,10 @@ class _Workspace:
     is sized to the largest batch seen so far, and each call to arrays()
     carves its arrays from the start of the pools, so a batch whose paths
     retired touches less of them.  An array carved from a pool is valid
-    until the next call that carves from that pool.
+    until the next call that carves from that pool.  arrays() carves once
+    per (lead, specs): it keeps what it carved and returns the same views
+    of the same memory when they are asked for again, and it forgets them
+    all when a pool grows, as they view the pool it drops.
 
     The kernel sizes the two shared pools; per path, in fields of one
     component: real dim + pairs (u's grid values and the flux products: 8
@@ -386,6 +389,7 @@ class _Workspace:
         }
         self._pools = {name: np.empty(0, dtype)
                        for name, (dtype, _, _) in self._layout.items()}
+        self._carved = {}  # arrays() per (lead, specs), of the current pools
         # the symbols the kernel and the projection read, on the box, by
         # the operations that form grid.k, grid.ik and grid.k_sq_safe; k
         # and |k|^2 are stored as the complex values they are cast to when
@@ -419,21 +423,28 @@ class _Workspace:
         self._lines = {"forward": lines(True), "inverse": lines(False),
                        "all": [(a, [(Ellipsis,)]) for a in full_axes]}
 
-    def arrays(self, lead: tuple[int, ...], *specs) -> list[np.ndarray]:
+    def arrays(self, lead: tuple[int, ...],
+               *specs) -> tuple[np.ndarray, ...]:
         """One work array per (pool, components) in specs, of shape
-        lead + (components,) + the pool's grid shape, carved in order."""
+        lead + (components,) + the pool's grid shape, carved in order;
+        the same tuple for the same lead and specs until a pool grows."""
+        out = self._carved.get((lead, specs))
+        if out is not None:
+            return out
         batch = math.prod(lead)
         start = dict.fromkeys(self._pools, 0)
-        out = []
+        carved = []
         for name, comps in specs:
             dtype, shape, per_path = self._layout[name]
             need = batch * per_path * math.prod(shape)
             if self._pools[name].size < need:
                 self._pools[name] = np.empty(need, dtype)
+                self._carved.clear()  # their arrays view the dropped pool
             shape = lead + (comps,) + shape
             end = start[name] + math.prod(shape)
-            out.append(self._pools[name][start[name]:end].reshape(shape))
+            carved.append(self._pools[name][start[name]:end].reshape(shape))
             start[name] = end
+        out = self._carved[lead, specs] = tuple(carved)
         return out
 
     def box(self, spectra: np.ndarray) -> np.ndarray:
@@ -577,8 +588,8 @@ def _project_box(g: Grid, box: np.ndarray) -> np.ndarray:
     axis = -(g.dim + 1)
     box *= True
     proj, kdotu = ws.arrays(box.shape[:axis], ("proj", g.dim), ("proj", 1))
-    np.sum(np.multiply(ws.k, box, out=proj), axis=axis, keepdims=True,
-           out=kdotu)
+    np.add.reduce(np.multiply(ws.k, box, out=proj), axis=axis, keepdims=True,
+                  out=kdotu)
     kdotu /= ws.k_sq_safe
     return np.subtract(box, np.multiply(ws.k, kdotu, out=proj), out=box)
 
@@ -743,7 +754,7 @@ def _sup_magnitude(values: np.ndarray, dim: int):
     for c in rest:
         sq = np.multiply(c, c, out=sq)
         acc += sq
-    return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
+    return _per_path(np.sqrt(np.maximum.reduce(acc, axis=_trailing(dim))))
 
 
 def lp_norm(f: SpectralField, p: float):
@@ -766,7 +777,7 @@ _TINY_SUM = 2.0 ** -900
 def _parseval_sum(coeffs: np.ndarray, weight: np.ndarray):
     """Per path, the sum of weight |coeffs|^2 over the trailing axes."""
     sq = coeffs.real ** 2 + coeffs.imag ** 2
-    return np.sum(sq * weight, axis=_trailing(weight.ndim + 1))
+    return np.add.reduce(sq * weight, axis=_trailing(weight.ndim + 1))
 
 
 def _parseval_norm(f: SpectralField, m: int):
@@ -807,7 +818,7 @@ def _sup_of_squares(work: np.ndarray, dim: int):
     acc = np.multiply(first, first, out=first)
     for c in rest:
         acc += np.multiply(c, c, out=c)
-    return _per_path(np.sqrt(np.max(acc, axis=_trailing(dim))))
+    return _per_path(np.sqrt(np.maximum.reduce(acc, axis=_trailing(dim))))
 
 
 def _sup_view(u: SpectralField, pruned: bool = True, with_curl: bool = True):
@@ -848,7 +859,8 @@ def _sup_view(u: SpectralField, pruned: bool = True, with_curl: bool = True):
                 else:
                     np.subtract(r, row, out=r)
             acc += np.multiply(row, row, out=row)
-    grad_max = _per_path(np.sqrt(np.max(acc, axis=_trailing(g.dim))))
+    grad_max = _per_path(np.sqrt(np.maximum.reduce(acc,
+                                                   axis=_trailing(g.dim))))
     curl_max = _sup_of_squares(rot, g.dim) if pairs else None
     values = _inverse(u.coeffs, g, pruned=pruned)
     return values, _sup_magnitude(values, g.dim), grad_max, curl_max

@@ -153,6 +153,31 @@ def test_run_set_override_changes_duration(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 5  # 4 steps + initial
 
 
+def test_the_one_parser_carries_nothing_from_call_to_call(tmp_path, capsys,
+                                                        monkeypatch):
+    # main parses every call with one parser: a flag that one call gives
+    # does not reach the next, and a usage error exits 1 each time
+    seen = []
+    real = cli.integrate_trajectory
+
+    def recording(cfg, ids):
+        seen.append((cfg.u0.grid.n, ids))
+        return real(cfg, ids)
+
+    monkeypatch.setattr(cli, "integrate_trajectory", recording)
+    cfg = _write_yaml(tmp_path, RUN_CONFIG)
+    for flags in (["--set", "grid.n=8", "--seed", "3"], []):
+        assert cli.main(["run", "--config", cfg, "--quiet", *flags]) \
+            == cli.EXIT_OK
+    assert seen == [(8, [3]), (16, [0])]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", cfg, "--not-a-flag"])
+        assert exc.value.code == cli.EXIT_USAGE
+    assert cli.main(["run", "--config", cfg, "--quiet"]) == cli.EXIT_OK
+    assert seen[-1] == (16, [0])
+
+
 @pytest.mark.parametrize("kind", ["em", "rk4"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_run_sampled_every_third_step_keeps_those_rows(tmp_path, capsys,

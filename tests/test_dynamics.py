@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import inspect
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -406,6 +407,56 @@ def test_sampled_run_working_set(dim, n, kind, batch):
     finally:
         tracemalloc.stop()
     assert peak <= RUN_WORKING_SET_FIELDS[dim] * fields
+
+
+# Profile events (Python calls and calls of C functions) per sampled step
+# of a 2D n=16 path under linear-multiplicative noise, where the arrays are
+# small and dispatch is most of a step: the difference between runs of 20
+# and 10 steps over 10.  Measured 195 (em) and 293 (transformed), where
+# carving every work array again on each call, the np.sum and np.max
+# wrappers, np.moveaxis and np.column_stack took 347 and 524.
+STEP_DISPATCH_BUDGET = {dyn.EM: 250, dyn.TRANSFORMED: 380}
+
+
+@pytest.mark.parametrize("kind", [dyn.EM, dyn.TRANSFORMED])
+def test_sampled_step_dispatch_budget(kind):
+    def events(steps):
+        g = sp.Grid(2, 16)
+        cfg = dyn.TrajectoryConfig(
+            u0=sp.make_initial_field(g, "taylor_green", 0.5),
+            model=_lin_mult(alpha=1.0), T=steps * 1e-3, dt=1e-3,
+            integrator=kind)
+        dyn.integrate_trajectory(cfg)  # sizes and carves the workspace
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event in ("call", "c_call")
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            diag, = dyn.integrate_trajectory(cfg)
+        finally:
+            sys.setprofile(previous)
+        assert len(diag.times) == steps + 1 and diag.failure is None
+        return count
+
+    per_step = (events(20) - events(10)) / 10
+    assert per_step <= STEP_DISPATCH_BUDGET[kind]
+
+
+@pytest.mark.parametrize("kind", [noise.ADDITIVE, noise.FUNCTIONAL])
+def test_field_noise_runs_build_no_full_spectrum_symbols(kind):
+    # the steppers project the noise term on the kept box alone, so a run
+    # never builds the grid's full-spectrum wavenumber tables
+    g = sp.Grid(2, 32)
+    cfg = dyn.TrajectoryConfig(
+        u0=sp.make_initial_field(g, "random", 0.5, seed=1),
+        model=_field_noise(g, kind, seed=2), T=0.01, dt=1e-3)
+    diag, = dyn.integrate_trajectory(cfg)
+    assert len(diag.times) == 11 and diag.failure is None
+    assert not {"k", "k_sq", "k_sq_safe"} & g.__dict__.keys()
 
 
 def _whole_array_step(kind, u, dt, model, dW):

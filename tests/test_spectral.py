@@ -540,6 +540,38 @@ def test_workspace_transforms_equal_scipy(dim, n, fraction):
     assert all(ws._pools[name] is pool for name, pool in pools.items())
 
 
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_carved_arrays_follow_the_pools_as_they_grow(dim, n):
+    # one grid serves a batch of 1, then 4 (the pools grow), then 2: every
+    # work array it hands out afterwards, for a batch served before the
+    # growth too, views the current pools, none a dropped one, and the
+    # operators give a fresh grid's bits each time
+    g = sp.Grid(dim, n)
+    ws = g._workspace
+    pools = []
+    for batch in (1, 4, 2):
+        u = sp.SpectralField(g, np.stack(
+            [_random_field(g, seed=s).coeffs for s in range(batch)]))
+        fresh = sp.SpectralField(sp.Grid(dim, n), u.coeffs)
+        got = [*sp._sup_view(u), sp.nonlinear_term(u).coeffs]
+        want = [*sp._sup_view(fresh), sp.nonlinear_term(fresh).coeffs]
+        for a, b in zip(got, want):
+            assert np.array_equal(np.asarray(a).view(np.uint64),
+                                  np.asarray(b).view(np.uint64)), batch
+        for name in ws._pools:
+            ws.arrays((batch,), (name, 1))
+        pools += [pool for pool in ws._pools.values()
+                  if not any(pool is p for p in pools)]
+    dropped = [p for p in pools
+               if not any(p is q for q in ws._pools.values())]
+    assert dropped  # the batch of 4 grew the pools
+    for lead in [(1,), (4,), (2,)]:
+        for name, pool in ws._pools.items():
+            work, = ws.arrays(lead, (name, 1))
+            assert np.shares_memory(work, pool), (lead, name)
+            assert not any(np.shares_memory(work, p) for p in dropped)
+
+
 def _in_a_fresh_interpreter(code: str, *args: str, path=None) -> str:
     """The stdout of code run in a fresh interpreter, with path (by default
     the package's source root) first on sys.path and args in sys.argv[1:]."""
