@@ -5,8 +5,8 @@ Monte Carlo cross-check monitored on the dt grid), the logarithmic Gronwall
 change of variables, the explicit small-data thresholds kappa(R, alpha) and
 K(R, alpha), and the worst-case ODE sweep behind them.
 
-It imports no scipy: the Wilson z comes from _ndtri, a port of Cephes ndtri
-(Moshier, Methods and Programs for Mathematical Functions, 1989) with
+It imports no scipy: every interval is the 99% Wilson score interval
+(Wilson, JASA 22, 1927), whose z is the constant _Z99 with
 scipy.special.ndtri's bits, and log_gronwall_functions imports
 scipy.integrate when it is called.  With spectral's FFT passes, which run
 scipy's compiled pocketfft module loaded from its file, no command loads a
@@ -27,68 +27,20 @@ from .noise import keyed_generator, squared_alpha
 # ---------------------------------------------------------------------------
 # Wilson score interval (used here and by the ensemble module)
 
-# Cephes ndtri's coefficients as doubles, highest power first, each Q with
-# its implied leading 1 (which Horner's first step multiplies exactly).
-# P0/Q0 serve exp(-2) < y < 1 - exp(-2), P1/Q1 and P2/Q2 the tails where
-# x = sqrt(-2 log y) is below 8 and at least 8
-_S2PI, _EXP_M2 = 2.5066282746310007, 0.1353352832366127  # sqrt(2 pi), e^-2
-_P0 = (-59.96335010141079, 98.00107541859997, -56.67628574690703,
-       13.931260938727968, -1.2391658386738125)
-_Q0 = (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905,
-       -225.46268785411937, 200.26021238006066, -82.03722561683334,
-       15.90562251262117, -1.1833162112133)
-_P1 = (4.0554489230596245, 31.525109459989388, 57.16281922464213,
-       44.08050738932008, 14.684956192885803, 2.1866330685079025,
-       -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854)
-_Q1 = (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672,
-       15.04253856929075, 2.504649462083094, -0.14218292285478779,
-       -0.03808064076915783, -0.0009332594808954574)
-_P2 = (3.2377489177694603, 6.915228890689842, 3.9388102529247444,
-       1.3330346081580755, 0.20148538954917908, 0.012371663481782003,
-       0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09)
-_Q2 = (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132,
-       0.21623699359449663, 0.013420400608854318, 0.00032801446468212774,
-       2.8924786474538068e-06, 6.790194080099813e-09)
+# z of the two-sided 99% interval: scipy.special.ndtri(0.5 + 0.99 / 2.0),
+# bit for bit (0x1.49b4c64d69160p+1)
+_Z99 = 2.5758293035489004
 
 
-def _polevl(x: float, coef: tuple[float, ...]) -> float:
-    """The polynomial of coef (highest power first) at x, by Horner."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y: float) -> float:
-    """The standard normal quantile of y in [0, 1]: Cephes ndtri, operation
-    for operation, so its bits are scipy.special.ndtri's."""
-    if y == 0.0 or y == 1.0:
-        return math.inf if y else -math.inf
-    if upper := y > 1.0 - _EXP_M2:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    P, Q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    z = 1.0 / x
-    x = x - math.log(x) / x - z * _polevl(z, P) / _polevl(z, Q)
-    return x if upper else -x
-
-
-def wilson_interval(successes: int, n: int,
-                    confidence: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.  InvalidParams
-    unless n > 0, successes is an integer in [0, n] and 0 < confidence < 1."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion.  InvalidParams
+    unless n > 0 and successes is an integer in [0, n]."""
     if n <= 0:
         raise InvalidParams("n must be positive")
     if not (isinstance(successes, (int, np.integer)) and 0 <= successes <= n):
         raise InvalidParams(f"successes must be an integer in [0, {n}], "
                             f"got {successes!r}")
-    if not 0 < confidence < 1:
-        raise InvalidParams(f"confidence must be in (0, 1), got {confidence}")
-    z = _ndtri(0.5 + confidence / 2.0)  # the normal quantile
+    z = _Z99
     phat = successes / n
     denom = 1.0 + z ** 2 / n
     center = (phat + z ** 2 / (2 * n)) / denom
@@ -281,7 +233,6 @@ class KappaK:
     log_K: float
     log_kappa: float
     kappa_underflow: bool
-    K_overflow: bool
 
 
 def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
@@ -313,12 +264,12 @@ def kappa_K(R: float, alpha: float, Cbar: float = 1.0) -> KappaK:
     else:
         log_exp_term = np.inf
     log_K = float(np.log(2.0 * R) + log_poly + log_exp_term)
-    K_overflow = not np.isfinite(log_K) or log_K > 709.0
-    K = np.inf if K_overflow else float(np.exp(log_K))
+    K = (np.inf if not np.isfinite(log_K) or log_K > 709.0
+         else float(np.exp(log_K)))
     log_kappa = float(np.log(a2 / (2.0 * Cbar)) - log_K)
     kappa = 0.0 if log_kappa < -745.0 else float(np.exp(log_kappa))
     return KappaK(K=K, kappa=kappa, log_K=log_K, log_kappa=log_kappa,
-                  kappa_underflow=(kappa == 0.0), K_overflow=K_overflow)
+                  kappa_underflow=(kappa == 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +352,6 @@ class OdeBoundResult:
     y: np.ndarray
     bound_satisfied: bool
     margin: float
-    log_bound: float
-    tail_increment: float
 
 
 def _integrate_logY(p: OdeLemmaParams, dt: float, T_end: float) -> np.ndarray:
@@ -433,8 +382,10 @@ def _integrate_logY(p: OdeLemmaParams, dt: float, T_end: float) -> np.ndarray:
     return out
 
 
-def ode_bound_check(p: OdeLemmaParams, dt: float = 1e-2,
-                    tol: float = 1e-8) -> OdeBoundResult:
+ODE_TOL = 1e-8  # the step-doubling residual (relative) ode_bound_check meets
+
+
+def ode_bound_check(p: OdeLemmaParams, dt: float = 1e-2) -> OdeBoundResult:
     """Integrate the equality ODE (worst case of the inequality) and test
     whether y stays below alpha^2 / (8 R Cbar).
 
@@ -453,13 +404,13 @@ def ode_bound_check(p: OdeLemmaParams, dt: float = 1e-2,
     for _ in range(8):
         logY_half = _integrate_logY(p, dt / 2.0, T_end)
         err = abs(logY[-1] - logY_half[-1]) / max(1.0, abs(logY_half[-1]))
-        if err <= tol:
+        if err <= ODE_TOL:
             break
         dt /= 2.0
         logY = logY_half
     else:
         raise StiffnessFailure(
-            f"step-doubling residual {err:.3e} exceeds tolerance {tol} "
+            f"step-doubling residual {err:.3e} exceeds tolerance {ODE_TOL} "
             f"at dt={dt}")
     n = len(logY) - 1
     times = np.linspace(0.0, n * dt, n + 1)
@@ -473,5 +424,4 @@ def ode_bound_check(p: OdeLemmaParams, dt: float = 1e-2,
         y = np.exp(logY)
     return OdeBoundResult(times=times, log_y=logY, y=y,
                           bound_satisfied=bool(margin >= 0.0),
-                          margin=float(margin), log_bound=log_bound,
-                          tail_increment=float(tail_increment))
+                          margin=float(margin))

@@ -17,7 +17,7 @@ import yaml
 from .analysis import GBMParams
 from .dynamics import SOBOLEV_THRESHOLD, StoppingRule, TrajectoryConfig
 from .ensemble import EnsembleConfig, GBMSurrogateSpec, check_sweep_args
-from .errors import ConfigError, InvalidParams, UnsupportedNorm
+from .errors import ConfigError, InvalidParams, ShapeMismatch, UnsupportedNorm
 from .noise import (ADDITIVE, FUNCTIONAL, LINEAR_MULTIPLICATIVE, NEMYTSKII,
                     NONE, NoiseModel, spectrum_sigma_fields)
 from .spectral import Grid, NormRequest, make_initial_field
@@ -170,7 +170,8 @@ def _call(where: str, make, *args, **kwargs):
     """make(*args, **kwargs), a value it rejects reported under `where`."""
     try:
         return make(*args, **kwargs)
-    except (KeyError, ValueError, InvalidParams, UnsupportedNorm) as exc:
+    except (KeyError, ValueError, InvalidParams, ShapeMismatch,
+            UnsupportedNorm) as exc:
         message = exc.args[0] if exc.args else exc  # str(KeyError) quotes
         raise ConfigError(f"{where}: {message}") from exc
 

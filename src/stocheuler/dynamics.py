@@ -235,8 +235,9 @@ def _flux_values(state: SimState, dt: float, c_cfl: float,
     if values is None:
         values = _inverse(u.coeffs, u.grid, pruned=True)
         umax = _sup_magnitude(values, u.grid.dim)
-    lim = np.atleast_1d(cfl_limit(u, c_cfl, alpha, umax))
-    over = np.flatnonzero(dt > lim * (1.0 + 1e-12))
+    # cfl_limit gives one float for an unbatched path
+    lim = np.asarray(cfl_limit(u, c_cfl, alpha, umax)).reshape(-1)
+    over = (dt > lim * (1.0 + 1e-12)).nonzero()[0]
     if over.size:
         raise CflViolation(f"dt={dt} exceeds CFL limit "
                            f"{float(lim[over].min())}", rows=over)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -100,16 +99,18 @@ class PathRecord:
 class EnsembleSummary:
     n_paths: int
     n_survived: int
-    survival_fraction: float
-    wilson_99: tuple[float, float]
+    # this and the estimates below count the paths that did not fail: None
+    # when every path failed
+    survival_fraction: float | None
+    wilson_99: tuple[float, float] | None
     hit_histograms: dict[str, list[int]]
     hit_counts: dict[str, int]
     horizon: float
     analytic_bound: float | None
-    mean_final_l2: float
-    max_final_l2: float
-    mean_final_wmp: float
-    max_final_wmp: float
+    mean_final_l2: float | None
+    max_final_l2: float | None
+    mean_final_wmp: float | None
+    max_final_wmp: float | None
     n_blow_up: int
     n_engineering_failures: int
     partial: bool
@@ -203,6 +204,8 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     if width == 1:
         chunks = [_run_chunk(job) for job in jobs]
     else:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=width) as pool:
             chunks = list(pool.map(_run_chunk, jobs))
     return _fold(cfg, [record for chunk in chunks for record in chunk])
@@ -228,18 +231,19 @@ def _fold(cfg: EnsembleConfig, records: list[PathRecord]) -> EnsembleSummary:
                     int(np.searchsorted(edges, t_hit, side="right")) - 1)
             histograms[kind][max(b, 0)] += 1
             counts[kind] += 1
-    l2s = [r.final_l2 for r in ok] or [0.0]
-    wmps = [r.final_wmp for r in ok] or [0.0]
-    n_ok = max(1, len(ok))
+    def over_ok(reduce, key: str) -> float | None:
+        return float(reduce([getattr(r, key) for r in ok])) if ok else None
+
     return EnsembleSummary(
         n_paths=len(records), n_survived=n_survived,
-        survival_fraction=n_survived / n_ok,
-        wilson_99=wilson_interval(n_survived, n_ok),
+        survival_fraction=n_survived / len(ok) if ok else None,
+        wilson_99=wilson_interval(n_survived, len(ok)) if ok else None,
         hit_histograms=histograms, hit_counts=counts, horizon=horizon,
         analytic_bound=cfg.analytic_bound,
-        mean_final_l2=float(np.mean(l2s)), max_final_l2=float(np.max(l2s)),
-        mean_final_wmp=float(np.mean(wmps)),
-        max_final_wmp=float(np.max(wmps)), n_blow_up=n_blow,
+        mean_final_l2=over_ok(np.mean, "final_l2"),
+        max_final_l2=over_ok(np.max, "final_l2"),
+        mean_final_wmp=over_ok(np.mean, "final_wmp"),
+        max_final_wmp=over_ok(np.max, "final_wmp"), n_blow_up=n_blow,
         n_engineering_failures=n_eng,
         partial=n_eng > 0.01 * len(records), master_seed=cfg.master_seed,
         failure_reasons=dict(reasons.most_common()))

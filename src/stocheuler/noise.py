@@ -181,7 +181,9 @@ def apply_noise(model: NoiseModel, u: SpectralField, dW: np.ndarray, *,
     field's size.  Additive and functional noise then project their mode
     sum on the kept box alone, as the projection acts mode by mode.
     """
-    dW = np.atleast_1d(np.asarray(dW, dtype=float))
+    dW = np.asarray(dW, dtype=float)
+    if dW.ndim == 0:  # one mode's increment
+        dW = dW.reshape(1)
     if dW.shape[-1] != model.n_modes:
         raise ShapeMismatch(
             f"got {dW.shape[-1]} increments for {model.n_modes} noise modes")

@@ -222,13 +222,15 @@ def _trailing(ndim: int) -> tuple[int, ...]:
 def _per_path(x):
     """A reduction's result: a float for an unbatched field, else one value
     per path."""
-    return float(x) if np.ndim(x) == 0 else x
+    return float(x) if x.ndim == 0 else x
 
 
 def _rows(c, ndim: int):
     """c, one scalar per path, shaped to scale the trailing ndim axes of
     each path's array; a plain scalar is returned as it is."""
-    return c if np.ndim(c) == 0 else np.reshape(c, np.shape(c) + (1,) * ndim)
+    if not isinstance(c, np.ndarray) or c.ndim == 0:
+        return c
+    return c.reshape(c.shape + (1,) * ndim)
 
 
 def _components(a: np.ndarray, dim: int) -> list[np.ndarray]:
@@ -788,7 +790,7 @@ def _parseval_norm(f: SpectralField, m: int):
     total = _parseval_sum(f.coeffs, weight)
     norm = np.sqrt(total)
     tiny = total < _TINY_SUM
-    if np.any(tiny):
+    if tiny.any():
         axes = _trailing(f.grid.dim + 1)
         s = np.max(np.abs(f.coeffs), axis=axes)
         tiny &= s > 0
@@ -939,29 +941,28 @@ def shear_field(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     return _initial_field(grid, vals)
 
 
-def abc_field(grid: Grid, a: float = 1.0, b: float = 1.0,
-              c: float = 1.0) -> SpectralField:
-    """3D Arnold-Beltrami-Childress field; an eigenfunction of curl."""
+def abc_field(grid: Grid, amplitude: float = 1.0) -> SpectralField:
+    """3D Arnold-Beltrami-Childress field with A = B = C = 1, times
+    amplitude; an eigenfunction of curl."""
     if grid.dim != 3:
         raise ShapeMismatch("ABC field is 3D only")
     x = grid.coordinates
     vals = np.stack([
-        a * np.sin(x[2]) + c * np.cos(x[1]),
-        b * np.sin(x[0]) + a * np.cos(x[2]),
-        c * np.sin(x[1]) + b * np.cos(x[0]),
-    ])
+        np.sin(x[2]) + np.cos(x[1]),
+        np.sin(x[0]) + np.cos(x[2]),
+        np.sin(x[1]) + np.cos(x[0]),
+    ]) * amplitude
     return _initial_field(grid, vals)
 
 
 def random_divergence_free(grid: Grid, rng: np.random.Generator,
-                           decay: float = 2.0, kmax: int | None = None,
                            amplitude: float = 1.0) -> SpectralField:
-    """Random smooth divergence-free field with |u_hat(k)| ~ |k|^(-decay)."""
-    if kmax is None:
-        kmax = max(2, int(grid.dealias_fraction * grid.n / 2) - 1)
+    """Random smooth divergence-free field of L^2 norm amplitude, with
+    |u_hat(k)| ~ (1 + |k|)^-2 for 0 < |k| < the dealiasing cut."""
+    kmax = max(2, int(grid.dealias_fraction * grid.n / 2) - 1)
     noise = rng.standard_normal((grid.dim,) + grid.shape)
     kmag = np.sqrt(np.sum(grid.k_index ** 2, axis=0))
-    envelope = np.where((kmag > 0) & (kmag <= kmax), 1.0 / (1.0 + kmag) ** decay, 0.0)
+    envelope = np.where((kmag > 0) & (kmag <= kmax), 1.0 / (1.0 + kmag) ** 2.0, 0.0)
     f = leray_project(SpectralField(grid, _forward(noise, grid) * envelope),
                       dealiased=True)
     nrm = l2_norm(f)

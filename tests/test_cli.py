@@ -371,6 +371,20 @@ def test_initial_field_whose_l2_norm_overflows_exits_usage(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_abc_field_on_a_2d_grid_exits_usage(tmp_path, capsys, command):
+    # ended in a ShapeMismatch traceback
+    doc = dict(RUN_CONFIG, ensemble={"n_paths": 2, "master_seed": 1})
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", _write_yaml(tmp_path, doc),
+                     "--out", str(out), "--set", "initial.name=abc"])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "config error: initial: ABC field is 3D only\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_rejects_unwired_integrator_kind(tmp_path, capsys):
     cfg = _write_yaml(tmp_path, RUN_CONFIG)
     code = cli.main(["run", "--config", cfg,
@@ -501,8 +515,12 @@ def test_all_failed_ensemble_exits_with_its_reason(tmp_path, capsys,
     assert len(err) == 1
     assert "all 3 paths failed" in err[0] and "(3 paths)" in err[0]
     assert f"): {reason}" in err[0]
-    assert json.loads((out / "summary.json").read_text())[
-        "n_engineering_failures"] == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_engineering_failures"] == 3
+    # no path ran to give an estimate (they read 0.0 and a 3-path interval)
+    for key in ("survival_fraction", "wilson_99", "mean_final_l2",
+                "max_final_l2", "mean_final_wmp", "max_final_wmp"):
+        assert summary[key] is None, key
 
 
 def test_non_finite_result_exits_science(monkeypatch, capsys):

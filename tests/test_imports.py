@@ -207,16 +207,30 @@ UNUSED_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize",
                 "scipy.sparse")
 
 
-@pytest.mark.parametrize("module", ["stocheuler.cli", "stocheuler"])
-def test_import_loads_no_unused_scipy_subpackage(module):
-    # a fresh interpreter: this one has loaded them for other tests
+def _loaded_by_import(module: str, names: tuple[str, ...]) -> list[str]:
+    """The names that importing module loads in a fresh interpreter (this
+    one has loaded them for other tests)."""
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              f"import {module}; "
              "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe, str(SRC.parent),
-                          *UNUSED_SCIPY], capture_output=True, text=True,
+                          *names], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["stocheuler.cli", "stocheuler"])
+def test_import_loads_no_unused_scipy_subpackage(module):
+    assert _loaded_by_import(module, UNUSED_SCIPY) == []
+
+
+@pytest.mark.parametrize("module", ["stocheuler.cli", "stocheuler"])
+def test_import_loads_no_process_pool(module):
+    # only an ensemble wider than one worker starts the pool; its import
+    # brought multiprocessing, logging, socket and subprocess to every
+    # command
+    assert _loaded_by_import(
+        module, ("concurrent.futures", "multiprocessing")) == []
 
 
 # the FFT modules no command loads: scipy's, and numpy's, whose rfft and
@@ -238,8 +252,8 @@ def _scipy_after(code: str, *args: str, cwd=None) -> list[str]:
 
 @pytest.mark.parametrize("module", ["stocheuler.cli", "stocheuler"])
 def test_import_loads_no_scipy(module):
-    # scipy.fft loads at the first transform, and the Wilson z comes from a
-    # port of ndtri: scipy.special and scipy.fft were most of the start-up
+    # scipy.fft loads at the first transform, and the Wilson z is a
+    # constant: scipy.special and scipy.fft were most of the start-up
     assert _scipy_after(f"import {module}") == []
 
 

@@ -227,7 +227,7 @@ def test_curl_constant_field_is_zero():
 def test_curl_3d_abc_is_eigenfunction():
     # curl of the ABC field equals the field itself
     g = sp.Grid(3, 8)
-    u = sp.abc_field(g, 1.0, 1.0, 1.0)
+    u = sp.abc_field(g)
     w = sp.curl(u)
     assert np.max(np.abs(w.to_physical() - u.to_physical())) < 1e-12
 
@@ -1054,6 +1054,16 @@ def test_initial_field_registry():
         assert np.all(np.isfinite(u.coeffs.view(float)))
     with pytest.raises(KeyError):
         sp.make_initial_field(g, "nope")
+
+
+@pytest.mark.parametrize("name", ["taylor_green", "shear", "abc", "random"])
+def test_initial_field_scales_with_its_amplitude(name):
+    # abc took the amplitude as A alone, so B = C = 1 kept a unit field at 0
+    g = sp.Grid(3, 8)
+    unit = sp.make_initial_field(g, name, 1.0, seed=2).coeffs
+    assert not np.any(sp.make_initial_field(g, name, 0.0, seed=2).coeffs)
+    assert np.array_equal(sp.make_initial_field(g, name, 2.0, seed=2).coeffs,
+                          2.0 * unit)
 
 
 def test_random_field_is_divergence_free_and_real():
